@@ -186,12 +186,6 @@ type Metrics struct {
 	LastViolation string `json:"last_violation,omitempty"`
 }
 
-// summarySet caches the rolling-window summaries between publishes;
-// they are recomputed only when a tick or completion dirtied a window.
-type summarySet struct {
-	latency, slowdown, waits, services stats.Summary
-}
-
 // Snapshot is the immutable read-side view published after every
 // mutation, and the JSON document written at shutdown. Coflows is a
 // layered CoflowView rather than a plain map so ingest-heavy bursts
@@ -530,14 +524,6 @@ func (d *Daemon) loop() {
 		planner = nil
 	}
 
-	// The rolling-window summaries only change on ticks and
-	// completions; register/cancel-heavy bursts reuse the cached
-	// copies instead of re-sorting four windows per publish.
-	var (
-		summaries      summarySet
-		summariesDirty = true
-	)
-
 	statusOf := func(id int, ci *coflowInfo) *CoflowStatus {
 		if ci.terminal != nil {
 			return ci.terminal
@@ -581,15 +567,7 @@ func (d *Daemon) loop() {
 	)
 
 	publish := func() {
-		if summariesDirty {
-			summaries = summarySet{
-				latency:  latency.Summary(),
-				slowdown: slowdown.Summary(),
-				waits:    waits.Summary(),
-				services: services.Summary(),
-			}
-			summariesDirty = false
-		}
+		start := time.Now()
 		deltaCap := len(viewBase) / 4
 		if deltaCap < minDelta {
 			deltaCap = minDelta
@@ -631,11 +609,11 @@ func (d *Daemon) loop() {
 			QueueDepth:    len(d.cmds),
 			TotalWeighted: totalWC,
 			LastTickSecs:  lastTick.Seconds(),
-			TickLatency:   summaries.latency,
-			Slowdown:      summaries.slowdown,
+			TickLatency:   latency.Summary(),
+			Slowdown:      slowdown.Summary(),
 
-			Wait:                    summaries.waits,
-			Service:                 summaries.services,
+			Wait:                    waits.Summary(),
+			Service:                 services.Summary(),
 			StageLatency:            d.obs.stageLatency(),
 			MatcherWarmStartHitRate: d.obs.step.WarmStartHitRate(),
 
@@ -671,10 +649,10 @@ func (d *Daemon) loop() {
 			o.degraded.Set(0)
 		}
 		d.snap.Store(view)
+		o.publishSeconds.Observe(time.Since(start).Seconds())
 	}
 
 	complete := func(ci *coflowInfo, at int64) {
-		summariesDirty = true
 		touched = append(touched, ci.id)
 		ci.completed = at
 		completedN++
@@ -754,7 +732,6 @@ func (d *Daemon) loop() {
 			ticks++
 			lastTick = elapsed
 			latency.Observe(elapsed.Seconds())
-			summariesDirty = true
 			// Only the coflows this slot served have a new Remaining;
 			// everything else's published status is still exact.
 			for _, a := range res.Served {
@@ -859,13 +836,13 @@ func (d *Daemon) loop() {
 	}
 
 	// Commands already queued behind the one just received are handled
-	// in the same batch, under ONE publish: the snapshot rebuild (and
-	// its rolling-window summaries) is the per-command cost ceiling,
-	// so amortizing it over a burst is what lets ingest scale. Replies
-	// are sent only after that publish, so the read-your-writes
-	// guarantee (an acked write is visible in the next Snapshot) is
-	// exactly as strong as with per-command publication. The batch is
-	// bounded so a firehose cannot starve publication or shutdown.
+	// in the same batch, under ONE publish: the snapshot rebuild is the
+	// per-command cost ceiling, so amortizing it over a burst is what
+	// lets ingest scale. Replies are sent only after that publish, so
+	// the read-your-writes guarantee (an acked write is visible in the
+	// next Snapshot) is exactly as strong as with per-command
+	// publication. The batch is bounded so a firehose cannot starve
+	// publication or shutdown.
 	const maxBatch = 256
 	type handled struct {
 		c command

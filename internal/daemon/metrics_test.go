@@ -93,6 +93,7 @@ func TestPrometheusScrape(t *testing.T) {
 		"# TYPE coflow_step_seconds histogram",
 		"# TYPE coflowd_ticks_total counter",
 		"# TYPE coflowd_active_coflows gauge",
+		"# TYPE coflowd_publish_seconds histogram",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("scrape missing %q", want)
@@ -108,6 +109,12 @@ func TestPrometheusScrape(t *testing.T) {
 	}
 	if got := promValue(t, body, "coflowd_ticks_total"); got != float64(ticks) {
 		t.Errorf("coflowd_ticks_total = %v, want %d", got, ticks)
+	}
+
+	// One publication per command (each was sent alone and awaited: two
+	// registrations, then the ticks) plus the initial one at start-up.
+	if got := promValue(t, body, "coflowd_publish_seconds_count"); got != float64(ticks+3) {
+		t.Errorf("coflowd_publish_seconds_count = %v, want %d", got, ticks+3)
 	}
 
 	// The warm-start counters partition serving steps: hits (replays)
@@ -220,11 +227,20 @@ func TestEnrichedMetricsJSON(t *testing.T) {
 	if m.StageLatency.Step.P99 < m.StageLatency.Step.P50 {
 		t.Errorf("step p99 %v < p50 %v", m.StageLatency.Step.P99, m.StageLatency.Step.P50)
 	}
+	// A publication is timed after its snapshot is stored, so the last
+	// snapshot counts every publication before it: start-up, two
+	// registrations and all ticks but the last.
+	if got := m.StageLatency.Publish.Count; got != uint64(ticks+2) {
+		t.Errorf("stage publish count = %d, want %d", got, ticks+2)
+	}
+	if m.StageLatency.Publish.Mean <= 0 {
+		t.Errorf("stage publish mean = %v, want > 0", m.StageLatency.Publish.Mean)
+	}
 	if m.MatcherWarmStartHitRate < 0 || m.MatcherWarmStartHitRate > 1 {
 		t.Errorf("warm-start hit rate %v outside [0,1]", m.MatcherWarmStartHitRate)
 	}
 	// JSON must expose the documented field names.
-	for _, key := range []string{`"wait"`, `"service"`, `"stage_latency"`, `"matcher_warm_start_hit_rate"`} {
+	for _, key := range []string{`"wait"`, `"service"`, `"stage_latency"`, `"publish"`, `"matcher_warm_start_hit_rate"`} {
 		if !strings.Contains(body, key) {
 			t.Errorf("payload missing %s", key)
 		}

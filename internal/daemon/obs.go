@@ -22,8 +22,13 @@ type daemonObs struct {
 	// term-buffer pool hit rate. All zeros while Config.Plan is off.
 	plan bvn.Obs
 
-	ticks        *obs.Counter
-	tickSeconds  *obs.Histogram
+	ticks       *obs.Counter
+	tickSeconds *obs.Histogram
+	// publishSeconds times publish(): what a command batch costs beyond
+	// its handlers. tickSeconds covers only state.Step, so without this
+	// a slow snapshot rebuild is invisible in /v1/metrics.
+	publishSeconds *obs.Histogram
+
 	slot         *obs.Gauge
 	active       *obs.Gauge
 	queueDepth   *obs.Gauge
@@ -53,8 +58,10 @@ func newDaemonObs() *daemonObs {
 		step: online.NewObs(r),
 		plan: bvn.NewObs(r),
 
-		ticks:        r.Counter("coflowd_ticks_total", "scheduler ticks processed"),
-		tickSeconds:  r.Histogram("coflowd_tick_seconds", "latency of one scheduling tick", obs.LatencyBuckets),
+		ticks:          r.Counter("coflowd_ticks_total", "scheduler ticks processed"),
+		tickSeconds:    r.Histogram("coflowd_tick_seconds", "latency of one scheduling tick", obs.LatencyBuckets),
+		publishSeconds: r.Histogram("coflowd_publish_seconds", "latency of publishing one snapshot (once per command batch)", obs.LatencyBuckets),
+
 		slot:         r.Gauge("coflowd_slot", "current virtual slot"),
 		active:       r.Gauge("coflowd_active_coflows", "live registered-but-unfinished coflows"),
 		queueDepth:   r.Gauge("coflowd_command_queue_depth", "pending commands in the event-loop queue"),
@@ -81,13 +88,17 @@ type StageLatency struct {
 	Sort   obs.HistogramSnapshot `json:"sort"`
 	Match  obs.HistogramSnapshot `json:"match"`
 	Replay obs.HistogramSnapshot `json:"replay"`
+	// Publish is the snapshot publication that follows every command
+	// batch; it is not part of Step.
+	Publish obs.HistogramSnapshot `json:"publish"`
 }
 
 func (o *daemonObs) stageLatency() StageLatency {
 	return StageLatency{
-		Step:   o.step.StepSeconds.Snapshot(),
-		Sort:   o.step.SortSeconds.Snapshot(),
-		Match:  o.step.MatchSeconds.Snapshot(),
-		Replay: o.step.ReplaySeconds.Snapshot(),
+		Step:    o.step.StepSeconds.Snapshot(),
+		Sort:    o.step.SortSeconds.Snapshot(),
+		Match:   o.step.MatchSeconds.Snapshot(),
+		Replay:  o.step.ReplaySeconds.Snapshot(),
+		Publish: o.publishSeconds.Snapshot(),
 	}
 }

@@ -25,11 +25,20 @@ type Summary struct {
 // Summarize computes a Summary of values. An empty input yields the
 // zero Summary.
 func Summarize(values []float64) Summary {
-	if len(values) == 0 {
-		return Summary{}
-	}
 	sorted := append([]float64(nil), values...)
 	sort.Float64s(sorted)
+	return summarizeSorted(sorted)
+}
+
+// summarizeSorted is Summarize of values already in ascending order.
+// Rolling calls it on its sorted mirror, so the sums run in the same
+// order either way and the two agree to the last bit.
+//
+//coflow:allocfree
+func summarizeSorted(sorted []float64) Summary {
+	if len(sorted) == 0 {
+		return Summary{}
+	}
 	var sum, sq float64
 	for _, v := range sorted {
 		sum += v
@@ -54,6 +63,8 @@ func Summarize(values []float64) Summary {
 }
 
 // percentile returns the nearest-rank percentile of sorted values.
+//
+//coflow:allocfree
 func percentile(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0
