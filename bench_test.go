@@ -262,7 +262,12 @@ func benchExecutor(b *testing.B, exec func(*switchsim.Plan) (*switchsim.Result, 
 	}
 }
 func BenchmarkAblationSimulatorBlock(b *testing.B) { benchExecutor(b, switchsim.Execute) }
-func BenchmarkAblationSimulatorSlot(b *testing.B)  { benchExecutor(b, switchsim.ExecuteSlotAccurate) }
+func BenchmarkAblationSimulatorSlot(b *testing.B) {
+	benchExecutor(b, func(plan *switchsim.Plan) (*switchsim.Result, error) {
+		res, _, err := switchsim.ExecuteRecorded(plan)
+		return res, err
+	})
+}
 
 // --- Extension algorithms (beyond the paper's evaluated set) --------
 

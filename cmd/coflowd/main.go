@@ -10,6 +10,14 @@
 // kind "terminal_coflow"; churn-heavy clients (cmd/coflowload
 // -scenario) treat that as expected cancel-vs-completion racing.
 //
+// The control plane is shard.Cluster.Handler at every fabric count —
+// there is no separate single-fabric API — so responses always name
+// the fabric ({"fabric":0,"id":1,"release":N}) and per-fabric metrics
+// sit under per_shard[i].metrics. Every error is structured JSON
+// ({"error","kind"}), including 404 not_found for an unknown path, and
+// a body with anything but whitespace after its JSON value is refused
+// whole with 400 malformed_json.
+//
 // Usage:
 //
 //	coflowd [-addr :8080] [-ports 50] [-policy SEBF] [-tick 10ms]
@@ -110,13 +118,13 @@ func main() {
 	}
 
 	cfg := shard.Config{
-		Shards: *shards,
+		Shards:  *shards,
+		MaxBody: *maxBody,
 		Fabric: daemon.Config{
 			Ports:          *ports,
 			Policy:         policy,
 			Tick:           *tick,
 			Deadline:       *deadline,
-			MaxBody:        *maxBody,
 			Window:         *window,
 			SnapshotPath:   *snapshot,
 			SelfCheck:      *selfCheck,

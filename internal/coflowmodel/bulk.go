@@ -43,8 +43,10 @@ func (rs *Registrations) Valid() int {
 //
 // The returned error is non-nil only for body-level failures: JSON
 // that is neither an object nor an array, a malformed array
-// structure, or a read failure (including *http.MaxBytesError). Such
-// errors wrap ErrMalformed unless they come from the reader itself.
+// structure, anything but whitespace after the value (a second object
+// would otherwise be dropped without a word), or a read failure
+// (including *http.MaxBytesError). Such errors wrap ErrMalformed; a
+// reader's own error stays unwrappable beside it.
 func ParseRegistrations(r io.Reader, ports int) (*Registrations, error) {
 	dec := json.NewDecoder(r)
 	tok, err := dec.Token()
@@ -60,8 +62,11 @@ func ParseRegistrations(r io.Reader, ports int) (*Registrations, error) {
 		// Single object: re-decode the whole body strictly. The token
 		// read consumed the opening brace, so splice it back in front
 		// of the decoder's buffered remainder.
-		rest := io.MultiReader(bytes.NewReader([]byte("{")), dec.Buffered(), r)
-		reg, err := parseOne(rest)
+		one := json.NewDecoder(io.MultiReader(bytes.NewReader([]byte("{")), dec.Buffered(), r))
+		reg, err := parseOne(one)
+		if err == nil {
+			err = expectEOF(one)
+		}
 		if err != nil {
 			return nil, err // single-object bodies fail whole, like ParseRegistration
 		}
@@ -78,7 +83,7 @@ func ParseRegistrations(r io.Reader, ports int) (*Registrations, error) {
 				// this point are unrecoverable.
 				return nil, fmt.Errorf("%w: item %d: %w", ErrMalformed, len(rs.Items), err)
 			}
-			reg, err := parseOne(bytes.NewReader(raw))
+			reg, err := parseOne(json.NewDecoder(bytes.NewReader(raw)))
 			if err == nil {
 				err = reg.Validate(ports)
 			}
@@ -88,18 +93,33 @@ func ParseRegistrations(r io.Reader, ports int) (*Registrations, error) {
 		if _, err := dec.Token(); err != nil { // closing ']'
 			return nil, fmt.Errorf("%w: %w", ErrMalformed, err)
 		}
+		if err := expectEOF(dec); err != nil {
+			return nil, err
+		}
 		return rs, nil
 	}
 	return nil, fmt.Errorf("%w: body must be a registration object or array", ErrMalformed)
 }
 
 // parseOne strictly decodes one registration object (no validation).
-func parseOne(r io.Reader) (*Registration, error) {
-	dec := json.NewDecoder(r)
+func parseOne(dec *json.Decoder) (*Registration, error) {
 	dec.DisallowUnknownFields()
 	var reg Registration
 	if err := dec.Decode(&reg); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrMalformed, err)
 	}
 	return &reg, nil
+}
+
+// expectEOF fails unless only whitespace follows the value dec just
+// decoded.
+func expectEOF(dec *json.Decoder) error {
+	switch tok, err := dec.Token(); {
+	case err == io.EOF:
+		return nil
+	case err != nil:
+		return fmt.Errorf("%w: after the value: %w", ErrMalformed, err)
+	default:
+		return fmt.Errorf("%w: trailing data after the value: %v", ErrMalformed, tok)
+	}
 }

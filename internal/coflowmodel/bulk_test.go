@@ -32,6 +32,18 @@ func TestParseRegistrationsSingleObject(t *testing.T) {
 	if rs.Errs[0] == nil || rs.Valid() != 0 {
 		t.Fatalf("out-of-range flow not flagged: errs %v", rs.Errs)
 	}
+
+	// Only whitespace may follow the object: a second value would be
+	// dropped without a word.
+	const one = `{"flows": [{"src": 0, "dst": 1, "size": 4}]}`
+	if _, err := ParseRegistrations(strings.NewReader(one+" \n\t"), 2); err != nil {
+		t.Errorf("trailing whitespace rejected: %v", err)
+	}
+	for _, tail := range []string{" " + one, " garbage", "]", " 7"} {
+		if rs, err := ParseRegistrations(strings.NewReader(one+tail), 2); !errors.Is(err, ErrMalformed) {
+			t.Errorf("object followed by %q: %+v, %v, want ErrMalformed", tail, rs, err)
+		}
+	}
 }
 
 func TestParseRegistrationsArray(t *testing.T) {
@@ -66,6 +78,16 @@ func TestParseRegistrationsArray(t *testing.T) {
 	}
 	if rs.Valid() != 2 {
 		t.Fatalf("Valid() = %d, want 2", rs.Valid())
+	}
+
+	// Only whitespace may follow the closing bracket.
+	if _, err := ParseRegistrations(strings.NewReader(body+"\n "), 2); err != nil {
+		t.Errorf("trailing whitespace rejected: %v", err)
+	}
+	for _, tail := range []string{" garbage", " []", ` {"flows": []}`, "]"} {
+		if rs, err := ParseRegistrations(strings.NewReader(body+tail), 2); !errors.Is(err, ErrMalformed) {
+			t.Errorf("array followed by %q: %+v, %v, want ErrMalformed", tail, rs, err)
+		}
 	}
 }
 

@@ -137,63 +137,53 @@ func Schedule(ins *coflowmodel.Instance, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// ExecuteOrdered runs the scheduling stage (grouping, backfilling,
-// BvN execution) for an externally supplied order. opts.Ordering is
-// ignored. Experiment harnesses use this to reuse one LP solve across
-// the four scheduling cases.
-func ExecuteOrdered(ins *coflowmodel.Instance, order []int, opts Options) (*Result, error) {
+// orderedPlan builds the executable plan for an externally supplied
+// order — stages from the cumulative loads V (geometric groups or one
+// stage per coflow), BvN strategy and backfill rules from opts — and
+// returns V alongside it.
+func orderedPlan(ins *coflowmodel.Instance, order []int, opts Options) (*switchsim.Plan, []int64) {
 	v := lpmodel.MaxTotalLoads(ins, order)
-	var stages []switchsim.Stage
+	stages := switchsim.SingleStage(len(order))
 	if opts.Grouping {
 		stages = GeometricStages(v)
-	} else {
-		stages = switchsim.SingleStage(len(order))
 	}
 	strategy := bvn.StrategyFirst
 	if opts.ThickMatchings {
 		strategy = bvn.StrategyThick
 	}
-	res, err := switchsim.Execute(&switchsim.Plan{
+	return &switchsim.Plan{
 		Ins:       ins,
 		Order:     order,
 		Stages:    stages,
 		Backfill:  opts.Backfill,
 		Recompute: opts.Recompute,
 		Strategy:  strategy,
-	})
+	}, v
+}
+
+// ExecuteOrdered runs the scheduling stage (grouping, backfilling,
+// BvN execution) for an externally supplied order. opts.Ordering is
+// ignored. Experiment harnesses use this to reuse one LP solve across
+// the four scheduling cases.
+func ExecuteOrdered(ins *coflowmodel.Instance, order []int, opts Options) (*Result, error) {
+	plan, v := orderedPlan(ins, order, opts)
+	res, err := switchsim.Execute(plan)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Result: res, Order: order, Stages: stages, V: v}, nil
+	return &Result{Result: res, Order: order, Stages: plan.Stages, V: v}, nil
 }
 
 // ExecuteOrderedRecorded is ExecuteOrdered with a unit-level
 // transcript of the schedule (slower; for export, display, and
 // validation against the formulation's constraints).
 func ExecuteOrderedRecorded(ins *coflowmodel.Instance, order []int, opts Options) (*Result, *switchsim.Transcript, error) {
-	v := lpmodel.MaxTotalLoads(ins, order)
-	var stages []switchsim.Stage
-	if opts.Grouping {
-		stages = GeometricStages(v)
-	} else {
-		stages = switchsim.SingleStage(len(order))
-	}
-	strategy := bvn.StrategyFirst
-	if opts.ThickMatchings {
-		strategy = bvn.StrategyThick
-	}
-	res, tr, err := switchsim.ExecuteRecorded(&switchsim.Plan{
-		Ins:       ins,
-		Order:     order,
-		Stages:    stages,
-		Backfill:  opts.Backfill,
-		Recompute: opts.Recompute,
-		Strategy:  strategy,
-	})
+	plan, v := orderedPlan(ins, order, opts)
+	res, tr, err := switchsim.ExecuteRecorded(plan)
 	if err != nil {
 		return nil, nil, err
 	}
-	return &Result{Result: res, Order: order, Stages: stages, V: v}, tr, nil
+	return &Result{Result: res, Order: order, Stages: plan.Stages, V: v}, tr, nil
 }
 
 // Algorithm2 is the paper's deterministic approximation algorithm

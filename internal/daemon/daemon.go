@@ -1,9 +1,13 @@
-// Package daemon implements coflowd, a resident coflow scheduling
-// service: the "works in real time in a real system" operation the
-// paper's concluding discussion asks for. It owns a virtual m×m
-// switch whose live state is an online.State, advances it slot by
-// slot on a tick, and exposes an HTTP/JSON control plane (see http.go)
-// for registering, inspecting and cancelling coflows.
+// Package daemon implements one switch fabric of coflowd, the resident
+// coflow scheduling service: the "works in real time in a real system"
+// operation the paper's concluding discussion asks for. It owns a
+// virtual m×m switch whose live state is an online.State, advances it
+// slot by slot on a tick, and takes registrations, cancellations and
+// port failures as Go calls. It has no network surface of its own:
+// coflowd's HTTP/JSON control plane is internal/shard, which fronts one
+// or more of these loops (a single-fabric deployment is a one-fabric
+// cluster). The JSON documents that plane serves per fabric — Metrics,
+// CoflowStatus, Snapshot, BulkResponse — are declared here.
 //
 // Concurrency model — single writer, snapshot readers:
 //
@@ -76,8 +80,6 @@ type Config struct {
 	// degrades the policy to FIFO (see package comment). Zero
 	// disables the guard.
 	Deadline time.Duration
-	// MaxBody caps request bodies in bytes; zero means 1 MiB.
-	MaxBody int64
 	// SnapshotPath, if non-empty, is where Close writes the final
 	// state snapshot as JSON.
 	SnapshotPath string
@@ -186,6 +188,25 @@ type Metrics struct {
 	LastViolation string `json:"last_violation,omitempty"`
 }
 
+// BulkItem is one per-item result of a bulk POST or DELETE
+// /v1/coflows, index-aligned with the request array.
+type BulkItem struct {
+	Index   int    `json:"index"`
+	ID      int    `json:"id,omitempty"`
+	Release int64  `json:"release,omitempty"`
+	Fabric  int    `json:"fabric"`
+	Error   string `json:"error,omitempty"`
+	Kind    string `json:"kind,omitempty"`
+}
+
+// BulkResponse is the body of a bulk POST or DELETE /v1/coflows:
+// per-item results plus the accepted/rejected split.
+type BulkResponse struct {
+	Results []BulkItem `json:"results"`
+	OK      int        `json:"ok"`
+	Failed  int        `json:"failed"`
+}
+
 // Snapshot is the immutable read-side view published after every
 // mutation, and the JSON document written at shutdown. Coflows is a
 // layered CoflowView rather than a plain map so ingest-heavy bursts
@@ -251,8 +272,9 @@ type reply struct {
 	err     error
 }
 
-// Daemon is a resident coflow scheduler. Create with New, serve its
-// Handler, and Close it to shut down.
+// Daemon is one resident fabric loop. Create with New, drive it through
+// its methods (a shard.Cluster does, behind HTTP), and Close it to shut
+// down.
 type Daemon struct {
 	cfg  config
 	obs  *daemonObs
@@ -281,9 +303,6 @@ func New(cfg Config) (*Daemon, error) {
 	case online.FIFO, online.SEBF, online.WSPT:
 	default:
 		return nil, fmt.Errorf("daemon: unknown policy %v", cfg.Policy)
-	}
-	if cfg.MaxBody <= 0 {
-		cfg.MaxBody = 1 << 20
 	}
 	if cfg.Window <= 0 {
 		cfg.Window = 1024
@@ -397,8 +416,8 @@ func (d *Daemon) send(c command) (reply, error) {
 
 // Close stops the ticker and the event loop, waits for the loop to
 // exit, and writes the final state snapshot to Config.SnapshotPath if
-// one is configured. Shut the HTTP server down first so in-flight
-// requests drain. Close is idempotent.
+// one is configured. Shut the HTTP server in front down first so
+// in-flight requests drain. Close is idempotent.
 func (d *Daemon) Close() error {
 	d.closeOnce.Do(func() {
 		close(d.quit)

@@ -1,17 +1,21 @@
 package shard
 
 import (
+	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
+	"coflow/internal/coflowmodel"
 	"coflow/internal/daemon"
 	"coflow/internal/obs"
 	"coflow/internal/online"
 )
 
-// Handler returns the cluster's HTTP control plane. It is the
-// single-fabric daemon's API made shard-aware:
+// Handler returns coflowd's HTTP control plane, the only one there is:
+// a single-fabric deployment serves a one-fabric Cluster.
 //
 //	POST   /v1/coflows              register one coflow (object body) or
 //	                                many (array body, per-item results)
@@ -30,11 +34,18 @@ import (
 //	GET    /healthz                 liveness + per-fabric slots
 //
 // All GETs read atomic snapshots and the amortized aggregate; no
-// request ever waits on a fabric loop. Errors follow the daemon's
-// structured {"error","kind"} contract, with kind unknown_fabric for
-// registrations or filters naming a fabric the cluster does not have,
-// and kind terminal_coflow for cancelling an already completed or
-// cancelled coflow.
+// request ever waits on a fabric loop. Every error is structured JSON,
+// {"error": "...", "kind": "..."}, where kind is a stable
+// machine-readable class: malformed_json, validation, too_large,
+// unknown_fabric (a registration or filter naming a fabric the cluster
+// does not have), method_not_allowed, not_found, conflict,
+// terminal_coflow (cancelling an already completed or cancelled
+// coflow), unavailable.
+//
+// Every route also registers a method-less fallback, and "/" catches
+// every other path, so a wrong method gets a structured 405 with an
+// Allow header and an unknown path a structured 404 instead of the
+// mux's plain-text defaults.
 func (c *Cluster) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/coflows", c.handleRegister)
@@ -48,26 +59,125 @@ func (c *Cluster) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/metrics", c.handleMetrics)
 	mux.HandleFunc("GET /metrics", c.handlePrometheus)
 	mux.HandleFunc("GET /healthz", c.handleHealthz)
-	mux.HandleFunc("/v1/coflows", daemon.MethodNotAllowed("DELETE, GET, POST"))
-	mux.HandleFunc("/v1/coflows/{id}", daemon.MethodNotAllowed("DELETE, GET"))
-	mux.HandleFunc("/v1/ports/{port}/fail", daemon.MethodNotAllowed("POST"))
-	mux.HandleFunc("/v1/ports/{port}/recover", daemon.MethodNotAllowed("POST"))
-	mux.HandleFunc("/v1/schedule", daemon.MethodNotAllowed("GET"))
-	mux.HandleFunc("/v1/metrics", daemon.MethodNotAllowed("GET"))
-	mux.HandleFunc("/metrics", daemon.MethodNotAllowed("GET"))
-	mux.HandleFunc("/healthz", daemon.MethodNotAllowed("GET"))
+	mux.HandleFunc("/v1/coflows", methodNotAllowed("DELETE, GET, POST"))
+	mux.HandleFunc("/v1/coflows/{id}", methodNotAllowed("DELETE, GET"))
+	mux.HandleFunc("/v1/ports/{port}/fail", methodNotAllowed("POST"))
+	mux.HandleFunc("/v1/ports/{port}/recover", methodNotAllowed("POST"))
+	mux.HandleFunc("/v1/schedule", methodNotAllowed("GET"))
+	mux.HandleFunc("/v1/metrics", methodNotAllowed("GET"))
+	mux.HandleFunc("/metrics", methodNotAllowed("GET"))
+	mux.HandleFunc("/healthz", methodNotAllowed("GET"))
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		writeError(w, http.StatusNotFound, "not_found", "no route "+r.URL.Path)
+	})
 	return mux
 }
 
+// methodNotAllowed is the fallback for a known path hit with an
+// unhandled method. The method-specific patterns are more specific,
+// so they win whenever they match; everything else lands here.
+func methodNotAllowed(allow string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Allow", allow)
+		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed",
+			"method "+r.Method+" not allowed (allow: "+allow+")")
+	}
+}
+
+func writeJSON(w http.ResponseWriter, code int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	// Best effort: the status is already written and a failed encode
+	// means the client is gone; nothing useful remains to report.
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+// writeError writes the structured error body. kind is the stable
+// machine-readable class; msg the human-readable detail.
+func writeError(w http.ResponseWriter, code int, kind, msg string) {
+	writeJSON(w, code, map[string]string{"error": msg, "kind": kind})
+}
+
+// classifyParseError maps a body-level decode failure to its HTTP
+// status and structured kind.
+func classifyParseError(err error) (code int, kind string) {
+	code, kind = http.StatusBadRequest, "validation"
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		code, kind = http.StatusRequestEntityTooLarge, "too_large"
+	case errors.Is(err, coflowmodel.ErrMalformed):
+		kind = "malformed_json"
+	}
+	return code, kind
+}
+
+// itemErrorKind classifies one registration's failure, for a bulk
+// item's result entry or a single-object error body.
+func itemErrorKind(err error) string {
+	switch {
+	case errors.Is(err, coflowmodel.ErrMalformed):
+		return "malformed_json"
+	case errors.Is(err, daemon.ErrClosed):
+		return "unavailable"
+	case errors.Is(err, ErrUnknownFabric):
+		return "unknown_fabric"
+	default:
+		return "validation"
+	}
+}
+
+// handleRegister decodes an object or array body and hands each valid
+// item to Register. A single object keeps the 201 {"id","release",
+// "fabric"} contract; an array gets a 200 with index-aligned per-item
+// results, where one bad item never fails its siblings.
 func (c *Cluster) handleRegister(w http.ResponseWriter, r *http.Request) {
 	// Parse-time validation uses the widest fabric so a heterogeneous
 	// deployment never rejects a port the target fabric does have; the
 	// owning fabric re-validates against its own size on ingest.
-	bulk, items := daemon.ServeRegister(w, r, c.maxBody, c.maxPorts, c.Register)
-	if bulk {
-		c.obs.bulkRequests.Inc()
-		c.obs.bulkItems.Add(int64(items))
+	rs, err := coflowmodel.ParseRegistrations(http.MaxBytesReader(w, r.Body, c.cfg.MaxBody), c.maxPorts)
+	if err != nil {
+		code, kind := classifyParseError(err)
+		writeError(w, code, kind, err.Error())
+		return
 	}
+	if !rs.Bulk {
+		if err := rs.Errs[0]; err != nil {
+			code, kind := classifyParseError(err)
+			writeError(w, code, kind, err.Error())
+			return
+		}
+		id, release, fabric, err := c.Register(rs.Items[0])
+		if err != nil {
+			code := http.StatusBadRequest
+			if errors.Is(err, daemon.ErrClosed) {
+				code = http.StatusServiceUnavailable
+			}
+			writeError(w, code, itemErrorKind(err), err.Error())
+			return
+		}
+		writeJSON(w, http.StatusCreated, map[string]any{"id": id, "release": release, "fabric": fabric})
+		return
+	}
+	c.obs.bulkRequests.Inc()
+	c.obs.bulkItems.Add(int64(len(rs.Items)))
+	resp := daemon.BulkResponse{Results: make([]daemon.BulkItem, len(rs.Items))}
+	for i, reg := range rs.Items {
+		item := &resp.Results[i]
+		item.Index = i
+		err := rs.Errs[i]
+		if err == nil {
+			item.ID, item.Release, item.Fabric, err = c.Register(reg)
+		}
+		if err != nil {
+			item.ID, item.Release, item.Fabric = 0, 0, 0
+			item.Error, item.Kind = err.Error(), itemErrorKind(err)
+			resp.Failed++
+			continue
+		}
+		resp.OK++
+	}
+	writeJSON(w, http.StatusOK, &resp)
 }
 
 // coflowEntry decorates a coflow status with its owning fabric.
@@ -87,7 +197,7 @@ func (c *Cluster) handleList(w http.ResponseWriter, r *http.Request) {
 			return true
 		})
 	}
-	daemon.WriteJSON(w, http.StatusOK, map[string]any{
+	writeJSON(w, http.StatusOK, map[string]any{
 		"fabrics": len(c.fabrics),
 		"slots":   slots,
 		"coflows": coflows,
@@ -98,7 +208,7 @@ func (c *Cluster) handleList(w http.ResponseWriter, r *http.Request) {
 func pathID(w http.ResponseWriter, r *http.Request) (int, bool) {
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil || id <= 0 {
-		daemon.WriteError(w, http.StatusBadRequest, "validation", "coflow id must be a positive integer")
+		writeError(w, http.StatusBadRequest, "validation", "coflow id must be a positive integer")
 		return 0, false
 	}
 	return id, true
@@ -111,10 +221,30 @@ func (c *Cluster) handleGet(w http.ResponseWriter, r *http.Request) {
 	}
 	fabric, cs, ok := c.Owner(id)
 	if !ok {
-		daemon.WriteError(w, http.StatusNotFound, "not_found", "unknown coflow "+strconv.Itoa(id))
+		writeError(w, http.StatusNotFound, "not_found", "unknown coflow "+strconv.Itoa(id))
 		return
 	}
-	daemon.WriteJSON(w, http.StatusOK, coflowEntry{Fabric: fabric, CoflowStatus: cs})
+	writeJSON(w, http.StatusOK, coflowEntry{Fabric: fabric, CoflowStatus: cs})
+}
+
+// cancelErrorStatus maps a cancellation error to its HTTP status and
+// structured kind, from the typed sentinels rather than by sniffing
+// snapshots (which races the loop): an unknown ID is a 404, a coflow
+// that already completed or was cancelled is a 409 with the dedicated
+// "terminal_coflow" kind — churn-heavy clients lose cancel-vs-complete
+// races all the time and must be able to tell that expected outcome
+// from a genuinely bogus ID.
+func cancelErrorStatus(err error) (code int, kind string) {
+	switch {
+	case errors.Is(err, daemon.ErrClosed):
+		return http.StatusServiceUnavailable, "unavailable"
+	case errors.Is(err, daemon.ErrTerminalCoflow):
+		return http.StatusConflict, "terminal_coflow"
+	case errors.Is(err, daemon.ErrUnknownCoflow):
+		return http.StatusNotFound, "not_found"
+	default:
+		return http.StatusConflict, "conflict"
+	}
 }
 
 func (c *Cluster) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -123,23 +253,65 @@ func (c *Cluster) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := c.Cancel(id); err != nil {
-		// ErrUnknownCoflow wraps daemon.ErrUnknownCoflow, so the shared
-		// classifier answers exactly like the single-fabric plane:
-		// not_found for an unknown ID, terminal_coflow 409 for a coflow
-		// that already completed or was cancelled.
-		code, kind := daemon.CancelErrorStatus(err)
-		daemon.WriteError(w, code, kind, err.Error())
+		code, kind := cancelErrorStatus(err)
+		writeError(w, code, kind, err.Error())
 		return
 	}
-	daemon.WriteJSON(w, http.StatusOK, map[string]any{"id": id, "cancelled": true})
+	writeJSON(w, http.StatusOK, map[string]any{"id": id, "cancelled": true})
 }
 
+// handleBulkCancel takes a JSON array of coflow IDs and answers in the
+// index-addressed per-item format of bulk registration, where one bad
+// ID never fails its siblings. Item kinds mirror the single-cancel
+// statuses (not_found, terminal_coflow, unavailable; validation for a
+// non-positive ID).
 func (c *Cluster) handleBulkCancel(w http.ResponseWriter, r *http.Request) {
-	items := daemon.ServeBulkCancel(w, r, c.maxBody, c.CancelFabric)
-	if items > 0 {
-		c.obs.bulkRequests.Inc()
-		c.obs.bulkItems.Add(int64(items))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, c.cfg.MaxBody))
+	var ids []int
+	err := dec.Decode(&ids)
+	if err == nil {
+		// Only whitespace may follow the array: anything else would be
+		// dropped without a word.
+		if tok, terr := dec.Token(); terr == nil {
+			err = fmt.Errorf("trailing data after the array: %v", tok)
+		} else if terr != io.EOF {
+			err = terr
+		}
 	}
+	if err != nil {
+		code, kind := http.StatusBadRequest, "malformed_json"
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code, kind = http.StatusRequestEntityTooLarge, "too_large"
+		}
+		writeError(w, code, kind, "bulk cancel wants a JSON array of coflow ids: "+err.Error())
+		return
+	}
+	if len(ids) == 0 {
+		writeError(w, http.StatusBadRequest, "validation", "bulk cancel array is empty")
+		return
+	}
+	c.obs.bulkRequests.Inc()
+	c.obs.bulkItems.Add(int64(len(ids)))
+	resp := daemon.BulkResponse{Results: make([]daemon.BulkItem, len(ids))}
+	for i, id := range ids {
+		item := &resp.Results[i]
+		item.Index, item.ID = i, id
+		var err error
+		if id <= 0 {
+			err = fmt.Errorf("daemon: coflow id must be a positive integer, got %d", id)
+			item.Kind = "validation"
+		} else if item.Fabric, err = c.CancelFabric(id); err != nil {
+			_, item.Kind = cancelErrorStatus(err)
+		}
+		if err != nil {
+			item.Error = err.Error()
+			resp.Failed++
+			continue
+		}
+		resp.OK++
+	}
+	writeJSON(w, http.StatusOK, &resp)
 }
 
 // pathFabric parses the optional ?fabric=K query; -1 means every
@@ -151,7 +323,7 @@ func (c *Cluster) pathFabric(w http.ResponseWriter, r *http.Request) (int, bool)
 	}
 	k, err := strconv.Atoi(q)
 	if err != nil || k < 0 || k >= len(c.fabrics) {
-		daemon.WriteError(w, http.StatusBadRequest, "unknown_fabric",
+		writeError(w, http.StatusBadRequest, "unknown_fabric",
 			"fabric must be an integer in 0.."+strconv.Itoa(len(c.fabrics)-1))
 		return 0, false
 	}
@@ -162,7 +334,7 @@ func (c *Cluster) pathFabric(w http.ResponseWriter, r *http.Request) (int, bool)
 func pathPort(w http.ResponseWriter, r *http.Request) (int, bool) {
 	p, err := strconv.Atoi(r.PathValue("port"))
 	if err != nil || p < 0 {
-		daemon.WriteError(w, http.StatusBadRequest, "validation", "port must be a non-negative integer")
+		writeError(w, http.StatusBadRequest, "validation", "port must be a non-negative integer")
 		return 0, false
 	}
 	return p, true
@@ -194,15 +366,15 @@ func (c *Cluster) servePortOp(w http.ResponseWriter, r *http.Request, fail bool)
 	if err != nil {
 		switch {
 		case errors.Is(err, daemon.ErrClosed):
-			daemon.WriteError(w, http.StatusServiceUnavailable, "unavailable", err.Error())
-		case errors.Is(err, daemon.ErrUnknownFabric):
-			daemon.WriteError(w, http.StatusBadRequest, "unknown_fabric", err.Error())
+			writeError(w, http.StatusServiceUnavailable, "unavailable", err.Error())
+		case errors.Is(err, ErrUnknownFabric):
+			writeError(w, http.StatusBadRequest, "unknown_fabric", err.Error())
 		default:
-			daemon.WriteError(w, http.StatusBadRequest, "validation", err.Error())
+			writeError(w, http.StatusBadRequest, "validation", err.Error())
 		}
 		return
 	}
-	daemon.WriteJSON(w, http.StatusOK, map[string]any{"port": port, "fabric": fabric, "failed": fail})
+	writeJSON(w, http.StatusOK, map[string]any{"port": port, "fabric": fabric, "failed": fail})
 }
 
 // fabricSchedule is one fabric's slice of GET /v1/schedule.
@@ -215,13 +387,11 @@ type fabricSchedule struct {
 
 func (c *Cluster) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	first, last := 0, len(c.fabrics)-1
-	if q := r.URL.Query().Get("fabric"); q != "" {
-		k, err := strconv.Atoi(q)
-		if err != nil || k < 0 || k >= len(c.fabrics) {
-			daemon.WriteError(w, http.StatusBadRequest, "unknown_fabric",
-				"fabric must be an integer in 0.."+strconv.Itoa(len(c.fabrics)-1))
-			return
-		}
+	k, ok := c.pathFabric(w, r)
+	if !ok {
+		return
+	}
+	if k >= 0 {
 		first, last = k, k
 	}
 	schedules := make([]fabricSchedule, 0, last-first+1)
@@ -238,14 +408,14 @@ func (c *Cluster) handleSchedule(w http.ResponseWriter, r *http.Request) {
 			Assignments: assignments,
 		})
 	}
-	daemon.WriteJSON(w, http.StatusOK, map[string]any{
+	writeJSON(w, http.StatusOK, map[string]any{
 		"fabrics":   len(c.fabrics),
 		"schedules": schedules,
 	})
 }
 
 func (c *Cluster) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	daemon.WriteJSON(w, http.StatusOK, c.Metrics())
+	writeJSON(w, http.StatusOK, c.Metrics())
 }
 
 // handlePrometheus renders one exposition: the cluster registry's own
@@ -270,14 +440,14 @@ func (c *Cluster) handlePrometheus(w http.ResponseWriter, r *http.Request) {
 
 func (c *Cluster) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if c.closed.Load() {
-		daemon.WriteError(w, http.StatusServiceUnavailable, "unavailable", "shutting down")
+		writeError(w, http.StatusServiceUnavailable, "unavailable", "shutting down")
 		return
 	}
 	slots := make([]int64, len(c.fabrics))
 	for i, d := range c.fabrics {
 		slots[i] = d.Snapshot().Slot
 	}
-	daemon.WriteJSON(w, http.StatusOK, map[string]any{
+	writeJSON(w, http.StatusOK, map[string]any{
 		"status":  "ok",
 		"fabrics": len(c.fabrics),
 		"slots":   slots,

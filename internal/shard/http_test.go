@@ -2,6 +2,7 @@ package shard
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"coflow/internal/daemon"
+	"coflow/internal/obs"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Cluster, *httptest.Server) {
@@ -18,6 +20,18 @@ func newTestServer(t *testing.T, cfg Config) (*Cluster, *httptest.Server) {
 	srv := httptest.NewServer(c.Handler())
 	t.Cleanup(srv.Close)
 	return c, srv
+}
+
+// eachShardCount runs f against a fresh one-fabric and four-fabric
+// server: a single-fabric coflowd is this same plane at Shards: 1, so
+// the wire contract must not depend on the count.
+func eachShardCount(t *testing.T, f func(t *testing.T, c *Cluster, url string)) {
+	for _, n := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			c, srv := newTestServer(t, Config{Shards: n})
+			f(t, c, srv.URL)
+		})
+	}
 }
 
 func doJSON(t *testing.T, method, url, body string, out any) (int, string) {
@@ -47,40 +61,41 @@ func doJSON(t *testing.T, method, url, body string, out any) (int, string) {
 // sharding — 201 with the owning fabric, readable and cancellable by
 // ID from any frontend, structured 404/409 afterwards.
 func TestHTTPSingleRegisterLifecycle(t *testing.T) {
-	_, srv := newTestServer(t, Config{Shards: 4})
-	var created struct {
-		ID     int `json:"id"`
-		Fabric int `json:"fabric"`
-	}
-	code, raw := doJSON(t, "POST", srv.URL+"/v1/coflows",
-		`{"flows": [{"src": 0, "dst": 1, "size": 3}]}`, &created)
-	if code != http.StatusCreated || created.ID == 0 {
-		t.Fatalf("POST = %d %s", code, raw)
-	}
+	eachShardCount(t, func(t *testing.T, _ *Cluster, url string) {
+		var created struct {
+			ID     int `json:"id"`
+			Fabric int `json:"fabric"`
+		}
+		code, raw := doJSON(t, "POST", url+"/v1/coflows",
+			`{"flows": [{"src": 0, "dst": 1, "size": 3}]}`, &created)
+		if code != http.StatusCreated || created.ID == 0 {
+			t.Fatalf("POST = %d %s", code, raw)
+		}
 
-	var got struct {
-		Fabric int    `json:"fabric"`
-		ID     int    `json:"id"`
-		State  string `json:"state"`
-	}
-	idPath := srv.URL + "/v1/coflows/" + strconv.Itoa(created.ID)
-	if code, raw := doJSON(t, "GET", idPath, "", &got); code != http.StatusOK ||
-		got.ID != created.ID || got.Fabric != created.Fabric || got.State != "active" {
-		t.Fatalf("GET = %d %s", code, raw)
-	}
+		var got struct {
+			Fabric int    `json:"fabric"`
+			ID     int    `json:"id"`
+			State  string `json:"state"`
+		}
+		idPath := url + "/v1/coflows/" + strconv.Itoa(created.ID)
+		if code, raw := doJSON(t, "GET", idPath, "", &got); code != http.StatusOK ||
+			got.ID != created.ID || got.Fabric != created.Fabric || got.State != "active" {
+			t.Fatalf("GET = %d %s", code, raw)
+		}
 
-	if code, raw := doJSON(t, "DELETE", idPath, "", nil); code != http.StatusOK {
-		t.Fatalf("DELETE = %d %s", code, raw)
-	}
-	var errBody struct {
-		Kind string `json:"kind"`
-	}
-	if code, _ := doJSON(t, "DELETE", idPath, "", &errBody); code != http.StatusConflict || errBody.Kind != "terminal_coflow" {
-		t.Fatalf("second DELETE = %d kind=%q, want 409 terminal_coflow", code, errBody.Kind)
-	}
-	if code, _ := doJSON(t, "GET", srv.URL+"/v1/coflows/99999", "", &errBody); code != http.StatusNotFound || errBody.Kind != "not_found" {
-		t.Fatalf("GET unknown = %d kind=%q, want 404 not_found", code, errBody.Kind)
-	}
+		if code, raw := doJSON(t, "DELETE", idPath, "", nil); code != http.StatusOK {
+			t.Fatalf("DELETE = %d %s", code, raw)
+		}
+		var errBody struct {
+			Kind string `json:"kind"`
+		}
+		if code, _ := doJSON(t, "DELETE", idPath, "", &errBody); code != http.StatusConflict || errBody.Kind != "terminal_coflow" {
+			t.Fatalf("second DELETE = %d kind=%q, want 409 terminal_coflow", code, errBody.Kind)
+		}
+		if code, _ := doJSON(t, "GET", url+"/v1/coflows/99999", "", &errBody); code != http.StatusNotFound || errBody.Kind != "not_found" {
+			t.Fatalf("GET unknown = %d kind=%q, want 404 not_found", code, errBody.Kind)
+		}
+	})
 }
 
 // TestHTTPBulkRegister: an array body yields index-aligned per-item
@@ -125,17 +140,32 @@ func TestHTTPBulkRegister(t *testing.T) {
 }
 
 // TestHTTPBulkMalformed: body-level breakage (not an object or array,
-// or a broken array) fails the whole request with malformed_json.
+// a broken array, anything after the value) fails the whole request
+// with malformed_json, and nothing in it is registered or cancelled —
+// a second object after the first used to be dropped behind a 201.
 func TestHTTPBulkMalformed(t *testing.T) {
-	_, srv := newTestServer(t, Config{Shards: 2})
-	var errBody struct {
-		Kind string `json:"kind"`
-	}
-	for _, body := range []string{`"nope"`, `[{"flows": []}`, `{broken`} {
-		if code, _ := doJSON(t, "POST", srv.URL+"/v1/coflows", body, &errBody); code != http.StatusBadRequest || errBody.Kind != "malformed_json" {
-			t.Fatalf("body %q = %d kind=%q, want 400 malformed_json", body, code, errBody.Kind)
+	eachShardCount(t, func(t *testing.T, c *Cluster, url string) {
+		live, _, _, err := c.Register(oneFlow())
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		const one = `{"flows": [{"src": 0, "dst": 1, "size": 1}]}`
+		for _, req := range [][2]string{
+			{"POST", `"nope"`}, {"POST", `[{"flows": []}`}, {"POST", `{broken`},
+			{"POST", one + " " + one}, {"POST", "[" + one + "] garbage"}, {"POST", "[" + one + "] []"},
+			{"DELETE", fmt.Sprintf("[%d] garbage", live)}, {"DELETE", fmt.Sprintf("[%d] [%d]", live, live)},
+		} {
+			var errBody struct {
+				Kind string `json:"kind"`
+			}
+			if code, _ := doJSON(t, req[0], url+"/v1/coflows", req[1], &errBody); code != http.StatusBadRequest || errBody.Kind != "malformed_json" {
+				t.Errorf("%s %q = %d kind=%q, want 400 malformed_json", req[0], req[1], code, errBody.Kind)
+			}
+		}
+		if m := c.Metrics(); m.Registered != 1 || m.Cancelled != 0 {
+			t.Errorf("rejected bodies left registered=%d cancelled=%d, want 1/0", m.Registered, m.Cancelled)
+		}
+	})
 }
 
 // TestHTTPUnknownFabric: a single-object registration pinned to a
@@ -204,7 +234,7 @@ func TestHTTPListAndSchedule(t *testing.T) {
 // every fabric's registry under fabric="i", with a single HELP/TYPE
 // block per metric name (validity requirement).
 func TestHTTPPrometheus(t *testing.T) {
-	c, srv := newTestServer(t, Config{Shards: 2})
+	c := newTestCluster(t, Config{Shards: 2})
 	for i := 0; i < 4; i++ {
 		if _, _, _, err := c.Register(oneFlow()); err != nil {
 			t.Fatal(err)
@@ -213,7 +243,12 @@ func TestHTTPPrometheus(t *testing.T) {
 	if err := c.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	_, body := doJSON(t, "GET", srv.URL+"/metrics", "", nil)
+	rec := httptest.NewRecorder()
+	c.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if ct := rec.Header().Get("Content-Type"); rec.Code != http.StatusOK || ct != obs.PrometheusContentType {
+		t.Errorf("GET /metrics = %d %q, want 200 %q", rec.Code, ct, obs.PrometheusContentType)
+	}
+	body := rec.Body.String()
 	for _, want := range []string{
 		"coflow_cluster_fabrics 2",
 		"coflow_cluster_routed_total 4",
@@ -263,18 +298,11 @@ func TestHTTPMetricsAndHealth(t *testing.T) {
 // TestHTTPMethodNotAllowed: wrong methods get the structured 405 with
 // an Allow header, same contract as the single-fabric daemon.
 func TestHTTPMethodNotAllowed(t *testing.T) {
-	_, srv := newTestServer(t, Config{Shards: 2})
-	req, err := http.NewRequest("PUT", srv.URL+"/v1/coflows", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") == "" {
-		t.Fatalf("PUT = %d Allow=%q", resp.StatusCode, resp.Header.Get("Allow"))
+	c := newTestCluster(t, Config{Shards: 2})
+	rec := httptest.NewRecorder()
+	c.Handler().ServeHTTP(rec, httptest.NewRequest("PUT", "/v1/coflows", nil))
+	if rec.Code != http.StatusMethodNotAllowed || rec.Header().Get("Allow") == "" {
+		t.Fatalf("PUT = %d Allow=%q", rec.Code, rec.Header().Get("Allow"))
 	}
 }
 
@@ -283,47 +311,53 @@ func TestHTTPMethodNotAllowed(t *testing.T) {
 // clean cancels, and meters the bulk plane — same index-addressed
 // format as bulk registration.
 func TestHTTPBulkCancel(t *testing.T) {
-	c, srv := newTestServer(t, Config{Shards: 4})
-	live, _, liveFabric, err := c.Register(oneFlow())
-	if err != nil {
-		t.Fatal(err)
-	}
-	terminal, _, _, err := c.Register(oneFlow())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Cancel(terminal); err != nil {
-		t.Fatal(err)
-	}
+	eachShardCount(t, func(t *testing.T, c *Cluster, url string) {
+		live, _, liveFabric, err := c.Register(oneFlow())
+		if err != nil {
+			t.Fatal(err)
+		}
+		terminal, _, _, err := c.Register(oneFlow())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Cancel(terminal); err != nil {
+			t.Fatal(err)
+		}
 
-	body := "[" + strconv.Itoa(live) + ", 99999, " + strconv.Itoa(terminal) + ", 0]"
-	var resp daemon.BulkResponse
-	if code, raw := doJSON(t, "DELETE", srv.URL+"/v1/coflows", body, &resp); code != http.StatusOK {
-		t.Fatalf("bulk DELETE = %d %s", code, raw)
-	}
-	if resp.OK != 1 || resp.Failed != 3 || len(resp.Results) != 4 {
-		t.Fatalf("bulk response = %+v, want 1 ok / 3 failed / 4 results", resp)
-	}
-	if r := resp.Results[0]; r.Index != 0 || r.ID != live || r.Fabric != liveFabric || r.Kind != "" {
-		t.Fatalf("live item = %+v, want clean cancel on fabric %d", r, liveFabric)
-	}
-	if r := resp.Results[1]; r.Kind != "not_found" {
-		t.Fatalf("unknown item = %+v, want not_found", r)
-	}
-	if r := resp.Results[2]; r.Kind != "terminal_coflow" {
-		t.Fatalf("terminal item = %+v, want terminal_coflow", r)
-	}
-	if r := resp.Results[3]; r.Kind != "validation" {
-		t.Fatalf("non-positive item = %+v, want validation", r)
-	}
-	if _, cs, ok := c.Owner(live); !ok || cs.State != "cancelled" {
-		t.Fatalf("live coflow after bulk cancel: %+v", cs)
-	}
+		body := fmt.Sprintf("[%d, 99999, %d, -7]", live, terminal)
+		var resp daemon.BulkResponse
+		if code, raw := doJSON(t, "DELETE", url+"/v1/coflows", body, &resp); code != http.StatusOK {
+			t.Fatalf("bulk DELETE = %d %s", code, raw)
+		}
+		if resp.OK != 1 || resp.Failed != 3 || len(resp.Results) != 4 {
+			t.Fatalf("bulk response = %+v, want 1 ok / 3 failed / 4 results", resp)
+		}
+		for i, r := range resp.Results {
+			if r.Index != i {
+				t.Fatalf("result %d carries index %d", i, r.Index)
+			}
+		}
+		if r := resp.Results[0]; r.ID != live || r.Fabric != liveFabric || r.Kind != "" || r.Error != "" {
+			t.Fatalf("live item = %+v, want clean cancel on fabric %d", r, liveFabric)
+		}
+		if r := resp.Results[1]; r.Kind != "not_found" || r.Error == "" {
+			t.Fatalf("unknown item = %+v, want not_found", r)
+		}
+		if r := resp.Results[2]; r.Kind != "terminal_coflow" || r.Error == "" {
+			t.Fatalf("terminal item = %+v, want terminal_coflow", r)
+		}
+		if r := resp.Results[3]; r.ID != -7 || r.Kind != "validation" {
+			t.Fatalf("non-positive item = %+v, want validation", r)
+		}
+		if _, cs, ok := c.Owner(live); !ok || cs.State != "cancelled" {
+			t.Fatalf("live coflow after bulk cancel: %+v", cs)
+		}
 
-	m := c.Metrics()
-	if m.BulkRequests != 1 || m.BulkItems != 4 {
-		t.Fatalf("bulk counters = %d/%d, want 1/4", m.BulkRequests, m.BulkItems)
-	}
+		m := c.Metrics()
+		if m.BulkRequests != 1 || m.BulkItems != 4 {
+			t.Fatalf("bulk counters = %d/%d, want 1/4", m.BulkRequests, m.BulkItems)
+		}
+	})
 }
 
 // TestHTTPPortOps: the port failure routes hit every fabric by

@@ -1,9 +1,10 @@
-// Package shard scales the single-fabric daemon horizontally: a
-// Cluster owns N independent m×m switch fabrics (each an
-// internal/daemon single-writer loop with its own online.State, obs
-// registry and optional self-check monitor), a consistent-hash router
-// that assigns registrations to fabrics, and an amortized cross-shard
-// metrics aggregation behind one HTTP control plane.
+// Package shard is coflowd's serving layer: a Cluster owns N ≥ 1
+// independent m×m switch fabrics (each an internal/daemon
+// single-writer loop with its own online.State, obs registry and
+// optional self-check monitor), a consistent-hash router that assigns
+// registrations to fabrics, an amortized cross-shard metrics
+// aggregation, and the one HTTP control plane (http.go) in front of
+// them — a single-fabric deployment is simply N = 1.
 //
 // Sharding model: coflows never span fabrics — a coflow's flows all
 // live on the switch it was routed to, so each fabric's scheduling

@@ -12,11 +12,14 @@ import (
 )
 
 // ErrUnknownCoflow is returned for operations addressing an ID no
-// fabric has ever seen. It wraps daemon.ErrUnknownCoflow so error
-// classification — and the HTTP planes' not_found mapping via
-// daemon.CancelErrorStatus — is uniform whether a cancel misses on a
-// single fabric or across the whole cluster.
+// fabric has ever seen. It wraps daemon.ErrUnknownCoflow so callers
+// classify a miss the same way — errors.Is, and the HTTP plane's
+// not_found — whether one fabric or the whole cluster reports it.
 var ErrUnknownCoflow = fmt.Errorf("shard: %w", daemon.ErrUnknownCoflow)
+
+// ErrUnknownFabric marks a registration pinned to, or a port operation
+// aimed at, a fabric ID the cluster does not have.
+var ErrUnknownFabric = errors.New("unknown fabric")
 
 // Config parametrizes a Cluster.
 type Config struct {
@@ -35,6 +38,8 @@ type Config struct {
 	// heterogeneous deployment (len must equal Shards). Registrations
 	// are validated against the ports of the fabric they route to.
 	Ports []int
+	// MaxBody caps HTTP request bodies in bytes; zero means 1 MiB.
+	MaxBody int64
 	// AggEvery bounds how often the cross-shard metrics aggregate is
 	// recomputed: reads within the window share the cached aggregate,
 	// so a scrape storm costs one N-fabric walk per window instead of
@@ -65,10 +70,9 @@ type Cluster struct {
 	closeOnce sync.Once
 	closeErr  error
 
-	// maxBody and maxPorts are HTTP-plane precomputes: the request
-	// body cap, and the widest fabric's port count (parse-time
-	// validation bound; the owning fabric re-validates on ingest).
-	maxBody  int64
+	// maxPorts is the widest fabric's port count: the HTTP plane's
+	// parse-time validation bound (the owning fabric re-validates on
+	// ingest).
 	maxPorts int
 	// labels holds "0".."N-1" for the Prometheus fabric label.
 	labels []string
@@ -133,6 +137,9 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Ports != nil && len(cfg.Ports) != cfg.Shards {
 		return nil, fmt.Errorf("shard: %d per-fabric port overrides for %d shards", len(cfg.Ports), cfg.Shards)
 	}
+	if cfg.MaxBody <= 0 {
+		cfg.MaxBody = 1 << 20
+	}
 	if cfg.AggEvery == 0 {
 		cfg.AggEvery = 25 * time.Millisecond
 	}
@@ -162,10 +169,6 @@ func New(cfg Config) (*Cluster, error) {
 			return nil, fmt.Errorf("shard: fabric %d: %w", i, err)
 		}
 		c.fabrics = append(c.fabrics, d)
-	}
-	c.maxBody = cfg.Fabric.MaxBody
-	if c.maxBody <= 0 {
-		c.maxBody = 1 << 20
 	}
 	c.labels = make([]string, cfg.Shards)
 	for i, d := range c.fabrics {
@@ -213,7 +216,7 @@ func (c *Cluster) Register(reg *coflowmodel.Registration) (id int, release int64
 		if fabric < 0 || fabric >= len(c.fabrics) {
 			c.obs.ingestErrors.Inc()
 			return 0, 0, 0, fmt.Errorf("shard: %w %d (cluster has fabrics 0..%d)",
-				daemon.ErrUnknownFabric, fabric, len(c.fabrics)-1)
+				ErrUnknownFabric, fabric, len(c.fabrics)-1)
 		}
 		c.obs.pinned.Inc()
 	} else {
@@ -296,7 +299,7 @@ func (c *Cluster) portOp(fabric, port int, fail bool) error {
 	if fabric >= 0 {
 		if fabric >= len(c.fabrics) {
 			return fmt.Errorf("shard: %w %d (cluster has fabrics 0..%d)",
-				daemon.ErrUnknownFabric, fabric, len(c.fabrics)-1)
+				ErrUnknownFabric, fabric, len(c.fabrics)-1)
 		}
 		return do(c.fabrics[fabric])
 	}

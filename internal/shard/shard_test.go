@@ -90,7 +90,7 @@ func TestRegisterUnknownFabric(t *testing.T) {
 	for _, pin := range []int{-1, 2, 7} {
 		reg := oneFlow()
 		reg.Fabric = &pin
-		if _, _, _, err := c.Register(reg); !errors.Is(err, daemon.ErrUnknownFabric) {
+		if _, _, _, err := c.Register(reg); !errors.Is(err, ErrUnknownFabric) {
 			t.Fatalf("pin %d: err = %v, want ErrUnknownFabric", pin, err)
 		}
 	}

@@ -10,7 +10,7 @@ import "coflow/internal/obs"
 //
 // Stage taxonomy:
 //
-//	execute  one whole Execute/ExecuteSlotAccurate call
+//	execute  one whole Execute call
 //	stage    clearing one plan stage (release wait excluded):
 //	         decompose + serve all its terms
 type Obs struct {

@@ -25,9 +25,11 @@ type Transcript struct {
 }
 
 // ExecuteRecorded runs the plan like Execute while recording every
-// unit transfer. It is slot-granular internally (so the transcript is
-// exact) and therefore slower than Execute; use it for export,
-// debugging, and validation.
+// unit transfer. It is slot-granular internally — in each slot each
+// matched pair serves at most one unit — so the transcript is exact,
+// and it must produce exactly the completion times Execute does, which
+// makes it the independent cross-check of the block arithmetic. Slower
+// than Execute; use it for export, debugging, and validation.
 func ExecuteRecorded(plan *Plan) (*Result, *Transcript, error) {
 	e, err := newExecutor(plan)
 	if err != nil {
@@ -98,8 +100,9 @@ func (e *executor) decomposeStage(d *matrix.Matrix) ([]stageTerm, error) {
 	return out, nil
 }
 
-// serveOneSlotRecorded is serveOneSlot returning which coflow was
-// served.
+// serveOneSlotRecorded serves a single unit on pair at absolute slot
+// `slot`, with backfill eligibility evaluated at blockStart (the same
+// rule the block executor uses), and reports which coflow it served.
 func (e *executor) serveOneSlotRecorded(pair int, blockStart, slot int64, stEnd int) (int, bool) {
 	q := e.queues[pair]
 	for idx := e.head[pair]; idx < len(q); idx++ {

@@ -10,36 +10,6 @@ import (
 	"coflow/internal/matrix"
 )
 
-func TestRecordedMatchesExecute(t *testing.T) {
-	rng := rand.New(rand.NewSource(808))
-	for trial := 0; trial < 80; trial++ {
-		m := 1 + rng.Intn(4)
-		n := 1 + rng.Intn(5)
-		ins := randomInstance(rng, m, n, 6, 4)
-		plan := &Plan{
-			Ins:       ins,
-			Order:     rng.Perm(n),
-			Stages:    randomStages(rng, n),
-			Backfill:  rng.Intn(2) == 0,
-			Recompute: rng.Intn(2) == 0,
-		}
-		want, err := Execute(plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := ExecuteRecorded(plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := range want.Completion {
-			if want.Completion[k] != got.Completion[k] {
-				t.Fatalf("trial %d coflow %d: recorded %d, plain %d",
-					trial, k, got.Completion[k], want.Completion[k])
-			}
-		}
-	}
-}
-
 // Every executed schedule must satisfy the formulation (O): matching
 // constraints per slot, release dates, and exact demand coverage. The
 // validator is an independent checker over the unit-level transcript.

@@ -11,9 +11,9 @@
 // would otherwise leave idle (§4.1 of the paper).
 //
 // Two executors are provided: Execute processes whole BvN terms
-// (q slots at a time) and is used for experiments; ExecuteSlotAccurate
-// simulates one slot at a time and exists to cross-check the block
-// arithmetic in tests.
+// (q slots at a time) and is used for experiments; ExecuteRecorded
+// simulates one slot at a time, recording every unit transfer, and
+// doubles as the tests' cross-check of the block arithmetic.
 package switchsim
 
 import (
@@ -291,88 +291,6 @@ func Execute(plan *Plan) (*Result, error) {
 	pkgObs.Executes.Inc()
 	pkgObs.Matchings.Add(int64(matchings))
 	return e.finish(t, matchings)
-}
-
-// ExecuteSlotAccurate runs the plan one slot at a time: in each slot
-// each matched pair serves at most one unit. It must produce exactly
-// the same completion times as Execute; it exists as an independent
-// cross-check of the block arithmetic.
-func ExecuteSlotAccurate(plan *Plan) (*Result, error) {
-	e, err := newExecutor(plan)
-	if err != nil {
-		return nil, err
-	}
-	execSpan := pkgObs.ExecuteSeconds.Start()
-	defer execSpan.End()
-	var t int64
-	matchings := 0
-	for _, st := range plan.Stages {
-		for pos := st.Start; pos < st.End; pos++ {
-			if r := plan.Ins.Coflows[plan.Order[pos]].Release; r > t {
-				t = r
-			}
-		}
-		d := e.stageMatrix(st)
-		if d.IsZero() {
-			continue
-		}
-		dec, err := e.decompose(d)
-		if err != nil {
-			return nil, err
-		}
-		for _, term := range dec.Terms {
-			blockStart := t
-			for s := int64(0); s < term.Count; s++ {
-				for i, j := range term.Perm.To {
-					if j == matrix.Unmatched {
-						continue
-					}
-					pair := i*e.m + j
-					// Serve exactly one unit using the block's
-					// eligibility time, matching Execute's rule.
-					e.serveOneSlot(pair, blockStart, t+1, st.End)
-				}
-				t++
-			}
-			matchings++
-		}
-	}
-	pkgObs.Executes.Inc()
-	pkgObs.Matchings.Add(int64(matchings))
-	return e.finish(t, matchings)
-}
-
-// serveOneSlot serves a single unit on pair at absolute slot `slot`,
-// with backfill eligibility evaluated at blockStart (the same rule the
-// block executor uses).
-func (e *executor) serveOneSlot(pair int, blockStart, slot int64, stEnd int) {
-	q := e.queues[pair]
-	for idx := e.head[pair]; idx < len(q); idx++ {
-		it := &q[idx]
-		if it.remaining == 0 {
-			if idx == e.head[pair] {
-				e.head[pair]++
-			}
-			continue
-		}
-		if it.pos >= stEnd {
-			if !e.plan.Backfill {
-				return
-			}
-			if e.plan.Ins.Coflows[it.coflow].Release > blockStart {
-				continue
-			}
-		}
-		it.remaining--
-		e.remain[it.coflow]--
-		if slot > e.lastSrv[it.coflow] {
-			e.lastSrv[it.coflow] = slot
-		}
-		if it.remaining == 0 && idx == e.head[pair] {
-			e.head[pair]++
-		}
-		return
-	}
 }
 
 func (e *executor) finish(t int64, matchings int) (*Result, error) {

@@ -221,6 +221,13 @@ func randomStages(rng *rand.Rand, n int) []Stage {
 	return stages
 }
 
+// slotAccurate is the slot-by-slot ground truth: ExecuteRecorded minus
+// its transcript.
+func slotAccurate(plan *Plan) (*Result, error) {
+	res, _, err := ExecuteRecorded(plan)
+	return res, err
+}
+
 // The block executor and the slot-accurate executor must agree exactly
 // on every configuration.
 func TestBlockMatchesSlotAccurate(t *testing.T) {
@@ -241,7 +248,7 @@ func TestBlockMatchesSlotAccurate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		b, err := ExecuteSlotAccurate(plan)
+		b, err := slotAccurate(plan)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -288,7 +295,7 @@ func TestBlockMatchesSlotAccurateWithReleases(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
-			slot, err := ExecuteSlotAccurate(plan)
+			slot, err := slotAccurate(plan)
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
