@@ -86,16 +86,16 @@ scenarios:
 # baseline did). The default budget of 20% absorbs the run-to-run drift
 # of shared/virtualized machines (observed up to ~18% on identical
 # binaries); on an idle dedicated box tighten it: `make bench
-# MAXREGRESS=5`. The benches run at -cpu 1, like every committed
-# baseline: with more, the dense LP's parallel pivot makes LPSolveDense*
-# allocs/op vary from run to run (11640–11646 at 2 CPUs against a fixed
-# 11635), which the allocation gate rejects. The run itself is never
-# committed; rotate the baseline explicitly with bench-baseline after
-# an intentional perf change. (bench/pr1-baseline.txt is the frozen
-# pre-optimization record the PR 2 speedup numbers in EXPERIMENTS.md
-# are measured against.) The JSON report lands in $(BENCHOUT).
+# MAXREGRESS=5`. The benches run at -cpu 1 because every committed
+# baseline (bench/baseline.txt and the BENCH_PR*.json ledgers) was
+# recorded at 1 CPU, and ns/op and allocs/op rows are only comparable
+# at the same CPU count. The run itself is never committed; rotate the
+# baseline explicitly with bench-baseline after an intentional perf
+# change. (bench/pr1-baseline.txt is the frozen pre-optimization record
+# the PR 2 speedup numbers in EXPERIMENTS.md are measured against.) The
+# JSON report lands in $(BENCHOUT).
 MAXREGRESS ?= 20
-BENCHOUT ?= BENCH_PR12.json
+BENCHOUT ?= BENCH_PR14.json
 BENCHRE = ^(BenchmarkStep|BenchmarkDecompose|BenchmarkLPSolve|BenchmarkDaemonTick|BenchmarkRollingObserveSummary)
 BENCHPKGS = ./internal/online/ ./internal/bvn/ ./internal/lpmodel/ ./internal/daemon/ ./internal/stats/
 bench:

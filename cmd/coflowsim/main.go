@@ -28,7 +28,6 @@ import (
 	"coflow"
 	"coflow/internal/bvn"
 	"coflow/internal/lp"
-	"coflow/internal/lpmodel"
 	"coflow/internal/obs"
 	"coflow/internal/online"
 	"coflow/internal/stats"
@@ -54,19 +53,12 @@ func main() {
 	weights := flag.String("weights", "", "override weights: equal or random (permutation of 1..n)")
 	filter := flag.Int("filter", 0, "keep only coflows with at least this many non-zero flows (M0)")
 	lower := flag.Bool("lower", false, "also solve the interval LP lower bound")
-	lpMethod := flag.String("lpmethod", "dense", "LP solver for HLP ordering and bounds: dense (tableau oracle) or sparse (presolve + revised simplex)")
 	gantt := flag.Bool("gantt", false, "render an ASCII Gantt chart of the schedule (bvn engine, small instances)")
 	verbose := flag.Bool("v", false, "print per-coflow completions")
 	obsFlag := flag.Bool("obs", false, "instrument the pipeline and print a per-stage timing table at exit")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (after the run) to this file")
 	flag.Parse()
-
-	method, err := lp.ParseMethod(*lpMethod)
-	if err != nil {
-		log.Fatal(err)
-	}
-	lpmodel.SetDefaultMethod(method)
 
 	if *obsFlag {
 		reg := setupObs()

@@ -28,7 +28,6 @@ import (
 	"coflow/internal/bvn"
 	"coflow/internal/experiments"
 	"coflow/internal/lp"
-	"coflow/internal/lpmodel"
 	"coflow/internal/obs"
 	"coflow/internal/online"
 	"coflow/internal/switchsim"
@@ -47,7 +46,6 @@ func main() {
 	recompute := fs.Bool("recompute", false, "work-conserving scheduling extension")
 	weightSeed := fs.Int64("weightseed", 7, "seed for the random-permutation weighting")
 	obsJSON := fs.String("obsjson", "", "instrument the pipeline and write per-stage timings as JSON to this file (- for stdout)")
-	lpMethod := fs.String("lpmethod", "dense", "LP solver for HLP ordering and bounds: dense (tableau oracle) or sparse (presolve + revised simplex)")
 
 	if len(os.Args) < 2 {
 		usage()
@@ -61,11 +59,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	method, err := lp.ParseMethod(*lpMethod)
-	if err != nil {
-		log.Fatal(err)
-	}
-	lpmodel.SetDefaultMethod(method)
 	cfg := experiments.DefaultConfig()
 	cfg.Trace.Ports = *ports
 	cfg.Trace.NumCoflows = *coflows

@@ -39,7 +39,8 @@
 //	// res.Completion[0] == 3: the coflow's load ρ(D), which is optimal.
 //
 // Everything is implemented with the Go standard library only,
-// including the LP solver (a two-phase primal simplex).
+// including the LP solver (presolve + a sparse two-phase revised
+// simplex; a dense tableau is kept as its test reference and fallback).
 package coflow
 
 import (
@@ -97,6 +98,7 @@ var (
 
 // Algorithm2 runs the paper's deterministic approximation algorithm:
 // LP ordering + geometric grouping + Birkhoff–von Neumann schedules.
+// The ordering LP is always solved by the sparse pipeline.
 func Algorithm2(ins *Instance) (*Result, error) { return core.Algorithm2(ins) }
 
 // Randomized runs the randomized variant, drawing the grouping
@@ -113,7 +115,8 @@ func Schedule(ins *Instance, opts Options) (*Result, error) {
 
 // LowerBound solves the polynomial interval-indexed LP relaxation and
 // returns a lower bound on the optimal total weighted completion time
-// (Lemma 1).
+// (Lemma 1): the same LP, solved by the same sparse pipeline, that
+// Algorithm2 orders by.
 func LowerBound(ins *Instance) (float64, error) {
 	sol, err := lpmodel.SolveIntervalLP(ins)
 	if err != nil {

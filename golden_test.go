@@ -10,6 +10,9 @@ import (
 	"testing"
 
 	"coflow"
+	"coflow/internal/core"
+	"coflow/internal/lp"
+	"coflow/internal/lpmodel"
 )
 
 // update regenerates the golden files instead of comparing:
@@ -100,15 +103,20 @@ func goldenSchedule(t *testing.T, ins *coflow.Instance) []goldenRun {
 	return runs
 }
 
-// TestGoldenSparseLP re-runs every LP-ordered golden configuration
-// with the sparse revised-simplex method and requires output
-// byte-identical to the dense tableau oracle. Together with TestGolden
-// this pins the sparse path against the committed golden files: any
-// pivot-rule or presolve change that shifts the HLP ordering on the
-// worked example or the 20-coflow instance fails here.
+// TestGoldenSparseLP runs every LP-ordered golden configuration
+// through the default Schedule (the sparse pipeline) and requires
+// output byte-identical to the dense reference tableau, solved
+// explicitly and executed with the same options. Together with
+// TestGolden this pins the production LP against the committed golden
+// files: any pivot-rule or presolve change that shifts the HLP
+// ordering on the worked example or the 20-coflow instance fails here.
 func TestGoldenSparseLP(t *testing.T) {
 	for name, ins := range goldenInstances(t) {
 		t.Run(name, func(t *testing.T) {
+			ref, err := lpmodel.SolveIntervalLPWith(ins, lp.MethodDense)
+			if err != nil {
+				t.Fatalf("dense reference LP: %v", err)
+			}
 			for _, b := range []struct {
 				name string
 				opts coflow.Options
@@ -116,13 +124,11 @@ func TestGoldenSparseLP(t *testing.T) {
 				{"HLP+grouping", coflow.Options{Ordering: coflow.OrderLP, Grouping: true}},
 				{"HLP+grouping+backfill", coflow.Options{Ordering: coflow.OrderLP, Grouping: true, Backfill: true}},
 			} {
-				dense, err := coflow.Schedule(ins, b.opts)
+				dense, err := core.ExecuteOrdered(ins, ref.Order, b.opts)
 				if err != nil {
 					t.Fatalf("%s dense: %v", b.name, err)
 				}
-				sp := b.opts
-				sp.SparseLP = true
-				sparse, err := coflow.Schedule(ins, sp)
+				sparse, err := coflow.Schedule(ins, b.opts)
 				if err != nil {
 					t.Fatalf("%s sparse: %v", b.name, err)
 				}

@@ -25,7 +25,6 @@ import (
 
 	"coflow/internal/bvn"
 	"coflow/internal/coflowmodel"
-	"coflow/internal/lp"
 	"coflow/internal/lpmodel"
 	"coflow/internal/switchsim"
 )
@@ -67,11 +66,10 @@ type Options struct {
 	// from roughly an order of magnitude fewer distinct matchings,
 	// which matters when each matching is a fabric reconfiguration.
 	ThickMatchings bool
-	// SparseLP solves the H_LP ordering LP with the sparse pipeline
-	// (presolve + revised simplex) instead of the dense tableau,
-	// regardless of the lpmodel package default. The two solvers agree
-	// on status and objective (differential-tested); this is a
-	// performance switch that unlocks trace-scale LP ordering.
+	// SparseLP is read by nothing: the H_LP ordering LP is always
+	// solved by the sparse pipeline. The field stays declared only
+	// because benchmark/batch.go sets it and this round may not edit
+	// benchmark/; the next benchmark PR drops it from both places.
 	SparseLP bool
 }
 
@@ -115,11 +113,7 @@ func Schedule(ins *coflowmodel.Instance, opts Options) (*Result, error) {
 	case OrderLoadWeight:
 		order = LoadWeightOrder(ins)
 	case OrderLP:
-		method := lpmodel.DefaultMethod()
-		if opts.SparseLP {
-			method = lp.MethodSparse
-		}
-		sol, err := lpmodel.SolveIntervalLPWith(ins, method)
+		sol, err := lpmodel.SolveIntervalLP(ins)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,10 @@
-// Package lp implements a self-contained linear programming solver:
-// a two-phase primal simplex method on a dense tableau with Dantzig
-// pricing and a Bland's-rule fallback for anti-cycling.
+// Package lp implements a self-contained linear programming solver.
+// SolveSparse — presolve, a sparse revised simplex, postsolve — is the
+// solver callers get (see method.go). Solve, in this file, is a
+// two-phase primal simplex on a dense tableau with Devex pricing and a
+// Bland's-rule fallback for anti-cycling: sequential, and kept as the
+// reference the sparse pipeline is tested against and falls back to.
+// The package starts no goroutine.
 //
 // It exists to solve the paper's interval-indexed relaxation (LP) and
 // the time-indexed (LP-EXP); both are pure minimization problems with
@@ -11,7 +15,7 @@
 //	subject to  a_i·x  (≤ | = | ≥)  b_i   for each constraint i
 //	            x ≥ 0
 //
-// The solver is deterministic: identical inputs produce identical
+// Both solvers are deterministic: identical inputs produce identical
 // optimal bases, so the coflow ordering derived from LP solutions is
 // reproducible across runs.
 package lp
@@ -20,8 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 )
 
 // Sense is the relation of a constraint row.
@@ -156,9 +158,10 @@ const (
 // ErrBadProblem is returned for structurally invalid problems.
 var ErrBadProblem = errors.New("lp: invalid problem")
 
-// Solve runs the two-phase simplex method and returns the solution.
-// The returned error is non-nil only for structurally invalid input;
-// infeasibility and unboundedness are reported via Status.
+// Solve runs the two-phase simplex method on the dense tableau and
+// returns the solution. The returned error is non-nil only for
+// structurally invalid input; infeasibility and unboundedness are
+// reported via Status.
 func Solve(p *Problem) (*Solution, error) {
 	if p == nil || p.numVars == 0 {
 		return nil, ErrBadProblem
@@ -168,11 +171,17 @@ func Solve(p *Problem) (*Solution, error) {
 		pkgObs.Solves.Inc()
 		solveSpan.End()
 	}()
+	return solveDense(p), nil
+}
+
+// solveDense is the tableau solve without the per-call metrics (the
+// Solves counter and the SolveSeconds span), so SolveSparse's
+// breakdown fallback stays one solve in the ledger. p must have at
+// least one variable.
+func solveDense(p *Problem) *Solution {
 	setupSpan := pkgObs.SetupSeconds.Start()
 	t := newTableau(p)
 	setupSpan.End()
-	t.startWorkers()
-	defer t.stopWorkers()
 	sol := &Solution{X: make([]float64, p.numVars)}
 
 	// Phase 1: minimize the sum of artificials.
@@ -184,11 +193,11 @@ func Solve(p *Problem) (*Solution, error) {
 		pkgObs.Pivots.Add(int64(iters))
 		if status == IterLimit {
 			sol.Status = IterLimit
-			return sol, nil
+			return sol
 		}
 		if t.objValue() > epsFeas {
 			sol.Status = Infeasible
-			return sol, nil
+			return sol
 		}
 		t.banArtificials()
 	}
@@ -201,7 +210,7 @@ func Solve(p *Problem) (*Solution, error) {
 	pkgObs.Pivots.Add(int64(iters))
 	sol.Status = status
 	if status != Optimal {
-		return sol, nil
+		return sol
 	}
 	for i, bv := range t.basis {
 		if bv < p.numVars {
@@ -213,7 +222,7 @@ func Solve(p *Problem) (*Solution, error) {
 		obj += c * sol.X[v]
 	}
 	sol.Objective = obj
-	return sol, nil
+	return sol
 }
 
 // tableau holds the dense simplex tableau: m constraint rows over
@@ -230,28 +239,12 @@ type tableau struct {
 	basis    []int
 	banned   []bool // columns excluded from entering (artificials in phase 2)
 
-	// Parallel elimination: large tableaus split row updates across a
-	// persistent worker pool (each pivot is memory-bandwidth bound, so
-	// this scales with cores until bandwidth saturates).
-	workers   int
-	workCh    chan [2]int   // row range [lo, hi)
-	doneCh    chan struct{} // one token per completed range
-	pivotRow  []float64     // normalized pivot row shared with workers
-	pivotCol  int
-	stopOnce  sync.Once
-	stopCh    chan struct{}
-	workersOn bool
-
 	// Devex pricing reference weights (reset per phase). Entering
 	// columns maximize rc²/devex[j], which approximates steepest-edge
 	// pricing and markedly reduces iteration counts on the degenerate
 	// interval LPs compared with plain Dantzig pricing.
 	devex []float64
 }
-
-// parallelThreshold is the tableau cell count above which pivots use
-// the worker pool; below it the serial loop is faster.
-const parallelThreshold = 1 << 20
 
 func newTableau(p *Problem) *tableau {
 	m := len(p.rows)
@@ -560,65 +553,6 @@ func (t *tableau) ratioTest(j int) int {
 	return leave
 }
 
-// startWorkers spins up the elimination pool for large tableaus.
-func (t *tableau) startWorkers() {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > t.m {
-		workers = t.m
-	}
-	if workers <= 1 || t.m*t.width() < parallelThreshold {
-		return
-	}
-	t.workers = workers
-	t.workCh = make(chan [2]int)
-	t.doneCh = make(chan struct{})
-	t.stopCh = make(chan struct{})
-	t.workersOn = true
-	for w := 0; w < workers; w++ {
-		go func() {
-			for {
-				select {
-				case r := <-t.workCh:
-					t.eliminateRows(r[0], r[1])
-					t.doneCh <- struct{}{}
-				case <-t.stopCh:
-					return
-				}
-			}
-		}()
-	}
-}
-
-// stopWorkers shuts the pool down; safe to call multiple times.
-func (t *tableau) stopWorkers() {
-	if !t.workersOn {
-		return
-	}
-	t.stopOnce.Do(func() { close(t.stopCh) })
-}
-
-// eliminateRows clears the pivot column from rows [lo, hi), excluding
-// the pivot row itself (marked by pivotRow aliasing).
-func (t *tableau) eliminateRows(lo, hi int) {
-	width := t.width()
-	j := t.pivotCol
-	piv := t.pivotRow
-	for r := lo; r < hi; r++ {
-		other := t.a[r*width : (r+1)*width]
-		if &other[0] == &piv[0] {
-			continue // the pivot row itself
-		}
-		f := other[j]
-		if f == 0 {
-			continue
-		}
-		for k := range other {
-			other[k] -= f * piv[k]
-		}
-		other[j] = 0 // exact
-	}
-}
-
 // pivot makes column j basic in row i.
 func (t *tableau) pivot(i, j int) {
 	width := t.width()
@@ -630,26 +564,20 @@ func (t *tableau) pivot(i, j int) {
 	}
 	rowData[j] = 1 // exact
 
-	if t.workersOn {
-		t.pivotRow = rowData
-		t.pivotCol = j
-		chunk := (t.m + t.workers - 1) / t.workers
-		sent := 0
-		for lo := 0; lo < t.m; lo += chunk {
-			hi := lo + chunk
-			if hi > t.m {
-				hi = t.m
-			}
-			t.workCh <- [2]int{lo, hi}
-			sent++
+	// Clear the pivot column from every other row.
+	for r := 0; r < t.m; r++ {
+		if r == i {
+			continue
 		}
-		for ; sent > 0; sent-- {
-			<-t.doneCh
+		other := t.a[r*width : (r+1)*width]
+		f := other[j]
+		if f == 0 {
+			continue
 		}
-	} else {
-		t.pivotRow = rowData
-		t.pivotCol = j
-		t.eliminateRows(0, t.m)
+		for k := range other {
+			other[k] -= f * rowData[k]
+		}
+		other[j] = 0 // exact
 	}
 
 	f := t.objRow[j]

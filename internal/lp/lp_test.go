@@ -16,20 +16,26 @@ func solveOrFail(t *testing.T, p *Problem) *Solution {
 }
 
 func TestSimpleMaximization(t *testing.T) {
-	// max x+y s.t. x+y <= 1  (as min -x-y): optimum -1.
-	p := NewProblem(2)
-	p.SetObjective(0, -1)
-	p.SetObjective(1, -1)
-	p.AddConstraint([]Entry{{0, 1}, {1, 1}}, LE, 1)
-	sol := solveOrFail(t, p)
-	if sol.Status != Optimal {
-		t.Fatalf("status = %v", sol.Status)
-	}
-	if math.Abs(sol.Objective-(-1)) > 1e-9 {
-		t.Fatalf("objective = %g, want -1", sol.Objective)
-	}
-	if err := CheckFeasible(p, sol.X, 1e-9); err != nil {
-		t.Fatal(err)
+	// max Σ x_j s.t. x_{2r}+x_{2r+1} <= 1 for each row r (as min -Σ x_j):
+	// every disjoint block saturates its row, optimum -rows. The 700-row
+	// case is a large tableau (700 × 2101 cells ≈ 1.5M).
+	for _, rows := range []int{1, 700} {
+		p := NewProblem(2 * rows)
+		for r := 0; r < rows; r++ {
+			p.SetObjective(2*r, -1)
+			p.SetObjective(2*r+1, -1)
+			p.AddConstraint([]Entry{{2 * r, 1}, {2*r + 1, 1}}, LE, 1)
+		}
+		sol := solveOrFail(t, p)
+		if sol.Status != Optimal {
+			t.Fatalf("rows=%d: status = %v", rows, sol.Status)
+		}
+		if want := -float64(rows); math.Abs(sol.Objective-want) > 1e-9*float64(rows) {
+			t.Fatalf("rows=%d: objective = %g, want %g", rows, sol.Objective, want)
+		}
+		if err := CheckFeasible(p, sol.X, 1e-9); err != nil {
+			t.Fatalf("rows=%d: %v", rows, err)
+		}
 	}
 }
 
@@ -436,8 +442,11 @@ func TestAccessors(t *testing.T) {
 	if p.NumVars() != 3 || p.NumConstraints() != 1 {
 		t.Fatalf("accessors: %d vars %d rows", p.NumVars(), p.NumConstraints())
 	}
-	if Sense(99).String() == "" || Status(99).String() == "" {
+	if Sense(99).String() == "" || Status(99).String() == "" || Method(99).String() == "" {
 		t.Fatal("unknown enum Strings empty")
+	}
+	if MethodDense.String() != "dense" || MethodSparse.String() != "sparse" {
+		t.Fatalf("Method.String(): %v/%v", MethodDense, MethodSparse)
 	}
 }
 
@@ -454,43 +463,4 @@ func TestNewProblemPanicsOnZeroVars(t *testing.T) {
 		}
 	}()
 	NewProblem(0)
-}
-
-// A problem large enough to cross the parallel-pivot threshold: the
-// worker-pool elimination path must give exactly the same answer as a
-// small serial solve of the same structure.
-func TestParallelPivotPath(t *testing.T) {
-	build := func(rows, varsPerRow int) (*Problem, float64) {
-		// min Σ -x_j s.t. per-row sums of disjoint variable blocks ≤ 10:
-		// optimum is exactly -10·rows (each block saturates its row).
-		p := NewProblem(rows * varsPerRow)
-		for j := 0; j < rows*varsPerRow; j++ {
-			p.SetObjective(j, -1)
-		}
-		for r := 0; r < rows; r++ {
-			var es []Entry
-			for v := 0; v < varsPerRow; v++ {
-				es = append(es, Entry{r*varsPerRow + v, 1})
-			}
-			p.AddConstraint(es, LE, 10)
-		}
-		return p, -10 * float64(rows)
-	}
-	p, want := build(700, 2) // 700 rows × (1400 vars + 700 slacks) > threshold
-	if p.NumConstraints()*(p.NumVars()+p.NumConstraints()+1) < parallelThreshold {
-		t.Skip("problem below the parallel threshold on this configuration")
-	}
-	sol, err := Solve(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Status != Optimal {
-		t.Fatalf("status = %v", sol.Status)
-	}
-	if math.Abs(sol.Objective-want) > 1e-6 {
-		t.Fatalf("objective = %g, want %g", sol.Objective, want)
-	}
-	if err := CheckFeasible(p, sol.X, 1e-6); err != nil {
-		t.Fatal(err)
-	}
 }

@@ -1,10 +1,12 @@
 package lp
 
-// Method selection: the dense tableau (lp.go) and the presolve +
-// revised-simplex pipeline (presolve.go, sparse.go) solve the same
-// problem class with the same status contract. The dense solver is
-// the differential oracle; the sparse pipeline is the production path
-// for large interval-indexed instances.
+// The presolve + revised-simplex pipeline (presolve.go, sparse.go) is
+// the production solver: lpmodel's SolveIntervalLP/SolveTimeIndexedLP
+// always call it. The dense tableau (lp.go) solves the same problem
+// class with the same status contract and stays for two jobs only: the
+// sequential reference the differential tests and goldens compare
+// against, and SolveSparse's fallback on numerical breakdown. Method
+// exists so those tests and the benchmark can name either solver.
 
 import "fmt"
 
@@ -12,11 +14,11 @@ import "fmt"
 type Method int
 
 const (
-	// MethodDense is the two-phase dense tableau simplex (the
-	// original solver, kept as the differential oracle).
+	// MethodDense is the two-phase dense tableau simplex, the
+	// reference and fallback.
 	MethodDense Method = iota
 	// MethodSparse is presolve + sparse revised simplex with LU/eta
-	// basis updates.
+	// basis updates, the production path.
 	MethodSparse
 )
 
@@ -28,17 +30,6 @@ func (m Method) String() string {
 		return "sparse"
 	}
 	return fmt.Sprintf("Method(%d)", int(m))
-}
-
-// ParseMethod parses a -lpmethod style flag value.
-func ParseMethod(s string) (Method, error) {
-	switch s {
-	case "dense", "tableau":
-		return MethodDense, nil
-	case "sparse", "revised":
-		return MethodSparse, nil
-	}
-	return MethodDense, fmt.Errorf("lp: unknown method %q (want dense or sparse)", s)
 }
 
 // SolveWith dispatches Solve (dense) or SolveSparse by method.
@@ -54,8 +45,15 @@ func SolveWith(p *Problem, m Method) (*Solution, error) {
 // status contract as Solve; on numerical breakdown in the sparse
 // basis handling (rare; counted by the SparseFallbacks metric) it
 // transparently falls back to the dense solver so callers never see
-// the difference.
+// the difference. Fallback or not, one call is one Solves increment
+// and one SolveSeconds observation.
 func SolveSparse(p *Problem) (*Solution, error) {
+	return solveSparse(p, solveRevised)
+}
+
+// solveSparse is SolveSparse with the revised-simplex stage passed in,
+// so a test can make it fail and reach the fallback branch.
+func solveSparse(p *Problem, revised func(*Problem) (*Solution, error)) (*Solution, error) {
 	if p == nil || p.numVars == 0 {
 		return nil, ErrBadProblem
 	}
@@ -87,10 +85,10 @@ func SolveSparse(p *Problem) (*Solution, error) {
 		return sol, nil
 	}
 
-	rsol, err := solveRevised(ps.Reduced())
+	rsol, err := revised(ps.Reduced())
 	if err != nil {
 		pkgObs.SparseFallbacks.Inc()
-		return Solve(p)
+		return solveDense(p), nil
 	}
 	if rsol.Status != Optimal {
 		return &Solution{

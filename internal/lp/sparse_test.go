@@ -7,9 +7,13 @@ package lp
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"coflow/internal/obs"
 )
 
 func solveSparseOrFail(t *testing.T, p *Problem) *Solution {
@@ -158,21 +162,41 @@ func TestSolveWithDispatch(t *testing.T) {
 	}
 }
 
-func TestParseMethod(t *testing.T) {
-	for in, want := range map[string]Method{
-		"dense": MethodDense, "tableau": MethodDense,
-		"sparse": MethodSparse, "revised": MethodSparse,
-	} {
-		got, err := ParseMethod(in)
-		if err != nil || got != want {
-			t.Fatalf("ParseMethod(%q) = %v, %v; want %v", in, got, err, want)
-		}
+// TestSparseFallbackCountedOnce drives the breakdown branch with a
+// revised-simplex stage that always fails: the caller gets the dense
+// answer, and the metrics read as one sparse solve that fell back, not
+// as two solves.
+func TestSparseFallbackCountedOnce(t *testing.T) {
+	// min -3x - 5y s.t. 3x + 2y <= 18, x + y <= 7, x + 3y <= 15:
+	// no singleton rows, so presolve leaves the verdict to the simplex.
+	p := NewProblem(2)
+	p.SetObjective(0, -3)
+	p.SetObjective(1, -5)
+	p.AddConstraint([]Entry{{0, 3}, {1, 2}}, LE, 18)
+	p.AddConstraint([]Entry{{0, 1}, {1, 1}}, LE, 7)
+	p.AddConstraint([]Entry{{0, 1}, {1, 3}}, LE, 15)
+	want := solveOrFail(t, p)
+
+	o := NewObs(obs.NewRegistry())
+	SetObs(o)
+	defer SetObs(Obs{})
+	called := false
+	got, err := solveSparse(p, func(*Problem) (*Solution, error) {
+		called = true
+		return nil, errors.New("singular basis")
+	})
+	if err != nil {
+		t.Fatalf("solveSparse: %v", err)
 	}
-	if _, err := ParseMethod("simplex2000"); err == nil {
-		t.Fatal("ParseMethod accepted junk")
+	if !called {
+		t.Fatal("presolve decided the problem; the fallback branch was not reached")
 	}
-	if MethodDense.String() != "dense" || MethodSparse.String() != "sparse" {
-		t.Fatalf("String(): %v/%v", MethodDense, MethodSparse)
+	if got.Status != want.Status || got.Objective != want.Objective || !slices.Equal(got.X, want.X) {
+		t.Fatalf("fallback answer %v obj %g x %v, dense %v obj %g x %v",
+			got.Status, got.Objective, got.X, want.Status, want.Objective, want.X)
+	}
+	if f, s, sp, n := o.SparseFallbacks.Value(), o.Solves.Value(), o.SparseSolves.Value(), o.SolveSeconds.Count(); f != 1 || s != 1 || sp != 1 || n != 1 {
+		t.Fatalf("fallbacks=%d solves=%d sparse_solves=%d solve_seconds observations=%d, want 1 each", f, s, sp, n)
 	}
 }
 

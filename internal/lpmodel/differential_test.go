@@ -13,7 +13,6 @@ import (
 	"math"
 	"testing"
 
-	"coflow/internal/coflowmodel"
 	"coflow/internal/lp"
 	"coflow/internal/trace"
 )
@@ -106,36 +105,5 @@ func TestTimeIndexedLPSparseVsDenseSweep(t *testing.T) {
 			t.Fatalf("instance %d: LP-EXP bound diverged: dense=%.12g sparse=%.12g",
 				i, dense.LowerBound, sparse.LowerBound)
 		}
-	}
-}
-
-// TestDefaultMethodPlumbing proves SetDefaultMethod actually routes
-// SolveIntervalLP, using the paper's worked single-coflow shape.
-func TestDefaultMethodPlumbing(t *testing.T) {
-	ins := &coflowmodel.Instance{
-		Ports: 2,
-		Coflows: []coflowmodel.Coflow{{
-			ID: 1, Weight: 1,
-			Flows: []coflowmodel.Flow{
-				{Src: 0, Dst: 1, Size: 1}, {Src: 1, Dst: 0, Size: 2},
-				{Src: 0, Dst: 0, Size: 2}, {Src: 1, Dst: 1, Size: 1},
-			},
-		}},
-	}
-	base, err := SolveIntervalLP(ins)
-	if err != nil {
-		t.Fatalf("dense default: %v", err)
-	}
-	SetDefaultMethod(lp.MethodSparse)
-	defer SetDefaultMethod(lp.MethodDense)
-	if got := DefaultMethod(); got != lp.MethodSparse {
-		t.Fatalf("DefaultMethod = %v after SetDefaultMethod(sparse)", got)
-	}
-	viaDefault, err := SolveIntervalLP(ins)
-	if err != nil {
-		t.Fatalf("sparse default: %v", err)
-	}
-	if math.Abs(base.LowerBound-viaDefault.LowerBound) > 1e-9 {
-		t.Fatalf("lower bound moved with method: %g vs %g", base.LowerBound, viaDefault.LowerBound)
 	}
 }

@@ -10,6 +10,11 @@
 // It also computes the maximum total input/output loads V_k (Eq. 16)
 // with respect to an ordering, the quantity driving the grouping step
 // of Algorithm 2 and the approximation guarantees (Lemmas 2 and 3).
+//
+// SolveIntervalLP and SolveTimeIndexedLP solve with the sparse
+// pipeline (lp.MethodSparse), the one LP solver on the production
+// path. The ...With forms exist so tests and the benchmark can name the
+// dense reference tableau explicitly.
 package lpmodel
 
 import (
@@ -21,21 +26,6 @@ import (
 	"coflow/internal/coflowmodel"
 	"coflow/internal/lp"
 )
-
-// defaultMethod selects the simplex implementation used by
-// SolveIntervalLP and SolveTimeIndexedLP. The dense tableau is the
-// historical default; coflowsim/experiments switch it to the sparse
-// revised simplex with -lpmethod sparse.
-var defaultMethod = lp.MethodDense
-
-// SetDefaultMethod installs the package-wide LP method. Call once at
-// startup (it is not synchronized against concurrent solves), the
-// same convention as lp.SetObs. The explicit ...With variants take
-// precedence for individual calls.
-func SetDefaultMethod(m lp.Method) { defaultMethod = m }
-
-// DefaultMethod returns the installed package-wide LP method.
-func DefaultMethod() lp.Method { return defaultMethod }
 
 // Intervals returns the paper's geometric time points for horizon T:
 // τ_0 = 0 and τ_l = 2^(l−1) for l = 1..L, where L is the smallest
@@ -220,14 +210,15 @@ func WriteIntervalLPMPS(w io.Writer, ins *coflowmodel.Instance, name string) err
 }
 
 // SolveIntervalLP builds and solves the interval-indexed relaxation
-// (LP) for ins with the package default method. The instance must be
-// valid and non-empty.
+// (LP) for ins with the sparse pipeline. The instance must be valid
+// and non-empty.
 func SolveIntervalLP(ins *coflowmodel.Instance) (*IntervalSolution, error) {
-	return SolveIntervalLPWith(ins, defaultMethod)
+	return SolveIntervalLPWith(ins, lp.MethodSparse)
 }
 
 // SolveIntervalLPWith is SolveIntervalLP with an explicit solver
-// method, overriding the package default.
+// method; lp.MethodDense is the reference the differential tests
+// compare against.
 func SolveIntervalLPWith(ins *coflowmodel.Instance, method lp.Method) (*IntervalSolution, error) {
 	model, err := buildIntervalLP(ins)
 	if err != nil {
@@ -392,15 +383,15 @@ const (
 )
 
 // SolveTimeIndexedLP builds and solves the time-indexed relaxation
-// (LP-EXP) with the package default method. It returns an error if
-// the instance's horizon makes the program larger than
-// MaxTimeIndexedVars variables.
+// (LP-EXP) with the sparse pipeline. It returns an error if the
+// instance's horizon makes the program larger than MaxTimeIndexedVars
+// variables.
 func SolveTimeIndexedLP(ins *coflowmodel.Instance) (*TimeIndexedSolution, error) {
-	return SolveTimeIndexedLPWith(ins, defaultMethod)
+	return SolveTimeIndexedLPWith(ins, lp.MethodSparse)
 }
 
 // SolveTimeIndexedLPWith is SolveTimeIndexedLP with an explicit
-// solver method, overriding the package default.
+// solver method.
 func SolveTimeIndexedLPWith(ins *coflowmodel.Instance, method lp.Method) (*TimeIndexedSolution, error) {
 	if err := ins.Validate(); err != nil {
 		return nil, err
