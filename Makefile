@@ -23,16 +23,17 @@ check: lint escapecheck slowcheck scenarios loadtest bench
 # cmd/coflowvet): allocation-freedom of //coflow:allocfree functions,
 # nil-receiver guards and span hygiene in the obs layer, "guarded by"
 # lock discipline, silently discarded errors, pooled-loan escapes and
-# staleness, post-publication mutation, closures escaping
-# single-writer loops, and module-wide lock ordering. See DESIGN.md
-# "Static analysis" and "Static analysis v2".
+# staleness, and post-publication mutation; unknown //coflow:
+# annotations and //lint:ignore directives that silence nothing fail
+# it too. See DESIGN.md "Static analysis" and "Static analysis v2".
 lint:
 	go run ./cmd/coflowvet
 
 # Audit trail of every //lint:ignore suppression in the module, one
-# line per directive with its reason. Review this list when a
-# suppression's justification goes stale; reasonless directives are
-# themselves lint errors, so everything printed here carries a reason.
+# line per directive with its reason. Reasonless directives and
+# directives that silence nothing are themselves lint errors, so
+# everything printed here carries a reason and still covers a finding;
+# review whether the reason still holds.
 lintfix-audit:
 	go run ./cmd/coflowvet -ignores
 

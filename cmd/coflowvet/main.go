@@ -133,7 +133,9 @@ func selectAnalyzers(names string) ([]*lint.Analyzer, error) {
 	return out, nil
 }
 
-// finding is the JSON shape of one diagnostic.
+// finding is the JSON shape of one diagnostic. Every diagnostic fails
+// the gate, so severity is the constant "error"; the key stays so the
+// shape consumers parse does not change.
 type finding struct {
 	File     string `json:"file"`
 	Line     int    `json:"line"`
@@ -148,16 +150,12 @@ type finding struct {
 func renderJSON(diags []lint.Diagnostic, root string) ([]byte, error) {
 	out := make([]finding, 0, len(diags))
 	for _, d := range diags {
-		sev := d.Severity
-		if sev == "" {
-			sev = "error"
-		}
 		out = append(out, finding{
 			File:     relFile(root, d.Pos.Filename),
 			Line:     d.Pos.Line,
 			Col:      d.Pos.Column,
 			Analyzer: d.Analyzer,
-			Severity: sev,
+			Severity: "error",
 			Message:  d.Message,
 		})
 	}

@@ -19,16 +19,16 @@ func TestSelectAnalyzersAll(t *testing.T) {
 }
 
 func TestSelectAnalyzersFilter(t *testing.T) {
-	got, err := selectAnalyzers("pooled, lockorder")
+	got, err := selectAnalyzers("pooled, publish")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0].Name != "pooled" || got[1].Name != "lockorder" {
+	if len(got) != 2 || got[0].Name != "pooled" || got[1].Name != "publish" {
 		names := make([]string, len(got))
 		for i, a := range got {
 			names[i] = a.Name
 		}
-		t.Fatalf("filter selected %v, want [pooled lockorder]", names)
+		t.Fatalf("filter selected %v, want [pooled publish]", names)
 	}
 }
 
@@ -46,13 +46,12 @@ func TestRenderJSON(t *testing.T) {
 		{
 			Pos:      token.Position{Filename: "/mod/internal/x/x.go", Line: 3, Column: 7},
 			Analyzer: "pooled",
-			Severity: "error",
 			Message:  "loan escaped",
 		},
 		{
 			Pos:      token.Position{Filename: "/elsewhere/y.go", Line: 1, Column: 1},
-			Analyzer: "lockorder",
-			Message:  "cycle",
+			Analyzer: "publish",
+			Message:  "write after publication",
 		},
 	}
 	out, err := renderJSON(diags, "/mod")
@@ -74,7 +73,7 @@ func TestRenderJSON(t *testing.T) {
 		t.Fatalf("file outside the module root was relativized: %q", got[1].File)
 	}
 	if got[1].Severity != "error" {
-		t.Fatalf("empty severity defaulted to %q, want error", got[1].Severity)
+		t.Fatalf("severity = %q, want error", got[1].Severity)
 	}
 }
 

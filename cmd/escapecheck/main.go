@@ -90,7 +90,7 @@ func run(dir, baselinePath string, write bool) error {
 		return fmt.Errorf("no baseline at %s (run with -write to create it): %v", baselinePath, err)
 	}
 	baseline, err := lint.ReadBaseline(f)
-	//lint:ignore errflow read-only file: Close cannot lose data and read errors surface from ReadBaseline
+	// read-only file: Close cannot lose data and read errors surface from ReadBaseline
 	_ = f.Close()
 	if err != nil {
 		return err

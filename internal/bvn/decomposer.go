@@ -411,7 +411,6 @@ func (dc *Decomposer) Update(served *matrix.Matrix) (*Decomposition, error) {
 		return nil, fmt.Errorf("bvn: Update before a successful Decompose")
 	}
 	if served.Rows() != served.Cols() || served.Rows() != dc.m {
-		//lint:ignore allocfree the panic message formats once on a fatal size mismatch, never on the served path
 		panic(fmt.Sprintf("bvn: decomposer size %d, served matrix %d×%d", dc.m, served.Rows(), served.Cols()))
 	}
 	span := dc.obs.UpdateSeconds.Start()

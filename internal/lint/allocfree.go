@@ -30,6 +30,10 @@ import (
 //     annotated //coflow:allocfree (the contract is transitive; the
 //     standard library, except fmt, is trusted)
 //
+// A panic(...) statement is exempt, argument included: it is a cold
+// terminator (the CFG's TermPanic) whose message formats at most
+// once, on the way down.
+//
 // The analysis is deliberately conservative: a construct the escape
 // analyzer would stack-allocate still needs an explicit
 // "//lint:ignore allocfree <reason>" so the exemption is visible in
@@ -58,8 +62,9 @@ func runAllocFree(pass *Pass) {
 
 // checkAllocFree walks one annotated function body: every node of
 // every reachable basic block (constructs in dead code cannot
-// allocate at runtime; `go vet` flags the dead code itself). Function
-// literals are visited but not entered — the literal is the finding.
+// allocate at runtime; `go vet` flags the dead code itself), except
+// panic(...) statements. Function literals are visited but not
+// entered — the literal is the finding.
 func checkAllocFree(pass *Pass, fd *ast.FuncDecl) {
 	name := fd.Name.Name
 	owned := ownedObjects(pass, fd)
@@ -107,6 +112,9 @@ func checkAllocFree(pass *Pass, fd *ast.FuncDecl) {
 			continue
 		}
 		for _, n := range b.Nodes {
+			if es, ok := n.(*ast.ExprStmt); ok && isPanicCall(es.X) {
+				continue
+			}
 			inspectShallow(n, visit)
 		}
 	}

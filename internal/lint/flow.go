@@ -34,18 +34,8 @@ func (s BitSet) Clone() BitSet {
 	return c
 }
 
-func (s BitSet) Empty() bool {
-	for _, w := range s {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // TransferFunc rewrites out in place given a block; out is
-// pre-initialized to the block's in-state (forward) or out-state
-// (backward) before the call.
+// pre-initialized to the block's in-state before the call.
 type TransferFunc func(b *Block, out BitSet)
 
 // ForwardMay solves a forward may-analysis to fixpoint and returns
@@ -93,49 +83,4 @@ func (c *CFG) ForwardMay(nbits int, transfer TransferFunc) []BitSet {
 		}
 	}
 	return ins
-}
-
-// BackwardMay solves a backward may-analysis to fixpoint and returns
-// the out-state of every block (the union of successor in-states,
-// post-transfer), indexed by Block.Index. The transfer function sees
-// the block's out-state and rewrites it into the in-state.
-func (c *CFG) BackwardMay(nbits int, transfer TransferFunc) []BitSet {
-	ins := make([]BitSet, len(c.Blocks))
-	outs := make([]BitSet, len(c.Blocks))
-	for i := range c.Blocks {
-		ins[i] = newBitSet(nbits)
-		outs[i] = newBitSet(nbits)
-	}
-	work := make([]*Block, 0, len(c.Blocks))
-	inWork := make([]bool, len(c.Blocks))
-	for _, b := range c.Blocks {
-		if c.Reachable(b) {
-			work = append(work, b)
-			inWork[b.Index] = true
-		}
-	}
-	tmp := newBitSet(nbits)
-	for len(work) > 0 {
-		b := work[0]
-		work = work[1:]
-		inWork[b.Index] = false
-		out := outs[b.Index]
-		for i := range out {
-			out[i] = 0
-		}
-		for _, s := range b.Succs {
-			out.UnionWith(ins[s.Index])
-		}
-		tmp.CopyFrom(out)
-		transfer(b, tmp)
-		if ins[b.Index].UnionWith(tmp) {
-			for _, p := range b.Preds {
-				if !inWork[p.Index] && c.Reachable(p) {
-					work = append(work, p)
-					inWork[p.Index] = true
-				}
-			}
-		}
-	}
-	return outs
 }

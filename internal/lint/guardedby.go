@@ -154,14 +154,8 @@ func checkGuardedAccesses(pass *Pass, fd *ast.FuncDecl, guarded map[types.Object
 // collectLockedPrefixes gathers "base.mu" strings for every
 // base.mu.Lock() / base.mu.RLock() call in the function.
 func collectLockedPrefixes(fd *ast.FuncDecl) map[string]bool {
-	return collectLockedPrefixesIn(fd.Body)
-}
-
-// collectLockedPrefixesIn is the body-level version, shared with
-// spawnguard (which vets closure bodies, not declarations).
-func collectLockedPrefixesIn(body ast.Node) map[string]bool {
 	locks := map[string]bool{}
-	ast.Inspect(body, func(n ast.Node) bool {
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true

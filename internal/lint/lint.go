@@ -4,8 +4,12 @@
 // concurrency invariants at "make check" time, before any benchmark
 // or fuzzer can observe a regression at runtime.
 //
-// Eight project-specific analyzers ship with it (see their files).
-// The first four are syntactic; the last four (and the span half of
+// Six project-specific analyzers ship with it (see their files). Each
+// guards a contract real code in this module depends on:
+// TestPlantedViolations plants one violation per analyzer in a copy
+// of a shipped package and demands the diagnostic, so an analyzer
+// whose real sites disappear fails a test instead of lingering. The
+// first four are syntactic; the last two (and the span half of
 // obsguard) are flow-sensitive, built on the intraprocedural CFG +
 // bit-vector dataflow engine in cfg.go / flow.go:
 //
@@ -26,17 +30,13 @@
 //	           and may not be used past the next invalidating call on
 //	           the same receiver, unless laundered through a
 //	           //coflow:clones function
-//	publish    values reaching atomic.Pointer Store/CompareAndSwap (or
-//	           a //coflow:published sink) must be frozen: no writes
-//	           through any alias after publication on any CFG path
-//	spawnguard goroutines and escaping closures created inside a
-//	           //coflow:singlewriter function may not touch
-//	           serialization-domain-guarded fields, and must take the
-//	           lock themselves for mutex-guarded ones
-//	lockorder  the module-wide mutex acquisition graph must be acyclic
-//	           and upgrade-free (no RLock→Lock on any path)
+//	publish    values reaching atomic.Pointer Store/CompareAndSwap
+//	           must be frozen: no writes through any alias after
+//	           publication on any CFG path
 //
-// Annotation grammar (all annotations are ordinary comments):
+// Annotation grammar (all annotations are ordinary comments; any
+// other //coflow:<word> on a function is a diagnostic, so a typo
+// cannot silently leave a function unguarded):
 //
 //	//coflow:allocfree      on a function: its body must be
 //	                        allocation-free (checked by allocfree,
@@ -50,17 +50,15 @@
 //	                        same receiver (checked by pooled)
 //	//coflow:clones         on a function: it deep-copies its pooled
 //	                        arguments, so the result owns its storage
-//	//coflow:published      on a function: pointer arguments passed to
-//	                        it are published to other goroutines and
-//	                        must be frozen (checked by publish)
 //	// guarded by <mu>      on a struct field: accesses require
 //	                        <mu>.Lock()/RLock() in the same function,
 //	                        or a //coflow:singlewriter function; when
 //	                        <mu> is not a sibling sync.Mutex/RWMutex
 //	                        field, it names a serialization domain and
 //	                        only //coflow:singlewriter functions
-//	                        qualify (goroutines spawned inside those
-//	                        functions are checked by spawnguard)
+//	                        qualify
+//
+// Every diagnostic fails the gate; there is no advisory severity.
 //
 // Suppression: a diagnostic is silenced by
 //
@@ -69,7 +67,10 @@
 // either trailing the offending line or on the line directly above
 // it. The reason is mandatory — a reasonless ignore is itself a
 // diagnostic — so every suppression in the tree documents why the
-// construct is acceptable.
+// construct is acceptable. A directive that silences nothing (while
+// its analyzer is among those run) is a diagnostic too, so a
+// suppression cannot outlive the finding it was written for and hide
+// the next one on that line.
 package lint
 
 import (
@@ -84,27 +85,20 @@ import (
 
 // All is the shipped analyzer set, in the order cmd/coflowvet runs
 // them.
-var All = []*Analyzer{AllocFree, ObsGuard, GuardedBy, ErrFlow, Pooled, Publish, SpawnGuard, LockOrder}
+var All = []*Analyzer{AllocFree, ObsGuard, GuardedBy, ErrFlow, Pooled, Publish}
 
 // Diagnostic is one analyzer finding at a resolved source position.
 type Diagnostic struct {
 	Pos      token.Position
 	Analyzer string
-	// Severity is "error" (the default: fails the build gate) or
-	// "warning" (reported and counted, same exit code, but flagged
-	// for readers and machine consumers as advisory).
-	Severity string
 	Message  string
 }
 
-// Analyzer is one named check. Per-package analyzers set Run;
-// module-wide analyzers (lockorder, which needs the cross-package
-// call graph) set RunModule instead and are invoked once per load.
+// Analyzer is one named per-package check.
 type Analyzer struct {
-	Name      string
-	Doc       string
-	Run       func(*Pass)
-	RunModule func(*ModulePass)
+	Name string
+	Doc  string
+	Run  func(*Pass)
 }
 
 // Pass carries everything one analyzer needs for one package.
@@ -117,54 +111,11 @@ type Pass struct {
 	diags *[]Diagnostic
 }
 
-// Reportf records an error-severity diagnostic at pos.
+// Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	*p.diags = append(*p.diags, Diagnostic{
 		Pos:      p.Fset.Position(pos),
 		Analyzer: p.Analyzer.Name,
-		Severity: "error",
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// Warnf records a warning-severity diagnostic at pos.
-func (p *Pass) Warnf(pos token.Pos, format string, args ...any) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Pos:      p.Fset.Position(pos),
-		Analyzer: p.Analyzer.Name,
-		Severity: "warning",
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// ModulePass carries everything a module-wide analyzer needs: every
-// loaded package at once (they share one FileSet and one type-object
-// space, so cross-package call edges resolve).
-type ModulePass struct {
-	Analyzer *Analyzer
-	Fset     *token.FileSet
-	Pkgs     []*Package
-	Index    *Index
-
-	diags *[]Diagnostic
-}
-
-// Reportf records an error-severity diagnostic at pos.
-func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Pos:      p.Fset.Position(pos),
-		Analyzer: p.Analyzer.Name,
-		Severity: "error",
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// Warnf records a warning-severity diagnostic at pos.
-func (p *ModulePass) Warnf(pos token.Pos, format string, args ...any) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Pos:      p.Fset.Position(pos),
-		Analyzer: p.Analyzer.Name,
-		Severity: "warning",
 		Message:  fmt.Sprintf(format, args...),
 	})
 }
@@ -222,6 +173,20 @@ func (idx *Index) Annotated(obj types.Object, ann string) bool {
 	return idx.funcs[obj][ann]
 }
 
+// annotations is the //coflow:<word> vocabulary; Run reports any other
+// word on a function as a diagnostic.
+var annotations = map[string]bool{"allocfree": true, "singlewriter": true, "pooled": true, "clones": true}
+
+// annotationWord returns the <word> of a //coflow:<word> comment
+// line (the word ends at whitespace), or "" when c is not one.
+func annotationWord(c *ast.Comment) string {
+	rest, ok := strings.CutPrefix(c.Text, "//coflow:")
+	if f := strings.Fields(rest); ok && len(f) > 0 {
+		return f[0]
+	}
+	return ""
+}
+
 // FuncAnnotations extracts the //coflow:<word> annotations from a
 // function's doc comment.
 func FuncAnnotations(fd *ast.FuncDecl) map[string]bool {
@@ -230,14 +195,7 @@ func FuncAnnotations(fd *ast.FuncDecl) map[string]bool {
 	}
 	var anns map[string]bool
 	for _, c := range fd.Doc.List {
-		rest, ok := strings.CutPrefix(c.Text, "//coflow:")
-		if !ok {
-			continue
-		}
-		word := strings.TrimSpace(rest)
-		if i := strings.IndexAny(word, " \t"); i >= 0 {
-			word = word[:i]
-		}
+		word := annotationWord(c)
 		if word == "" {
 			continue
 		}
@@ -249,8 +207,8 @@ func FuncAnnotations(fd *ast.FuncDecl) map[string]bool {
 	return anns
 }
 
-// ignoreRe matches the suppression directive: analyzer name (or
-// "all"), then the mandatory free-text reason.
+// ignoreRe matches the suppression directive: analyzer name, then the
+// mandatory free-text reason.
 var ignoreRe = regexp.MustCompile(`^//lint:ignore\s+(\S+)[ \t]*(.*)$`)
 
 // ignore is one parsed //lint:ignore directive.
@@ -258,13 +216,14 @@ type ignore struct {
 	analyzer string
 	reason   string
 	pos      token.Position
+	used     bool // silenced at least one diagnostic of this Run
 }
 
 // collectIgnores gathers the suppression directives of a package,
 // keyed by filename and line. A directive suppresses matching
 // diagnostics on its own line and on the line directly below it.
-func collectIgnores(fset *token.FileSet, pkg *Package) map[string]map[int][]ignore {
-	out := map[string]map[int][]ignore{}
+func collectIgnores(fset *token.FileSet, pkg *Package) map[string]map[int][]*ignore {
+	out := map[string]map[int][]*ignore{}
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -275,10 +234,10 @@ func collectIgnores(fset *token.FileSet, pkg *Package) map[string]map[int][]igno
 				pos := fset.Position(c.Pos())
 				byLine := out[pos.Filename]
 				if byLine == nil {
-					byLine = map[int][]ignore{}
+					byLine = map[int][]*ignore{}
 					out[pos.Filename] = byLine
 				}
-				ig := ignore{analyzer: m[1], reason: strings.TrimSpace(m[2]), pos: pos}
+				ig := &ignore{analyzer: m[1], reason: strings.TrimSpace(m[2]), pos: pos}
 				byLine[pos.Line] = append(byLine[pos.Line], ig)
 			}
 		}
@@ -287,57 +246,47 @@ func collectIgnores(fset *token.FileSet, pkg *Package) map[string]map[int][]igno
 }
 
 // Run executes the analyzers over the packages, applies the
-// //lint:ignore suppressions, reports reasonless suppressions as
-// diagnostics of the framework itself (analyzer "lint"), and returns
-// the surviving diagnostics sorted by position.
+// //lint:ignore suppressions, and returns the surviving diagnostics
+// sorted by position. The framework's own findings carry the analyzer
+// name "lint": a //coflow:<word> outside the annotation vocabulary, a
+// suppression without a reason, and a suppression of one of the
+// analyzers being run that silenced nothing.
 func Run(pkgs []*Package, analyzers []*Analyzer, index *Index) []Diagnostic {
 	var raw []Diagnostic
+	running := map[string]bool{}
+	for _, a := range analyzers {
+		running[a.Name] = true
+	}
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
-			if a.Run == nil {
-				continue
-			}
-			pass := &Pass{
+			a.Run(&Pass{
 				Analyzer: a,
 				Fset:     pkg.Fset,
 				Pkg:      pkg,
-				Index:    index,
-				diags:    &raw,
-			}
-			a.Run(pass)
-		}
-	}
-	if len(pkgs) > 0 {
-		for _, a := range analyzers {
-			if a.RunModule == nil {
-				continue
-			}
-			a.RunModule(&ModulePass{
-				Analyzer: a,
-				Fset:     pkgs[0].Fset,
-				Pkgs:     pkgs,
 				Index:    index,
 				diags:    &raw,
 			})
 		}
 	}
 	var out []Diagnostic
+	own := func(pos token.Position, msg string) {
+		out = append(out, Diagnostic{Pos: pos, Analyzer: "lint", Message: msg})
+	}
 	for _, pkg := range pkgs {
-		ignores := collectIgnores(pkg.Fset, pkg)
-		for _, byLine := range ignores {
-			for _, igs := range byLine {
-				for _, ig := range igs {
-					if ig.reason == "" {
-						out = append(out, Diagnostic{
-							Pos:      ig.pos,
-							Analyzer: "lint",
-							Severity: "error",
-							Message:  "//lint:ignore " + ig.analyzer + " needs a reason",
-						})
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Doc == nil {
+					continue
+				}
+				for _, c := range fd.Doc.List {
+					if word := annotationWord(c); word != "" && !annotations[word] {
+						own(pkg.Fset.Position(c.Pos()), "unknown annotation //coflow:"+word)
 					}
 				}
 			}
 		}
+		ignores := collectIgnores(pkg.Fset, pkg)
 		for _, d := range raw {
 			if !inPackage(pkg, d.Pos.Filename) {
 				continue
@@ -346,6 +295,18 @@ func Run(pkgs []*Package, analyzers []*Analyzer, index *Index) []Diagnostic {
 				continue
 			}
 			out = append(out, d)
+		}
+		for _, byLine := range ignores {
+			for _, igs := range byLine {
+				for _, ig := range igs {
+					switch {
+					case ig.reason == "":
+						own(ig.pos, "//lint:ignore "+ig.analyzer+" needs a reason")
+					case !ig.used && running[ig.analyzer]:
+						own(ig.pos, "//lint:ignore "+ig.analyzer+" suppresses nothing")
+					}
+				}
+			}
 		}
 	}
 	sort.Slice(out, func(a, b int) bool {
@@ -364,21 +325,20 @@ func Run(pkgs []*Package, analyzers []*Analyzer, index *Index) []Diagnostic {
 	return out
 }
 
-// suppressed reports whether an ignore directive covers d: same
-// analyzer (or "all"), on d's line or the line above.
-func suppressed(ignores map[string]map[int][]ignore, d Diagnostic) bool {
-	byLine := ignores[d.Pos.Filename]
-	if byLine == nil {
-		return false
-	}
+// suppressed reports whether an ignore directive covers d — same
+// analyzer, on d's line or the line above — and marks every covering
+// directive used.
+func suppressed(ignores map[string]map[int][]*ignore, d Diagnostic) bool {
+	hit := false
 	for _, line := range []int{d.Pos.Line, d.Pos.Line - 1} {
-		for _, ig := range byLine[line] {
-			if ig.reason != "" && (ig.analyzer == d.Analyzer || ig.analyzer == "all") {
-				return true
+		for _, ig := range ignores[d.Pos.Filename][line] {
+			if ig.reason != "" && ig.analyzer == d.Analyzer {
+				ig.used = true
+				hit = true
 			}
 		}
 	}
-	return false
+	return hit
 }
 
 // Suppression is one //lint:ignore directive, surfaced for the

@@ -8,10 +8,10 @@ import (
 
 // Publish enforces the snapshot-publication discipline of the shard
 // and daemon planes: a value handed to atomic.Pointer.Store /
-// CompareAndSwap (or to a //coflow:published function) becomes
-// visible to concurrent readers with no further synchronization, so
-// it must be frozen — no writes through the published variable or any
-// local alias of it, on any CFG path after the publication point.
+// CompareAndSwap becomes visible to concurrent readers with no
+// further synchronization, so it must be frozen — no writes through
+// the published variable or any local alias of it, on any CFG path
+// after the publication point.
 //
 // Aliasing is tracked flow-insensitively (any assignment linking two
 // reference-shaped locals merges them into one class; publication
@@ -21,7 +21,7 @@ import (
 // element stores, IncDec — are errors.
 var Publish = &Analyzer{
 	Name: "publish",
-	Doc:  "values published via atomic.Pointer.Store/CAS or //coflow:published sinks must be frozen",
+	Doc:  "values published via atomic.Pointer.Store/CompareAndSwap must be frozen",
 	Run:  runPublish,
 }
 
@@ -69,25 +69,6 @@ func atomicPointerSink(pass *Pass, call *ast.CallExpr) ast.Expr {
 	return call.Args[arg]
 }
 
-// publishSink collects the value expressions a call publishes: the
-// atomic.Pointer argument, or every reference-shaped argument of a
-// //coflow:published function.
-func publishSink(pass *Pass, call *ast.CallExpr) []ast.Expr {
-	if v := atomicPointerSink(pass, call); v != nil {
-		return []ast.Expr{v}
-	}
-	if fn := calleeFunc(pass, call); fn != nil && pass.Index.Annotated(fn, "published") {
-		var out []ast.Expr
-		for _, arg := range call.Args {
-			if refShaped(pass.TypeOf(arg)) {
-				out = append(out, arg)
-			}
-		}
-		return out
-	}
-	return nil
-}
-
 // localRefVar resolves id to a function-local (or parameter)
 // reference-shaped variable, else nil.
 func localRefVar(pass *Pass, id *ast.Ident) types.Object {
@@ -133,7 +114,6 @@ func (a *aliasClasses) union(x, y types.Object) {
 func checkPublishIn(pass *Pass, body *ast.BlockStmt) {
 	// Pass 1: find publication sinks and their root variables.
 	type sink struct {
-		node  ast.Node // enclosing atomic node (statement-level)
 		call  *ast.CallExpr
 		roots []types.Object
 	}
@@ -143,20 +123,18 @@ func checkPublishIn(pass *Pass, body *ast.BlockStmt) {
 		if !ok {
 			return
 		}
-		values := publishSink(pass, call)
-		if len(values) == 0 {
+		value := atomicPointerSink(pass, call)
+		if value == nil {
 			return
 		}
 		var roots []types.Object
-		for _, v := range values {
-			inspectShallow(v, func(m ast.Node) {
-				if id, ok := m.(*ast.Ident); ok {
-					if obj := localRefVar(pass, id); obj != nil {
-						roots = append(roots, obj)
-					}
+		inspectShallow(value, func(m ast.Node) {
+			if id, ok := m.(*ast.Ident); ok {
+				if obj := localRefVar(pass, id); obj != nil {
+					roots = append(roots, obj)
 				}
-			})
-		}
+			}
+		})
 		if len(roots) > 0 {
 			sinks = append(sinks, sink{call: call, roots: roots})
 		}
@@ -247,7 +225,7 @@ func checkPublishIn(pass *Pass, body *ast.BlockStmt) {
 					return
 				}
 				if bit, ok := vars[obj]; ok && state.Has(bit) {
-					pass.Reportf(at.Pos(), "write to %s after %s was published: values behind atomic.Pointer.Store/CompareAndSwap (or //coflow:published sinks) must be frozen", describeExpr(lhs), root.Name)
+					pass.Reportf(at.Pos(), "write to %s after %s was published: values behind atomic.Pointer.Store/CompareAndSwap must be frozen", describeExpr(lhs), root.Name)
 				}
 			}
 			switch n := n.(type) {

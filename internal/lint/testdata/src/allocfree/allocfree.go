@@ -113,6 +113,37 @@ func suppressedColdPath() {
 	_ = make([]int, 1)
 }
 
+// A suppression that silences nothing is itself a finding: it would
+// hide the next real one on its line.
+//
+//coflow:allocfree
+func staleSuppression(x int) int {
+	// want(+1) "lint:ignore allocfree suppresses nothing"
+	//lint:ignore allocfree the make this excused was removed long ago
+	return x + 1
+}
+
+// A panic statement is a cold terminator, not an allocation site: its
+// formatted message is exempt. The same fmt call outside a panic is
+// still flagged.
+//
+//coflow:allocfree
+func panicsCold(n int) string {
+	if n < 0 {
+		panic(fmt.Sprintf("negative size %d", n))
+	}
+	return fmt.Sprintf("size %d", n) // want "calls fmt"
+}
+
+// A misspelt annotation guards nothing, so it is a finding.
+//
+// want(+2) "unknown annotation //coflow:allocfre"
+//
+//coflow:allocfre
+func misspelt() []int {
+	return make([]int, 1)
+}
+
 // Unannotated functions may allocate freely.
 func unannotated() []int {
 	return append([]int(nil), 1, 2, 3)

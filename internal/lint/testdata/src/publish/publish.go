@@ -1,6 +1,6 @@
 // Package publish exercises the publish analyzer: a value handed to
-// atomic.Pointer.Store/CompareAndSwap (or a //coflow:published sink)
-// is visible to concurrent readers and must be frozen.
+// atomic.Pointer.Store/CompareAndSwap is visible to concurrent
+// readers and must be frozen.
 package publish
 
 import "sync/atomic"
@@ -11,11 +11,6 @@ type Snap struct {
 }
 
 type Holder struct{ cur atomic.Pointer[Snap] }
-
-// Install hands the snapshot to concurrent readers.
-//
-//coflow:published
-func Install(s *Snap) {}
 
 // storeWrite mutates the snapshot after publishing it.
 func storeWrite(h *Holder) {
@@ -40,14 +35,6 @@ func aliasWrite(h *Holder) {
 	alias := s
 	h.cur.Store(s)
 	alias.n++ // want "after alias was published"
-}
-
-// installWrite publishes through the annotated sink instead of an
-// atomic pointer.
-func installWrite() {
-	s := &Snap{}
-	Install(s)
-	s.n = 7 // want "after s was published"
 }
 
 // buildThenStore does all its writing before publication: clean.

@@ -117,11 +117,7 @@ func terminates(s ast.Stmt) bool {
 	case *ast.ReturnStmt:
 		return true
 	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
-				return true
-			}
-		}
+		return isPanicCall(s.X)
 	case *ast.ForStmt:
 		return s.Cond == nil // for {} without break is endless enough here
 	case *ast.BlockStmt:

@@ -156,11 +156,9 @@ func (mt *Matcher) MatchSupportAtLeastInto(dst []int, d *matrix.Matrix, theta in
 //coflow:allocfree
 func (mt *Matcher) matchSupportAtLeast(d *matrix.Matrix, theta int64) {
 	if d.Rows() != d.Cols() || d.Rows() != mt.n {
-		//lint:ignore allocfree the panic message formats once on a fatal size mismatch, never on the served path
 		panic(fmt.Sprintf("matching: matcher size %d, matrix %d×%d", mt.n, d.Rows(), d.Cols()))
 	}
 	if theta <= 0 {
-		//lint:ignore allocfree the panic message formats once on a fatal threshold misuse, never on the served path
 		panic(fmt.Sprintf("matching: non-positive threshold %d", theta))
 	}
 	n := mt.n

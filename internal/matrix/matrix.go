@@ -85,7 +85,6 @@ func (m *Matrix) At(i, j int) int64 { return m.data[i*m.cols+j] }
 //coflow:allocfree
 func (m *Matrix) Set(i, j int, v int64) {
 	if v < 0 {
-		//lint:ignore allocfree the panic message formats once on a fatal negative-value misuse, never on the served path
 		panic(fmt.Sprintf("matrix: negative value %d at (%d,%d)", v, i, j))
 	}
 	m.data[i*m.cols+j] = v
@@ -99,7 +98,6 @@ func (m *Matrix) Add(i, j int, v int64) {
 	idx := i*m.cols + j
 	nv := m.data[idx] + v
 	if nv < 0 {
-		//lint:ignore allocfree the panic message formats once on a fatal conservation violation, never on the served path
 		panic(fmt.Sprintf("matrix: entry (%d,%d) would become negative (%d)", i, j, nv))
 	}
 	m.data[idx] = nv
@@ -120,7 +118,6 @@ func (m *Matrix) Clone() *Matrix {
 //coflow:allocfree
 func (m *Matrix) CopyFrom(other *Matrix) {
 	if m.rows != other.rows || m.cols != other.cols {
-		//lint:ignore allocfree the panic message formats once on a fatal shape mismatch, never on the served path
 		panic(fmt.Sprintf("matrix: CopyFrom dimension mismatch %d×%d vs %d×%d", m.rows, m.cols, other.rows, other.cols))
 	}
 	copy(m.data, other.data)

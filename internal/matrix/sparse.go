@@ -170,7 +170,6 @@ func (s *Sparse) Val(e int) int64 { return s.ent[e].Val }
 func (s *Sparse) Dec(e int, d int64) {
 	it := &s.ent[e]
 	if d < 0 || it.Val < d {
-		//lint:ignore allocfree the panic message formats once on a fatal invariant violation, never on the served path
 		panic(fmt.Sprintf("matrix: Dec(%d, %d) on cell (%d,%d) holding %d", e, d, it.Row, it.Col, it.Val))
 	}
 	if d == 0 {
