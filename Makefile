@@ -1,7 +1,7 @@
 # Standard developer entry points. Everything is stdlib-only Go; no
 # tools beyond the toolchain are required.
 
-.PHONY: build test check lint lintfix-audit escapecheck escapebaseline slowcheck loadtest scenarios bench bench-baseline bench-all
+.PHONY: build test check lint lintfix-audit escapecheck escapebaseline slowcheck scenarios smoke
 
 build:
 	go build ./...
@@ -13,9 +13,12 @@ test:
 # Pre-merge gate, cheapest checks first: the project analyzers (lint)
 # and the escape-analysis gate fail in seconds with file:line
 # diagnostics, so they run before vet, the race suites, the
-# differential-oracle sweep and churn soak (slowcheck), the scenario
-# smoke (scenarios) and the perf regression gate (bench).
-check: lint escapecheck slowcheck scenarios loadtest bench
+# differential-oracle sweep and churn soak (slowcheck), the in-process
+# scenario replay (scenarios) and two short runs of the benchmark
+# harness (smoke). It writes no tracked file. Performance is judged by
+# the harness alone: `go run ./benchmark -compare a.json b.json`
+# (benchmark/README.md).
+check: lint escapecheck slowcheck scenarios smoke
 	go vet -unsafeptr ./...
 	go test -race ./internal/matrix/... ./internal/matching/... ./internal/obs/... ./internal/online/... ./internal/scenario/... ./internal/switchsim/... ./internal/daemon/... ./internal/shard/... ./internal/lp/...
 
@@ -40,12 +43,12 @@ lintfix-audit:
 # Escape-analysis gate for //coflow:allocfree functions, compare-only
 # against the committed baseline: a NEW "escapes to heap" inside an
 # annotated function fails; pre-existing ones are grandfathered in
-# bench/escapes-baseline.txt.
+# cmd/escapecheck/escapes-baseline.txt.
 escapecheck:
 	go run ./cmd/escapecheck
 
 # Rotate the escape baseline after a deliberate change; commit the
-# resulting bench/escapes-baseline.txt.
+# resulting cmd/escapecheck/escapes-baseline.txt.
 escapebaseline:
 	go run ./cmd/escapecheck -write
 
@@ -61,54 +64,20 @@ slowcheck:
 	go test -run='^$$' -fuzz=FuzzSparseVsDense -fuzztime=30s ./internal/lp/
 	go test -run='^$$' -fuzz=FuzzRollingVsSummarize -fuzztime=30s ./internal/stats/
 
-# Bounded end-to-end load smoke: coflowload drives an in-process
-# 4-fabric coflowd over loopback HTTP for a few seconds and FAILS on
-# any 5xx or on zero ingest throughput. The human-readable report
-# (p50/p99 ingest latency, per-fabric tick latency) prints either way.
-loadtest:
-	go run ./cmd/coflowload -selftest -shards 4 -duration 3s -c 8 -bulk 16
-
 # Scenario smoke: replay every built-in scenario through the
 # in-process driver (monitor validating every slot, planner
-# cross-checked) and one churn scenario end-to-end over loopback HTTP
-# against an in-process sharded coflowd. Fails on any monitor
-# violation, lost demand, 5xx, or unresolved coflow.
+# cross-checked). Fails on any monitor violation or lost demand. The
+# same scripts over loopback HTTP are a tier-1 test
+# (internal/shard TestScenariosOverHTTP).
 scenarios:
 	go test -run='TestBuiltinsReplayClean|TestChurnShadowReplay' -count=1 ./internal/scenario/
-	go run ./cmd/coflowload -selftest -shards 2 -scenario churn-cancel -tick 2ms
 
-# Tracked perf benchmarks, compare-only: runs the per-slot pipeline
-# (Step), BvN decomposition, LP solve, daemon tick (Step + snapshot
-# publication under a standing backlog) and rolling-window benches 3×,
-# joins the per-benchmark minimum (noise only adds time) against the
-# rolling baseline in bench/baseline.txt, emits $(BENCHOUT), and FAILS
-# if any Step, Decompose, LPSolve or DaemonTick benchmark is more than
-# MAXREGRESS percent slower in ns/op (or allocates more than the
-# baseline did). The default budget of 20% absorbs the run-to-run drift
-# of shared/virtualized machines (observed up to ~18% on identical
-# binaries); on an idle dedicated box tighten it: `make bench
-# MAXREGRESS=5`. The benches run at -cpu 1 because every committed
-# baseline (bench/baseline.txt and the BENCH_PR*.json ledgers) was
-# recorded at 1 CPU, and ns/op and allocs/op rows are only comparable
-# at the same CPU count. The run itself is never committed; rotate the
-# baseline explicitly with bench-baseline after an intentional perf
-# change. (bench/pr1-baseline.txt is the frozen pre-optimization record
-# the PR 2 speedup numbers in EXPERIMENTS.md are measured against.) The
-# JSON report lands in $(BENCHOUT).
-MAXREGRESS ?= 20
-BENCHOUT ?= BENCH_PR14.json
-BENCHRE = ^(BenchmarkStep|BenchmarkDecompose|BenchmarkLPSolve|BenchmarkDaemonTick|BenchmarkRollingObserveSummary)
-BENCHPKGS = ./internal/online/ ./internal/bvn/ ./internal/lpmodel/ ./internal/daemon/ ./internal/stats/
-bench:
-	go test -bench='$(BENCHRE)' -benchmem -benchtime=1s -count=3 -cpu 1 -run='^$$' $(BENCHPKGS) > bench/latest.txt
-	go run ./cmd/benchjson -old bench/baseline.txt -gate Step,Decompose,LPSolve,DaemonTick -maxregress $(MAXREGRESS) \
-		< bench/latest.txt > $(BENCHOUT)
-
-# Rotate the rolling baseline the bench gate compares against. Run on
-# an idle machine and commit the new bench/baseline.txt.
-bench-baseline:
-	go test -bench='$(BENCHRE)' -benchmem -benchtime=1s -count=3 -cpu 1 -run='^$$' $(BENCHPKGS) | tee bench/baseline.txt
-
-# Every benchmark in the repository (experiments included; slow).
-bench-all:
-	go test -bench=. -benchmem -run=^$$ ./...
+# Harness smoke: two seconds of closed-loop HTTP load against a
+# wall-clock 4-fabric cluster, then the churn replay with tracing on
+# (the traced run executes the shadow passes). run.sh exits 1 on any
+# failed operation or output check: a 5xx, a transport error, a refused
+# item, a coflow unresolved at drain, a Σ wC below its lower bound or
+# different from the bare scheduler's.
+smoke:
+	bash benchmark/run.sh --workload serve-http --seconds 2 --trace 0
+	bash benchmark/run.sh --workload replay-churn-plan --seconds 2 --trace 1

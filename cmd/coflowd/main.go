@@ -7,8 +7,9 @@
 // demand on a failed port parks until recovery, it is never dropped)
 // and for reading live scheduler metrics. Cancelling a coflow that
 // already completed or was cancelled answers 409 with the structured
-// kind "terminal_coflow"; churn-heavy clients (cmd/coflowload
-// -scenario) treat that as expected cancel-vs-completion racing.
+// kind "terminal_coflow"; churn-heavy clients (the scenario replays
+// in internal/shard's tests and the benchmark harness) treat that as
+// expected cancel-vs-completion racing.
 //
 // The control plane is shard.Cluster.Handler at every fabric count —
 // there is no separate single-fabric API — so responses always name
@@ -69,7 +70,6 @@ import (
 	"log"
 	"net/http"
 	"net/http/pprof"
-	"os"
 	"os/signal"
 	"strconv"
 	"strings"
@@ -163,6 +163,10 @@ func main() {
 		}()
 	}
 
+	// Registered before "serving on" is logged, so whoever waits for
+	// that line can signal at once and still get the graceful path.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
 	srv := &http.Server{Addr: *addr, Handler: c.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
@@ -172,8 +176,6 @@ func main() {
 		log.Printf("  fabric %d: m=%d", i, c.Fabric(i).Ports())
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
 	select {
 	case <-ctx.Done():
 		log.Print("signal received; draining")
@@ -189,17 +191,14 @@ func main() {
 	if err := srv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		log.Printf("http shutdown: %v", err)
 	}
+	// Close returns nil only if every fabric wrote its snapshot, so
+	// success is logged on nil alone and a failure is the only line.
 	if err := c.Close(); err != nil {
 		log.Printf("close: %v", err)
-	}
-	if *snapshot != "" {
-		if c.Shards() == 1 {
-			if _, err := os.Stat(*snapshot); err == nil {
-				log.Printf("final state written to %s", *snapshot)
-			}
-		} else {
-			log.Printf("final state written to %s.fabric0..%s.fabric%d", *snapshot, *snapshot, c.Shards()-1)
-		}
+	} else if *snapshot != "" && c.Shards() == 1 {
+		log.Printf("final state written to %s", *snapshot)
+	} else if *snapshot != "" {
+		log.Printf("final state written to %s.fabric0..%s.fabric%d", *snapshot, *snapshot, c.Shards()-1)
 	}
 	m := c.Metrics()
 	log.Printf("stopped: %d registered, %d completed, %d cancelled across %d fabrics",

@@ -27,7 +27,7 @@ import (
 )
 
 func main() {
-	baselinePath := flag.String("baseline", "bench/escapes-baseline.txt", "baseline file, relative to the module root")
+	baselinePath := flag.String("baseline", "cmd/escapecheck/escapes-baseline.txt", "baseline file, relative to the module root")
 	write := flag.Bool("write", false, "rewrite the baseline instead of comparing")
 	dir := flag.String("dir", ".", "directory inside the module to check")
 	flag.Parse()

@@ -155,7 +155,13 @@ type Decomposition = bvn.Decomposition
 // Decompose runs Algorithm 1 on a demand matrix: scheduling the
 // returned matchings for their counts clears D in exactly ρ(D) slots
 // (Lemma 4), which is optimal for a coflow alone in the network.
-func Decompose(d *Matrix) (*Decomposition, error) { return bvn.Decompose(d) }
+func Decompose(d *Matrix) (*Decomposition, error) {
+	dec, err := bvn.NewDecomposer(d.Rows()).Decompose(d)
+	if err != nil {
+		return nil, err
+	}
+	return dec.Clone(), nil
+}
 
 // Decomposer is the reusable, zero-allocation engine behind Decompose
 // for a fixed port count: it owns all scratch (working matrix,

@@ -231,27 +231,16 @@ func AugmentInto(dst, d *matrix.Matrix) *matrix.Matrix {
 	return dst
 }
 
-// Decompose runs Algorithm 1 on d and returns the full decomposition.
-// It errors only if an internal invariant is violated (a balanced
-// matrix whose support has no perfect matching), which cannot happen
-// for valid inputs.
+// Clone returns a deep copy that owns its storage, for a result that
+// must outlive the next call on the Decomposer that lent it.
 //
-// This is the one-shot convenience form: it builds a throwaway
-// Decomposer per call. Repeated callers (the slot pipeline) should
-// hold a Decomposer, whose steady-state calls are allocation-free.
-func Decompose(d *matrix.Matrix) (*Decomposition, error) {
-	return DecomposeWith(d, StrategyFirst)
-}
-
-// MustDecompose is Decompose that panics on error. The error paths are
-// unreachable for valid (square, non-negative) inputs, so callers that
-// construct matrices through the matrix package can use this form.
-func MustDecompose(d *matrix.Matrix) *Decomposition {
-	dec, err := Decompose(d)
-	if err != nil {
-		panic(err)
+//coflow:clones
+func (d *Decomposition) Clone() *Decomposition {
+	c := &Decomposition{Load: d.Load, Terms: make([]Term, len(d.Terms)), m: d.m}
+	for i, t := range d.Terms {
+		c.Terms[i] = Term{Count: t.Count, Perm: t.Perm.Clone()}
 	}
-	return dec
+	return c
 }
 
 // TotalSlots returns Σ q_u (equal to Load for a valid decomposition).

@@ -63,13 +63,24 @@ func TestAugmentPanicsNonSquare(t *testing.T) {
 	Augment(matrix.New(2, 3))
 }
 
+// decompose runs Algorithm 1 on a Decomposer built for this one call,
+// so nothing can recycle the result under the test.
+func decompose(tb testing.TB, d *matrix.Matrix, strategy Strategy) *Decomposition {
+	tb.Helper()
+	dec, err := NewDecomposer(d.Rows()).DecomposeWith(d, strategy)
+	if err != nil {
+		tb.Fatalf("DecomposeWith(%s) on %v: %v", strategy, d, err)
+	}
+	return dec
+}
+
 func TestDecomposeFigure1(t *testing.T) {
 	// The paper's Figure 1 coflow: ρ = 3, finishes in 3 slots.
 	d := matrix.MustFromRows([][]int64{
 		{1, 2},
 		{2, 1},
 	})
-	dec := MustDecompose(d)
+	dec := decompose(t, d, StrategyFirst)
 	if dec.Load != 3 {
 		t.Fatalf("Load = %d, want 3", dec.Load)
 	}
@@ -82,7 +93,7 @@ func TestDecomposeFigure1(t *testing.T) {
 }
 
 func TestDecomposeZero(t *testing.T) {
-	dec := MustDecompose(matrix.NewSquare(4))
+	dec := decompose(t, matrix.NewSquare(4), StrategyFirst)
 	if dec.Load != 0 || len(dec.Terms) != 0 {
 		t.Fatalf("zero matrix decomposition: load=%d terms=%d", dec.Load, len(dec.Terms))
 	}
@@ -94,7 +105,7 @@ func TestDecomposeZero(t *testing.T) {
 func TestDecomposeSingleEntry(t *testing.T) {
 	d := matrix.NewSquare(1)
 	d.Set(0, 0, 7)
-	dec := MustDecompose(d)
+	dec := decompose(t, d, StrategyFirst)
 	if dec.Load != 7 || len(dec.Terms) != 1 || dec.Terms[0].Count != 7 {
 		t.Fatalf("unexpected decomposition: %+v", dec)
 	}
@@ -106,7 +117,7 @@ func TestDecomposeIdentityLike(t *testing.T) {
 		{0, 4, 0},
 		{0, 0, 4},
 	})
-	dec := MustDecompose(d)
+	dec := decompose(t, d, StrategyFirst)
 	if dec.Load != 4 {
 		t.Fatalf("Load = %d, want 4", dec.Load)
 	}
@@ -140,7 +151,7 @@ func TestDecomposeAppendixBMatrices(t *testing.T) {
 		t.Fatalf("ρ(D1+D2) = %d, want 30", sum.Load())
 	}
 	for _, d := range []*matrix.Matrix{d1, d2, sum} {
-		dec := MustDecompose(d)
+		dec := decompose(t, d, StrategyFirst)
 		if err := dec.Verify(d); err != nil {
 			t.Fatal(err)
 		}
@@ -165,10 +176,7 @@ func TestDecomposeRandomVerify(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		m := 1 + rng.Intn(8)
 		d := randomMatrix(rng, m, 20)
-		dec, err := Decompose(d)
-		if err != nil {
-			t.Fatalf("trial %d: %v for %v", trial, err, d)
-		}
+		dec := decompose(t, d, StrategyFirst)
 		if err := dec.Verify(d); err != nil {
 			t.Fatalf("trial %d: %v for %v", trial, err, d)
 		}
@@ -183,7 +191,7 @@ func TestDecompositionCoversDemand(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		m := 2 + rng.Intn(5)
 		d := randomMatrix(rng, m, 15)
-		dec := MustDecompose(d)
+		dec := decompose(t, d, StrategyFirst)
 		cover := matrix.NewSquare(m)
 		for _, term := range dec.Terms {
 			for i, j := range term.Perm.To {
@@ -222,30 +230,9 @@ func TestAugmentBoundedChanges(t *testing.T) {
 
 func TestVerifyCatchesCorruption(t *testing.T) {
 	d := matrix.MustFromRows([][]int64{{1, 2}, {2, 1}})
-	dec := MustDecompose(d)
+	dec := decompose(t, d, StrategyFirst)
 	dec.Terms[0].Count++
 	if err := dec.Verify(d); err == nil {
 		t.Fatal("Verify accepted a corrupted decomposition")
-	}
-}
-
-func BenchmarkDecompose50Dense(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	d := randomMatrix(rng, 50, 50)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MustDecompose(d)
-	}
-}
-
-func BenchmarkDecompose150Sparse(b *testing.B) {
-	rng := rand.New(rand.NewSource(10))
-	d := matrix.NewSquare(150)
-	for k := 0; k < 600; k++ {
-		d.Set(rng.Intn(150), rng.Intn(150), rng.Int63n(100)+1)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MustDecompose(d)
 	}
 }

@@ -29,8 +29,8 @@ import (
 //
 // The returned *Decomposition aliases the Decomposer's recycled
 // storage: it is valid until the next Decompose/DecomposeWith/Update
-// call on the same Decomposer. Callers that need the terms afterwards
-// must copy them first. A Decomposer is NOT safe for concurrent use.
+// call on the same Decomposer. Callers that need it afterwards take a
+// Clone first. A Decomposer is NOT safe for concurrent use.
 type Decomposer struct {
 	m       int
 	matcher *matching.Matcher

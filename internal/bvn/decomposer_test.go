@@ -207,10 +207,24 @@ func TestDecomposeDoesNotAllocate(t *testing.T) {
 	})
 }
 
+// benchMatrix builds a dense-ish random demand matrix: the shape the
+// decomposition loop sees after Augment, where extraction cost is
+// dominated by the per-term perfect-matching search.
+func benchMatrix(m int, density float64, seed int64) *matrix.Matrix {
+	rng := rand.New(rand.NewSource(seed))
+	d := matrix.NewSquare(m)
+	for i := 0; i < m; i++ {
+		for j := 0; j < m; j++ {
+			if rng.Float64() < density {
+				d.Set(i, j, int64(1+rng.Intn(50)))
+			}
+		}
+	}
+	return d
+}
+
 // benchDecomposer measures the steady-state reusable path: one held
-// Decomposer, cold Decompose per iteration (the BENCH gate pairs these
-// with the package-level BenchmarkDecompose* numbers, whose per-call
-// pool build they strip away).
+// Decomposer, cold Decompose per iteration.
 func benchDecomposer(b *testing.B, m int, density float64, strategy Strategy) {
 	b.Helper()
 	d := benchMatrix(m, density, 17)
@@ -271,5 +285,26 @@ func BenchmarkDecomposerUpdateM100Dense(b *testing.B) {
 		if cur, err = dc.Update(served); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// A Clone owns its storage: the lender's next call recycles the loan
+// but must leave the copy alone.
+func TestCloneSurvivesNextDecompose(t *testing.T) {
+	d := benchMatrix(6, 0.7, 3)
+	dc := NewDecomposer(6)
+	loan, err := dc.Decompose(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := loan.Clone()
+	if _, err := dc.Decompose(benchMatrix(6, 0.7, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := kept.Verify(d); err != nil {
+		t.Fatalf("clone changed under the lender's next call: %v", err)
+	}
+	if !kept.Augmented().GE(d) {
+		t.Fatal("clone's lazily rebuilt D̃ does not dominate the demand")
 	}
 }

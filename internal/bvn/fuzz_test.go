@@ -31,10 +31,7 @@ func FuzzDecompose(f *testing.F) {
 				d.Set(i, j, int64(data[i*m+j]))
 			}
 		}
-		dec, err := Decompose(d)
-		if err != nil {
-			t.Fatalf("Decompose failed on %v: %v", d, err)
-		}
+		dec := decompose(t, d, StrategyFirst)
 		if err := dec.Verify(d); err != nil {
 			t.Fatalf("invariant violated on %v: %v", d, err)
 		}

@@ -7,13 +7,13 @@ import (
 
 // Obs instruments Algorithm 1. Every field is a nil-safe obs metric,
 // so the zero value (the default) is free: each site costs one nil
-// check. Hooks are package-level because Decompose is a pure function
-// with many call sites (core, switchsim, experiments); install them
-// once at startup with SetObs, before any decomposition runs.
+// check. A Decomposer takes its hooks through Decomposer.SetObs; the
+// batch CLIs install one package-wide default at startup with SetObs,
+// which switchsim's executor hands to the Decomposer it holds.
 //
 // Stage taxonomy:
 //
-//	decompose  one whole Decompose/DecomposeWith call
+//	decompose  one whole cold Decompose/DecomposeWith call
 //	augment    Step 1 (balance D to D̃ with all sums = ρ)
 //	extract    Step 2 (one matching extraction + subtraction per term)
 type Obs struct {

@@ -1,10 +1,6 @@
 package bvn
 
-import (
-	"fmt"
-
-	"coflow/internal/matrix"
-)
+import "fmt"
 
 // Strategy selects how Step 2 of Algorithm 1 extracts matchings. Both
 // strategies satisfy Lemma 4 exactly (Σq_u = ρ, ≤ m² terms); they
@@ -31,17 +27,4 @@ func (s Strategy) String() string {
 		return "thick"
 	}
 	return fmt.Sprintf("Strategy(%d)", int(s))
-}
-
-// DecomposeWith runs Algorithm 1 using the given extraction strategy.
-//
-// This is the one-shot convenience form: it builds a throwaway
-// Decomposer per call. Repeated callers (the slot pipeline) should
-// hold a Decomposer, whose steady-state calls are allocation-free and
-// whose bottleneck probes reuse one warm matcher across terms.
-func DecomposeWith(d *matrix.Matrix, strategy Strategy) (*Decomposition, error) {
-	dc := NewDecomposer(d.Rows())
-	dc.SetObs(pkgObs)
-	//lint:ignore pooled the Decomposer is throwaway: no later call on it can recycle the result's storage
-	return dc.DecomposeWith(d, strategy)
 }

@@ -15,11 +15,11 @@ func TestStrategyString(t *testing.T) {
 
 func TestDecomposeWithFirstMatchesDefault(t *testing.T) {
 	d := matrix.MustFromRows([][]int64{{1, 2}, {2, 1}})
-	a, err := DecomposeWith(d, StrategyFirst)
+	a := decompose(t, d, StrategyFirst)
+	b, err := NewDecomposer(2).Decompose(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := MustDecompose(d)
 	if a.Load != b.Load || len(a.Terms) != len(b.Terms) {
 		t.Fatalf("StrategyFirst diverges from Decompose: %d/%d terms", len(a.Terms), len(b.Terms))
 	}
@@ -30,10 +30,7 @@ func TestThickSatisfiesLemma4(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		m := 1 + rng.Intn(7)
 		d := randomMatrix(rng, m, 20)
-		dec, err := DecomposeWith(d, StrategyThick)
-		if err != nil {
-			t.Fatalf("trial %d: %v for %v", trial, err, d)
-		}
+		dec := decompose(t, d, StrategyThick)
 		if err := dec.Verify(d); err != nil {
 			t.Fatalf("trial %d: %v for %v", trial, err, d)
 		}
@@ -48,10 +45,7 @@ func TestThickExtractsLargestBottleneckFirst(t *testing.T) {
 		{0, 10, 1},
 		{1, 0, 10},
 	})
-	dec, err := DecomposeWith(d, StrategyThick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dec := decompose(t, d, StrategyThick)
 	if dec.Terms[0].Count < 10 {
 		t.Fatalf("first thick term has count %d, want >= 10", dec.Terms[0].Count)
 	}
@@ -70,11 +64,8 @@ func TestThickEmitsNoMoreTermsOnAggregate(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		m := 2 + rng.Intn(6)
 		d := randomMatrix(rng, m, 30)
-		a := MustDecompose(d)
-		b, err := DecomposeWith(d, StrategyThick)
-		if err != nil {
-			t.Fatal(err)
-		}
+		a := decompose(t, d, StrategyFirst)
+		b := decompose(t, d, StrategyThick)
 		totalFirst += len(a.Terms)
 		totalThick += len(b.Terms)
 	}
@@ -84,38 +75,8 @@ func TestThickEmitsNoMoreTermsOnAggregate(t *testing.T) {
 }
 
 func TestDecomposeWithZero(t *testing.T) {
-	dec, err := DecomposeWith(matrix.NewSquare(3), StrategyThick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dec := decompose(t, matrix.NewSquare(3), StrategyThick)
 	if len(dec.Terms) != 0 || dec.Load != 0 {
 		t.Fatalf("zero matrix: %+v", dec)
 	}
-}
-
-func BenchmarkDecomposeThick50(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	d := randomMatrix(rng, 50, 50)
-	b.ResetTimer()
-	var terms int
-	for i := 0; i < b.N; i++ {
-		dec, err := DecomposeWith(d, StrategyThick)
-		if err != nil {
-			b.Fatal(err)
-		}
-		terms = len(dec.Terms)
-	}
-	b.ReportMetric(float64(terms), "terms")
-}
-
-func BenchmarkDecomposeFirst50(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	d := randomMatrix(rng, 50, 50)
-	b.ResetTimer()
-	var terms int
-	for i := 0; i < b.N; i++ {
-		dec := MustDecompose(d)
-		terms = len(dec.Terms)
-	}
-	b.ReportMetric(float64(terms), "terms")
 }

@@ -322,17 +322,6 @@ func TestOrderingString(t *testing.T) {
 	}
 }
 
-func BenchmarkAlgorithm2_20x12(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	ins := randomInstance(rng, 12, 20, 20, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Algorithm2(ins); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // ThickMatchings must produce dramatically fewer distinct matchings
 // while every schedule-quality invariant still holds.
 func TestThickMatchingsReducesReconfigurations(t *testing.T) {

@@ -271,17 +271,6 @@ func TestFeasibleDeadlinesTrivial(t *testing.T) {
 	}
 }
 
-func BenchmarkExactTiny(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	ins := randomTiny(rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Solve(ins); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // bestPermutationSchedule evaluates the canonical priority-greedy
 // realization of every fixed coflow permutation and returns the best
 // total weighted completion time.

@@ -8,8 +8,8 @@ import (
 
 // AllocFree rejects allocation-causing constructs inside functions
 // annotated //coflow:allocfree. It is the compile-time sibling of the
-// runtime gates (online.TestStepDoesNotAllocate, make bench's
-// allocs/op comparison): the runtime gates tell you THAT the hot path
+// runtime gates (online.TestStepDoesNotAllocate and its siblings, the
+// harness's alloc_kb_per_op): the runtime gates tell you THAT the hot path
 // allocated, this analyzer tells you WHERE, before the code runs.
 //
 // Flagged constructs:

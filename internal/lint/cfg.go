@@ -43,13 +43,12 @@ type Block struct {
 	Term TermKind
 }
 
-// CFG is the control-flow graph of a single function body. Deferred
-// calls are collected separately (they run at every exit) rather than
-// modeled as edges.
+// CFG is the control-flow graph of a single function body. A defer
+// statement is one atomic node where it appears; the deferred call's
+// run at every exit is not modeled as an edge.
 type CFG struct {
 	Blocks []*Block
 	Exit   *Block
-	Defers []*ast.DeferStmt
 
 	reach []bool
 }
@@ -183,10 +182,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 			b.edge(b.cur, b.cfg.Exit)
 			b.dangle()
 		}
-
-	case *ast.DeferStmt:
-		b.add(s)
-		b.cfg.Defers = append(b.cfg.Defers, s)
 
 	case *ast.IfStmt:
 		if s.Init != nil {
@@ -334,7 +329,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		// nothing
 
 	default:
-		// AssignStmt, DeclStmt, IncDecStmt, SendStmt, GoStmt, and
+		// AssignStmt, DeclStmt, IncDecStmt, SendStmt, GoStmt, DeferStmt, and
 		// anything else simple: one atomic node.
 		b.add(s)
 	}

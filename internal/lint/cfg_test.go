@@ -222,18 +222,6 @@ func TestCFGPanicTerminator(t *testing.T) {
 	}
 }
 
-func TestCFGDefersCollected(t *testing.T) {
-	c := BuildCFG(parseFuncBody(t, `
-		defer println("one")
-		if true {
-			defer println("two")
-		}
-	`))
-	if len(c.Defers) != 2 {
-		t.Fatalf("got %d defers, want 2", len(c.Defers))
-	}
-}
-
 func TestCFGSwitchFallthroughAndDefault(t *testing.T) {
 	c := BuildCFG(parseFuncBody(t, `
 		x := 1

@@ -400,42 +400,6 @@ func TestSimplexMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func BenchmarkSimplexMedium(b *testing.B) {
-	// 120 vars, 90 rows of the load-constraint shape.
-	rng := rand.New(rand.NewSource(8))
-	build := func() *Problem {
-		p := NewProblem(120)
-		for j := 0; j < 120; j++ {
-			p.SetObjective(j, rng.Float64()*10)
-		}
-		for r := 0; r < 80; r++ {
-			var es []Entry
-			for j := 0; j < 120; j++ {
-				if rng.Intn(4) == 0 {
-					es = append(es, Entry{j, float64(1 + rng.Intn(9))})
-				}
-			}
-			p.AddConstraint(es, LE, float64(50+rng.Intn(200)))
-		}
-		for k := 0; k < 10; k++ {
-			var es []Entry
-			for l := 0; l < 12; l++ {
-				es = append(es, Entry{k*12 + l, 1})
-			}
-			p.AddConstraint(es, EQ, 1)
-		}
-		return p
-	}
-	p := build()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sol, err := Solve(p)
-		if err != nil || sol.Status != Optimal {
-			b.Fatalf("solve failed: %v %v", err, sol.Status)
-		}
-	}
-}
-
 func TestAccessors(t *testing.T) {
 	p := NewProblem(3)
 	p.AddConstraint([]Entry{{0, 1}}, LE, 1)

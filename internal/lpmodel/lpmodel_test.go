@@ -324,17 +324,6 @@ func randomInstance(rng *rand.Rand, m, n int, maxSize int64) *coflowmodel.Instan
 	return ins
 }
 
-func BenchmarkIntervalLP20x10(b *testing.B) {
-	rng := rand.New(rand.NewSource(12))
-	ins := randomInstance(rng, 10, 20, 20)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := SolveIntervalLP(ins); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func TestAlphaPointsSingleCoflow(t *testing.T) {
 	sol, err := SolveIntervalLP(singleCoflowInstance())
 	if err != nil {

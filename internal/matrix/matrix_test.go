@@ -352,12 +352,3 @@ func TestLoadMatchesBruteForce(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkLoad150(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	d := randomMatrix(rng, 150, 100)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = d.Load()
-	}
-}

@@ -154,17 +154,6 @@ func TestPolicyString(t *testing.T) {
 	}
 }
 
-func BenchmarkOnlineSEBF(b *testing.B) {
-	rng := rand.New(rand.NewSource(6))
-	ins := randomInstance(rng, 20, 30, 20, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Simulate(ins, SEBF); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func TestSimulateOrderFixedPriority(t *testing.T) {
 	big := coflowmodel.Coflow{ID: 1, Weight: 1, Flows: []coflowmodel.Flow{{Src: 0, Dst: 0, Size: 20}}}
 	small := coflowmodel.Coflow{ID: 2, Weight: 1, Flows: []coflowmodel.Flow{{Src: 0, Dst: 0, Size: 2}}}

@@ -2,8 +2,8 @@
 // processes, demand shapers, churn models and failure injection into
 // timed event scripts, and replays them against the online scheduling
 // stack — in-process (online.State + online.Planner under a
-// check.Monitor) or over HTTP (cmd/coflowload -scenario) against a
-// live daemon or sharded cluster.
+// check.Monitor) or over HTTP against a sharded cluster
+// (internal/shard's TestScenariosOverHTTP, the benchmark harness).
 //
 // The paper's experiments (§4) run one friendly batch distribution;
 // the authors' follow-up experimental work evaluates the same

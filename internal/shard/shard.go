@@ -184,8 +184,8 @@ func New(cfg Config) (*Cluster, error) {
 // Shards returns the fabric count.
 func (c *Cluster) Shards() int { return len(c.fabrics) }
 
-// Fabric returns fabric i (panics out of range). For tests and the
-// load generator's self-test harness.
+// Fabric returns fabric i (panics out of range). For tests, coflowd's
+// start-up log and the benchmark harness.
 func (c *Cluster) Fabric(i int) *daemon.Daemon { return c.fabrics[i] }
 
 // Close drains every fabric: each loop stops, writes its final

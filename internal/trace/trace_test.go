@@ -212,15 +212,6 @@ func TestSummarizeCounts(t *testing.T) {
 	}
 }
 
-func BenchmarkGenerateDefault(b *testing.B) {
-	cfg := DefaultConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := Generate(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // TestConfigWidthBounds: the width-band edge cases the scenario
 // engine exposes — bounds beyond the port count or inverted — are
 // rejected, not silently generated.

@@ -182,14 +182,3 @@ func TestFluidCompetitiveWithSlotted(t *testing.T) {
 		t.Fatalf("fluid scheduler uncompetitive: %g vs slotted %g", fluid, slotted)
 	}
 }
-
-func BenchmarkSimulate30x20(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	ins := randomInstance(rng, 20, 30, 30, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Simulate(ins); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
