@@ -1,7 +1,7 @@
 # Standard developer entry points. Everything is stdlib-only Go; no
 # tools beyond the toolchain are required.
 
-.PHONY: build test check lint lintfix-audit escapecheck escapebaseline slowcheck scenarios smoke
+.PHONY: build test check race lint lintfix-audit escapecheck escapebaseline slowcheck fuzz scenarios smoke
 
 build:
 	go build ./...
@@ -20,6 +20,12 @@ test:
 # (benchmark/README.md).
 check: lint escapecheck slowcheck scenarios smoke
 	go vet -unsafeptr ./...
+	$(MAKE) race
+
+# The race suites: every package that shares state between goroutines
+# or is called from one that does. This is the one copy of the list;
+# the CI race job runs this target.
+race:
 	go test -race ./internal/matrix/... ./internal/matching/... ./internal/obs/... ./internal/online/... ./internal/scenario/... ./internal/switchsim/... ./internal/daemon/... ./internal/shard/... ./internal/lp/...
 
 # Project-specific static analysis (internal/lint run by
@@ -53,13 +59,20 @@ escapebaseline:
 	go run ./cmd/escapecheck -write
 
 # Differential oracle at full depth: the slowcheck-tagged sweeps
-# (larger fabrics, every policy, state diffs every slot) plus bounded
-# runs of the fuzz targets that pin a fast path to its reference (Step,
-# sparse LP, rolling window). Any failure dumps a minimized reproducer;
-# see DESIGN.md "Invariant checking".
+# (larger fabrics, every policy, state diffs every slot) plus the
+# bounded fuzz runs. Any failure dumps a minimized reproducer; see
+# DESIGN.md "Invariant checking".
 slowcheck:
 	go test -tags=slowcheck ./internal/check/
 	go test -race -tags=slowcheck -run=TestChurnSoak ./internal/shard/
+	$(MAKE) fuzz
+
+# Bounded runs of the fuzz targets that pin a fast path to its
+# reference: Step to check.Reference, the sparse LP pipeline to the
+# dense tableau, the order-statistic rolling window to stats.Summarize.
+# This is the one copy of the list; the CI differential job runs this
+# target.
+fuzz:
 	go test -run='^$$' -fuzz=FuzzStepVsReference -fuzztime=30s ./internal/check/
 	go test -run='^$$' -fuzz=FuzzSparseVsDense -fuzztime=30s ./internal/lp/
 	go test -run='^$$' -fuzz=FuzzRollingVsSummarize -fuzztime=30s ./internal/stats/

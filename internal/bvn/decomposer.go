@@ -114,9 +114,6 @@ func (dc *Decomposer) SetObs(o Obs) {
 	dc.matcher.SetObs(o.Matcher)
 }
 
-// Size returns the port count m the Decomposer was built for.
-func (dc *Decomposer) Size() int { return dc.m }
-
 // Decompose runs Algorithm 1 cold on d with StrategyFirst. See the
 // type comment for the aliasing contract of the result.
 //

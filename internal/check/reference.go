@@ -82,9 +82,6 @@ func NewReference(ports int) *Reference {
 	return &Reference{ports: ports}
 }
 
-// Ports returns the switch size m.
-func (r *Reference) Ports() int { return r.ports }
-
 // Len returns the number of live coflows.
 func (r *Reference) Len() int { return len(r.coflows) }
 

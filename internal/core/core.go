@@ -345,18 +345,6 @@ func Proposition1Bound(ins *coflowmodel.Instance, order []int, stages []switchsi
 	return out
 }
 
-// Proposition2Bound returns, for each order position, the randomized
-// guarantee of Eq. 20 on E[C_k]: (release wait) + (3/2 + √2)·V_k.
-func Proposition2Bound(ins *coflowmodel.Instance, order []int, stages []switchsim.Stage, v []int64) []float64 {
-	factor := 1.5 + math.Sqrt2
-	rel := prefixReleaseByStage(ins, order, stages)
-	out := make([]float64, len(order))
-	for pos := range order {
-		out[pos] = float64(rel[pos]) + factor*float64(v[pos])
-	}
-	return out
-}
-
 // DeterministicRatio and RandomizedRatio are the worst-case guarantees
 // proven in Theorems 1 and 2 (release dates allowed), and the
 // zero-release variants of Corollaries 1 and 2.

@@ -172,7 +172,7 @@ func requireAgreement(t *testing.T, p *Problem, label string) {
 }
 
 // randomProblem generates a random sparse LP shaped to exercise every
-// reduction and status path: small integer-ish coefficients (ties and
+// row reduction and status path: small integer-ish coefficients (ties and
 // degeneracy), mixed senses, occasional empty/singleton rows,
 // duplicate entries, and negative right-hand sides.
 func randomProblem(rng *rand.Rand) *Problem {
@@ -181,7 +181,7 @@ func randomProblem(rng *rand.Rand) *Problem {
 	p := NewProblem(numVars)
 	for v := 0; v < numVars; v++ {
 		switch rng.Intn(4) {
-		case 0: // zero cost: free-singleton and empty-column fodder
+		case 0: // zero cost: columns only their rows say anything about
 		default:
 			p.SetObjective(v, float64(rng.Intn(11)-5)/2)
 		}

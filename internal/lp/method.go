@@ -2,7 +2,9 @@ package lp
 
 // The presolve + revised-simplex pipeline (presolve.go, sparse.go) is
 // the production solver: lpmodel's SolveIntervalLP/SolveTimeIndexedLP
-// always call it. The dense tableau (lp.go) solves the same problem
+// always call it. Presolve drops rows and shifts variables but keeps
+// every column in place, so the simplex's X is the caller's X moved by
+// a constant per variable. The dense tableau (lp.go) solves the same problem
 // class with the same status contract and stays for two jobs only: the
 // sequential reference the differential tests and goldens compare
 // against, and SolveSparse's fallback on numerical breakdown. Method
@@ -73,16 +75,7 @@ func solveSparse(p *Problem, revised func(*Problem) (*Solution, error)) (*Soluti
 	recordPresolveStats(ps.Stats())
 
 	if ps.Decided() {
-		sol := &Solution{Status: ps.Status(), X: make([]float64, p.numVars)}
-		if ps.Status() == Optimal {
-			x, perr := ps.Postsolve(nil)
-			if perr != nil {
-				return nil, perr
-			}
-			sol.X = x
-			sol.Objective = Objective(p, x)
-		}
-		return sol, nil
+		return &Solution{Status: Infeasible, X: make([]float64, p.numVars)}, nil
 	}
 
 	rsol, err := revised(ps.Reduced())
@@ -115,9 +108,4 @@ func recordPresolveStats(s PresolveStats) {
 	pkgObs.PresolveEmptyRows.Add(int64(s.EmptyRows))
 	pkgObs.PresolveSingletonRows.Add(int64(s.SingletonRows))
 	pkgObs.PresolveRedundantRows.Add(int64(s.RedundantRows))
-	pkgObs.PresolveForcingRows.Add(int64(s.ForcingRows))
-	pkgObs.PresolveFixedVars.Add(int64(s.FixedVars))
-	pkgObs.PresolveEmptyCols.Add(int64(s.EmptyCols))
-	pkgObs.PresolveFreeSingletons.Add(int64(s.FreeSingletons))
-	pkgObs.PresolveTightenedBnds.Add(int64(s.TightenedBnds))
 }

@@ -64,6 +64,11 @@ func WriteMPS(w io.Writer, p *Problem, name string) error {
 	}
 	fmt.Fprintln(bw, "COLUMNS")
 	for v, entries := range cols {
+		if len(entries) == 0 {
+			// A variable with no cost and no row still has to be declared,
+			// or the reader numbers every later variable one too low.
+			entries = []colEntry{{"COST", 0}}
+		}
 		for _, e := range entries {
 			fmt.Fprintf(bw, "    x%-8d %-10s %.17g\n", v, e.row, e.coef)
 		}

@@ -2,48 +2,89 @@ package lp
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
 
-func TestMPSRoundTripSmall(t *testing.T) {
-	p := NewProblem(2)
-	p.SetObjective(0, -3)
-	p.SetObjective(1, -5)
-	p.AddConstraint([]Entry{{0, 1}}, LE, 4)
-	p.AddConstraint([]Entry{{1, 2}}, LE, 12)
-	p.AddConstraint([]Entry{{0, 3}, {1, 2}}, LE, 18)
-
-	var buf bytes.Buffer
-	if err := WriteMPS(&buf, p, "classic"); err != nil {
-		t.Fatal(err)
+// requireSameProblem asserts q is p index for index: the same variable
+// count, objective, and per row the same sense, rhs and (coalesced)
+// coefficient of every variable.
+func requireSameProblem(t *testing.T, label string, p, q *Problem) {
+	t.Helper()
+	if q.NumVars() != p.NumVars() || q.NumConstraints() != p.NumConstraints() {
+		t.Fatalf("%s: round trip read %d vars × %d rows, wrote %d × %d",
+			label, q.NumVars(), q.NumConstraints(), p.NumVars(), p.NumConstraints())
 	}
-	out := buf.String()
-	for _, want := range []string{"NAME", "ROWS", "COLUMNS", "RHS", "ENDATA", "COST"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("MPS output missing %q:\n%s", want, out)
+	if !slices.Equal(q.obj, p.obj) {
+		t.Fatalf("%s: objective %v, wrote %v", label, q.obj, p.obj)
+	}
+	dense := func(r row) []float64 {
+		out := make([]float64, p.NumVars())
+		for _, e := range r.entries {
+			out[e.Var] += e.Coef
+		}
+		return out
+	}
+	for i, r := range p.rows {
+		got := q.rows[i]
+		if got.sense != r.sense || got.rhs != r.rhs || !slices.Equal(dense(got), dense(r)) {
+			t.Fatalf("%s: row %d read %v %v %g, wrote %v %v %g",
+				label, i, dense(got), got.sense, got.rhs, dense(r), r.sense, r.rhs)
 		}
 	}
+}
 
-	q, err := ReadMPS(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	solP, err := Solve(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	solQ, err := Solve(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if solP.Status != Optimal || solQ.Status != Optimal {
-		t.Fatalf("statuses %v/%v", solP.Status, solQ.Status)
-	}
-	if math.Abs(solP.Objective-solQ.Objective) > 1e-9 {
-		t.Fatalf("round trip changed optimum: %g vs %g", solP.Objective, solQ.Objective)
+func TestMPSRoundTripSmall(t *testing.T) {
+	classic := NewProblem(2)
+	classic.SetObjective(0, -3)
+	classic.SetObjective(1, -5)
+	classic.AddConstraint([]Entry{{0, 1}}, LE, 4)
+	classic.AddConstraint([]Entry{{1, 2}}, LE, 12)
+	classic.AddConstraint([]Entry{{0, 3}, {1, 2}}, LE, 18)
+
+	// x1 has no cost and sits in no row; it must still be declared, or
+	// x2 reads back as x1.
+	unused := NewProblem(3)
+	unused.SetObjective(0, -3)
+	unused.SetObjective(2, -5)
+	unused.AddConstraint([]Entry{{0, 1}}, LE, 4)
+	unused.AddConstraint([]Entry{{0, 3}, {2, 2}}, LE, 18)
+
+	for name, p := range map[string]*Problem{"classic": classic, "unused middle column": unused} {
+		var buf bytes.Buffer
+		if err := WriteMPS(&buf, p, "small"); err != nil {
+			t.Fatal(err)
+		}
+		out := buf.String()
+		for _, want := range []string{"NAME", "ROWS", "COLUMNS", "RHS", "ENDATA", "COST"} {
+			if !strings.Contains(out, want) {
+				t.Fatalf("%s: MPS output missing %q:\n%s", name, want, out)
+			}
+		}
+
+		q, err := ReadMPS(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameProblem(t, name, p, q)
+		solP, err := Solve(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		solQ, err := Solve(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if solP.Status != Optimal || solQ.Status != Optimal {
+			t.Fatalf("%s: statuses %v/%v", name, solP.Status, solQ.Status)
+		}
+		if math.Abs(solP.Objective-solQ.Objective) > 1e-9 {
+			t.Fatalf("%s: round trip changed optimum: %g vs %g", name, solP.Objective, solQ.Objective)
+		}
 	}
 }
 
@@ -80,9 +121,7 @@ func TestMPSRoundTripRandom(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v\n%s", trial, err, buf.String())
 		}
-		if q.NumVars() > p.NumVars() {
-			t.Fatalf("trial %d: round trip grew variables %d > %d", trial, q.NumVars(), p.NumVars())
-		}
+		requireSameProblem(t, fmt.Sprintf("trial %d", trial), p, q)
 		solP, err := Solve(p)
 		if err != nil {
 			t.Fatal(err)

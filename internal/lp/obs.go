@@ -5,8 +5,10 @@ import "coflow/internal/obs"
 // Obs instruments the simplex solvers. Every field is a nil-safe obs
 // metric; the zero value (the default) disables them at the cost of
 // one nil check per site. Hooks are package-level because Solve is a
-// pure function called from many places (lpmodel, openshop,
-// experiments); install them once at startup with SetObs.
+// pure function: its one production call site is lpmodel's shared
+// solve path, which core, openshop and experiments all reach, and the
+// benchmark calls it directly. Install them once at startup with
+// SetObs.
 //
 // Stage taxonomy:
 //
@@ -40,15 +42,12 @@ type Obs struct {
 	// breakdown and transparently re-ran on the dense oracle.
 	SparseFallbacks *obs.Counter
 
-	// Per-reduction presolve counts, accumulated across solves.
-	PresolveEmptyRows      *obs.Counter
-	PresolveSingletonRows  *obs.Counter
-	PresolveRedundantRows  *obs.Counter
-	PresolveForcingRows    *obs.Counter
-	PresolveFixedVars      *obs.Counter
-	PresolveEmptyCols      *obs.Counter
-	PresolveFreeSingletons *obs.Counter
-	PresolveTightenedBnds  *obs.Counter
+	// Rows removed by each of presolve's three reductions, accumulated
+	// across solves. Presolve removes no column, so there is no column
+	// counter.
+	PresolveEmptyRows     *obs.Counter
+	PresolveSingletonRows *obs.Counter
+	PresolveRedundantRows *obs.Counter
 }
 
 // pkgObs is the installed hooks; the zero value disables them.
@@ -78,13 +77,8 @@ func NewObs(r *obs.Registry) Obs {
 		SparseSolves:    r.Counter("coflow_lp_sparse_solves_total", "sparse (presolve + revised simplex) solves run"),
 		SparseFallbacks: r.Counter("coflow_lp_sparse_fallbacks_total", "sparse solves that fell back to the dense oracle"),
 
-		PresolveEmptyRows:      r.Counter("coflow_lp_presolve_empty_rows_total", "empty rows dropped by presolve"),
-		PresolveSingletonRows:  r.Counter("coflow_lp_presolve_singleton_rows_total", "singleton rows converted to bounds by presolve"),
-		PresolveRedundantRows:  r.Counter("coflow_lp_presolve_redundant_rows_total", "redundant rows dropped by presolve"),
-		PresolveForcingRows:    r.Counter("coflow_lp_presolve_forcing_rows_total", "forcing rows fixed by presolve"),
-		PresolveFixedVars:      r.Counter("coflow_lp_presolve_fixed_vars_total", "variables fixed and substituted by presolve"),
-		PresolveEmptyCols:      r.Counter("coflow_lp_presolve_empty_cols_total", "empty columns fixed by presolve"),
-		PresolveFreeSingletons: r.Counter("coflow_lp_presolve_free_singletons_total", "free singleton columns solved out by presolve"),
-		PresolveTightenedBnds:  r.Counter("coflow_lp_presolve_tightened_bounds_total", "implied bounds tightened by presolve"),
+		PresolveEmptyRows:     r.Counter("coflow_lp_presolve_empty_rows_total", "empty rows dropped by presolve"),
+		PresolveSingletonRows: r.Counter("coflow_lp_presolve_singleton_rows_total", "singleton rows converted to bounds by presolve"),
+		PresolveRedundantRows: r.Counter("coflow_lp_presolve_redundant_rows_total", "redundant rows dropped by presolve"),
 	}
 }

@@ -1,41 +1,28 @@
 package lp
 
-// Presolve shrinks an LP before the simplex sees it. The
-// interval-indexed coflow relaxations are the target workload: their
-// constraint matrices are mostly unit entries (convexity rows) and
-// cumulative load rows whose bounds make large parts of the problem
-// decidable by inspection. The reductions implemented here are the
-// classic primal ones:
+// Presolve shrinks an LP before the simplex sees it, and it does so by
+// dropping rows only: the reduced problem has exactly the original
+// columns in the original order, so a basis of one reduced problem
+// still names the columns of the next. The interval- and time-indexed
+// coflow relaxations are the target workload, and the reductions kept
+// are the ones their constraint matrices fire (DESIGN.md "Sparse LP
+// pipeline" has the per-reduction traffic table):
 //
 //   - empty rows (dropped when satisfiable, else infeasible);
 //   - singleton rows, converted into variable bounds;
-//   - fixed variables (lower bound meets upper bound), substituted out;
-//   - empty columns, fixed at their best enforced bound;
-//   - free column singletons, solved out of their only row;
-//   - bound tightening from row activity ranges, including redundant
-//     and forcing rows.
+//   - rows that cannot bind under those bounds (redundant), and rows
+//     that cannot be met under them (infeasible).
 //
-// Every reduction pushes a record onto a postsolve stack so the full
-// primal solution of the ORIGINAL problem can be reconstructed from a
-// solution of the reduced one. Postsolve correctness is the contract
-// the property tests in presolve_test.go pin: for every reduction,
-// postsolve output passes CheckFeasible on the original problem with
-// the original objective value.
-//
-// Bookkeeping distinguishes two kinds of bounds:
-//
-//   - enforced bounds (loRow/upRow) come from the original x ≥ 0, from
-//     singleton rows, or are guaranteed by the reduced problem's
-//     construction (lower bounds via variable shifting, upper bounds
-//     via re-emitted singleton rows). Dropping a row as redundant is
-//     only valid against enforced bounds — the row must stay satisfied
-//     by every solution of the REDUCED problem, not just solutions
-//     that happen to respect implied bounds.
-//   - implied bounds (lo/up) additionally fold in activity-based
-//     tightening. They are valid facts about every feasible solution
-//     of the original problem, so they may detect infeasibility, fix
-//     variables and force rows, but they are never relied upon to drop
-//     constraints.
+// The bounds are enforced ones only: the original x ≥ 0 and what
+// singleton rows state. The reduced problem guarantees them by
+// construction — a lower bound by shifting the variable so it is again
+// x′ ≥ 0, an upper bound by one re-emitted row x′ ≤ up − lo — so a row
+// dropped as redundant stays satisfied by every solution of the
+// REDUCED problem, and Postsolve is x′ + shift. A singleton equality
+// needs no case of its own: it sets both bounds and comes out as a
+// shift plus the row x′ ≤ 0. Postsolve correctness is the contract the
+// property tests in presolve_test.go pin: the lifted solution passes
+// CheckFeasible on the original problem with the oracle's objective.
 
 import (
 	"fmt"
@@ -43,48 +30,21 @@ import (
 )
 
 // PresolveStats counts the reductions applied, for reporting through
-// the obs layer and the -v paths of the CLIs.
+// the obs layer and the benchmark's lp.presolve_removed.
 type PresolveStats struct {
-	EmptyRows      int // satisfiable rows with no live entries, dropped
-	SingletonRows  int // rows converted to variable bounds
-	RedundantRows  int // rows that cannot bind under enforced bounds
-	ForcingRows    int // rows whose activity range pins every member
-	FixedVars      int // variables substituted out at a fixed value
-	EmptyCols      int // columns with no live entries, fixed at a bound
-	FreeSingletons int // column singletons solved out of their row
-	TightenedBnds  int // implied-bound improvements from row activity
-	Passes         int // full reduction sweeps until fixpoint
+	EmptyRows     int // satisfiable rows with no entries, dropped
+	SingletonRows int // rows converted to variable bounds
+	RedundantRows int // rows that cannot bind under enforced bounds
+	Passes        int // full sweeps over the rows, one or two
 }
 
-// Total returns the number of structural reductions (bound tightenings
-// and passes excluded).
+// Total returns the number of rows removed (passes excluded).
 func (s *PresolveStats) Total() int {
-	return s.EmptyRows + s.SingletonRows + s.RedundantRows + s.ForcingRows +
-		s.FixedVars + s.EmptyCols + s.FreeSingletons
+	return s.EmptyRows + s.SingletonRows + s.RedundantRows
 }
 
-type psKind int
-
-const (
-	psFix           psKind = iota // x[v] = val
-	psFreeSingleton               // x[v] solved from its (dropped) row
-)
-
-// psAction is one postsolve record. Records are replayed LIFO: a
-// record's Rest entries reference variables that were still live when
-// the reduction fired, so by replay time their values are known.
-type psAction struct {
-	kind  psKind
-	v     int
-	val   float64 // psFix: the fixed value
-	coef  float64 // psFreeSingleton: the column's coefficient in the row
-	rhs   float64 // psFreeSingleton: row rhs at reduction time
-	sense Sense   // psFreeSingleton: row sense
-	lo    float64 // psFreeSingleton: enforced lower bound of v
-	rest  []Entry // psFreeSingleton: the row's other live entries
-}
-
-// psRow is one mutable constraint row during presolve.
+// psRow is one constraint row during presolve: the original row with
+// duplicate entries coalesced and zeros dropped.
 type psRow struct {
 	entries []Entry
 	sense   Sense
@@ -92,48 +52,29 @@ type psRow struct {
 	dead    bool
 }
 
-// Presolved is the outcome of Presolve: either a final status (the
-// problem was decided outright) or a strictly smaller reduced problem
-// plus the bookkeeping to lift its solutions back.
+// Presolved is the outcome of Presolve: either a proof that the
+// problem is infeasible, or a reduced problem over the same columns
+// plus the shift that lifts its solutions back.
 type Presolved struct {
-	orig  *Problem
-	stats PresolveStats
-
-	// status is the presolve verdict: Optimal when the whole problem
-	// was reduced away, Infeasible when a contradiction surfaced, or
-	// needsSolve when a reduced problem remains.
-	status  Status
-	decided bool
-
-	reduced *Problem
-	// newOf[v] is v's column in the reduced problem, -1 if eliminated.
-	newOf []int
-	// shift[v] is the enforced lower bound added back on postsolve
-	// (reduced variables are shifted so their lower bound is 0).
+	stats      PresolveStats
+	infeasible bool
+	reduced    *Problem
+	// shift[v] is the enforced lower bound of v, added back on
+	// postsolve (reduced variables are shifted to a zero lower bound).
 	shift []float64
-	// fixVal[v] is meaningful when newOf[v] == -1 and no stack record
-	// covers v (survivor map fallback is never needed; kept for safety).
-	stack  []psAction
-	offset float64 // objective constant accumulated by substitutions
 }
 
 // Stats returns the per-reduction counts.
 func (ps *Presolved) Stats() PresolveStats { return ps.stats }
 
-// Decided reports whether presolve settled the problem outright; when
-// true, Status is the final verdict and Reduced returns nil.
-func (ps *Presolved) Decided() bool { return ps.decided }
-
-// Status returns the presolve verdict; only meaningful when Decided.
-func (ps *Presolved) Status() Status { return ps.status }
+// Decided reports whether presolve settled the problem outright. The
+// only verdict it can reach is Infeasible — an optimum or an unbounded
+// ray needs the simplex — and Reduced then returns nil.
+func (ps *Presolved) Decided() bool { return ps.infeasible }
 
 // Reduced returns the reduced problem, or nil when the problem was
-// decided outright.
+// found infeasible. It has the original problem's variables, in order.
 func (ps *Presolved) Reduced() *Problem { return ps.reduced }
-
-// Offset is the objective constant removed by substitutions: the
-// original objective equals the reduced objective plus Offset.
-func (ps *Presolved) Offset() float64 { return ps.offset }
 
 const (
 	psTol = 1e-9 // zero/coincidence tolerance on bounds and coefficients
@@ -150,48 +91,19 @@ func Presolve(p *Problem) (*Presolved, error) {
 	if p == nil || p.numVars == 0 {
 		return nil, ErrBadProblem
 	}
-	w := newPresolver(p)
-	ps := w.run()
-	return ps, nil
+	return newPresolver(p).run(), nil
 }
 
-// Postsolve lifts a solution of the reduced problem back to a full
-// solution of the original problem. xReduced must have Reduced's
-// variable count (nil when the problem was decided by presolve). The
-// result has the original problem's variable count.
+// Postsolve lifts a solution of the reduced problem back to a solution
+// of the original problem: the same variables, each moved back by its
+// shift.
 func (ps *Presolved) Postsolve(xReduced []float64) ([]float64, error) {
-	if ps.reduced != nil {
-		if len(xReduced) != ps.reduced.numVars {
-			return nil, fmt.Errorf("lp: postsolve got %d vars, reduced problem has %d",
-				len(xReduced), ps.reduced.numVars)
-		}
-	} else if len(xReduced) != 0 {
-		return nil, fmt.Errorf("lp: postsolve got %d vars for a decided problem", len(xReduced))
+	if len(xReduced) != len(ps.shift) {
+		return nil, fmt.Errorf("lp: postsolve got %d vars, problem has %d", len(xReduced), len(ps.shift))
 	}
-	x := make([]float64, ps.orig.numVars)
-	for v, nv := range ps.newOf {
-		if nv >= 0 {
-			x[v] = xReduced[nv] + ps.shift[v]
-		}
-	}
-	for i := len(ps.stack) - 1; i >= 0; i-- {
-		a := &ps.stack[i]
-		switch a.kind {
-		case psFix:
-			x[a.v] = a.val
-		case psFreeSingleton:
-			rest := 0.0
-			for _, e := range a.rest {
-				rest += e.Coef * x[e.Var]
-			}
-			val := (a.rhs - rest) / a.coef
-			if a.sense != EQ && val < a.lo {
-				// Inequality slack-out: the row only needs x ≥ val (or the
-				// bound, whichever is larger); take the cheapest point.
-				val = a.lo
-			}
-			x[a.v] = val
-		}
+	x := make([]float64, len(xReduced))
+	for v, xv := range xReduced {
+		x[v] = xv + ps.shift[v]
 	}
 	return x, nil
 }
@@ -199,41 +111,23 @@ func (ps *Presolved) Postsolve(xReduced []float64) ([]float64, error) {
 // presolver is the mutable working state of one Presolve call.
 type presolver struct {
 	orig *Problem
-	n    int
-	obj  []float64
 	rows []psRow
-
-	lo, up       []float64 // implied bounds
-	loRow, upRow []float64 // enforced bounds (x ≥ 0 plus singleton rows)
-	colDead      []bool
-	// colRows[v] lists candidate row indices containing v; rebuilt
-	// lazily (dead rows and removed entries are skipped on read).
-	colRows [][]int
-
-	stack  []psAction
-	offset float64
+	// lo and up are the enforced bounds: x ≥ 0 plus singleton rows.
+	lo, up []float64
 	stats  PresolveStats
 
-	decided bool
-	status  Status
+	infeasible bool
 }
 
 func newPresolver(p *Problem) *presolver {
 	w := &presolver{
-		orig:    p,
-		n:       p.numVars,
-		obj:     append([]float64(nil), p.obj...),
-		rows:    make([]psRow, len(p.rows)),
-		lo:      make([]float64, p.numVars),
-		up:      make([]float64, p.numVars),
-		loRow:   make([]float64, p.numVars),
-		upRow:   make([]float64, p.numVars),
-		colDead: make([]bool, p.numVars),
-		colRows: make([][]int, p.numVars),
+		orig: p,
+		rows: make([]psRow, len(p.rows)),
+		lo:   make([]float64, p.numVars),
+		up:   make([]float64, p.numVars),
 	}
-	for v := 0; v < p.numVars; v++ {
+	for v := range w.up {
 		w.up[v] = psInf
-		w.upRow[v] = psInf
 	}
 	for i, r := range p.rows {
 		// Coalesce duplicate entries and drop zeros so entry counts mean
@@ -250,7 +144,6 @@ func newPresolver(p *Problem) *presolver {
 		for _, v := range order {
 			if c := acc[v]; math.Abs(c) > psTol {
 				entries = append(entries, Entry{Var: v, Coef: c})
-				w.colRows[v] = append(w.colRows[v], i)
 			}
 		}
 		w.rows[i] = psRow{entries: entries, sense: r.sense, rhs: r.rhs}
@@ -258,62 +151,46 @@ func newPresolver(p *Problem) *presolver {
 	return w
 }
 
-// run drives reduction sweeps to a fixpoint and extracts the result.
+// run sweeps the live rows until no bound moves and extracts the
+// result. Whether a row can be dropped depends on the bounds alone and
+// only singleton rows move a bound, so two sweeps are the most it
+// takes: the second exists for the rows that sit ahead of a singleton
+// row and were checked before its bound was known.
 func (w *presolver) run() *Presolved {
-	const maxPasses = 32
-	for pass := 0; pass < maxPasses && !w.decided; pass++ {
+	for moved := true; moved && !w.infeasible; {
 		w.stats.Passes++
-		changed := w.sweep()
-		if !changed {
-			break
+		moved = false
+		for i := range w.rows {
+			if w.infeasible {
+				break
+			}
+			if !w.rows[i].dead && w.reduceRow(i) {
+				moved = true
+			}
 		}
 	}
 	return w.extract()
 }
 
-// sweep applies every reduction family once; reports whether anything
-// changed.
-func (w *presolver) sweep() bool {
-	changed := false
-	for i := range w.rows {
-		if w.decided {
-			return changed
-		}
-		if w.rows[i].dead {
-			continue
-		}
-		if w.reduceRow(i) {
-			changed = true
-		}
-	}
-	for v := 0; v < w.n && !w.decided; v++ {
-		if w.colDead[v] {
-			continue
-		}
-		if w.reduceColumn(v) {
-			changed = true
-		}
-	}
-	return changed
-}
-
-// reduceRow applies the row-shape reductions to live row i.
+// reduceRow applies the reduction that fits live row i's shape and
+// reports whether it moved an enforced bound.
 func (w *presolver) reduceRow(i int) bool {
-	r := &w.rows[i]
-	switch len(r.entries) {
+	switch len(w.rows[i].entries) {
 	case 0:
-		return w.emptyRow(i)
+		w.emptyRow(i)
 	case 1:
 		return w.singletonRow(i)
+	default:
+		w.activityRow(i)
 	}
-	return w.activityRow(i)
+	return false
 }
 
-// emptyRow decides a row with no live entries: 0 (sense) rhs. The
+// emptyRow decides a row with no entries: 0 (sense) rhs. The
 // satisfiability margin is psFeasTol-scaled: the dense oracle's
 // phase 1 tolerates residuals up to epsFeas, so an empty row violated
 // by less than that must not be ruled infeasible here.
-func (w *presolver) emptyRow(i int) bool {
+func (w *presolver) emptyRow(i int) {
 	r := &w.rows[i]
 	tol := psFeasTol * (1 + math.Abs(r.rhs))
 	ok := true
@@ -326,523 +203,109 @@ func (w *presolver) emptyRow(i int) bool {
 		ok = math.Abs(r.rhs) <= tol
 	}
 	if !ok {
-		w.decide(Infeasible)
-		return true
+		w.infeasible = true
+		return
 	}
 	r.dead = true
 	w.stats.EmptyRows++
-	return true
 }
 
 // singletonRow converts a·x (sense) b into bounds on x and drops the
-// row. The derived bound is enforced: it replaces a real constraint,
-// so extraction re-emits it (upper bounds) or shifts it away (lower
-// bounds).
-func (w *presolver) singletonRow(i int) bool {
+// row, reporting whether a bound moved. The bound replaces a real
+// constraint, so extraction re-emits it (upper bounds) or shifts it
+// away (lower bounds).
+func (w *presolver) singletonRow(i int) (moved bool) {
 	r := &w.rows[i]
 	e := r.entries[0]
-	a, v, b := e.Coef, e.Var, r.rhs
-	bound := b / a
-	lower := false // does the row impose a lower bound on x?
-	switch r.sense {
-	case LE:
-		lower = a < 0
-	case GE:
-		lower = a > 0
-	case EQ:
-		w.tightenEnforced(v, bound, true)
-		w.tightenEnforced(v, bound, false)
-		r.dead = true
-		w.stats.SingletonRows++
-		w.checkBounds(v)
-		return true
+	v, bound := e.Var, r.rhs/e.Coef
+	// LE with a negative coefficient and GE with a positive one bound x
+	// from below; an equality bounds it from both sides.
+	lower := r.sense == EQ || (r.sense == GE) == (e.Coef > 0)
+	upper := r.sense == EQ || !lower
+	if lower && bound > w.lo[v] {
+		w.lo[v], moved = bound, true
 	}
-	w.tightenEnforced(v, bound, lower)
+	if upper && bound < w.up[v] {
+		w.up[v], moved = bound, true
+	}
 	r.dead = true
 	w.stats.SingletonRows++
-	w.checkBounds(v)
-	return true
-}
-
-// tightenEnforced installs an enforced (and therefore also implied)
-// bound on v.
-func (w *presolver) tightenEnforced(v int, bound float64, lower bool) {
-	if lower {
-		if bound > w.loRow[v] {
-			w.loRow[v] = bound
-		}
-		if bound > w.lo[v] {
-			w.lo[v] = bound
-		}
-	} else {
-		if bound < w.upRow[v] {
-			w.upRow[v] = bound
-		}
-		if bound < w.up[v] {
-			w.up[v] = bound
-		}
-	}
-}
-
-// checkBounds fires the fixed-variable and infeasible-bounds rules for
-// v after a bound change.
-func (w *presolver) checkBounds(v int) {
-	if w.colDead[v] || w.decided {
-		return
-	}
 	// The infeasibility margin mirrors the dense solver's epsFeas
 	// contract: a contradiction smaller than what phase 1 would
 	// tolerate must not flip the status to Infeasible.
 	if w.lo[v] > w.up[v]+psFeasTol*(1+math.Abs(w.lo[v])) {
-		w.decide(Infeasible)
-		return
+		w.infeasible = true
 	}
-	if w.up[v]-w.lo[v] <= psTol {
-		w.fixVar(v, w.lo[v])
-		w.stats.FixedVars++
-	}
+	return moved
 }
 
-// fixVar substitutes x[v] = val into every live row and the objective,
-// and records the postsolve action.
-func (w *presolver) fixVar(v int, val float64) {
-	for _, i := range w.colRows[v] {
-		r := &w.rows[i]
-		if r.dead {
-			continue
-		}
-		for k := range r.entries {
-			if r.entries[k].Var == v {
-				r.rhs -= r.entries[k].Coef * val
-				r.entries = append(r.entries[:k], r.entries[k+1:]...)
-				break
-			}
-		}
-	}
-	w.offset += w.obj[v] * val
-	w.obj[v] = 0
-	w.colDead[v] = true
-	w.stack = append(w.stack, psAction{kind: psFix, v: v, val: val})
-}
-
-// activityRow runs the activity-range reductions on a multi-entry row:
-// infeasibility, redundancy (enforced bounds), forcing, and implied
-// bound tightening.
-func (w *presolver) activityRow(i int) bool {
+// activityRow checks a multi-entry row against its activity range
+// under the enforced bounds: a row the range cannot meet decides the
+// problem, a row the range cannot violate is dropped.
+func (w *presolver) activityRow(i int) {
 	r := &w.rows[i]
-	minImp, maxImp := w.activity(r, w.lo, w.up)
-	minEnf, maxEnf := w.activity(r, w.loRow, w.upRow)
+	min, max := w.activity(r)
 	feasTol := psFeasTol * (1 + math.Abs(r.rhs))
-
-	switch r.sense {
-	case LE:
-		if minImp > r.rhs+feasTol {
-			w.decide(Infeasible)
-			return true
-		}
-		if maxEnf <= r.rhs+psTol { // redundant under enforced bounds
-			r.dead = true
-			w.stats.RedundantRows++
-			return true
-		}
-		if minImp >= r.rhs-psTol && minImp > -psInf {
-			return w.forceRow(i, true)
-		}
-	case GE:
-		if maxImp < r.rhs-feasTol {
-			w.decide(Infeasible)
-			return true
-		}
-		if minEnf >= r.rhs-psTol {
-			r.dead = true
-			w.stats.RedundantRows++
-			return true
-		}
-		if maxImp <= r.rhs+psTol && maxImp < psInf {
-			return w.forceRow(i, false)
-		}
-	case EQ:
-		if minImp > r.rhs+feasTol || maxImp < r.rhs-feasTol {
-			w.decide(Infeasible)
-			return true
-		}
-		if minImp >= r.rhs-psTol && minImp > -psInf {
-			return w.forceRow(i, true)
-		}
-		if maxImp <= r.rhs+psTol && maxImp < psInf {
-			return w.forceRow(i, false)
-		}
+	tooHigh := r.sense != GE && min > r.rhs+feasTol
+	tooLow := r.sense != LE && max < r.rhs-feasTol
+	if tooHigh || tooLow {
+		w.infeasible = true
+	} else if (r.sense == LE && max <= r.rhs+psTol) || (r.sense == GE && min >= r.rhs-psTol) {
+		r.dead = true
+		w.stats.RedundantRows++
 	}
-	return w.tightenFromRow(i, minImp, maxImp)
 }
 
-// activity returns the row's activity range under the given bounds.
+// activity returns the row's activity range under the enforced bounds.
 // Infinite contributions saturate to ±psInf.
-func (w *presolver) activity(r *psRow, lo, up []float64) (min, max float64) {
+func (w *presolver) activity(r *psRow) (min, max float64) {
 	for _, e := range r.entries {
-		if e.Coef > 0 {
-			min += e.Coef * lo[e.Var]
-			if up[e.Var] >= psInf {
-				max = psInf
-			} else if max < psInf {
-				max += e.Coef * up[e.Var]
-			}
-		} else {
-			max -= e.Coef * lo[e.Var]
-			if up[e.Var] >= psInf {
-				min = -psInf
-			} else if min > -psInf {
-				min += e.Coef * up[e.Var]
-			}
+		// atMin and atMax are the values of x that minimize and maximize
+		// coef·x; only an upper bound can be infinite.
+		atMin, atMax := w.lo[e.Var], w.up[e.Var]
+		if e.Coef < 0 {
+			atMin, atMax = atMax, atMin
+		}
+		if atMin >= psInf {
+			min = -psInf
+		} else if min > -psInf {
+			min += e.Coef * atMin
+		}
+		if atMax >= psInf {
+			max = psInf
+		} else if max < psInf {
+			max += e.Coef * atMax
 		}
 	}
 	return min, max
 }
 
-// forceRow fires when a row's implied activity range degenerates to
-// its rhs: every member variable must sit at the bound that built that
-// extreme, so fix them all (atMin: the minimum activity equals rhs).
-func (w *presolver) forceRow(i int, atMin bool) bool {
-	r := &w.rows[i]
-	// Snapshot: fixVar edits r.entries while we iterate.
-	entries := append([]Entry(nil), r.entries...)
-	for _, e := range entries {
-		if w.colDead[e.Var] || w.decided {
-			continue
-		}
-		atLo := (e.Coef > 0) == atMin
-		if atLo {
-			w.fixVar(e.Var, w.lo[e.Var])
-		} else {
-			w.fixVar(e.Var, w.up[e.Var])
-		}
-		w.stats.FixedVars++
-	}
-	w.stats.ForcingRows++
-	// The row is now empty; the empty-row rule retires it (and double-
-	// checks the residual rhs) on this same sweep.
-	return true
-}
-
-// tightenFromRow derives implied variable bounds from row i's activity
-// range. Returns whether any bound moved. The function bails out after
-// the first successful tightening: a moved bound (and any variable fix
-// it triggers) invalidates the precomputed activity range, and fixVar
-// edits row entry slices, so the caller's next sweep recomputes from
-// fresh state instead of continuing on stale values.
-func (w *presolver) tightenFromRow(i int, minImp, maxImp float64) bool {
-	r := &w.rows[i]
-	changed := false
-	// x_j's own contribution is removed from the row activity to get
-	// the residual range the other variables occupy.
-	for _, e := range r.entries {
-		v, a := e.Var, e.Coef
-		if w.colDead[v] {
-			continue
-		}
-		if r.sense == LE || r.sense == EQ {
-			// Σ a_j x_j ≤ rhs → a·x ≤ rhs − minRest.
-			minRest := residualMin(minImp, a, w.lo[v], w.up[v])
-			if minRest > -psInf {
-				if a > 0 {
-					if nb := (r.rhs - minRest) / a; nb < w.up[v]-1e-7 {
-						w.up[v] = nb
-						changed = true
-						w.stats.TightenedBnds++
-					}
-				} else {
-					if nb := (r.rhs - minRest) / a; nb > w.lo[v]+1e-7 {
-						w.lo[v] = nb
-						changed = true
-						w.stats.TightenedBnds++
-					}
-				}
-			}
-		}
-		if r.sense == GE || r.sense == EQ {
-			// Σ a_j x_j ≥ rhs → a·x ≥ rhs − maxRest.
-			maxRest := residualMax(maxImp, a, w.lo[v], w.up[v])
-			if maxRest < psInf {
-				if a > 0 {
-					if nb := (r.rhs - maxRest) / a; nb > w.lo[v]+1e-7 {
-						w.lo[v] = nb
-						changed = true
-						w.stats.TightenedBnds++
-					}
-				} else {
-					if nb := (r.rhs - maxRest) / a; nb < w.up[v]-1e-7 {
-						w.up[v] = nb
-						changed = true
-						w.stats.TightenedBnds++
-					}
-				}
-			}
-		}
-		if changed {
-			w.checkBounds(v)
-			return true
-		}
-	}
-	return changed
-}
-
-// residualMin removes a·x's contribution from the row's minimum
-// activity; -psInf when the residual is unbounded below.
-func residualMin(minAct, a, lo, up float64) float64 {
-	if minAct <= -psInf {
-		return -psInf
-	}
-	if a > 0 {
-		return minAct - a*lo
-	}
-	if up >= psInf {
-		return -psInf
-	}
-	return minAct - a*up
-}
-
-// residualMax removes a·x's contribution from the row's maximum
-// activity; psInf when the residual is unbounded above.
-func residualMax(maxAct, a, lo, up float64) float64 {
-	if maxAct >= psInf {
-		return psInf
-	}
-	if a > 0 {
-		if up >= psInf {
-			return psInf
-		}
-		return maxAct - a*up
-	}
-	return maxAct - a*lo
-}
-
-// reduceColumn applies the column-shape reductions to live column v.
-func (w *presolver) reduceColumn(v int) bool {
-	// Count live appearances.
-	liveRow := -1
-	count := 0
-	for _, i := range w.colRows[v] {
-		r := &w.rows[i]
-		if r.dead {
-			continue
-		}
-		found := false
-		for _, e := range r.entries {
-			if e.Var == v {
-				found = true
-				break
-			}
-		}
-		if found {
-			count++
-			liveRow = i
-			if count > 1 {
-				return false
-			}
-		}
-	}
-	if count == 0 {
-		return w.emptyColumn(v)
-	}
-	return w.freeSingletonColumn(v, liveRow)
-}
-
-// emptyColumn fixes a variable that appears in no live row at its best
-// enforced bound. A negative-cost column with no enforced upper bound
-// is left alone: the simplex proves unboundedness only after phase 1
-// establishes feasibility, matching the dense solver's status
-// contract.
-func (w *presolver) emptyColumn(v int) bool {
-	c := w.obj[v]
-	if c < -psTol {
-		if w.upRow[v] >= psInf {
-			return false
-		}
-		w.fixVar(v, w.upRow[v])
-	} else {
-		w.fixVar(v, w.loRow[v])
-	}
-	w.stats.EmptyCols++
-	return true
-}
-
-// freeSingletonColumn tries to solve column v out of its only live row
-// i. Safe cases only:
-//
-//   - zero cost, and the row direction lets x absorb any residual
-//     (LE with a<0, GE with a>0) with no enforced upper bound; or
-//   - an equality row where the enforced activity range of the other
-//     variables guarantees the solved value lands inside v's enforced
-//     bounds (costs are then substituted through the row).
-func (w *presolver) freeSingletonColumn(v, i int) bool {
-	r := &w.rows[i]
-	var a float64
-	rest := make([]Entry, 0, len(r.entries)-1)
-	for _, e := range r.entries {
-		if e.Var == v {
-			a = e.Coef
-		} else {
-			rest = append(rest, e)
-		}
-	}
-	c := w.obj[v]
-
-	slackOut := w.upRow[v] >= psInf && math.Abs(c) <= psTol &&
-		((r.sense == LE && a < 0) || (r.sense == GE && a > 0))
-	if slackOut {
-		w.retireFreeSingleton(v, i, a, rest)
-		return true
-	}
-
-	if r.sense != EQ {
-		return false
-	}
-	// Solved value: x = (rhs − rest)/a. Bound the rest activity with
-	// ENFORCED bounds — the reconstruction must stay in range for every
-	// solution of the reduced problem.
-	restRow := psRow{entries: rest}
-	minR, maxR := w.activity(&restRow, w.loRow, w.upRow)
-	if minR <= -psInf || maxR >= psInf {
-		return false
-	}
-	v1 := (r.rhs - minR) / a
-	v2 := (r.rhs - maxR) / a
-	if v1 > v2 {
-		v1, v2 = v2, v1
-	}
-	if v1 < w.loRow[v]-psTol || v2 > w.upRow[v]+psTol {
-		return false
-	}
-	// Substitute the column through the objective: c·x = c/a·(rhs − rest).
-	if math.Abs(c) > psTol {
-		f := c / a
-		w.offset += f * r.rhs
-		for _, e := range rest {
-			w.obj[e.Var] -= f * e.Coef
-		}
-		w.obj[v] = 0
-	}
-	w.retireFreeSingleton(v, i, a, rest)
-	return true
-}
-
-// retireFreeSingleton drops row i and column v, recording how to
-// recompute x[v] from the row's other variables.
-func (w *presolver) retireFreeSingleton(v, i int, a float64, rest []Entry) {
-	r := &w.rows[i]
-	w.stack = append(w.stack, psAction{
-		kind:  psFreeSingleton,
-		v:     v,
-		coef:  a,
-		rhs:   r.rhs,
-		sense: r.sense,
-		lo:    w.loRow[v],
-		rest:  append([]Entry(nil), rest...),
-	})
-	r.dead = true
-	w.colDead[v] = true
-	w.stats.FreeSingletons++
-}
-
-func (w *presolver) decide(s Status) {
-	w.decided = true
-	w.status = s
-}
-
-// extract assembles the Presolved result: either a decided status or
-// the reduced problem (survivor columns shifted to a zero lower bound,
-// enforced upper bounds re-emitted as singleton rows).
+// extract assembles the Presolved result: the infeasibility verdict, or
+// the reduced problem — every column kept and shifted to a zero lower
+// bound, the live rows restated for the shift, and each enforced upper
+// bound re-emitted as a singleton row.
 func (w *presolver) extract() *Presolved {
-	ps := &Presolved{
-		orig:   w.orig,
-		stats:  w.stats,
-		stack:  w.stack,
-		offset: w.offset,
-		newOf:  make([]int, w.n),
-		shift:  make([]float64, w.n),
-	}
-	if w.decided {
-		ps.decided = true
-		ps.status = w.status
-		for v := range ps.newOf {
-			ps.newOf[v] = -1
-		}
+	ps := &Presolved{stats: w.stats, infeasible: w.infeasible, shift: w.lo}
+	if w.infeasible {
 		return ps
 	}
-
-	numNew := 0
-	for v := 0; v < w.n; v++ {
-		if w.colDead[v] {
-			ps.newOf[v] = -1
-			continue
-		}
-		ps.newOf[v] = numNew
-		// Shift by the enforced lower bound so the reduced variable is
-		// plain x' ≥ 0; the shift is enforced by construction.
-		ps.shift[v] = w.loRow[v]
-		numNew++
-	}
-	if numNew == 0 {
-		// Everything was presolved away; any remaining live rows are
-		// empty and were validated by the empty-row rule (or will be
-		// now).
-		for i := range w.rows {
-			if w.rows[i].dead {
-				continue
-			}
-			if len(w.rows[i].entries) != 0 {
-				// Unreachable: a live entry implies a live column.
-				panic("lp: presolve: live entries with no live columns")
-			}
-			w.emptyRow(i)
-			if w.decided {
-				ps.decided = true
-				ps.status = w.status
-				return ps
-			}
-		}
-		ps.decided = true
-		ps.status = Optimal
-		return ps
-	}
-
-	red := NewProblem(numNew)
-	for v := 0; v < w.n; v++ {
-		nv := ps.newOf[v]
-		if nv < 0 {
-			continue
-		}
-		if c := w.obj[v]; c != 0 {
-			red.SetObjective(nv, c)
-			ps.offset += c * ps.shift[v]
-		}
-	}
-	var entries []Entry
+	red := NewProblem(w.orig.numVars)
+	copy(red.obj, w.orig.obj)
 	for i := range w.rows {
 		r := &w.rows[i]
 		if r.dead {
 			continue
 		}
-		entries = entries[:0]
 		rhs := r.rhs
 		for _, e := range r.entries {
-			nv := ps.newOf[e.Var]
-			if nv < 0 {
-				// Unreachable: dead columns have no live entries.
-				continue
-			}
-			entries = append(entries, Entry{Var: nv, Coef: e.Coef})
-			rhs -= e.Coef * ps.shift[e.Var]
+			rhs -= e.Coef * w.lo[e.Var]
 		}
-		red.AddConstraint(entries, r.sense, rhs)
+		red.AddConstraint(r.entries, r.sense, rhs)
 	}
-	// Re-emit enforced upper bounds that no longer have a carrying row.
-	for v := 0; v < w.n; v++ {
-		nv := ps.newOf[v]
-		if nv < 0 || w.upRow[v] >= psInf {
-			continue
+	for v, up := range w.up {
+		if up < psInf {
+			red.AddConstraint([]Entry{{Var: v, Coef: 1}}, LE, up-w.lo[v])
 		}
-		red.AddConstraint([]Entry{{Var: nv, Coef: 1}}, LE, w.upRow[v]-ps.shift[v])
 	}
 	ps.reduced = red
 	return ps

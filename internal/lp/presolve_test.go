@@ -1,14 +1,18 @@
 package lp
 
-// Presolve reduction tests. The load-bearing property: for EVERY
-// reduction, postsolve lifts a solution of the reduced problem to one
-// that passes CheckFeasible on the ORIGINAL problem with the same
-// objective. Each table case additionally pins which reduction fired
-// via the stats counters.
+// Presolve reduction tests. The load-bearing properties: postsolve
+// lifts a solution of the reduced problem to one that passes
+// CheckFeasible on the ORIGINAL problem with the same objective, and
+// the reduced problem keeps every column of the original in place.
+// Each table case additionally pins which reduction fired via the
+// stats counters and, where the shape matters, the reduced rows.
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -22,14 +26,7 @@ func presolveAndSolve(t *testing.T, p *Problem) (*Presolved, Status, []float64) 
 		t.Fatalf("presolve: %v", err)
 	}
 	if ps.Decided() {
-		if ps.Status() != Optimal {
-			return ps, ps.Status(), nil
-		}
-		x, err := ps.Postsolve(nil)
-		if err != nil {
-			t.Fatalf("postsolve (decided): %v", err)
-		}
-		return ps, Optimal, x
+		return ps, Infeasible, nil
 	}
 	sol, err := Solve(ps.Reduced())
 	if err != nil {
@@ -65,14 +62,38 @@ func checkAgainstOriginal(t *testing.T, p *Problem, x []float64) {
 	}
 }
 
+// wantReduced asserts the exact shape of the reduced problem: every
+// original column, the given shifts, and exactly the given rows.
+func wantReduced(t *testing.T, ps *Presolved, shift []float64, rows ...row) {
+	t.Helper()
+	red := ps.Reduced()
+	if red == nil {
+		t.Fatal("no reduced problem")
+	}
+	if red.NumVars() != len(shift) {
+		t.Fatalf("reduced problem has %d vars, want %d", red.NumVars(), len(shift))
+	}
+	got, err := ps.Postsolve(make([]float64, len(shift)))
+	if err != nil {
+		t.Fatalf("postsolve: %v", err)
+	}
+	if !slices.Equal(got, shift) {
+		t.Errorf("shift = %v, want %v", got, shift)
+	}
+	if !reflect.DeepEqual(red.rows, rows) {
+		t.Errorf("reduced rows = %+v, want %+v", red.rows, rows)
+	}
+}
+
 func TestPresolveReductions(t *testing.T) {
 	cases := []struct {
 		name  string
 		build func() *Problem
 		// wantStatus is the expected final verdict of the pipeline.
 		wantStatus Status
-		// fired asserts on the stats of the presolve run.
-		fired func(t *testing.T, s PresolveStats)
+		// fired asserts on the presolve run: its stats and, where the
+		// case pins it, the shape of the reduced problem.
+		fired func(t *testing.T, ps *Presolved)
 	}{
 		{
 			name: "empty row redundant",
@@ -84,7 +105,8 @@ func TestPresolveReductions(t *testing.T) {
 				return p
 			},
 			wantStatus: Optimal,
-			fired: func(t *testing.T, s PresolveStats) {
+			fired: func(t *testing.T, ps *Presolved) {
+				s := ps.Stats()
 				if s.EmptyRows == 0 {
 					t.Errorf("EmptyRows = 0, want > 0 (stats %+v)", s)
 				}
@@ -120,7 +142,8 @@ func TestPresolveReductions(t *testing.T) {
 				return p
 			},
 			wantStatus: Optimal,
-			fired: func(t *testing.T, s PresolveStats) {
+			fired: func(t *testing.T, ps *Presolved) {
+				s := ps.Stats()
 				if s.SingletonRows == 0 {
 					t.Errorf("SingletonRows = 0, want > 0 (stats %+v)", s)
 				}
@@ -129,7 +152,8 @@ func TestPresolveReductions(t *testing.T) {
 		{
 			name: "singleton equality fixes variable",
 			build: func() *Problem {
-				// 3·x0 = 6 fixes x0 = 2; the remaining row loses it.
+				// 3·x0 = 6 pins x0 = 2: shifted by 2 and capped by x0′ ≤ 0,
+				// the column stays and the other row is restated.
 				p := NewProblem(2)
 				p.SetObjective(1, 1)
 				p.AddConstraint([]Entry{{0, 3}}, EQ, 6)
@@ -137,10 +161,13 @@ func TestPresolveReductions(t *testing.T) {
 				return p
 			},
 			wantStatus: Optimal,
-			fired: func(t *testing.T, s PresolveStats) {
-				if s.FixedVars == 0 {
-					t.Errorf("FixedVars = 0, want > 0 (stats %+v)", s)
+			fired: func(t *testing.T, ps *Presolved) {
+				if s := ps.Stats(); s.SingletonRows != 1 {
+					t.Errorf("SingletonRows = %d, want 1 (stats %+v)", s.SingletonRows, s)
 				}
+				wantReduced(t, ps, []float64{2, 0},
+					row{[]Entry{{0, 1}, {1, 1}}, GE, 3},
+					row{[]Entry{{0, 1}}, LE, 0})
 			},
 		},
 		{
@@ -154,71 +181,11 @@ func TestPresolveReductions(t *testing.T) {
 			wantStatus: Infeasible,
 		},
 		{
-			name: "free singleton column slack-out",
-			build: func() *Problem {
-				// x0 has zero cost and appears only in the GE row with a
-				// positive coefficient: it can absorb any residual, so row
-				// and column both go.
-				p := NewProblem(3)
-				p.SetObjective(1, 2)
-				p.SetObjective(2, 1)
-				p.AddConstraint([]Entry{{0, 1}, {1, 1}}, GE, 2)
-				p.AddConstraint([]Entry{{1, 1}, {2, 1}}, GE, 3)
-				return p
-			},
-			wantStatus: Optimal,
-			fired: func(t *testing.T, s PresolveStats) {
-				if s.FreeSingletons == 0 {
-					t.Errorf("FreeSingletons = 0, want > 0 (stats %+v)", s)
-				}
-			},
-		},
-		{
-			name: "free singleton column equality substitution",
-			build: func() *Problem {
-				// x0 appears only in x0 + x1 + x2 = 10 with x1 ≤ 2 and
-				// x2 ≤ 3 enforced, so x0 ∈ [5, 10] stays in range and is
-				// solved out, carrying its cost into x1, x2.
-				p := NewProblem(3)
-				p.SetObjective(0, 1)
-				p.SetObjective(1, -1)
-				p.SetObjective(2, 2)
-				p.AddConstraint([]Entry{{0, 1}, {1, 1}, {2, 1}}, EQ, 10)
-				p.AddConstraint([]Entry{{1, 1}}, LE, 2)
-				p.AddConstraint([]Entry{{2, 1}}, LE, 3)
-				return p
-			},
-			wantStatus: Optimal,
-			fired: func(t *testing.T, s PresolveStats) {
-				if s.FreeSingletons == 0 {
-					t.Errorf("FreeSingletons = 0, want > 0 (stats %+v)", s)
-				}
-			},
-		},
-		{
-			name: "forcing row fixes members",
-			build: func() *Problem {
-				// x0 + x1 ≤ 0 with x ≥ 0 forces x0 = x1 = 0.
-				p := NewProblem(3)
-				p.SetObjective(0, -5)
-				p.SetObjective(1, -5)
-				p.SetObjective(2, 1)
-				p.AddConstraint([]Entry{{0, 1}, {1, 1}}, LE, 0)
-				p.AddConstraint([]Entry{{0, 1}, {2, 1}}, GE, 2)
-				return p
-			},
-			wantStatus: Optimal,
-			fired: func(t *testing.T, s PresolveStats) {
-				if s.ForcingRows == 0 {
-					t.Errorf("ForcingRows = 0, want > 0 (stats %+v)", s)
-				}
-			},
-		},
-		{
 			name: "bound tightening detects infeasibility",
 			build: func() *Problem {
-				// x0 + x1 ≤ 1 caps both at 1; x0 + 2·x1 ≥ 4 then cannot
-				// be met (max activity 3).
+				// x0 + x1 ≤ 1 caps both at 1, so x0 + 2·x1 ≥ 4 cannot be
+				// met. No singleton row says so: presolve passes the rows
+				// on and the simplex delivers the verdict.
 				p := NewProblem(2)
 				p.AddConstraint([]Entry{{0, 1}, {1, 1}}, LE, 1)
 				p.AddConstraint([]Entry{{0, 1}, {1, 2}}, GE, 4)
@@ -240,7 +207,8 @@ func TestPresolveReductions(t *testing.T) {
 				return p
 			},
 			wantStatus: Optimal,
-			fired: func(t *testing.T, s PresolveStats) {
+			fired: func(t *testing.T, ps *Presolved) {
+				s := ps.Stats()
 				if s.RedundantRows == 0 {
 					t.Errorf("RedundantRows = 0, want > 0 (stats %+v)", s)
 				}
@@ -249,7 +217,8 @@ func TestPresolveReductions(t *testing.T) {
 		{
 			name: "all presolved away",
 			build: func() *Problem {
-				// Both variables fixed by equalities; nothing remains.
+				// Both variables pinned by equalities: no original row is
+				// left, only the two x′ ≤ 0 caps.
 				p := NewProblem(2)
 				p.SetObjective(0, 3)
 				p.SetObjective(1, -2)
@@ -258,26 +227,31 @@ func TestPresolveReductions(t *testing.T) {
 				return p
 			},
 			wantStatus: Optimal,
-			fired: func(t *testing.T, s PresolveStats) {
-				if s.FixedVars < 2 {
-					t.Errorf("FixedVars = %d, want 2 (stats %+v)", s.FixedVars, s)
+			fired: func(t *testing.T, ps *Presolved) {
+				if s := ps.Stats(); s.SingletonRows != 2 {
+					t.Errorf("SingletonRows = %d, want 2 (stats %+v)", s.SingletonRows, s)
 				}
+				wantReduced(t, ps, []float64{4, 3},
+					row{[]Entry{{0, 1}}, LE, 0},
+					row{[]Entry{{1, 1}}, LE, 0})
 			},
 		},
 		{
 			name: "no rows at all",
 			build: func() *Problem {
-				// Empty columns: non-negative costs pin x = 0 outright.
+				// Nothing to reduce: the reduced problem is the original,
+				// three columns and zero rows, and the simplex puts x at 0.
 				p := NewProblem(3)
 				p.SetObjective(0, 1)
 				p.SetObjective(2, 2)
 				return p
 			},
 			wantStatus: Optimal,
-			fired: func(t *testing.T, s PresolveStats) {
-				if s.EmptyCols == 0 {
-					t.Errorf("EmptyCols = 0, want > 0 (stats %+v)", s)
+			fired: func(t *testing.T, ps *Presolved) {
+				if s := ps.Stats(); s.Total() != 0 {
+					t.Errorf("Total = %d, want 0 (stats %+v)", s.Total(), s)
 				}
+				wantReduced(t, ps, []float64{0, 0, 0})
 			},
 		},
 	}
@@ -289,7 +263,7 @@ func TestPresolveReductions(t *testing.T) {
 				t.Fatalf("status = %v, want %v (stats %+v)", status, tc.wantStatus, ps.Stats())
 			}
 			if tc.fired != nil {
-				tc.fired(t, ps.Stats())
+				tc.fired(t, ps)
 			}
 			if status == Optimal {
 				checkAgainstOriginal(t, p, x)
@@ -307,41 +281,110 @@ func TestPresolveReductions(t *testing.T) {
 	}
 }
 
-// TestPresolveEmptyColumnUnboundedStaysOpen pins the status contract:
-// presolve must never decide Unbounded (that requires proof of
-// feasibility), so a negative-cost empty column survives into the
-// reduced problem and the simplex delivers the verdict.
-func TestPresolveEmptyColumnUnboundedStaysOpen(t *testing.T) {
+// TestPresolveKeepsColumns pins the column-identity invariant: the
+// reduced problem has the original's variables in the original order,
+// and Postsolve moves each one by a constant. The hand-written
+// problems are the shapes a column reduction would take a variable
+// out of; the random ones are TestPresolvePostsolveProperty's.
+func TestPresolveKeepsColumns(t *testing.T) {
+	type named struct {
+		name string
+		p    *Problem
+	}
+	var problems []named
+
+	// 3·x0 = 6 fixes x0.
 	p := NewProblem(2)
-	p.SetObjective(0, -1) // empty column, no upper bound: unbounded ray
 	p.SetObjective(1, 1)
+	p.AddConstraint([]Entry{{0, 3}}, EQ, 6)
+	p.AddConstraint([]Entry{{0, 1}, {1, 1}}, GE, 5)
+	problems = append(problems, named{"singleton equality", p})
+
+	// x0 and x2 appear in no row.
+	p = NewProblem(3)
+	p.SetObjective(0, 1)
+	p.SetObjective(1, 1)
+	p.SetObjective(2, 2)
 	p.AddConstraint([]Entry{{1, 1}}, GE, 1)
-	ps, err := Presolve(p)
-	if err != nil {
-		t.Fatalf("presolve: %v", err)
+	problems = append(problems, named{"empty column", p})
+
+	// x0 has zero cost and appears only in the first GE row with a
+	// positive coefficient, so it could absorb any residual.
+	p = NewProblem(3)
+	p.SetObjective(1, 2)
+	p.SetObjective(2, 1)
+	p.AddConstraint([]Entry{{0, 1}, {1, 1}}, GE, 2)
+	p.AddConstraint([]Entry{{1, 1}, {2, 1}}, GE, 3)
+	problems = append(problems, named{"free column singleton", p})
+
+	// x0 appears only in x0 + x1 + x2 = 10, and x1 ≤ 2, x2 ≤ 3 keep the
+	// value the row gives it inside its bounds.
+	p = NewProblem(3)
+	p.SetObjective(0, 1)
+	p.SetObjective(1, -1)
+	p.SetObjective(2, 2)
+	p.AddConstraint([]Entry{{0, 1}, {1, 1}, {2, 1}}, EQ, 10)
+	p.AddConstraint([]Entry{{1, 1}}, LE, 2)
+	p.AddConstraint([]Entry{{2, 1}}, LE, 3)
+	problems = append(problems, named{"free column singleton in an equality", p})
+
+	// x0 + x1 ≤ 0 with x ≥ 0 forces x0 = x1 = 0.
+	p = NewProblem(3)
+	p.SetObjective(0, -5)
+	p.SetObjective(1, -5)
+	p.SetObjective(2, 1)
+	p.AddConstraint([]Entry{{0, 1}, {1, 1}}, LE, 0)
+	p.AddConstraint([]Entry{{0, 1}, {2, 1}}, GE, 2)
+	problems = append(problems, named{"forcing row", p})
+
+	handWritten := len(problems)
+	rng := rand.New(rand.NewSource(11))
+	for n := 0; n < 300; n++ {
+		problems = append(problems, named{fmt.Sprintf("random %d", n), randomProblem(rng)})
 	}
-	if ps.Decided() {
-		t.Fatalf("presolve decided %v; the unbounded verdict belongs to the simplex", ps.Status())
-	}
-	sol, err := SolveSparse(p)
-	if err != nil {
-		t.Fatalf("solve sparse: %v", err)
-	}
-	if sol.Status != Unbounded {
-		t.Fatalf("status = %v, want unbounded", sol.Status)
-	}
-	// And when the same column's constraint set is infeasible, the
-	// verdict must be Infeasible, not Unbounded.
-	q := NewProblem(2)
-	q.SetObjective(0, -1)
-	q.AddConstraint([]Entry{{1, 1}}, GE, 1)
-	q.AddConstraint([]Entry{{1, 1}}, LE, 0)
-	sol, err = SolveSparse(q)
-	if err != nil {
-		t.Fatalf("solve sparse: %v", err)
-	}
-	if sol.Status != Infeasible {
-		t.Fatalf("status = %v, want infeasible (infeasibility outranks the open ray)", sol.Status)
+
+	for i, tc := range problems {
+		ps, err := Presolve(tc.p)
+		if err != nil {
+			t.Fatalf("%s: presolve: %v", tc.name, err)
+		}
+		if ps.Decided() {
+			if i < handWritten {
+				t.Fatalf("%s: presolve decided a feasible problem", tc.name)
+			}
+			continue // a random problem may be infeasible
+		}
+		nv := tc.p.NumVars()
+		if got := ps.Reduced().NumVars(); got != nv {
+			t.Fatalf("%s: reduced problem has %d vars, original %d", tc.name, got, nv)
+		}
+		shift, err := ps.Postsolve(make([]float64, nv))
+		if err != nil {
+			t.Fatalf("%s: postsolve: %v", tc.name, err)
+		}
+		for trial := 0; trial < 4; trial++ {
+			x := make([]float64, nv)
+			for v := range x {
+				x[v] = float64(rng.Intn(41)) / 4
+			}
+			lifted, err := ps.Postsolve(x)
+			if err != nil {
+				t.Fatalf("%s: postsolve: %v", tc.name, err)
+			}
+			for v := range x {
+				if d := lifted[v] - x[v]; math.Abs(d-shift[v]) > 1e-12 {
+					t.Fatalf("%s: Postsolve moved x%d by %g at %g, by %g at 0", tc.name, v, d, x[v], shift[v])
+				}
+			}
+		}
+		if i < handWritten {
+			// The column stays, and the optimum is still the oracle's.
+			_, status, x := presolveAndSolve(t, tc.p)
+			if status != Optimal {
+				t.Fatalf("%s: status = %v, want optimal", tc.name, status)
+			}
+			checkAgainstOriginal(t, tc.p, x)
+		}
 	}
 }
 
@@ -380,10 +423,9 @@ func TestPresolvePostsolveProperty(t *testing.T) {
 
 // TestPresolveStatsTotal keeps the aggregate helper honest.
 func TestPresolveStatsTotal(t *testing.T) {
-	s := PresolveStats{EmptyRows: 1, SingletonRows: 2, RedundantRows: 3, ForcingRows: 4,
-		FixedVars: 5, EmptyCols: 6, FreeSingletons: 7, TightenedBnds: 100, Passes: 9}
-	if got := s.Total(); got != 28 {
-		t.Fatalf("Total = %d, want 28 (structural reductions only)", got)
+	s := PresolveStats{EmptyRows: 1, SingletonRows: 2, RedundantRows: 3, Passes: 9}
+	if got := s.Total(); got != 6 {
+		t.Fatalf("Total = %d, want 6 (rows removed; passes excluded)", got)
 	}
 }
 

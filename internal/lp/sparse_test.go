@@ -38,23 +38,40 @@ func TestSparseSimple(t *testing.T) {
 	}
 }
 
+// requireStatus runs p through the pipeline, the raw revised simplex
+// and the dense oracle and requires the same verdict from all three.
+func requireStatus(t *testing.T, label string, p *Problem, want Status) {
+	t.Helper()
+	if sol := solveSparseOrFail(t, p); sol.Status != want {
+		t.Fatalf("%s: pipeline status = %v, want %v", label, sol.Status, want)
+	}
+	rsol, err := solveRevised(p)
+	if err != nil {
+		t.Fatalf("%s: solveRevised: %v", label, err)
+	}
+	if rsol.Status != want {
+		t.Fatalf("%s: revised status = %v, want %v", label, rsol.Status, want)
+	}
+	if dense := solveOrFail(t, p); dense.Status != want {
+		t.Fatalf("%s: dense status = %v, want %v", label, dense.Status, want)
+	}
+}
+
 func TestSparseInfeasible(t *testing.T) {
 	// Multi-entry rows so presolve cannot shortcut the verdict on its
 	// own in every case; pipeline and raw solver must both say so.
 	p := NewProblem(2)
 	p.AddConstraint([]Entry{{0, 1}, {1, 1}}, GE, 4)
 	p.AddConstraint([]Entry{{0, 1}, {1, 1}}, LE, 1)
-	sol := solveSparseOrFail(t, p)
-	if sol.Status != Infeasible {
-		t.Fatalf("pipeline status = %v, want infeasible", sol.Status)
-	}
-	rsol, err := solveRevised(p)
-	if err != nil {
-		t.Fatalf("solveRevised: %v", err)
-	}
-	if rsol.Status != Infeasible {
-		t.Fatalf("revised status = %v, want infeasible", rsol.Status)
-	}
+	requireStatus(t, "conflicting rows", p, Infeasible)
+
+	// x0 is a negative-cost column in no row, an open ray — but x1's
+	// bounds contradict, and infeasibility outranks the ray.
+	q := NewProblem(2)
+	q.SetObjective(0, -1)
+	q.AddConstraint([]Entry{{1, 1}}, GE, 1)
+	q.AddConstraint([]Entry{{1, 1}}, LE, 0)
+	requireStatus(t, "open ray beside crossed bounds", q, Infeasible)
 }
 
 func TestSparseUnbounded(t *testing.T) {
@@ -63,17 +80,23 @@ func TestSparseUnbounded(t *testing.T) {
 	p.SetObjective(0, -1)
 	p.SetObjective(1, -1)
 	p.AddConstraint([]Entry{{0, 1}, {1, -1}}, LE, 1)
-	sol := solveSparseOrFail(t, p)
-	if sol.Status != Unbounded {
-		t.Fatalf("pipeline status = %v, want unbounded", sol.Status)
-	}
-	rsol, err := solveRevised(p)
+	requireStatus(t, "ray", p, Unbounded)
+
+	// x0 is a negative-cost column in no row. Presolve leaves columns
+	// alone and never rules Unbounded (that needs proof of feasibility),
+	// so the simplex finds the ray after the x1 ≥ 1 row is met.
+	q := NewProblem(2)
+	q.SetObjective(0, -1)
+	q.SetObjective(1, 1)
+	q.AddConstraint([]Entry{{1, 1}}, GE, 1)
+	ps, err := Presolve(q)
 	if err != nil {
-		t.Fatalf("solveRevised: %v", err)
+		t.Fatalf("presolve: %v", err)
 	}
-	if rsol.Status != Unbounded {
-		t.Fatalf("revised status = %v, want unbounded", rsol.Status)
+	if ps.Decided() {
+		t.Fatal("presolve decided an unbounded problem; that verdict belongs to the simplex")
 	}
+	requireStatus(t, "empty negative-cost column", q, Unbounded)
 }
 
 func TestSparseBealeDegenerate(t *testing.T) {

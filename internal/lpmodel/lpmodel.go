@@ -7,6 +7,10 @@
 //   - the time-indexed (LP-EXP), pseudo-polynomial, used as a tighter
 //     lower bound on small instances (§4.2).
 //
+// The two are one program on two grids: buildIntervalLP and
+// solveGridLP build, solve, verify and read C̄ off either, so whatever
+// the builder learns — a pruning, an export — both relaxations get.
+//
 // It also computes the maximum total input/output loads V_k (Eq. 16)
 // with respect to an ordering, the quantity driving the grouping step
 // of Algorithm 2 and the approximation guarantees (Lemmas 2 and 3).
@@ -91,17 +95,33 @@ type IntervalSolution struct {
 	Vars, Rows int
 }
 
-// intervalModel carries the structural data of one built interval LP.
-type intervalModel struct {
-	prob   *lp.Problem
-	tau    []int64
-	lMin   []int
-	varIdx [][]int
+// unitPoints is the grid of (LP-EXP): τ_l = l for l = 0..max(T, 1), so
+// interval l is slot l.
+func unitPoints(T int64) []int64 {
+	tau := make([]int64, max(T, 1)+1)
+	for t := range tau {
+		tau[t] = int64(t)
+	}
+	return tau
 }
 
-// buildIntervalLP constructs the interval-indexed relaxation without
-// solving it.
-func buildIntervalLP(ins *coflowmodel.Instance) (*intervalModel, error) {
+// intervalModel carries the structural data of one built relaxation.
+// x_l^(k) exists for l = lMin[k]..L and is variable first[k]+l−lMin[k].
+type intervalModel struct {
+	prob        *lp.Problem
+	tau         []int64
+	lMin, first []int
+}
+
+func (m *intervalModel) x(k, l int) int { return m.first[k] + l - m.lMin[k] }
+
+// buildIntervalLP constructs, without solving it, the relaxation of ins
+// on the grid τ_0 = 0 < τ_1 < … < τ_L = points(T). Finishing coflow k
+// in (τ_{l−1}, τ_l] costs w_k·τ_{l−1+charge}. Intervals with charge 0
+// is (LP): the left endpoint keeps its optimum below (O)'s (Lemma 1).
+// unitPoints with charge 1 is (LP-EXP): a coflow finishing in slot l
+// completes at τ_l = l exactly.
+func buildIntervalLP(ins *coflowmodel.Instance, points func(T int64) []int64, charge int) (*intervalModel, error) {
 	if err := ins.Validate(); err != nil {
 		return nil, err
 	}
@@ -110,7 +130,7 @@ func buildIntervalLP(ins *coflowmodel.Instance) (*intervalModel, error) {
 		return nil, fmt.Errorf("lpmodel: empty instance")
 	}
 	m := ins.Ports
-	tau := Intervals(ins.Horizon())
+	tau := points(ins.Horizon())
 	L := len(tau) - 1
 
 	// Per-coflow port loads and first feasible interval (13):
@@ -118,47 +138,29 @@ func buildIntervalLP(ins *coflowmodel.Instance) (*intervalModel, error) {
 	// i.e. τ_l ≥ r_k + ρ_k.
 	rowLoad := make([][]int64, n)
 	colLoad := make([][]int64, n)
-	lMin := make([]int, n)
+	mod := &intervalModel{tau: tau, lMin: make([]int, n), first: make([]int, n)}
+	numVars := 0
 	for k := range ins.Coflows {
 		c := &ins.Coflows[k]
 		rowLoad[k] = c.RowLoads(m)
 		colLoad[k] = c.ColLoads(m)
-		need := c.Release + c.Load(m)
-		if need < 1 {
-			need = 1 // an empty coflow still completes in interval 1
-		}
-		// Intervals(Horizon) covers release+load of every coflow, so
-		// an error here is impossible for a validated instance.
-		lMin[k] = mustIntervalIndex(tau, need)
+		// An empty coflow still completes in interval 1. The grid covers
+		// release+load of every coflow, so an error here is impossible
+		// for a validated instance.
+		mod.lMin[k] = mustIntervalIndex(tau, max(c.Release+c.Load(m), 1))
+		mod.first[k] = numVars
+		numVars += L - mod.lMin[k] + 1
 	}
 
-	// Variable numbering: x_l^(k) for l = lMin[k]..L.
-	varIdx := make([][]int, n)
-	numVars := 0
-	for k := 0; k < n; k++ {
-		varIdx[k] = make([]int, L+1)
-		for l := 0; l <= L; l++ {
-			varIdx[k][l] = -1
-		}
-		for l := lMin[k]; l <= L; l++ {
-			varIdx[k][l] = numVars
-			numVars++
-		}
-	}
-
+	// Objective and convexity rows: Σ_l x_l^(k) = 1.
 	prob := lp.NewProblem(numVars)
+	mod.prob = prob
 	for k := 0; k < n; k++ {
 		w := ins.Coflows[k].Weight
-		for l := lMin[k]; l <= L; l++ {
-			prob.SetObjective(varIdx[k][l], w*float64(tau[l-1]))
-		}
-	}
-
-	// Convexity rows: Σ_l x_l^(k) = 1.
-	for k := 0; k < n; k++ {
-		entries := make([]lp.Entry, 0, L-lMin[k]+1)
-		for l := lMin[k]; l <= L; l++ {
-			entries = append(entries, lp.Entry{Var: varIdx[k][l], Coef: 1})
+		entries := make([]lp.Entry, 0, L-mod.lMin[k]+1)
+		for l := mod.lMin[k]; l <= L; l++ {
+			prob.SetObjective(mod.x(k, l), w*float64(tau[l-1+charge]))
+			entries = append(entries, lp.Entry{Var: mod.x(k, l), Coef: 1})
 		}
 		prob.AddConstraint(entries, lp.EQ, 1)
 	}
@@ -172,20 +174,17 @@ func buildIntervalLP(ins *coflowmodel.Instance) (*intervalModel, error) {
 			for k := 0; k < n; k++ {
 				total += load[k][port]
 			}
-			if total == 0 {
-				continue
-			}
 			for l := 1; l <= L; l++ {
 				if total <= tau[l] {
-					break // all longer intervals are slack too
+					break // all longer intervals are slack too; an idle port has none
 				}
 				var entries []lp.Entry
 				for k := 0; k < n; k++ {
 					if load[k][port] == 0 {
 						continue
 					}
-					for u := lMin[k]; u <= l; u++ {
-						entries = append(entries, lp.Entry{Var: varIdx[k][u], Coef: float64(load[k][port])})
+					for u := mod.lMin[k]; u <= l; u++ {
+						entries = append(entries, lp.Entry{Var: mod.x(k, u), Coef: float64(load[k][port])})
 					}
 				}
 				if len(entries) > 0 {
@@ -196,13 +195,13 @@ func buildIntervalLP(ins *coflowmodel.Instance) (*intervalModel, error) {
 	}
 	addLoadRows(rowLoad)
 	addLoadRows(colLoad)
-	return &intervalModel{prob: prob, tau: tau, lMin: lMin, varIdx: varIdx}, nil
+	return mod, nil
 }
 
 // WriteIntervalLPMPS writes the instance's interval-indexed relaxation
 // in MPS format for cross-checking with external LP solvers.
 func WriteIntervalLPMPS(w io.Writer, ins *coflowmodel.Instance, name string) error {
-	model, err := buildIntervalLP(ins)
+	model, err := buildIntervalLP(ins, Intervals, 0)
 	if err != nil {
 		return err
 	}
@@ -220,26 +219,32 @@ func SolveIntervalLP(ins *coflowmodel.Instance) (*IntervalSolution, error) {
 // method; lp.MethodDense is the reference the differential tests
 // compare against.
 func SolveIntervalLPWith(ins *coflowmodel.Instance, method lp.Method) (*IntervalSolution, error) {
-	model, err := buildIntervalLP(ins)
+	return solveGridLP(ins, "interval LP", Intervals, 0, method)
+}
+
+// solveGridLP builds the relaxation called name (see buildIntervalLP
+// for points and charge), solves and verifies it, and reads the
+// solution off: X, C̄ at the charged endpoints, the ordering by C̄.
+func solveGridLP(ins *coflowmodel.Instance, name string, points func(T int64) []int64, charge int, method lp.Method) (*IntervalSolution, error) {
+	mod, err := buildIntervalLP(ins, points, charge)
 	if err != nil {
 		return nil, err
 	}
 	n := len(ins.Coflows)
-	prob, tau, lMin, varIdx := model.prob, model.tau, model.lMin, model.varIdx
+	prob, tau := mod.prob, mod.tau
 	L := len(tau) - 1
-	numVars := prob.NumVars()
 
 	sol, err := lp.SolveWith(prob, method)
 	if err != nil {
 		return nil, err
 	}
 	if sol.Status != lp.Optimal {
-		return nil, fmt.Errorf("lpmodel: interval LP not optimal: %v", sol.Status)
+		return nil, fmt.Errorf("lpmodel: %s not optimal: %v", name, sol.Status)
 	}
 	// Numerical insurance: the solution the orderings and lower bound
 	// are built from must actually satisfy the relaxation.
 	if err := lp.CheckFeasible(prob, sol.X, 1e-5); err != nil {
-		return nil, fmt.Errorf("lpmodel: interval LP solution failed verification: %w", err)
+		return nil, fmt.Errorf("lpmodel: %s solution failed verification: %w", name, err)
 	}
 
 	out := &IntervalSolution{
@@ -248,18 +253,15 @@ func SolveIntervalLPWith(ins *coflowmodel.Instance, method lp.Method) (*Interval
 		X:          make([][]float64, n),
 		LowerBound: sol.Objective,
 		Iterations: sol.Iterations,
-		Vars:       numVars,
+		Vars:       prob.NumVars(),
 		Rows:       prob.NumConstraints(),
 	}
 	for k := 0; k < n; k++ {
 		out.X[k] = make([]float64, L+1)
-		for l := lMin[k]; l <= L; l++ {
-			x := sol.X[varIdx[k][l]]
-			if x < 0 {
-				x = 0
-			}
+		for l := mod.lMin[k]; l <= L; l++ {
+			x := max(sol.X[mod.x(k, l)], 0)
 			out.X[k][l] = x
-			out.CBar[k] += float64(tau[l-1]) * x
+			out.CBar[k] += float64(tau[l-1+charge]) * x
 		}
 	}
 	out.Order = OrderByCBar(ins, out.CBar)
@@ -374,9 +376,10 @@ type TimeIndexedSolution struct {
 }
 
 // MaxTimeIndexedVars and MaxTimeIndexedHorizon bound the size of
-// (LP-EXP) instances this implementation accepts; beyond them the
-// dense simplex would be impractically slow (the paper itself calls
-// LP-EXP "extremely time consuming to solve").
+// (LP-EXP) instances this implementation accepts. The program has a
+// variable per coflow and slot, so it grows with the horizon rather
+// than the input, and no test or experiment has solved a larger one
+// (the paper itself calls LP-EXP "extremely time consuming to solve").
 const (
 	MaxTimeIndexedVars    = 20000
 	MaxTimeIndexedHorizon = 50000
@@ -391,126 +394,37 @@ func SolveTimeIndexedLP(ins *coflowmodel.Instance) (*TimeIndexedSolution, error)
 }
 
 // SolveTimeIndexedLPWith is SolveTimeIndexedLP with an explicit
-// solver method.
+// solver method. (LP-EXP) is the interval builder's program on the
+// unit grid; only the size guards and the result type are its own.
 func SolveTimeIndexedLPWith(ins *coflowmodel.Instance, method lp.Method) (*TimeIndexedSolution, error) {
 	if err := ins.Validate(); err != nil {
 		return nil, err
 	}
-	n := len(ins.Coflows)
-	if n == 0 {
-		return nil, fmt.Errorf("lpmodel: empty instance")
-	}
-	m := ins.Ports
-	T := ins.Horizon()
-	if T < 1 {
-		T = 1
-	}
+	T := max(ins.Horizon(), 1)
 	if T > MaxTimeIndexedHorizon {
 		return nil, fmt.Errorf("lpmodel: LP-EXP horizon %d exceeds limit %d; use SolveIntervalLP",
 			T, MaxTimeIndexedHorizon)
 	}
-
-	rowLoad := make([][]int64, n)
-	colLoad := make([][]int64, n)
-	tMin := make([]int64, n)
+	// One variable z_t^(k) per coflow and slot t = max(1, r_k + ρ_k)..T.
 	numVars := 0
-	for k := range ins.Coflows {
-		c := &ins.Coflows[k]
-		rowLoad[k] = c.RowLoads(m)
-		colLoad[k] = c.ColLoads(m)
-		tMin[k] = c.Release + c.Load(m)
-		if tMin[k] < 1 {
-			tMin[k] = 1
-		}
-		numVars += int(T - tMin[k] + 1)
+	for _, c := range ins.Coflows {
+		numVars += int(T - max(c.Release+c.Load(ins.Ports), 1) + 1)
 	}
 	if numVars > MaxTimeIndexedVars {
 		return nil, fmt.Errorf("lpmodel: LP-EXP would need %d variables (limit %d); use SolveIntervalLP",
 			numVars, MaxTimeIndexedVars)
 	}
-
-	// Variable numbering: z_t^(k) for t = tMin[k]..T.
-	varIdx := make([][]int, n)
-	idx := 0
-	for k := 0; k < n; k++ {
-		varIdx[k] = make([]int, T+1)
-		for t := int64(0); t <= T; t++ {
-			varIdx[k][t] = -1
-		}
-		for t := tMin[k]; t <= T; t++ {
-			varIdx[k][t] = idx
-			idx++
-		}
-	}
-
-	prob := lp.NewProblem(numVars)
-	for k := 0; k < n; k++ {
-		w := ins.Coflows[k].Weight
-		for t := tMin[k]; t <= T; t++ {
-			prob.SetObjective(varIdx[k][t], w*float64(t))
-		}
-	}
-	for k := 0; k < n; k++ {
-		var entries []lp.Entry
-		for t := tMin[k]; t <= T; t++ {
-			entries = append(entries, lp.Entry{Var: varIdx[k][t], Coef: 1})
-		}
-		prob.AddConstraint(entries, lp.EQ, 1)
-	}
-	addLoadRows := func(load [][]int64) {
-		for port := 0; port < m; port++ {
-			var total int64
-			for k := 0; k < n; k++ {
-				total += load[k][port]
-			}
-			if total == 0 {
-				continue
-			}
-			for t := int64(1); t <= T; t++ {
-				if total <= t {
-					break
-				}
-				var entries []lp.Entry
-				for k := 0; k < n; k++ {
-					if load[k][port] == 0 {
-						continue
-					}
-					for s := tMin[k]; s <= t; s++ {
-						entries = append(entries, lp.Entry{Var: varIdx[k][s], Coef: float64(load[k][port])})
-					}
-				}
-				if len(entries) > 0 {
-					prob.AddConstraint(entries, lp.LE, float64(t))
-				}
-			}
-		}
-	}
-	addLoadRows(rowLoad)
-	addLoadRows(colLoad)
-
-	sol, err := lp.SolveWith(prob, method)
+	sol, err := solveGridLP(ins, "LP-EXP", unitPoints, 1, method)
 	if err != nil {
 		return nil, err
 	}
-	if sol.Status != lp.Optimal {
-		return nil, fmt.Errorf("lpmodel: LP-EXP not optimal: %v", sol.Status)
-	}
-	if err := lp.CheckFeasible(prob, sol.X, 1e-5); err != nil {
-		return nil, fmt.Errorf("lpmodel: LP-EXP solution failed verification: %w", err)
-	}
-	out := &TimeIndexedSolution{
-		CBar:       make([]float64, n),
-		LowerBound: sol.Objective,
+	return &TimeIndexedSolution{
+		CBar:       sol.CBar,
+		LowerBound: sol.LowerBound,
 		Iterations: sol.Iterations,
-		Vars:       numVars,
-		Rows:       prob.NumConstraints(),
-	}
-	for k := 0; k < n; k++ {
-		for t := tMin[k]; t <= T; t++ {
-			out.CBar[k] += float64(t) * sol.X[varIdx[k][t]]
-		}
-	}
-	return out, nil
+		Vars:       sol.Vars,
+		Rows:       sol.Rows,
+	}, nil
 }
 
 // TrivialLowerBound returns Σ_k w_k·(r_k + ρ_k): every coflow needs at

@@ -32,7 +32,7 @@ type Matcher struct {
 	dist           []int
 	queue          []int
 	// Matcher-owned CSR adjacency, rebuilt (not reallocated) by the
-	// matrix/graph entry points (MatchSupportAtLeast, MatchGraph).
+	// matrix entry points (MatchSupport, MatchSupportAtLeast).
 	ownOff []int32
 	ownDat []int32
 	ownLen []int32
@@ -187,63 +187,13 @@ func (mt *Matcher) matchSupportAtLeast(d *matrix.Matrix, theta int64) {
 }
 
 // useOwnAdj points the active adjacency view at the matcher-owned CSR
-// buffers built by the matrix/graph entry points.
+// buffers built by the matrix entry points.
 //
 //coflow:allocfree
 func (mt *Matcher) useOwnAdj() {
 	mt.adjOff = mt.ownOff
 	mt.adjLen = mt.ownLen
 	mt.adjDat = mt.ownDat
-}
-
-// MatchGraph computes a maximum matching of g, warm-starting from the
-// previous call. g must have the matcher's size.
-func (mt *Matcher) MatchGraph(g *Graph) matrix.Permutation {
-	if g.N != mt.n {
-		panic(fmt.Sprintf("matching: matcher size %d, graph size %d", mt.n, g.N))
-	}
-	n := mt.n
-	mt.ownDat = mt.ownDat[:0]
-	for u := 0; u < n; u++ {
-		mt.ownOff[u] = int32(len(mt.ownDat))
-		for _, v := range g.Adj[u] {
-			mt.ownDat = append(mt.ownDat, int32(v))
-		}
-		mt.ownLen[u] = int32(len(mt.ownDat)) - mt.ownOff[u]
-	}
-	mt.ownOff[n] = int32(len(mt.ownDat))
-	mt.useOwnAdj()
-	for u := 0; u < n; u++ {
-		v := mt.matchL[u]
-		if v == matrix.Unmatched {
-			continue
-		}
-		present := false
-		for _, w := range g.Adj[u] {
-			if w == v {
-				present = true
-				break
-			}
-		}
-		if !present {
-			mt.matchL[u] = matrix.Unmatched
-			mt.matchR[v] = matrix.Unmatched
-			mt.matched--
-		}
-	}
-	mt.augmentToMax()
-	return matrix.Permutation{To: append([]int(nil), mt.matchL...)}
-}
-
-// PerfectOnSupport is MatchSupport with the Hall precondition check of
-// the package-level PerfectOnSupport.
-func (mt *Matcher) PerfectOnSupport(d *matrix.Matrix) (matrix.Permutation, error) {
-	p := mt.MatchSupport(d)
-	if !p.IsPerfect() {
-		return matrix.Permutation{}, fmt.Errorf("matching: support of %d×%d matrix admits no perfect matching (matched %d of %d rows)",
-			d.Rows(), d.Cols(), p.Size(), d.Rows())
-	}
-	return p, nil
 }
 
 // augmentToMax runs Hopcroft–Karp phases over the active adjacency
@@ -323,7 +273,7 @@ func (mt *Matcher) dfs(u int) bool {
 // mutate the view in place (shrink lengths, swap-delete entries)
 // between calls; the matcher only reads it. off and length must have
 // at least n entries. The view stays active until the next
-// MatchSupport*/MatchGraph call rebuilds the matcher-owned adjacency.
+// MatchSupport* call rebuilds the matcher-owned adjacency.
 //
 //coflow:allocfree
 func (mt *Matcher) SetAdjacency(off, length, dat []int32) {

@@ -56,9 +56,6 @@ func NewPlanner(ports int) *Planner {
 // Decomposer.
 func (p *Planner) SetObs(o bvn.Obs) { p.dec.SetObs(o) }
 
-// Ports returns the switch size m.
-func (p *Planner) Ports() int { return p.ports }
-
 // Add accumulates a registered coflow's flows into the aggregate
 // demand. Flows sharing a port pair accumulate; zero-size flows are
 // ignored. The next Plan after an Add runs cold.

@@ -121,9 +121,6 @@ func NewState(ports int) *State {
 	}
 }
 
-// Ports returns the switch size m.
-func (s *State) Ports() int { return s.ports }
-
 // Len returns the number of live (unfinished, not removed) coflows,
 // released or not.
 func (s *State) Len() int { return len(s.list) }

@@ -138,17 +138,6 @@ func (s *Script) Validate() error {
 	return nil
 }
 
-// Registers returns the number of register events.
-func (s *Script) Registers() int {
-	n := 0
-	for _, ev := range s.Events {
-		if ev.Op == OpRegister {
-			n++
-		}
-	}
-	return n
-}
-
 // TotalDemand sums the demand of every register event.
 func (s *Script) TotalDemand() int64 {
 	var total int64

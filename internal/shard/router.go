@@ -28,7 +28,6 @@ import "slices"
 // A Ring is immutable after NewRing and safe for concurrent use.
 type Ring struct {
 	points []ringPoint // sorted by hash
-	shards int
 }
 
 type ringPoint struct {
@@ -52,10 +51,7 @@ func NewRing(shards, replicas int) *Ring {
 	if replicas <= 0 {
 		replicas = defaultReplicas
 	}
-	r := &Ring{
-		points: make([]ringPoint, 0, shards*replicas),
-		shards: shards,
-	}
+	r := &Ring{points: make([]ringPoint, 0, shards*replicas)}
 	for s := 0; s < shards; s++ {
 		for j := 0; j < replicas; j++ {
 			// shard and replica packed into one unique seed; mix64
@@ -67,9 +63,6 @@ func NewRing(shards, replicas int) *Ring {
 	sortPoints(r.points)
 	return r
 }
-
-// Shards returns the number of fabrics on the ring.
-func (r *Ring) Shards() int { return r.shards }
 
 // Route maps a coflow ID (or any key) to its fabric: the owner of the
 // first ring point at or after mix64(key), wrapping past the top.
