@@ -90,7 +90,8 @@ scenarios:
 # (the traced run executes the shadow passes). run.sh exits 1 on any
 # failed operation or output check: a 5xx, a transport error, a refused
 # item, a coflow unresolved at drain, a Σ wC below its lower bound or
-# different from the bare scheduler's.
+# different from the bare scheduler's. This is the one copy of the two
+# lines; the CI smoke job runs this target.
 smoke:
 	bash benchmark/run.sh --workload serve-http --seconds 2 --trace 0
 	bash benchmark/run.sh --workload replay-churn-plan --seconds 2 --trace 1

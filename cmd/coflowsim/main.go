@@ -26,7 +26,6 @@ import (
 	"strings"
 
 	"coflow"
-	"coflow/internal/bvn"
 	"coflow/internal/lp"
 	"coflow/internal/obs"
 	"coflow/internal/online"
@@ -192,7 +191,6 @@ func main() {
 func setupObs() *obs.Registry {
 	reg := obs.NewRegistry()
 	lp.SetObs(lp.NewObs(reg))
-	bvn.SetObs(bvn.NewObs(reg))
 	switchsim.SetObs(switchsim.NewObs(reg))
 	online.SetDefaultObs(online.NewObs(reg))
 	return reg

@@ -25,7 +25,6 @@ import (
 	"strconv"
 	"strings"
 
-	"coflow/internal/bvn"
 	"coflow/internal/experiments"
 	"coflow/internal/lp"
 	"coflow/internal/obs"
@@ -70,7 +69,6 @@ func main() {
 	if *obsJSON != "" {
 		reg := obs.NewRegistry()
 		lp.SetObs(lp.NewObs(reg))
-		bvn.SetObs(bvn.NewObs(reg))
 		switchsim.SetObs(switchsim.NewObs(reg))
 		online.SetDefaultObs(online.NewObs(reg))
 		defer writeObsJSON(reg, *obsJSON)

@@ -1,19 +1,22 @@
 // Command tracegen generates a synthetic Facebook-like coflow trace
 // (the documented substitution for the paper's proprietary trace) and
-// writes it as JSON.
+// writes it as JSON or in the community coflow-benchmark text format.
 //
 // Usage:
 //
-//	tracegen -out trace.json [-ports 150] [-coflows 300] [-seed 1]
-//	         [-maxflow 1000] [-interarrival 0] [-stats]
+//	tracegen -out trace.json [-format json|bench] [-unitms 7.8125]
+//	         [-ports 150] [-coflows 300] [-seed 1] [-maxflow 1000]
+//	         [-interarrival 0] [-stats]
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
+	"coflow/internal/coflowmodel"
 	"coflow/internal/trace"
 )
 
@@ -33,6 +36,19 @@ func main() {
 		"mean coflow interarrival time (0 = all released at time 0)")
 	stats := flag.Bool("stats", false, "print workload statistics to stderr")
 	flag.Parse()
+	// Chosen before -out is created: a typo here must not truncate an
+	// existing trace.
+	var write func(io.Writer, *coflowmodel.Instance) error
+	switch *format {
+	case "json":
+		write = func(w io.Writer, ins *coflowmodel.Instance) error { return ins.Write(w) }
+	case "bench":
+		write = func(w io.Writer, ins *coflowmodel.Instance) error {
+			return trace.WriteBenchmarkFormat(w, ins, *unitMillis)
+		}
+	default:
+		log.Fatalf("unknown -format %q (want json or bench)", *format)
+	}
 
 	ins, err := trace.Generate(cfg)
 	if err != nil {
@@ -53,15 +69,7 @@ func main() {
 		}
 		w = f
 	}
-	switch *format {
-	case "json":
-		err = ins.Write(w)
-	case "bench":
-		err = trace.WriteBenchmarkFormat(w, ins, *unitMillis)
-	default:
-		log.Fatalf("unknown -format %q (want json or bench)", *format)
-	}
-	if err != nil {
+	if err := write(w, ins); err != nil {
 		log.Fatal(err)
 	}
 	if *out != "" {

@@ -498,7 +498,3 @@ func (dc *Decomposer) Update(served *matrix.Matrix) (*Decomposition, error) {
 	dc.dec.augmented = nil
 	return &dc.dec, nil
 }
-
-// Demand returns the demand matrix the current result decomposes
-// (aliased, do not mutate). Valid once primed.
-func (dc *Decomposer) Demand() *matrix.Matrix { return dc.demand }

@@ -194,7 +194,7 @@ func TestDecomposeDoesNotAllocate(t *testing.T) {
 			perm := cur.Terms[0].Perm
 			served.Zero()
 			for i, j := range perm.To {
-				if dc.Demand().At(i, j) > 0 {
+				if dc.demand.At(i, j) > 0 {
 					served.Set(i, j, 1)
 				}
 			}
@@ -268,7 +268,7 @@ func BenchmarkDecomposerUpdateM100Dense(b *testing.B) {
 			perm := cur.Terms[0].Perm
 			served.Zero()
 			for r, c := range perm.To {
-				if dc.Demand().At(r, c) > 0 {
+				if dc.demand.At(r, c) > 0 {
 					served.Set(r, c, 1)
 					any = true
 				}

@@ -7,9 +7,9 @@ import (
 
 // Obs instruments Algorithm 1. Every field is a nil-safe obs metric,
 // so the zero value (the default) is free: each site costs one nil
-// check. A Decomposer takes its hooks through Decomposer.SetObs; the
-// batch CLIs install one package-wide default at startup with SetObs,
-// which switchsim's executor hands to the Decomposer it holds.
+// check. A Decomposer takes its hooks through Decomposer.SetObs, from
+// whoever owns it: the daemon's planner, or switchsim's executor
+// (switchsim.Obs.Decompose).
 //
 // Stage taxonomy:
 //
@@ -54,19 +54,6 @@ func (o *Obs) TermReuseHitRate() float64 {
 	}
 	return float64(r) / float64(r+a)
 }
-
-// pkgObs is the installed hooks; the zero value disables them.
-var pkgObs Obs
-
-// SetObs installs package-wide instrumentation. Call once at startup
-// (it is not synchronized against concurrent decompositions); the
-// zero Obs restores the disabled default.
-func SetObs(o Obs) { pkgObs = o }
-
-// DefaultObs returns the package-wide instrumentation installed by
-// SetObs (the zero Obs when none is installed). Decomposer holders
-// that want the package default pass it to Decomposer.SetObs.
-func DefaultObs() Obs { return pkgObs }
 
 // NewObs registers the decomposition metrics on r (prefix coflow_bvn_)
 // and returns the wired Obs, including matcher warm-start counters. A

@@ -80,7 +80,7 @@ func FuzzStepVsReference(f *testing.F) {
 					step()
 				}
 			}
-			if div := sh.Diverged(); div != nil {
+			if div := sh.div; div != nil {
 				t.Fatalf("ports=%d policy=%v: %v", ports, policy, div)
 			}
 		}

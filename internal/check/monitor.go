@@ -98,9 +98,6 @@ func (mo *Monitor) Remove(key int) {
 	delete(mo.coflows, key)
 }
 
-// Live returns the number of coflows the monitor is tracking.
-func (mo *Monitor) Live() int { return len(mo.coflows) }
-
 // Observe applies one slot's StepResult to the monitor's bookkeeping
 // and, when validate is set, returns every invariant the slot
 // violated (nil means the slot is clean). The bookkeeping is applied

@@ -45,8 +45,8 @@ func TestMonitorCleanRun(t *testing.T) {
 		if state.Len() > 0 {
 			t.Fatalf("%v: scheduler stalled", policy)
 		}
-		if mon.Live() != 0 {
-			t.Fatalf("%v: monitor still tracks %d coflows after drain", policy, mon.Live())
+		if len(mon.coflows) != 0 {
+			t.Fatalf("%v: monitor still tracks %d coflows after drain", policy, len(mon.coflows))
 		}
 	}
 }
@@ -110,7 +110,7 @@ func TestMonitorDetectsSilentDrain(t *testing.T) {
 	if !hasKind(vs, KindUnderServed) {
 		t.Fatalf("silent drain not reported: %s", kinds(vs))
 	}
-	if mo.Live() != 0 {
+	if len(mo.coflows) != 0 {
 		t.Fatal("monitor did not resync after silent drain")
 	}
 }
@@ -150,7 +150,7 @@ func TestMonitorSampledValidation(t *testing.T) {
 	if vs != nil {
 		t.Fatalf("sampled bookkeeping out of sync: %s", kinds(vs))
 	}
-	if mo.Live() != 0 {
+	if len(mo.coflows) != 0 {
 		t.Fatal("completion not applied")
 	}
 }
@@ -162,12 +162,12 @@ func TestMonitorIgnoresZeroDemand(t *testing.T) {
 	mo.Add(0, 0, nil)
 	mo.Add(1, 0, []coflowmodel.Flow{{Src: 0, Dst: 0, Size: 0}})
 	mo.Add(2, 0, []coflowmodel.Flow{{Src: 7, Dst: 0, Size: 3}})
-	if mo.Live() != 0 {
-		t.Fatalf("monitor retains %d empty coflows", mo.Live())
+	if len(mo.coflows) != 0 {
+		t.Fatalf("monitor retains %d empty coflows", len(mo.coflows))
 	}
 	mo.Add(3, 0, []coflowmodel.Flow{{Src: 0, Dst: 0, Size: 1}})
 	mo.Remove(3)
-	if mo.Live() != 0 {
+	if len(mo.coflows) != 0 {
 		t.Fatal("Remove did not forget the coflow")
 	}
 }

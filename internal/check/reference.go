@@ -82,9 +82,6 @@ func NewReference(ports int) *Reference {
 	return &Reference{ports: ports}
 }
 
-// Len returns the number of live coflows.
-func (r *Reference) Len() int { return len(r.coflows) }
-
 // Add mirrors online.State.Add: it registers a coflow, accumulating
 // flows that share a port pair, and does not retain zero-demand
 // coflows. The validation rules (and their order) match the fast path

@@ -98,9 +98,6 @@ func NewShadow(ports int, cfg ShadowConfig) *Shadow {
 	}
 }
 
-// Diverged returns the first recorded divergence, or nil.
-func (sh *Shadow) Diverged() *Divergence { return sh.div }
-
 // Add registers a coflow with both implementations. The two must
 // agree on acceptance; disagreement is itself a divergence.
 func (sh *Shadow) Add(key int, weight float64, release int64, flows []coflowmodel.Flow) (int64, error) {

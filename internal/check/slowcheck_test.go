@@ -89,8 +89,8 @@ func TestSlowMonitorSweep(t *testing.T) {
 				}
 				tt = res.Slot
 			}
-			if mon.Live() != 0 {
-				t.Fatalf("seed %d %v: monitor retains %d coflows", cfg.Seed, policy, mon.Live())
+			if len(mon.coflows) != 0 {
+				t.Fatalf("seed %d %v: monitor retains %d coflows", cfg.Seed, policy, len(mon.coflows))
 			}
 		}
 	}

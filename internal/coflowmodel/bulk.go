@@ -24,22 +24,12 @@ type Registrations struct {
 	Bulk  bool
 }
 
-// Valid returns the number of items that decoded and validated.
-func (rs *Registrations) Valid() int {
-	n := 0
-	for _, err := range rs.Errs {
-		if err == nil {
-			n++
-		}
-	}
-	return n
-}
-
 // ParseRegistrations decodes a registration body that is either a
 // single JSON object or an array of objects, validating every item
-// against an m-port switch. Like ParseRegistration, unknown fields
-// are rejected — but inside an array the rejection is per item
-// (index-addressed in Errs) rather than fatal to the whole batch.
+// against an m-port switch. Unknown fields are rejected, so a typo in
+// a client payload fails loudly instead of silently registering an
+// empty coflow — fatally for a single-object body, per item
+// (index-addressed in Errs) inside an array.
 //
 // The returned error is non-nil only for body-level failures: JSON
 // that is neither an object nor an array, a malformed array
@@ -68,7 +58,7 @@ func ParseRegistrations(r io.Reader, ports int) (*Registrations, error) {
 			err = expectEOF(one)
 		}
 		if err != nil {
-			return nil, err // single-object bodies fail whole, like ParseRegistration
+			return nil, err // a single-object body that does not decode fails whole
 		}
 		return &Registrations{
 			Items: []*Registration{reg},
@@ -102,13 +92,19 @@ func ParseRegistrations(r io.Reader, ports int) (*Registrations, error) {
 }
 
 // parseOne strictly decodes one registration object (no validation).
+// It decodes through a pointer so that a null item stays nil: decoding
+// null into a struct is a no-op that would register a zero-demand
+// coflow nobody asked for.
 func parseOne(dec *json.Decoder) (*Registration, error) {
 	dec.DisallowUnknownFields()
-	var reg Registration
+	var reg *Registration
 	if err := dec.Decode(&reg); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrMalformed, err)
 	}
-	return &reg, nil
+	if reg == nil {
+		return nil, fmt.Errorf("%w: null is not a registration", ErrMalformed)
+	}
+	return reg, nil
 }
 
 // expectEOF fails unless only whitespace follows the value dec just

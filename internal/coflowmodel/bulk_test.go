@@ -18,9 +18,6 @@ func TestParseRegistrationsSingleObject(t *testing.T) {
 	if len(rs.Items) != 1 || rs.Errs[0] != nil || rs.Items[0].Weight != 2 {
 		t.Fatalf("parsed %+v errs %v", rs.Items, rs.Errs)
 	}
-	if rs.Valid() != 1 {
-		t.Fatalf("Valid() = %d, want 1", rs.Valid())
-	}
 
 	// A single-object validation failure is index-addressed at 0, not
 	// a body-level error.
@@ -29,7 +26,7 @@ func TestParseRegistrationsSingleObject(t *testing.T) {
 	if err != nil {
 		t.Fatalf("validation failure escalated to body error: %v", err)
 	}
-	if rs.Errs[0] == nil || rs.Valid() != 0 {
+	if rs.Errs[0] == nil {
 		t.Fatalf("out-of-range flow not flagged: errs %v", rs.Errs)
 	}
 
@@ -52,7 +49,8 @@ func TestParseRegistrationsArray(t *testing.T) {
 		{"flows": [{"src": 9, "dst": 0, "size": 1}]},
 		{"typo": true},
 		{"weight": 3, "flows": []},
-		7
+		7,
+		null
 	]`
 	rs, err := ParseRegistrations(strings.NewReader(body), 2)
 	if err != nil {
@@ -61,8 +59,8 @@ func TestParseRegistrationsArray(t *testing.T) {
 	if !rs.Bulk {
 		t.Fatal("array body not reported as bulk")
 	}
-	if len(rs.Items) != 5 || len(rs.Errs) != 5 {
-		t.Fatalf("decoded %d items / %d errs, want 5/5", len(rs.Items), len(rs.Errs))
+	if len(rs.Items) != 6 || len(rs.Errs) != 6 {
+		t.Fatalf("decoded %d items / %d errs, want 6/6", len(rs.Items), len(rs.Errs))
 	}
 	if rs.Errs[0] != nil || rs.Errs[3] != nil {
 		t.Errorf("valid items flagged: %v / %v", rs.Errs[0], rs.Errs[3])
@@ -76,8 +74,8 @@ func TestParseRegistrationsArray(t *testing.T) {
 	if rs.Errs[4] == nil || !errors.Is(rs.Errs[4], ErrMalformed) {
 		t.Errorf("non-object item 4: %v, want ErrMalformed", rs.Errs[4])
 	}
-	if rs.Valid() != 2 {
-		t.Fatalf("Valid() = %d, want 2", rs.Valid())
+	if rs.Items[5] != nil || !errors.Is(rs.Errs[5], ErrMalformed) {
+		t.Errorf("null item 5: %+v, %v, want ErrMalformed", rs.Items[5], rs.Errs[5])
 	}
 
 	// Only whitespace may follow the closing bracket.
@@ -117,7 +115,7 @@ func TestParseRegistrationsEmptyArray(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rs.Bulk || len(rs.Items) != 0 || rs.Valid() != 0 {
+	if !rs.Bulk || len(rs.Items) != 0 || len(rs.Errs) != 0 {
 		t.Fatalf("empty array parsed as %+v", rs)
 	}
 }

@@ -1,10 +1,8 @@
 package coflowmodel
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 )
 
 // ErrMalformed marks registration payloads that failed to DECODE (as
@@ -68,24 +66,4 @@ func (reg *Registration) Coflow(id int, release int64) Coflow {
 		Release: release,
 		Flows:   append([]Flow(nil), reg.Flows...),
 	}
-}
-
-// ParseRegistration decodes a JSON registration from r and validates
-// it against an m-port switch. Unknown fields are rejected so typos in
-// client payloads fail loudly instead of silently registering an empty
-// coflow.
-func ParseRegistration(r io.Reader, ports int) (*Registration, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var reg Registration
-	if err := dec.Decode(&reg); err != nil {
-		// Both sentinels stay unwrappable: ErrMalformed for
-		// classification, the decoder's error (which may be an
-		// *http.MaxBytesError) for cause-specific handling.
-		return nil, fmt.Errorf("%w: %w", ErrMalformed, err)
-	}
-	if err := reg.Validate(ports); err != nil {
-		return nil, err
-	}
-	return &reg, nil
 }

@@ -41,8 +41,16 @@ func TestRegistrationCoflowDefaultsWeight(t *testing.T) {
 }
 
 func TestParseRegistration(t *testing.T) {
-	reg, err := ParseRegistration(strings.NewReader(
-		`{"weight": 2, "flows": [{"src": 0, "dst": 1, "size": 4}]}`), 2)
+	// One object through the parser the HTTP plane uses: a decode
+	// failure is the body's error, a validation failure is item 0's.
+	parse := func(body string) (*Registration, error) {
+		rs, err := ParseRegistrations(strings.NewReader(body), 2)
+		if err != nil {
+			return nil, err
+		}
+		return rs.Items[0], rs.Errs[0]
+	}
+	reg, err := parse(`{"weight": 2, "flows": [{"src": 0, "dst": 1, "size": 4}]}`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,9 +62,10 @@ func TestParseRegistration(t *testing.T) {
 		`{"weights": 2}`,    // unknown field
 		`{"flows": "nope"}`, // wrong type
 		`not json`,
+		`{"flows": [{"src": 0, "dst": 1, "size": 4}]} {"x": 1}`, // a second object
 	} {
-		if _, err := ParseRegistration(strings.NewReader(bad), 2); err == nil {
-			t.Errorf("ParseRegistration accepted %q", bad)
+		if _, err := parse(bad); err == nil {
+			t.Errorf("ParseRegistrations accepted %q", bad)
 		}
 	}
 }

@@ -3,11 +3,13 @@
 // operation the paper's concluding discussion asks for. It owns a
 // virtual m×m switch whose live state is an online.State, advances it
 // slot by slot on a tick, and takes registrations, cancellations and
-// port failures as Go calls. It has no network surface of its own:
-// coflowd's HTTP/JSON control plane is internal/shard, which fronts one
-// or more of these loops (a single-fabric deployment is a one-fabric
-// cluster). The JSON documents that plane serves per fabric — Metrics,
-// CoflowStatus, Snapshot, BulkResponse — are declared here.
+// port failures as Go calls. It has no network surface of its own and
+// hands out no coflow IDs: coflowd's HTTP/JSON control plane is
+// internal/shard, which fronts one or more of these loops (a
+// single-fabric deployment is a one-fabric cluster) and registers every
+// coflow under a cluster-unique ID (RegisterWithID). The JSON documents
+// that plane serves per fabric — Metrics, CoflowStatus, Snapshot,
+// BulkResponse — are declared here.
 //
 // Concurrency model — single writer, snapshot readers:
 //
@@ -251,6 +253,7 @@ const (
 type command struct {
 	// exactly one of reg, tick, portOp, or cancel is set
 	reg    *coflowmodel.Registration
+	regID  int  // caller-chosen coflow ID of reg, > 0
 	cancel int  // coflow ID, when > 0 and reg == nil
 	tick   bool // advance one slot
 
@@ -258,16 +261,10 @@ type command struct {
 	port   int
 	portOp portOp
 
-	// forceID, when > 0 with reg set, is the caller-chosen coflow ID
-	// (the shard router assigns cluster-unique IDs); 0 lets the loop
-	// assign the next sequential one.
-	forceID int
-
 	reply chan reply // nil for fire-and-forget ticker ticks
 }
 
 type reply struct {
-	id      int   // assigned coflow ID (register)
 	release int64 // assigned release slot (register)
 	err     error
 }
@@ -331,22 +328,12 @@ func New(cfg Config) (*Daemon, error) {
 // returned value is shared and must not be mutated.
 func (d *Daemon) Snapshot() *Snapshot { return d.snap.Load() }
 
-// Register submits a coflow registration. It returns the assigned ID
-// and release slot; the coflow is released "now" (eligible from the
-// next slot).
-func (d *Daemon) Register(reg *coflowmodel.Registration) (id int, release int64, err error) {
-	if err := reg.Validate(d.cfg.Ports); err != nil {
-		return 0, 0, err
-	}
-	r, err := d.send(command{reg: reg})
-	return r.id, r.release, err
-}
-
-// RegisterWithID submits a registration under a caller-chosen positive
-// ID instead of the daemon's own sequence. A sharded cluster uses this
-// to hand out cluster-unique IDs while each fabric keeps its local
-// single-writer loop. It fails if the ID was ever used on this daemon
-// (live, completed, or cancelled).
+// RegisterWithID submits a coflow registration under a caller-chosen
+// positive ID and returns its release slot; the coflow is released
+// "now" (eligible from the next slot). A fabric hands out no IDs of its
+// own: the sharded cluster in front of it assigns cluster-unique ones
+// while each fabric keeps its local single-writer loop. It fails if the
+// ID was ever used on this daemon (live, completed, or cancelled).
 func (d *Daemon) RegisterWithID(id int, reg *coflowmodel.Registration) (release int64, err error) {
 	if id <= 0 {
 		return 0, fmt.Errorf("daemon: non-positive coflow id %d", id)
@@ -354,7 +341,7 @@ func (d *Daemon) RegisterWithID(id int, reg *coflowmodel.Registration) (release 
 	if err := reg.Validate(d.cfg.Ports); err != nil {
 		return 0, err
 	}
-	r, err := d.send(command{reg: reg, forceID: id})
+	r, err := d.send(command{reg: reg, regID: id})
 	return r.release, err
 }
 
@@ -497,7 +484,6 @@ func (d *Daemon) loop() {
 	coflows := map[int]*coflowInfo{}
 	var (
 		slot         int64
-		nextID       = 1
 		ticks        int64
 		registered   int64
 		completedN   int64
@@ -695,20 +681,12 @@ func (d *Daemon) loop() {
 	handle := func(c command) reply {
 		switch {
 		case c.reg != nil:
-			id := c.forceID
-			if id == 0 {
-				id = nextID
-				nextID++
-			} else {
-				// Caller-chosen IDs (the shard router's cluster-unique
-				// sequence) must never collide with anything this fabric
-				// has seen, live or terminal.
-				if _, exists := coflows[id]; exists {
-					return reply{err: fmt.Errorf("daemon: duplicate coflow id %d", id)}
-				}
-				if id >= nextID {
-					nextID = id + 1
-				}
+			// The ID (the shard router's cluster-unique sequence) must
+			// never collide with anything this fabric has seen, live or
+			// terminal.
+			id := c.regID
+			if _, exists := coflows[id]; exists {
+				return reply{err: fmt.Errorf("daemon: duplicate coflow id %d", id)}
 			}
 			cf := c.reg.Coflow(id, slot)
 			remaining, err := state.Add(id, cf.Weight, cf.Release, cf.Flows)
@@ -737,7 +715,7 @@ func (d *Daemon) loop() {
 					}
 				}
 			}
-			return reply{id: id, release: slot}
+			return reply{release: slot}
 
 		case c.tick:
 			policy := d.cfg.Policy

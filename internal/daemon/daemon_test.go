@@ -3,6 +3,7 @@ package daemon
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,6 +24,18 @@ func newTestDaemon(t *testing.T, cfg Config) *Daemon {
 	return d
 }
 
+// testIDs numbers the coflows the tests register: a fabric hands out no
+// IDs itself, so register plays the cluster's part with one sequence
+// for every daemon of the test binary.
+var testIDs atomic.Int64
+
+// register submits reg under the next test ID.
+func register(d *Daemon, reg *coflowmodel.Registration) (id int, release int64, err error) {
+	id = int(testIDs.Add(1))
+	release, err = d.RegisterWithID(id, reg)
+	return id, release, err
+}
+
 func TestNewRejectsBadConfig(t *testing.T) {
 	if _, err := New(Config{Ports: 0}); err == nil {
 		t.Error("ports=0 accepted")
@@ -34,7 +47,7 @@ func TestNewRejectsBadConfig(t *testing.T) {
 
 func TestRegisterTickComplete(t *testing.T) {
 	d := newTestDaemon(t, Config{Ports: 2, Policy: online.SEBF})
-	id, release, err := d.Register(&coflowmodel.Registration{
+	id, release, err := register(d, &coflowmodel.Registration{
 		Weight: 2,
 		Flows: []coflowmodel.Flow{
 			{Src: 0, Dst: 0, Size: 1}, {Src: 0, Dst: 1, Size: 2},
@@ -44,10 +57,10 @@ func TestRegisterTickComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id != 1 || release != 0 {
-		t.Fatalf("Register = (%d, %d), want (1, 0)", id, release)
+	if release != 0 {
+		t.Fatalf("release = %d, want 0", release)
 	}
-	cs := d.Snapshot().Coflows.Get(1)
+	cs := d.Snapshot().Coflows.Get(id)
 	if cs == nil || cs.State != "active" || cs.Remaining != 6 || cs.Load != 3 {
 		t.Fatalf("registered status = %+v", cs)
 	}
@@ -57,7 +70,7 @@ func TestRegisterTickComplete(t *testing.T) {
 		if err := d.Tick(); err != nil {
 			t.Fatal(err)
 		}
-		if cs := d.Snapshot().Coflows.Get(1); cs.State == "completed" {
+		if cs := d.Snapshot().Coflows.Get(id); cs.State == "completed" {
 			completedAt = cs.Completed
 			break
 		}
@@ -75,7 +88,7 @@ func TestRegisterTickComplete(t *testing.T) {
 	if m.TickLatency.Count == 0 || m.TickLatency.Max <= 0 {
 		t.Fatalf("tick latency not recorded: %+v", m.TickLatency)
 	}
-	if cs := d.Snapshot().Coflows.Get(1); cs.Slowdown < 1 {
+	if cs := d.Snapshot().Coflows.Get(id); cs.Slowdown < 1 {
 		t.Fatalf("slowdown = %g < 1", cs.Slowdown)
 	}
 }
@@ -85,7 +98,7 @@ func TestZeroDemandCompletesAtRelease(t *testing.T) {
 	if err := d.Tick(); err != nil { // move the clock so release is non-zero
 		t.Fatal(err)
 	}
-	id, release, err := d.Register(&coflowmodel.Registration{})
+	id, release, err := register(d, &coflowmodel.Registration{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +113,7 @@ func TestZeroDemandCompletesAtRelease(t *testing.T) {
 
 func TestRegisterValidation(t *testing.T) {
 	d := newTestDaemon(t, Config{Ports: 2})
-	_, _, err := d.Register(&coflowmodel.Registration{
+	_, _, err := register(d, &coflowmodel.Registration{
 		Flows: []coflowmodel.Flow{{Src: 5, Dst: 0, Size: 1}},
 	})
 	if err == nil {
@@ -113,13 +126,13 @@ func TestRegisterValidation(t *testing.T) {
 
 func TestCancel(t *testing.T) {
 	d := newTestDaemon(t, Config{Ports: 1})
-	hog, _, err := d.Register(&coflowmodel.Registration{
+	hog, _, err := register(d, &coflowmodel.Registration{
 		Flows: []coflowmodel.Flow{{Src: 0, Dst: 0, Size: 1000}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	small, _, err := d.Register(&coflowmodel.Registration{
+	small, _, err := register(d, &coflowmodel.Registration{
 		Flows: []coflowmodel.Flow{{Src: 0, Dst: 0, Size: 1}},
 	})
 	if err != nil {
@@ -156,7 +169,7 @@ func TestCancel(t *testing.T) {
 func TestScheduleSnapshotIsAMatching(t *testing.T) {
 	d := newTestDaemon(t, Config{Ports: 2, Policy: online.WSPT})
 	for i := 0; i < 3; i++ {
-		_, _, err := d.Register(&coflowmodel.Registration{
+		_, _, err := register(d, &coflowmodel.Registration{
 			Flows: []coflowmodel.Flow{{Src: 0, Dst: 0, Size: 2}, {Src: 1, Dst: 1, Size: 2}},
 		})
 		if err != nil {
@@ -185,7 +198,7 @@ func TestDeadlineDegradesToFIFO(t *testing.T) {
 	// daemon, and with degradeHold consecutive sub-nanosecond ticks
 	// being impossible it stays degraded.
 	d := newTestDaemon(t, Config{Ports: 2, Policy: online.SEBF, Deadline: time.Nanosecond})
-	if _, _, err := d.Register(&coflowmodel.Registration{
+	if _, _, err := register(d, &coflowmodel.Registration{
 		Flows: []coflowmodel.Flow{{Src: 0, Dst: 1, Size: 100}},
 	}); err != nil {
 		t.Fatal(err)
@@ -224,7 +237,7 @@ func TestClosedDaemonRefusesCommands(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := d.Register(&coflowmodel.Registration{}); err != ErrClosed {
+	if _, _, err := register(d, &coflowmodel.Registration{}); err != ErrClosed {
 		t.Fatalf("Register after Close: %v", err)
 	}
 	if err := d.Tick(); err != ErrClosed {
@@ -266,7 +279,7 @@ func TestConcurrentRegistrationsAndReads(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				id, _, err := d.Register(&coflowmodel.Registration{
+				id, _, err := register(d, &coflowmodel.Registration{
 					Weight: 1 + float64(i%3),
 					Flows:  []coflowmodel.Flow{{Src: i % 4, Dst: (i + 1) % 4, Size: 3}},
 				})
@@ -346,7 +359,7 @@ func TestConcurrentRegistrationsAndReads(t *testing.T) {
 
 func TestPlanTracksBacklog(t *testing.T) {
 	d := newTestDaemon(t, Config{Ports: 2, Policy: online.SEBF, Plan: true})
-	if _, _, err := d.Register(&coflowmodel.Registration{
+	if _, _, err := register(d, &coflowmodel.Registration{
 		Flows: []coflowmodel.Flow{
 			{Src: 0, Dst: 0, Size: 1}, {Src: 0, Dst: 1, Size: 2},
 			{Src: 1, Dst: 0, Size: 2}, {Src: 1, Dst: 1, Size: 1},
@@ -388,7 +401,7 @@ func TestPlanTracksBacklog(t *testing.T) {
 
 func TestPlanShedsCancelledDemand(t *testing.T) {
 	d := newTestDaemon(t, Config{Ports: 2, Policy: online.SEBF, Plan: true})
-	id, _, err := d.Register(&coflowmodel.Registration{
+	id, _, err := register(d, &coflowmodel.Registration{
 		Flows: []coflowmodel.Flow{{Src: 0, Dst: 1, Size: 5}},
 	})
 	if err != nil {

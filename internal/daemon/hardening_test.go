@@ -19,10 +19,10 @@ func TestSelfCheckCleanRun(t *testing.T) {
 	reg := &coflowmodel.Registration{Weight: 2, Flows: []coflowmodel.Flow{
 		{Src: 0, Dst: 0, Size: 3}, {Src: 0, Dst: 1, Size: 2}, {Src: 1, Dst: 1, Size: 1},
 	}}
-	if _, _, err := d.Register(reg); err != nil {
+	if _, _, err := register(d, reg); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := d.Register(&coflowmodel.Registration{Flows: []coflowmodel.Flow{
+	if _, _, err := register(d, &coflowmodel.Registration{Flows: []coflowmodel.Flow{
 		{Src: 1, Dst: 0, Size: 4},
 	}}); err != nil {
 		t.Fatal(err)
@@ -49,13 +49,13 @@ func TestSelfCheckCleanRun(t *testing.T) {
 // does).
 func TestSelfCheckCancelledCoflow(t *testing.T) {
 	d := newTestDaemon(t, Config{Ports: 1, Policy: online.FIFO, SelfCheck: true, SelfCheckEvery: 1})
-	id, _, err := d.Register(&coflowmodel.Registration{Flows: []coflowmodel.Flow{
+	id, _, err := register(d, &coflowmodel.Registration{Flows: []coflowmodel.Flow{
 		{Src: 0, Dst: 0, Size: 10},
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	id2, _, err := d.Register(&coflowmodel.Registration{Flows: []coflowmodel.Flow{
+	id2, _, err := register(d, &coflowmodel.Registration{Flows: []coflowmodel.Flow{
 		{Src: 0, Dst: 0, Size: 2},
 	}})
 	if err != nil {
@@ -86,7 +86,7 @@ func TestSelfCheckCancelledCoflow(t *testing.T) {
 // stays clean end to end.
 func TestSelfCheckSampling(t *testing.T) {
 	d := newTestDaemon(t, Config{Ports: 2, Policy: online.WSPT, SelfCheck: true, SelfCheckEvery: 3})
-	if _, _, err := d.Register(&coflowmodel.Registration{Flows: []coflowmodel.Flow{
+	if _, _, err := register(d, &coflowmodel.Registration{Flows: []coflowmodel.Flow{
 		{Src: 0, Dst: 1, Size: 7}, {Src: 1, Dst: 0, Size: 5},
 	}}); err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestSnapshotWriteIsAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := d.Register(&coflowmodel.Registration{Flows: []coflowmodel.Flow{
+	if _, _, err := register(d, &coflowmodel.Registration{Flows: []coflowmodel.Flow{
 		{Src: 0, Dst: 0, Size: 1},
 	}}); err != nil {
 		t.Fatal(err)
@@ -135,8 +135,8 @@ func TestSnapshotWriteIsAtomic(t *testing.T) {
 	if err := json.Unmarshal(raw, &snap); err != nil {
 		t.Fatalf("snapshot is not clean JSON after overwrite: %v", err)
 	}
-	if snap.Slot != 1 || snap.Coflows.Len() != 1 {
-		t.Fatalf("snapshot content wrong: slot=%d coflows=%d", snap.Slot, snap.Coflows.Len())
+	if snap.Slot != 1 || len(snap.Coflows.Map()) != 1 {
+		t.Fatalf("snapshot content wrong: slot=%d coflows=%d", snap.Slot, len(snap.Coflows.Map()))
 	}
 	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
 		t.Fatalf("temp file left behind: %v", err)

@@ -48,7 +48,7 @@ func runSomeTraffic(t *testing.T, d *Daemon) int {
 		{{Src: 0, Dst: 0, Size: 2}, {Src: 0, Dst: 1, Size: 1}, {Src: 1, Dst: 1, Size: 2}},
 		{{Src: 1, Dst: 0, Size: 3}},
 	} {
-		if _, _, err := d.Register(&coflowmodel.Registration{Weight: 1, Flows: flows}); err != nil {
+		if _, _, err := register(d, &coflowmodel.Registration{Weight: 1, Flows: flows}); err != nil {
 			t.Fatal(err)
 		}
 	}

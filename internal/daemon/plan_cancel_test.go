@@ -39,7 +39,7 @@ func planState(t *testing.T, d *Daemon) (load int64, terms int) {
 // Pre-fix, this test fails with PlanLoad=9 after the cancel.
 func TestCancelRefreshesPlan(t *testing.T) {
 	d := planDaemon(t, 4)
-	id, _, err := d.Register(&coflowmodel.Registration{Flows: []coflowmodel.Flow{
+	id, _, err := register(d, &coflowmodel.Registration{Flows: []coflowmodel.Flow{
 		{Src: 0, Dst: 1, Size: 10},
 		{Src: 1, Dst: 2, Size: 7},
 	}})
@@ -120,7 +120,7 @@ func TestCancelPlanInterleavings(t *testing.T) {
 		for oi, o := range script {
 			switch o.kind {
 			case "reg":
-				id, _, err := d.Register(&coflowmodel.Registration{Flows: o.reg})
+				id, _, err := register(d, &coflowmodel.Registration{Flows: o.reg})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -162,7 +162,7 @@ func TestCancelPlanInterleavings(t *testing.T) {
 // command must already see a plan without the cancelled demand.
 func TestCancelPlanBatchedWithTick(t *testing.T) {
 	d := planDaemon(t, 3)
-	id, _, err := d.Register(&coflowmodel.Registration{Flows: []coflowmodel.Flow{
+	id, _, err := register(d, &coflowmodel.Registration{Flows: []coflowmodel.Flow{
 		{Src: 0, Dst: 1, Size: 8},
 	}})
 	if err != nil {

@@ -38,7 +38,7 @@ func (b *backlog) register(n int) {
 			flows[i] = coflowmodel.Flow{Src: b.rng.Intn(m), Dst: b.rng.Intn(m), Size: 1 + b.rng.Int63n(8)}
 		}
 		reg := &coflowmodel.Registration{Weight: 1 + float64(b.rng.Intn(5)), Flows: flows}
-		if _, _, err := b.d.Register(reg); err != nil {
+		if _, _, err := register(b.d, reg); err != nil {
 			b.tb.Fatal(err)
 		}
 	}

@@ -39,26 +39,6 @@ func (v *CoflowView) Get(id int) *CoflowStatus {
 	return v.base[id]
 }
 
-// Len returns the number of distinct coflows in the view.
-func (v *CoflowView) Len() int {
-	if v == nil {
-		return 0
-	}
-	fresh := 0
-	seen := make(map[int]bool, v.n)
-	for i := 0; i < v.n; i++ {
-		d := v.delta[i]
-		if seen[d.id] {
-			continue
-		}
-		seen[d.id] = true
-		if _, ok := v.base[d.id]; !ok {
-			fresh++
-		}
-	}
-	return len(v.base) + fresh
-}
-
 // Range calls f for every coflow in the view (iteration order is
 // unspecified, like a map). Returning false stops the walk.
 func (v *CoflowView) Range(f func(id int, cs *CoflowStatus) bool) {

@@ -273,7 +273,9 @@ func TestFeasibleDeadlinesTrivial(t *testing.T) {
 
 // bestPermutationSchedule evaluates the canonical priority-greedy
 // realization of every fixed coflow permutation and returns the best
-// total weighted completion time.
+// total weighted completion time. ins must have zero releases: FIFO
+// then visits coflows in instance order, so the instance written in
+// the permuted order is that permutation's schedule.
 func bestPermutationSchedule(t *testing.T, ins *coflowmodel.Instance) float64 {
 	t.Helper()
 	n := len(ins.Coflows)
@@ -285,7 +287,11 @@ func bestPermutationSchedule(t *testing.T, ins *coflowmodel.Instance) float64 {
 	var rec func(k int)
 	rec = func(k int) {
 		if k == n {
-			res, err := online.SimulateOrder(ins, perm)
+			permuted := &coflowmodel.Instance{Ports: ins.Ports}
+			for _, i := range perm {
+				permuted.Coflows = append(permuted.Coflows, ins.Coflows[i])
+			}
+			res, err := online.Simulate(permuted, online.FIFO)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -18,20 +18,17 @@ import (
 //     first time observability is disabled.
 //
 //  2. Everywhere: a span obtained from a Start() call (any method
-//     returning a type named Span) must reach an End/EndWithTrace/
-//     Done call on every return path of the enclosing function — a
-//     span that escapes a return path silently under-counts its
-//     histogram, which no runtime test notices. A deferred End
-//     covers all paths; a span passed onward (stored, returned,
-//     handed to another function) is assumed managed there.
+//     returning a type named Span) must reach an End call on every
+//     return path of the enclosing function — a span that escapes a
+//     return path silently under-counts its histogram, which no
+//     runtime test notices. A deferred End covers all paths; a span
+//     passed onward (stored, returned, handed to another function) is
+//     assumed managed there.
 var ObsGuard = &Analyzer{
 	Name: "obsguard",
 	Doc:  "nil-receiver guards on obs metric methods; spans must End on all return paths",
 	Run:  runObsGuard,
 }
-
-// spanEnders are the methods that settle a span.
-var spanEnders = map[string]bool{"End": true, "EndWithTrace": true, "Done": true}
 
 func runObsGuard(pass *Pass) {
 	for _, f := range pass.Pkg.Files {
@@ -241,7 +238,7 @@ func classifySpan(pass *Pass, body *ast.BlockStmt, start *ast.AssignStmt) (spanT
 		parent := parents[use]
 		switch p := parent.(type) {
 		case *ast.SelectorExpr:
-			if spanEnders[p.Sel.Name] {
+			if p.Sel.Name == "End" {
 				if call, ok := parents[p].(*ast.CallExpr); ok && call.Fun == p {
 					enderCalls = append(enderCalls, call)
 					if isDeferred(parents, call) {

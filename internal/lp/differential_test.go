@@ -5,15 +5,16 @@ package lp
 // pattern check.Shadow applies to the Step pipeline. Any divergence
 // in status, objective, or primal feasibility is minimized by
 // dropping rows/columns while the divergence persists, then dumped as
-// a standalone JSON reproducer.
+// a standalone MPS reproducer.
 
 import (
-	"encoding/json"
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -125,14 +126,16 @@ func minimizeDivergence(p *Problem) *Problem {
 	return p
 }
 
-// lpReproducer is the on-disk format of a dumped divergence, mirroring
-// check.Shadow's reproducer files.
-type lpReproducer struct {
-	Divergence string   `json:"divergence"`
-	Problem    *Problem `json:"problem"`
+// reproducer renders p as MPS (%.17g, so ReadMPS gives back the same
+// problem bit for bit) under a comment block that carries div.
+func reproducer(p *Problem, div string) ([]byte, error) {
+	var buf bytes.Buffer
+	fmt.Fprintf(&buf, "* %s\n", strings.ReplaceAll(div, "\n", "\n* "))
+	err := WriteMPS(&buf, p, "divergence")
+	return buf.Bytes(), err
 }
 
-// dumpDivergence minimizes p and writes a JSON reproducer under
+// dumpDivergence minimizes p and writes an MPS reproducer under
 // testdata/failures, returning its path (best effort: "" on error).
 func dumpDivergence(t *testing.T, p *Problem, div string) string {
 	t.Helper()
@@ -146,12 +149,12 @@ func dumpDivergence(t *testing.T, p *Problem, div string) string {
 		t.Logf("reproducer dir: %v", err)
 		return ""
 	}
-	data, err := json.MarshalIndent(lpReproducer{Divergence: minDiv, Problem: min}, "", "  ")
+	data, err := reproducer(min, minDiv)
 	if err != nil {
 		t.Logf("reproducer encode: %v", err)
 		return ""
 	}
-	path := filepath.Join(dir, fmt.Sprintf("divergence_%dv_%dr.json", min.numVars, len(min.rows)))
+	path := filepath.Join(dir, fmt.Sprintf("divergence_%dv_%dr.mps", min.numVars, len(min.rows)))
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Logf("reproducer write: %v", err)
 		return ""
@@ -294,37 +297,8 @@ func FuzzSparseVsDense(f *testing.F) {
 		}
 		if div := compareSparseDense(p); div != "" {
 			min := minimizeDivergence(p)
-			out, _ := json.Marshal(min) // best effort: context for the failure message
-			t.Fatalf("sparse/dense divergence: %s\nminimized problem: %s", div, out)
+			out, _ := reproducer(min, div) // best effort: context for the failure message
+			t.Fatalf("sparse/dense divergence, minimized problem:\n%s", out)
 		}
 	})
-}
-
-// TestJSONRoundTrip pins the reproducer format: a problem survives
-// MarshalJSON → UnmarshalJSON with identical solver behavior.
-func TestJSONRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for n := 0; n < 20; n++ {
-		p := randomProblem(rng)
-		data, err := json.Marshal(p)
-		if err != nil {
-			t.Fatalf("marshal: %v", err)
-		}
-		var q Problem
-		if err := json.Unmarshal(data, &q); err != nil {
-			t.Fatalf("unmarshal: %v", err)
-		}
-		a, err := Solve(p)
-		if err != nil {
-			t.Fatalf("solve p: %v", err)
-		}
-		b, err := Solve(&q)
-		if err != nil {
-			t.Fatalf("solve q: %v", err)
-		}
-		if a.Status != b.Status || math.Abs(a.Objective-b.Objective) > 1e-9 {
-			t.Fatalf("round-trip changed the problem: %v/%g vs %v/%g",
-				a.Status, a.Objective, b.Status, b.Objective)
-		}
-	}
 }

@@ -9,9 +9,12 @@ import (
 	"strings"
 )
 
-// WriteMPS serializes the problem in (free-form) MPS format so it can
-// be cross-checked with external LP solvers. Variables are named x0,
-// x1, …; constraint rows c0, c1, …; the objective row is COST. All
+// WriteMPS serializes the problem in (free-form) MPS format, the only
+// serialization a Problem has: external LP solvers cross-check it, the
+// benchmark and examples/lpexport exchange it, and the differential
+// tests dump their reproducers in it. Coefficients print as %.17g, so
+// ReadMPS gives back the same problem bit for bit. Variables are named
+// x0, x1, …; constraint rows c0, c1, …; the objective row is COST. All
 // variables carry the format's default bounds (x ≥ 0), matching this
 // package's model.
 func WriteMPS(w io.Writer, p *Problem, name string) error {

@@ -113,13 +113,15 @@ func TestMPSRoundTripRandom(t *testing.T) {
 		}
 		p.AddConstraint(all, LE, 50)
 
-		var buf bytes.Buffer
-		if err := WriteMPS(&buf, p, "rt"); err != nil {
+		// Through the differential harness's reproducer format: MPS
+		// under a (here two-line) comment block.
+		data, err := reproducer(p, "status mismatch\nsecond line")
+		if err != nil {
 			t.Fatal(err)
 		}
-		q, err := ReadMPS(&buf)
+		q, err := ReadMPS(bytes.NewReader(data))
 		if err != nil {
-			t.Fatalf("trial %d: %v\n%s", trial, err, buf.String())
+			t.Fatalf("trial %d: %v\n%s", trial, err, data)
 		}
 		requireSameProblem(t, fmt.Sprintf("trial %d", trial), p, q)
 		solP, err := Solve(p)

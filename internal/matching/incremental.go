@@ -32,7 +32,7 @@ type Matcher struct {
 	dist           []int
 	queue          []int
 	// Matcher-owned CSR adjacency, rebuilt (not reallocated) by the
-	// matrix entry points (MatchSupport, MatchSupportAtLeast).
+	// matrix entry point (MatchSupportAtLeastInto).
 	ownOff []int32
 	ownDat []int32
 	ownLen []int32
@@ -124,24 +124,12 @@ func (mt *Matcher) Reset() {
 	mt.matched = 0
 }
 
-// MatchSupport computes a maximum matching on the support graph of d
-// (edges where d.At(i,j) > 0), warm-starting from the previous call.
-func (mt *Matcher) MatchSupport(d *matrix.Matrix) matrix.Permutation {
-	return mt.MatchSupportAtLeast(d, 1)
-}
-
-// MatchSupportAtLeast computes a maximum matching on the threshold
+// MatchSupportAtLeastInto computes a maximum matching on the threshold
 // graph {(i,j) : d.At(i,j) >= theta} of a square matrix d,
-// warm-starting from the previous call. theta must be positive.
-func (mt *Matcher) MatchSupportAtLeast(d *matrix.Matrix, theta int64) matrix.Permutation {
-	mt.matchSupportAtLeast(d, theta)
-	return matrix.Permutation{To: append([]int(nil), mt.matchL...)}
-}
-
-// MatchSupportAtLeastInto is MatchSupportAtLeast writing the matching
-// into caller-owned dst (which must have length n): the
-// allocation-free form for reusable-scratch callers. Perfection is
-// checked allocation-free via MatchedCount() == n.
+// warm-starting from the previous call, and writes it into
+// caller-owned dst (which must have length n). theta must be positive;
+// theta = 1 is the support graph. Perfection is checked
+// allocation-free via MatchedCount() == n.
 //
 //coflow:allocfree
 func (mt *Matcher) MatchSupportAtLeastInto(dst []int, d *matrix.Matrix, theta int64) matrix.Permutation {
@@ -273,7 +261,7 @@ func (mt *Matcher) dfs(u int) bool {
 // mutate the view in place (shrink lengths, swap-delete entries)
 // between calls; the matcher only reads it. off and length must have
 // at least n entries. The view stays active until the next
-// MatchSupport* call rebuilds the matcher-owned adjacency.
+// MatchSupportAtLeastInto call rebuilds the matcher-owned adjacency.
 //
 //coflow:allocfree
 func (mt *Matcher) SetAdjacency(off, length, dat []int32) {
@@ -313,7 +301,7 @@ func (mt *Matcher) MatchedCount() int { return mt.matched }
 // false return proves no perfect matching exists. If other vertices
 // were already free, a path ending at the freed v from a different
 // free row can escape the u-rooted search; such callers must fall
-// back to Rematch on failure.
+// back to RepairRematch on failure.
 //
 //coflow:allocfree
 func (mt *Matcher) AugmentRow(u int) bool {
@@ -366,7 +354,7 @@ func (mt *Matcher) kuhn(u int) bool {
 // adjacency (dropping matched pairs whose edge is gone), augments to
 // maximum, and reports the resulting cardinality. This is the
 // external-adjacency analogue of the repair step inside
-// MatchSupportAtLeast: the caller mutates its SetAdjacency view, then
+// MatchSupportAtLeastInto: the caller mutates its SetAdjacency view, then
 // asks for a repaired maximum matching without any CSR rebuild.
 //
 //coflow:allocfree
@@ -390,17 +378,6 @@ func (mt *Matcher) RepairRematch() int {
 			mt.matched--
 		}
 	}
-	mt.augmentToMax()
-	return mt.matched
-}
-
-// Rematch augments the current matching to maximum over the active
-// adjacency (no repair scan — the caller guarantees every matched
-// edge is still live, e.g. because it called Unmatch for each removed
-// edge) and reports the resulting cardinality.
-//
-//coflow:allocfree
-func (mt *Matcher) Rematch() int {
 	mt.augmentToMax()
 	return mt.matched
 }

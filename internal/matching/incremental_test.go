@@ -52,6 +52,11 @@ func mutate(rng *rand.Rand, d *matrix.Matrix) {
 	}
 }
 
+// match runs the matcher's matrix entry point into a fresh buffer.
+func match(mt *Matcher, d *matrix.Matrix, theta int64) matrix.Permutation {
+	return mt.MatchSupportAtLeastInto(make([]int, d.Rows()), d, theta)
+}
+
 // TestMatcherMatchesBruteForce is the satellite property test: across
 // 1000 random shrink/grow demand sequences, a single warm-started
 // Matcher must report the same maximum-matching cardinality as the
@@ -74,7 +79,7 @@ func TestMatcherMatchesBruteForce(t *testing.T) {
 		steps := 1 + rng.Intn(12)
 		for s := 0; s < steps; s++ {
 			mutate(rng, d)
-			p := mt.MatchSupport(d)
+			p := match(mt, d, 1)
 			got := checkMatching(t, d, 1, p)
 			want := BruteForceMaxMatching(SupportGraph(d))
 			if got != want {
@@ -85,7 +90,7 @@ func TestMatcherMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestMatcherThresholdMatchesBruteForce covers MatchSupportAtLeast, the
+// TestMatcherThresholdMatchesBruteForce covers a threshold above 1, the
 // entry point the bottleneck-extraction binary search probes with a
 // moving θ on a fixed matrix — the other warm-start pattern in the
 // pipeline (edges only ever disappear as θ rises, then the whole edge
@@ -104,7 +109,7 @@ func TestMatcherThresholdMatchesBruteForce(t *testing.T) {
 		}
 		mt := NewMatcher(n)
 		for theta := int64(1); theta <= 6; theta++ {
-			p := mt.MatchSupportAtLeast(d, theta)
+			p := match(mt, d, theta)
 			got := checkMatching(t, d, theta, p)
 			ref := NewGraph(n)
 			for i := 0; i < n; i++ {
@@ -140,7 +145,7 @@ func TestMatcherAgreesWithColdHopcroftKarp(t *testing.T) {
 		mt := NewMatcher(n)
 		for s := 0; s < 20; s++ {
 			mutate(rng, d)
-			got := checkMatching(t, d, 1, mt.MatchSupport(d))
+			got := checkMatching(t, d, 1, match(mt, d, 1))
 			if want := HopcroftKarp(SupportGraph(d)).Size(); got != want {
 				t.Fatalf("seq %d step %d: warm %d, cold %d", seq, s, got, want)
 			}
@@ -168,7 +173,7 @@ func FuzzMatcherWarmStart(f *testing.F) {
 			i := int(steps[s]) % n
 			j := int(steps[s+1]) % n
 			d.Set(i, j, int64(steps[s+2]%4))
-			p := mt.MatchSupport(d)
+			p := match(mt, d, 1)
 			got := checkMatching(t, d, 1, p)
 			if want := BruteForceMaxMatching(SupportGraph(d)); got != want {
 				t.Fatalf("step %d: warm matcher found %d, brute force %d on\n%v",
@@ -205,12 +210,12 @@ func TestMatcherExternalAdjacency(t *testing.T) {
 		}
 		mt := NewMatcher(n)
 		mt.SetAdjacency(off, length, dat)
-		got := mt.Rematch()
+		got := mt.RepairRematch()
 		if want := BruteForceMaxMatching(SupportGraph(d)); got != want {
 			t.Fatalf("seq %d cold: got %d want %d", seq, got, want)
 		}
 		if got != mt.MatchedCount() {
-			t.Fatalf("seq %d: Rematch %d vs MatchedCount %d", seq, got, mt.MatchedCount())
+			t.Fatalf("seq %d: RepairRematch %d vs MatchedCount %d", seq, got, mt.MatchedCount())
 		}
 		dst := make([]int, n)
 		checkMatching(t, d, 1, mt.MatchingInto(dst))
@@ -237,9 +242,9 @@ func TestMatcherExternalAdjacency(t *testing.T) {
 			d.Set(u, v, 0)
 			mt.Unmatch(u, v)
 			// Per the AugmentRow contract: on a non-perfect matching a
-			// failed u-rooted search needs the Rematch fallback.
+			// failed u-rooted search needs the RepairRematch fallback.
 			if !mt.AugmentRow(u) {
-				mt.Rematch()
+				mt.RepairRematch()
 			}
 			got := mt.MatchedCount()
 			if want := BruteForceMaxMatching(SupportGraph(d)); got != want {
@@ -274,7 +279,7 @@ func TestMatcherRepairRematch(t *testing.T) {
 		}
 		mt := NewMatcher(n)
 		mt.SetAdjacency(off, length, dat)
-		mt.Rematch()
+		mt.RepairRematch()
 		// Truncate random rows in place, then bulk-repair.
 		for i := 0; i < n; i++ {
 			for length[i] > 0 && rng.Intn(3) == 0 {
@@ -302,7 +307,7 @@ func TestMatcherMatchedCountTracksMatchSupport(t *testing.T) {
 	mt := NewMatcher(n)
 	for s := 0; s < 300; s++ {
 		mutate(rng, d)
-		p := mt.MatchSupport(d)
+		p := match(mt, d, 1)
 		if got, want := mt.MatchedCount(), p.Size(); got != want {
 			t.Fatalf("step %d: MatchedCount %d, permutation size %d", s, got, want)
 		}

@@ -97,7 +97,7 @@ func TestMaskedStatsAgainstDense(t *testing.T) {
 			}
 			// Drain a random positive cell and re-check.
 			e := rng.Intn(s.Len())
-			if s.Val(e) > 0 {
+			if _, _, v := s.Entry(e); v > 0 {
 				s.Dec(e, 1)
 			}
 		}

@@ -156,11 +156,6 @@ func (s *Sparse) Entry(e int) (row, col int, val int64) {
 	return it.Row, it.Col, it.Val
 }
 
-// Val returns the current value of cell e.
-//
-//coflow:allocfree
-func (s *Sparse) Val(e int) int64 { return s.ent[e].Val }
-
 // Dec drains d units from cell e, updating the row sum, column sum and
 // total in O(1) and deferring the ρ update until the next Load call
 // (and only when the decrement could have lowered it). It panics if
@@ -262,22 +257,6 @@ func (s *Sparse) TotalMasked(down []bool) int64 {
 		t += s.ent[i].Val
 	}
 	return t
-}
-
-// RowPorts returns the distinct ingress ports, ascending. Shared;
-// callers must not mutate.
-func (s *Sparse) RowPorts() []int { return s.rowID }
-
-// ColPorts returns the distinct egress ports, ascending. Shared;
-// callers must not mutate.
-func (s *Sparse) ColPorts() []int { return s.colID }
-
-// RowRange returns the half-open entry range [lo, hi) of compact row r
-// (entries are grouped by row, ascending column within the row).
-//
-//coflow:allocfree
-func (s *Sparse) RowRange(r int) (lo, hi int) {
-	return int(s.rowOff[r]), int(s.rowOff[r+1])
 }
 
 // Dense materializes the current values as a dense m×m matrix. It

@@ -61,21 +61,21 @@ func TestSparseCompactPorts(t *testing.T) {
 	}
 	wantRows := []int{9, 100}
 	wantCols := []int{7, 400}
-	if got := s.RowPorts(); len(got) != 2 || got[0] != wantRows[0] || got[1] != wantRows[1] {
-		t.Errorf("RowPorts = %v, want %v", got, wantRows)
+	if got := s.rowID; len(got) != 2 || got[0] != wantRows[0] || got[1] != wantRows[1] {
+		t.Errorf("row ports = %v, want %v", got, wantRows)
 	}
-	if got := s.ColPorts(); len(got) != 2 || got[0] != wantCols[0] || got[1] != wantCols[1] {
-		t.Errorf("ColPorts = %v, want %v", got, wantCols)
+	if got := s.colID; len(got) != 2 || got[0] != wantCols[0] || got[1] != wantCols[1] {
+		t.Errorf("col ports = %v, want %v", got, wantCols)
 	}
 	// CSR layout: entries grouped by row, ascending col within a row.
-	lo, hi := s.RowRange(0) // compact row 0 = port 9
+	lo, hi := int(s.rowOff[0]), int(s.rowOff[1]) // compact row 0 = port 9
 	if hi-lo != 1 {
 		t.Fatalf("row 9 has %d entries, want 1", hi-lo)
 	}
 	if r, c, v := s.Entry(lo); r != 9 || c != 400 || v != 3 {
 		t.Errorf("row 9 entry = (%d,%d,%d), want (9,400,3)", r, c, v)
 	}
-	lo, hi = s.RowRange(1) // compact row 1 = port 100
+	lo, hi = int(s.rowOff[1]), int(s.rowOff[2]) // compact row 1 = port 100
 	if hi-lo != 2 {
 		t.Fatalf("row 100 has %d entries, want 2", hi-lo)
 	}
@@ -128,7 +128,7 @@ func TestSparseIncrementalAgainstDense(t *testing.T) {
 		}
 		for s.Total() > 0 {
 			e := rng.Intn(s.Len())
-			if v := s.Val(e); v > 0 {
+			if _, _, v := s.Entry(e); v > 0 {
 				s.Dec(e, 1+rng.Int63n(v))
 			}
 			ref := s.Dense(m)
@@ -138,12 +138,12 @@ func TestSparseIncrementalAgainstDense(t *testing.T) {
 			if s.Load() != ref.Load() {
 				t.Fatalf("trial %d: incremental load %d, dense %d", trial, s.Load(), ref.Load())
 			}
-			for ri, p := range s.RowPorts() {
+			for ri, p := range s.rowID {
 				if s.rowSum[ri] != ref.RowSum(p) {
 					t.Fatalf("trial %d: row %d sum %d, dense %d", trial, p, s.rowSum[ri], ref.RowSum(p))
 				}
 			}
-			for ci, p := range s.ColPorts() {
+			for ci, p := range s.colID {
 				if s.colSum[ci] != ref.ColSum(p) {
 					t.Fatalf("trial %d: col %d sum %d, dense %d", trial, p, s.colSum[ci], ref.ColSum(p))
 				}

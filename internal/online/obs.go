@@ -39,10 +39,6 @@ type Obs struct {
 	// Work counters.
 	UnitsServed      *obs.Counter
 	CoflowsCompleted *obs.Counter
-
-	// Trace, when non-nil, receives one event per serving slot (stage
-	// "replay" or "scan", the slot number, and the stage seconds).
-	Trace *obs.Trace
 }
 
 // NewObs registers the slot-pipeline metrics on r (prefix
@@ -71,10 +67,10 @@ func NewObs(r *obs.Registry) Obs {
 // them. Call between steps, not concurrently with Step.
 func (s *State) SetObs(o Obs) { s.obs = o }
 
-// pkgObs is the default instrumentation inherited by States the batch
-// drivers (Simulate, SimulateOrder) create internally; the zero value
-// disables it. Long-lived owners like the daemon wire their State
-// explicitly with SetObs instead.
+// pkgObs is the default instrumentation inherited by the State the
+// batch driver (Simulate) creates internally; the zero value disables
+// it. Long-lived owners like the daemon wire their State explicitly
+// with SetObs instead.
 var pkgObs Obs
 
 // SetDefaultObs installs instrumentation for batch simulations. Call

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"coflow/internal/coflowmodel"
 	"coflow/internal/matrix"
@@ -72,50 +71,11 @@ type cfState struct {
 	prio    float64 // per-slot sort key (SEBF/WSPT), set by prioritizeList
 }
 
-// SimulateOrder runs the per-slot greedy scheduler with a FIXED coflow
-// priority permutation (indices into ins.Coflows): in every slot the
-// matching is built by visiting coflows in exactly that order. This is
-// the "permutation schedule" notion of the paper's §1.1 — the same
-// priority order enforced on all ports at all times — used to
-// demonstrate that permutation schedules need not be optimal for
-// coflows (they are for concurrent open shop).
-func SimulateOrder(ins *coflowmodel.Instance, order []int) (*Result, error) {
-	if len(order) != len(ins.Coflows) {
-		return nil, fmt.Errorf("online: order has %d entries, instance has %d coflows", len(order), len(ins.Coflows))
-	}
-	seen := make([]bool, len(ins.Coflows))
-	for _, k := range order {
-		if k < 0 || k >= len(ins.Coflows) || seen[k] {
-			return nil, fmt.Errorf("online: order is not a permutation")
-		}
-		seen[k] = true
-	}
-	rank := make([]int, len(ins.Coflows))
-	for pos, k := range order {
-		rank[k] = pos
-	}
-	return simulate(ins, func(s *State, slot int64) StepResult {
-		//lint:ignore pooled the closure re-lends step's loan to the synchronous simulate driver, which consumes it before the next step
-		return s.step(slot, func(active []*cfState) {
-			sort.SliceStable(active, func(a, b int) bool {
-				return rank[active[a].key] < rank[active[b].key]
-			})
-		})
-	})
-}
-
 // Simulate runs the online greedy scheduler under the given policy.
+// It is the batch driver over the incremental State/Step core (the
+// same code path a resident scheduler uses): load every coflow, then
+// step slot by slot, skipping idle gaps between arrivals.
 func Simulate(ins *coflowmodel.Instance, policy Policy) (*Result, error) {
-	return simulate(ins, func(s *State, slot int64) StepResult {
-		//lint:ignore pooled the closure re-lends Step's loan to the synchronous simulate driver, which consumes it before the next Step
-		return s.Step(slot, policy)
-	})
-}
-
-// simulate is the batch driver over the incremental State/Step core
-// (the same code path a resident scheduler uses): load every coflow,
-// then step slot by slot, skipping idle gaps between arrivals.
-func simulate(ins *coflowmodel.Instance, stepFn func(*State, int64) StepResult) (*Result, error) {
 	if err := ins.Validate(); err != nil {
 		return nil, err
 	}
@@ -140,7 +100,7 @@ func simulate(ins *coflowmodel.Instance, stepFn func(*State, int64) StepResult) 
 		if t > horizon {
 			return nil, fmt.Errorf("online: exceeded horizon %d with work remaining (scheduler stalled)", horizon)
 		}
-		step := stepFn(state, t+1)
+		step := state.Step(t+1, policy)
 		if step.Active == 0 {
 			t = state.NextRelease(t) // idle until the next arrival
 			continue

@@ -154,12 +154,14 @@ func TestPolicyString(t *testing.T) {
 	}
 }
 
+// With every release at zero FIFO visits coflows in instance order, so
+// the instance written in the wanted order is the fixed-priority
+// ("permutation") schedule of the paper's §1.1.
 func TestSimulateOrderFixedPriority(t *testing.T) {
 	big := coflowmodel.Coflow{ID: 1, Weight: 1, Flows: []coflowmodel.Flow{{Src: 0, Dst: 0, Size: 20}}}
 	small := coflowmodel.Coflow{ID: 2, Weight: 1, Flows: []coflowmodel.Flow{{Src: 0, Dst: 0, Size: 2}}}
-	ins := inst(1, big, small)
 	// Big first.
-	res, err := SimulateOrder(ins, []int{0, 1})
+	res, err := Simulate(inst(1, big, small), FIFO)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,20 +169,11 @@ func TestSimulateOrderFixedPriority(t *testing.T) {
 		t.Fatalf("completions = %v, want [20 22]", res.Completion)
 	}
 	// Small first.
-	res, err = SimulateOrder(ins, []int{1, 0})
+	res, err = Simulate(inst(1, small, big), FIFO)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Completion[1] != 2 || res.Completion[0] != 22 {
-		t.Fatalf("completions = %v, want small 2, big 22", res.Completion)
-	}
-}
-
-func TestSimulateOrderValidation(t *testing.T) {
-	ins := inst(1, coflowmodel.Coflow{ID: 1, Weight: 1, Flows: []coflowmodel.Flow{{Src: 0, Dst: 0, Size: 1}}})
-	for _, bad := range [][]int{{}, {0, 0}, {1}} {
-		if _, err := SimulateOrder(ins, bad); err == nil {
-			t.Errorf("order %v accepted", bad)
-		}
+	if res.Completion[0] != 2 || res.Completion[1] != 22 {
+		t.Fatalf("completions = %v, want [2 22]", res.Completion)
 	}
 }

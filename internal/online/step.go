@@ -12,8 +12,8 @@ import (
 // registered-but-unfinished coflows on an m×m switch. It is the
 // incremental counterpart of Simulate — a resident scheduler (such as
 // cmd/coflowd) adds and removes coflows while repeatedly calling Step,
-// and the batch Simulate/SimulateOrder entry points drive the exact
-// same core, so the two cannot drift apart.
+// and the batch Simulate entry point drives the exact same core, so
+// the two cannot drift apart.
 //
 // Per-coflow demand lives in a matrix.Sparse, so row/column sums and
 // the SEBF bottleneck are maintained incrementally as units drain
@@ -256,11 +256,6 @@ func (s *State) RecoverPort(p int) error {
 	return nil
 }
 
-// PortFailed reports whether port p is currently offline.
-func (s *State) PortFailed(p int) bool {
-	return p >= 0 && p < s.ports && s.failed[p]
-}
-
 // FailedPortCount returns the number of ports currently offline.
 func (s *State) FailedPortCount() int { return s.failedCount }
 
@@ -325,7 +320,7 @@ func (s *State) Step(slot int64, policy Policy) StepResult {
 		stepSpan.End()
 		return res
 	}
-	res := s.step(slot, nil)
+	res := s.step(slot)
 	stepSpan.End()
 	return res
 }
@@ -344,7 +339,7 @@ func (s *State) replay(slot int64) StepResult {
 	s.minServedRem--
 	s.obs.Replays.Inc()
 	s.obs.UnitsServed.Add(int64(len(s.served)))
-	span.EndWithTrace(s.obs.Trace, "replay", slot)
+	span.End()
 	return StepResult{
 		Slot:      slot,
 		Served:    s.served,
@@ -353,14 +348,14 @@ func (s *State) replay(slot int64) StepResult {
 	}
 }
 
-// step is the shared slot core: reorder (when non-nil) fixes the
-// priority order of the active set, then the greedy matching is built
-// in that order. Every append lands in receiver-owned scratch that
-// reaches steady-state capacity after the first few slots.
+// step is the full-scan slot core: the active set is filtered out of
+// the sorted live list, then the greedy matching is built in that
+// order. Every append lands in receiver-owned scratch that reaches
+// steady-state capacity after the first few slots.
 //
 //coflow:allocfree
 //coflow:pooled
-func (s *State) step(slot int64, reorder func([]*cfState)) StepResult {
+func (s *State) step(slot int64) StepResult {
 	res := StepResult{Slot: slot}
 	s.active = s.active[:0]
 	s.nextPending = -1
@@ -378,9 +373,6 @@ func (s *State) step(slot int64, reorder func([]*cfState)) StepResult {
 		s.canReplay = false
 		s.obs.IdleSteps.Inc()
 		return res
-	}
-	if reorder != nil {
-		reorder(s.active)
 	}
 
 	matchSpan := s.obs.MatchSeconds.Start()
@@ -435,16 +427,15 @@ func (s *State) step(slot int64, reorder func([]*cfState)) StepResult {
 			break
 		}
 	}
-	matchSpan.EndWithTrace(s.obs.Trace, "scan", slot)
+	matchSpan.End()
 	s.obs.FullScans.Inc()
 	s.obs.UnitsServed.Add(int64(len(s.served)))
 	s.obs.CoflowsCompleted.Add(int64(len(s.completed)))
 	res.Served = s.served
 	res.Completed = s.completed
-	// A completed coflow changed the active set; an explicit reorder
-	// (SimulateOrder) bypasses the sorted-list bookkeeping. Either
-	// forbids replaying this matching next slot.
-	s.canReplay = reorder == nil && len(s.completed) == 0
+	// A completed coflow changed the active set, which forbids
+	// replaying this matching next slot.
+	s.canReplay = len(s.completed) == 0
 	s.lastActive = res.Active
 	return res
 }

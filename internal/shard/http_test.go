@@ -99,22 +99,23 @@ func TestHTTPSingleRegisterLifecycle(t *testing.T) {
 }
 
 // TestHTTPBulkRegister: an array body yields index-aligned per-item
-// results where bad items (validation, unknown fabric) fail alone, and
-// the bulk plane meters the request.
+// results where bad items (validation, unknown fabric, null) fail
+// alone, and the bulk plane meters the request.
 func TestHTTPBulkRegister(t *testing.T) {
 	c, srv := newTestServer(t, Config{Shards: 4})
 	body := `[
 		{"flows": [{"src": 0, "dst": 0, "size": 1}]},
 		{"flows": [{"src": 9, "dst": 0, "size": 1}]},
 		{"flows": [{"src": 0, "dst": 1, "size": 2}], "fabric": 9},
-		{"flows": [{"src": 1, "dst": 1, "size": 2}], "fabric": 2}
+		{"flows": [{"src": 1, "dst": 1, "size": 2}], "fabric": 2},
+		null
 	]`
 	var resp daemon.BulkResponse
 	code, raw := doJSON(t, "POST", srv.URL+"/v1/coflows", body, &resp)
 	if code != http.StatusOK {
 		t.Fatalf("bulk POST = %d %s", code, raw)
 	}
-	if resp.OK != 2 || resp.Failed != 2 || len(resp.Results) != 4 {
+	if resp.OK != 2 || resp.Failed != 3 || len(resp.Results) != 5 {
 		t.Fatalf("bulk response = %+v", resp)
 	}
 	if r := resp.Results[0]; r.ID == 0 || r.Kind != "" {
@@ -129,10 +130,13 @@ func TestHTTPBulkRegister(t *testing.T) {
 	if r := resp.Results[3]; r.ID == 0 || r.Fabric != 2 {
 		t.Fatalf("item 3 = %+v, want accepted on fabric 2", r)
 	}
+	if r := resp.Results[4]; r.ID != 0 || r.Kind != "malformed_json" {
+		t.Fatalf("item 4 = %+v, want malformed_json", r)
+	}
 
 	m := c.Metrics()
-	if m.BulkRequests != 1 || m.BulkItems != 4 {
-		t.Fatalf("bulk counters = %d/%d, want 1/4", m.BulkRequests, m.BulkItems)
+	if m.BulkRequests != 1 || m.BulkItems != 5 {
+		t.Fatalf("bulk counters = %d/%d, want 1/5", m.BulkRequests, m.BulkItems)
 	}
 	if m.Registered != 2 {
 		t.Fatalf("registered = %d, want 2", m.Registered)

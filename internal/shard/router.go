@@ -17,13 +17,13 @@ package shard
 import "slices"
 
 // Ring is a consistent-hash ring over fabric indices: each fabric
-// owns Replicas pseudo-random points on a uint64 ring, and a key is
-// routed to the fabric owning the first point at or after the key's
-// hash (wrapping). Consistency is the point of this construction:
-// when a fabric is added or removed, only the keys on the segments it
-// gains or loses move — about 1/N of them — instead of (N−1)/N under
-// modulo hashing, so a resharded deployment keeps most coflow IDs
-// resolvable by hash alone.
+// owns replicas (see NewRing) pseudo-random points on a uint64 ring,
+// and a key is routed to the fabric owning the first point at or after
+// the key's hash (wrapping). Consistency is the point of this
+// construction: when a fabric is added or removed, only the keys on the
+// segments it gains or loses move — about 1/N of them — instead of
+// (N−1)/N under modulo hashing, so a resharded deployment keeps most
+// coflow IDs resolvable by hash alone.
 //
 // A Ring is immutable after NewRing and safe for concurrent use.
 type Ring struct {

@@ -25,9 +25,6 @@ var ErrUnknownFabric = errors.New("unknown fabric")
 type Config struct {
 	// Shards is the number of independent switch fabrics; zero means 1.
 	Shards int
-	// Replicas is the consistent-hash ring's virtual-node count per
-	// fabric; zero means the package default (128).
-	Replicas int
 	// Fabric is the per-fabric daemon configuration (ports, policy,
 	// tick, deadline guard, self-check, ...). Every fabric gets an
 	// identical copy except SnapshotPath, which is suffixed with the
@@ -145,7 +142,7 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{
 		cfg:      cfg,
-		ring:     NewRing(cfg.Shards, cfg.Replicas),
+		ring:     NewRing(cfg.Shards, 0),
 		fabrics:  make([]*daemon.Daemon, 0, cfg.Shards),
 		obs:      newClusterObs(),
 		aggEpoch: time.Now(),

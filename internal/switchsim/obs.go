@@ -1,12 +1,15 @@
 package switchsim
 
-import "coflow/internal/obs"
+import (
+	"coflow/internal/bvn"
+	"coflow/internal/obs"
+)
 
 // Obs instruments the crossbar executors. Every field is a nil-safe
 // obs metric; the zero value (the default) disables them. Hooks are
 // package-level because Execute is called from many sites (core,
 // experiments, the gantt replay); install once at startup with
-// SetObs. Decomposition internals are covered by bvn's own hooks.
+// SetObs.
 //
 // Stage taxonomy:
 //
@@ -14,6 +17,9 @@ import "coflow/internal/obs"
 //	stage    clearing one plan stage (release wait excluded):
 //	         decompose + serve all its terms
 type Obs struct {
+	// Decompose instruments the Decomposer every executor creates.
+	Decompose bvn.Obs
+
 	ExecuteSeconds *obs.Histogram
 	StageSeconds   *obs.Histogram
 
@@ -30,10 +36,12 @@ var pkgObs Obs
 // Obs restores the disabled default.
 func SetObs(o Obs) { pkgObs = o }
 
-// NewObs registers the executor metrics on r (prefix coflow_switch_)
-// and returns the wired Obs. A nil registry yields the zero Obs.
+// NewObs registers the decomposition metrics (bvn.NewObs) and then the
+// executor metrics (prefix coflow_switch_) on r and returns the wired
+// Obs. A nil registry yields the zero Obs.
 func NewObs(r *obs.Registry) Obs {
 	return Obs{
+		Decompose:      bvn.NewObs(r),
 		ExecuteSeconds: r.Histogram("coflow_switch_execute_seconds", "latency of executing one full plan", obs.LatencyBuckets),
 		StageSeconds:   r.Histogram("coflow_switch_stage_seconds", "latency of clearing one plan stage (decompose + serve)", obs.LatencyBuckets),
 		Executes:       r.Counter("coflow_switch_executes_total", "plans executed"),

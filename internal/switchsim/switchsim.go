@@ -131,7 +131,7 @@ func newExecutor(plan *Plan) (*executor, error) {
 		stageOf: make([]int, n),
 		dec:     bvn.NewDecomposer(m),
 	}
-	e.dec.SetObs(bvn.DefaultObs())
+	e.dec.SetObs(pkgObs.Decompose)
 	for s, st := range plan.Stages {
 		for pos := st.Start; pos < st.End; pos++ {
 			e.stageOf[pos] = s

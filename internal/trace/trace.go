@@ -49,8 +49,10 @@ type Config struct {
 
 	// MinWidth and MaxWidth, when positive, clamp the sampled number
 	// of ports per shuffle side. Zero leaves the published width
-	// distribution untouched. The scenario engine uses these to build
-	// convoys (MaxWidth: 1) and all-to-all storms (MinWidth: Ports).
+	// distribution untouched. Only tests set them today (convoys with
+	// MaxWidth: 1, all-to-all storms with MinWidth: Ports); the
+	// scenario engine has its own Shape.MaxWidth and does not import
+	// this package.
 	MinWidth int
 	MaxWidth int
 }
