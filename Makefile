@@ -29,12 +29,14 @@ race:
 	go test -race ./internal/matrix/... ./internal/matching/... ./internal/obs/... ./internal/online/... ./internal/scenario/... ./internal/switchsim/... ./internal/daemon/... ./internal/shard/... ./internal/lp/...
 
 # Project-specific static analysis (internal/lint run by
-# cmd/coflowvet): allocation-freedom of //coflow:allocfree functions,
-# nil-receiver guards and span hygiene in the obs layer, "guarded by"
-# lock discipline, silently discarded errors, pooled-loan escapes and
-# staleness, and post-publication mutation; unknown //coflow:
-# annotations and //lint:ignore directives that silence nothing fail
-# it too. See DESIGN.md "Static analysis" and "Static analysis v2".
+# cmd/coflowvet): in //coflow:allocfree functions the allocations only
+# syntax shows (amortized append and map growth, un-annotated callees —
+# the compiler's escapecheck and the *DoesNotAllocate tests own the
+# rest), nil-receiver guards and span hygiene in the obs layer,
+# "guarded by" lock discipline, silently discarded errors, pooled-loan
+# escapes and staleness, and post-publication mutation; unknown
+# //coflow: annotations and //lint:ignore directives that silence
+# nothing fail it too. See DESIGN.md "Static analysis".
 lint:
 	go run ./cmd/coflowvet
 
@@ -61,10 +63,13 @@ escapebaseline:
 # Differential oracle at full depth: the slowcheck-tagged sweeps
 # (larger fabrics, every policy, state diffs every slot) plus the
 # bounded fuzz runs. Any failure dumps a minimized reproducer; see
-# DESIGN.md "Invariant checking".
+# DESIGN.md "Invariant checking". The third line re-derives the runtime
+# column of the allocation-gate matrix (DESIGN.md "Static analysis"):
+# one `go test` of the *DoesNotAllocate gates per planted regression.
 slowcheck:
 	go test -tags=slowcheck ./internal/check/
 	go test -race -tags=slowcheck -run=TestChurnSoak ./internal/shard/
+	go test -tags=slowcheck -run=TestPlantedRuntimeGates ./internal/lint/
 	$(MAKE) fuzz
 
 # Bounded runs of the fuzz targets that pin a fast path to its

@@ -7,8 +7,8 @@
 // inside annotated functions, and compares them (keyed by file,
 // function and message — not line numbers, so unrelated edits do not
 // churn) against the committed baseline. A NEW escape in an annotated
-// function fails the build; pre-existing ones are grandfathered in
-// the baseline. Run it via "make escapecheck"; refresh the baseline
+// function is printed with its file:line and fails the build;
+// pre-existing ones are grandfathered in the baseline. Run it via "make escapecheck"; refresh the baseline
 // with "make escapebaseline" after a deliberate change.
 //
 // It exits 1 on a regression, 2 on a tooling failure.
@@ -66,7 +66,7 @@ func run(dir, baselinePath string, write bool) error {
 	if err != nil {
 		return err
 	}
-	current := lint.EscapeKeys(diags, ranges)
+	current, line := lint.EscapeKeys(diags, ranges)
 
 	abs := filepath.Join(loader.ModuleRoot, filepath.FromSlash(baselinePath))
 	if write {
@@ -102,7 +102,8 @@ func run(dir, baselinePath string, write bool) error {
 	}
 	if len(added) > 0 {
 		for _, k := range added {
-			fmt.Fprintf(os.Stderr, "escapecheck: NEW heap escape in //coflow:allocfree function: %s\n", strings.ReplaceAll(k, "\t", " "))
+			file, rest, _ := strings.Cut(k, "\t")
+			fmt.Fprintf(os.Stderr, "%s:%d: NEW heap escape in //coflow:allocfree function %s\n", file, line[k], strings.ReplaceAll(rest, "\t", ": "))
 		}
 		fmt.Fprintf(os.Stderr, "escapecheck: %d regression(s) vs %s\n", len(added), baselinePath)
 		os.Exit(1)

@@ -178,7 +178,6 @@ func (dc *Decomposer) permBuf(k int) []int {
 		return dc.permBufs[k]
 	}
 	dc.obs.TermAllocs.Inc()
-	//lint:ignore allocfree one-time pool growth until the term pool is warm; steady-state extractions reuse pooled buffers
 	buf := make([]int, dc.m)
 	dc.permBufs = append(dc.permBufs, buf)
 	return buf
@@ -241,13 +240,11 @@ func (dc *Decomposer) extractFirstAll() error {
 	// slots the demand barely moves, so this is usually a handful of
 	// augmenting paths, not a cold solve.
 	if dc.matcher.RepairRematch() != m {
-		//lint:ignore allocfree unreachable-for-valid-input error path (balanced matrix support always admits a perfect matching)
 		return fmt.Errorf("bvn: support of %d×%d balanced matrix admits no perfect matching", m, m)
 	}
 	maxTerms := m*m + 1
 	for dc.nnz > 0 {
 		if len(dc.terms) >= maxTerms {
-			//lint:ignore allocfree unreachable-for-valid-input error path (term count is bounded by m²)
 			return fmt.Errorf("bvn: more than m²=%d terms extracted; invariant violated", m*m)
 		}
 		exSpan := dc.obs.ExtractSeconds.Start()
@@ -262,7 +259,6 @@ func (dc *Decomposer) extractFirstAll() error {
 		}
 		if q <= 0 {
 			exSpan.End()
-			//lint:ignore allocfree unreachable-for-valid-input error path (matched entries are positive by construction)
 			return fmt.Errorf("bvn: non-positive multiplicity %d; invariant violated", q)
 		}
 		dc.freedRows = dc.freedRows[:0]
@@ -284,7 +280,6 @@ func (dc *Decomposer) extractFirstAll() error {
 			for _, i := range dc.freedRows {
 				if !dc.matcher.AugmentRow(int(i)) {
 					exSpan.End()
-					//lint:ignore allocfree unreachable-for-valid-input error path (balanced matrix support always admits a perfect matching)
 					return fmt.Errorf("bvn: support lost its perfect matching after term %d; invariant violated", len(dc.terms)-1)
 				}
 			}
@@ -313,14 +308,12 @@ func (dc *Decomposer) extractThickAll() error {
 	maxTerms := m*m + 1
 	for dc.nnz > 0 {
 		if len(dc.terms) >= maxTerms {
-			//lint:ignore allocfree unreachable-for-valid-input error path (term count is bounded by m²)
 			return fmt.Errorf("bvn: more than m²=%d terms extracted; invariant violated", m*m)
 		}
 		exSpan := dc.obs.ExtractSeconds.Start()
 		ok := dc.bottleneck()
 		if !ok {
 			exSpan.End()
-			//lint:ignore allocfree unreachable-for-valid-input error path (balanced matrix support always admits a perfect matching)
 			return fmt.Errorf("bvn: support of %d×%d balanced matrix admits no perfect matching", m, m)
 		}
 		buf := dc.permBuf(len(dc.terms))
@@ -334,7 +327,6 @@ func (dc *Decomposer) extractThickAll() error {
 		}
 		if q <= 0 {
 			exSpan.End()
-			//lint:ignore allocfree unreachable-for-valid-input error path (matched entries are positive by construction)
 			return fmt.Errorf("bvn: non-positive multiplicity %d; invariant violated", q)
 		}
 		for i, j := range perm.To {
@@ -404,7 +396,6 @@ func (dc *Decomposer) bottleneck() bool {
 //coflow:pooled
 func (dc *Decomposer) Update(served *matrix.Matrix) (*Decomposition, error) {
 	if !dc.primed {
-		//lint:ignore allocfree misuse error path, never taken by the slot pipeline
 		return nil, fmt.Errorf("bvn: Update before a successful Decompose")
 	}
 	if served.Rows() != served.Cols() || served.Rows() != dc.m {
@@ -423,7 +414,6 @@ func (dc *Decomposer) Update(served *matrix.Matrix) (*Decomposition, error) {
 			nd := dc.demand.At(i, j) - v
 			if nd < 0 {
 				dc.primed = false
-				//lint:ignore allocfree misuse error path, never taken by a conservation-respecting caller
 				return nil, fmt.Errorf("bvn: served %d exceeds demand %d at (%d,%d)", v, dc.demand.At(i, j), i, j)
 			}
 			dc.demand.Set(i, j, nd)
@@ -444,7 +434,6 @@ func (dc *Decomposer) Update(served *matrix.Matrix) (*Decomposition, error) {
 	delta := dc.dec.Load - rho2
 	if delta < 0 {
 		dc.primed = false
-		//lint:ignore allocfree unreachable-for-valid-input error path (shrinking demand cannot raise the load)
 		return nil, fmt.Errorf("bvn: load rose from %d to %d under Update; demand must only shrink", dc.dec.Load, rho2)
 	}
 	for u := 0; u < len(dc.terms) && delta > 0; u++ {

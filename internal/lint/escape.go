@@ -12,16 +12,17 @@ import (
 	"strings"
 )
 
-// This file is the escape-analysis half of the allocfree contract.
-// The allocfree analyzer rejects allocation-causing constructs it can
-// see in the syntax; the compiler's escape analysis is the ground
-// truth for the rest (a value the analyzer allowed can still escape
-// through a path only the compiler proves). cmd/escapecheck runs
-// `go build -gcflags=<module>/...=-m=1`, keeps the "escapes to heap"
-// diagnostics that land inside //coflow:allocfree functions, and
-// compares them against a committed baseline — the gate is
-// compare-only, so pre-existing escapes are grandfathered and only a
-// NEW escape in an annotated function fails the build.
+// This file is the compiler's share of the //coflow:allocfree
+// contract: every value the escape analysis heap-allocates — literal,
+// make, closure, boxed argument, built string — on a hot branch or a
+// cold one. (The allocfree analyzer keeps only what the compiler does
+// not report: amortized growth and un-annotated callees.)
+// cmd/escapecheck runs `go build -gcflags=<module>/...=-m=1`, keeps
+// the "escapes to heap" diagnostics that land inside annotated
+// functions, and compares them against a committed baseline — the gate
+// is compare-only, so pre-existing escapes (cold panic and error
+// paths, one-time pool growth) are grandfathered there, once, and only
+// a NEW escape in an annotated function fails the build.
 //
 // Baseline entries are keyed (file, function, message), NOT line
 // numbers, so edits elsewhere in a file do not churn the baseline.
@@ -133,26 +134,28 @@ func ParseEscapes(r io.Reader) ([]EscapeDiag, error) {
 }
 
 // EscapeKeys keeps the diagnostics landing inside an allocfree range
-// and normalizes each to its baseline key "file<TAB>func<TAB>msg".
-// Line numbers are deliberately dropped so unrelated edits do not
-// churn the baseline; duplicates (e.g. the same message for two
-// statements) collapse. Keys come back sorted.
-func EscapeKeys(diags []EscapeDiag, ranges []LineRange) []string {
-	set := map[string]bool{}
+// and normalizes each to its baseline key "file<TAB>func<TAB>msg";
+// keys come back sorted, with the line of the first diagnostic
+// carrying each. Line numbers are deliberately not part of the key, so
+// unrelated edits do not churn the baseline; the price is that a
+// second site with the same message in the same function collapses
+// into the first.
+func EscapeKeys(diags []EscapeDiag, ranges []LineRange) (keys []string, line map[string]int) {
+	line = map[string]int{}
 	for _, d := range diags {
 		for _, r := range ranges {
 			if d.File == r.File && d.Line >= r.Start && d.Line <= r.End {
-				set[d.File+"\t"+r.Func+"\t"+d.Msg] = true
+				key := d.File + "\t" + r.Func + "\t" + d.Msg
+				if _, seen := line[key]; !seen {
+					line[key] = d.Line
+					keys = append(keys, key)
+				}
 				break
 			}
 		}
 	}
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	sort.Strings(keys)
+	return keys, line
 }
 
 // DiffEscapes returns the keys present in current but not in

@@ -42,13 +42,16 @@ func TestEscapeKeysFiltersAndDedups(t *testing.T) {
 		{File: "a.go", Line: 25, Msg: "z escapes to heap"}, // between ranges: dropped
 		{File: "b.go", Line: 15, Msg: "w escapes to heap"}, // other file: dropped
 	}
-	got := EscapeKeys(diags, ranges)
+	got, line := EscapeKeys(diags, ranges)
 	want := []string{
 		"a.go\t(*T).M\tx escapes to heap",
 		"a.go\tF\ty escapes to heap",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("EscapeKeys = %v, want %v", got, want)
+	}
+	if line[want[0]] != 15 || line[want[1]] != 35 {
+		t.Errorf("EscapeKeys lines = %v, want the first diagnostic of each key (15, 35)", line)
 	}
 }
 
@@ -101,15 +104,15 @@ func TestAllocFreeRanges(t *testing.T) {
 	for _, r := range ranges {
 		byFunc[r.Func] = r
 	}
-	plain, ok := byFunc["makesSlice"]
+	plain, ok := byFunc["appendsFresh"]
 	if !ok {
-		t.Fatalf("makesSlice missing from ranges: %v", ranges)
+		t.Fatalf("appendsFresh missing from ranges: %v", ranges)
 	}
 	if plain.File != "allocfree.go" {
 		t.Errorf("File = %q, want root-relative %q", plain.File, "allocfree.go")
 	}
 	if plain.Start <= 0 || plain.End <= plain.Start {
-		t.Errorf("bad span for makesSlice: %+v", plain)
+		t.Errorf("bad span for appendsFresh: %+v", plain)
 	}
 	if _, ok := byFunc["(*scratch).appendsOwned"]; !ok {
 		t.Errorf("method display name (*scratch).appendsOwned missing: %v", ranges)

@@ -13,9 +13,11 @@
 // obsguard) are flow-sensitive, built on the intraprocedural CFG +
 // bit-vector dataflow engine in cfg.go / flow.go:
 //
-//	allocfree  functions annotated //coflow:allocfree must not contain
-//	           allocation-causing constructs (the static sibling of
-//	           online.TestStepDoesNotAllocate)
+//	allocfree  functions annotated //coflow:allocfree must not append
+//	           outside caller-owned scratch, write into a map, or call
+//	           an un-annotated module function — the allocations
+//	           neither cmd/escapecheck nor the *DoesNotAllocate tests
+//	           can see
 //	obsguard   exported methods on internal/obs pointer metric types
 //	           must begin with a nil-receiver guard, and every
 //	           Histogram.Start span must reach End on all return paths
@@ -38,10 +40,10 @@
 // other //coflow:<word> on a function is a diagnostic, so a typo
 // cannot silently leave a function unguarded):
 //
-//	//coflow:allocfree      on a function: its body must be
-//	                        allocation-free (checked by allocfree,
-//	                        gated against escape analysis by
-//	                        cmd/escapecheck)
+//	//coflow:allocfree      on a function: it allocates nothing in
+//	                        steady state (three gates: allocfree,
+//	                        cmd/escapecheck on the compiler's escape
+//	                        analysis, the *DoesNotAllocate tests)
 //	//coflow:singlewriter   on a function: it runs on the single
 //	                        goroutine that owns the touched state
 //	//coflow:pooled         on a function: its pointer results alias

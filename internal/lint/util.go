@@ -127,3 +127,14 @@ func terminates(s ast.Stmt) bool {
 	}
 	return false
 }
+
+// describeExpr renders a short name for an expression in a message.
+func describeExpr(e ast.Expr) string {
+	if s := exprString(e); s != "" {
+		return s
+	}
+	if root := rootIdent(e); root != nil {
+		return root.Name + "..."
+	}
+	return "expression"
+}

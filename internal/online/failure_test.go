@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"coflow/internal/coflowmodel"
+	"coflow/internal/obs"
 )
 
 func TestFailPortValidation(t *testing.T) {
@@ -132,24 +133,38 @@ func TestFailPortMaskedPriority(t *testing.T) {
 	}
 }
 
+// TestStepWithFailedPortDoesNotAllocate: the masked scan and the
+// masked priorities allocate nothing, whether the slot replays (a
+// backlog that never drains) or runs the full scan (one-unit coflows
+// queued on one pair ahead of it, so every slot completes one).
 func TestStepWithFailedPortDoesNotAllocate(t *testing.T) {
-	s := NewState(8)
-	for k := 0; k < 4; k++ {
-		if _, err := s.Add(k, 1, 0, []coflowmodel.Flow{{Src: k, Dst: k + 4, Size: 1 << 20}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.FailPort(1); err != nil {
-		t.Fatal(err)
-	}
-	var slot int64
-	s.Step(1, SEBF)
-	slot = 1
-	allocs := testing.AllocsPerRun(100, func() {
-		slot++
-		s.Step(slot, SEBF)
-	})
-	if allocs != 0 {
-		t.Fatalf("Step with a failed port allocates %.1f times per slot, want 0", allocs)
+	for _, tc := range []struct {
+		name    string
+		tickers int
+	}{{"replay", 0}, {"fullscan", 128}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewState(8)
+			scans := obs.NewRegistry().Counter("scans", "full scans")
+			s.SetObs(Obs{FullScans: scans})
+			for k := 0; k < tc.tickers; k++ {
+				if _, err := s.Add(k, 1, 0, []coflowmodel.Flow{{Src: 2, Dst: 7, Size: 1}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for k := 0; k < 4; k++ {
+				if _, err := s.Add(tc.tickers+k, 1, 0, []coflowmodel.Flow{{Src: k, Dst: k + 4, Size: 1 << 20}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.FailPort(1); err != nil {
+				t.Fatal(err)
+			}
+			if allocs := stepAllocs(s, SEBF, 100); allocs != 0 {
+				t.Fatalf("Step with a failed port allocates %.1f times per slot, want 0", allocs)
+			}
+			if tc.tickers > 0 {
+				wantFullScans(t, scans, 100)
+			}
+		})
 	}
 }

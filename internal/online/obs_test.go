@@ -10,34 +10,34 @@ import (
 
 // TestStepObsEnabledDoesNotAllocate is the enabled-path companion of
 // TestStepDoesNotAllocate: with a live registry wired in (histograms
-// and counters), a steady-state serving tick must still run with zero
-// heap allocations — all metric updates are atomic stores into
-// pre-allocated structures and spans are stack values.
+// and counters), a steady-state serving tick — replayed or fully
+// scanned — must still run with zero heap allocations: all metric
+// updates are atomic stores into pre-allocated structures and spans
+// are stack values.
 func TestStepObsEnabledDoesNotAllocate(t *testing.T) {
 	for _, p := range []Policy{FIFO, SEBF, WSPT} {
-		t.Run("serving-"+p.String(), func(t *testing.T) {
-			reg := obs.NewRegistry()
-			o := NewObs(reg)
-			s := benchState(50, 200)
-			s.SetObs(o)
-			// Warm up: the first slots may grow the reusable buffers.
-			slot := int64(0)
-			for ; slot < 3; slot++ {
-				s.Step(slot+1, p)
-			}
-			if avg := testing.AllocsPerRun(200, func() {
-				slot++
-				s.Step(slot, p)
-			}); avg != 0 {
-				t.Errorf("instrumented %v tick allocates %.1f times per step, want 0", p, avg)
-			}
-			if got := o.Steps.Value(); got == 0 {
-				t.Fatal("instrumentation did not record any steps")
-			}
-			if o.StepSeconds.Snapshot().Count == 0 {
-				t.Fatal("step histogram recorded no samples")
-			}
-		})
+		for _, tc := range []struct {
+			name    string
+			tickers int
+		}{{"serving-", 0}, {"fullscan-", 256}} {
+			t.Run(tc.name+p.String(), func(t *testing.T) {
+				o := NewObs(obs.NewRegistry())
+				s := benchState(50, 200, tc.tickers)
+				s.SetObs(o)
+				if avg := stepAllocs(s, p, 200); avg != 0 {
+					t.Errorf("instrumented %v tick allocates %.1f times per step, want 0", p, avg)
+				}
+				if tc.tickers > 0 {
+					wantFullScans(t, o.FullScans, 200)
+				}
+				if got := o.Steps.Value(); got == 0 {
+					t.Fatal("instrumentation did not record any steps")
+				}
+				if o.StepSeconds.Snapshot().Count == 0 {
+					t.Fatal("step histogram recorded no samples")
+				}
+			})
+		}
 	}
 	t.Run("noop", func(t *testing.T) {
 		reg := obs.NewRegistry()

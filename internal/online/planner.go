@@ -85,7 +85,6 @@ func (p *Planner) Add(flows []coflowmodel.Flow) error {
 func (p *Planner) Observe(served []Assignment) error {
 	for _, a := range served {
 		if p.demand.At(a.Src, a.Dst) <= 0 {
-			//lint:ignore allocfree misuse error path, never taken by a conservation-respecting caller
 			return fmt.Errorf("online: served unit on (%d→%d) with no planned demand", a.Src, a.Dst)
 		}
 		p.demand.Add(a.Src, a.Dst, -1)
@@ -106,7 +105,6 @@ func (p *Planner) Shed(entries []matrix.SparseEntry) error {
 			continue
 		}
 		if p.demand.At(e.Row, e.Col) < e.Val {
-			//lint:ignore allocfree misuse error path, never taken by a conservation-respecting caller
 			return fmt.Errorf("online: shedding %d on (%d→%d) exceeds planned demand %d",
 				e.Val, e.Row, e.Col, p.demand.At(e.Row, e.Col))
 		}

@@ -190,3 +190,68 @@ func TestPlanAfterShedRepairsCache(t *testing.T) {
 		t.Fatal("Plan after Shed ran a cold decomposition instead of the incremental repair")
 	}
 }
+
+// TestPlannerTickDoesNotAllocate is the allocation gate of a `-plan`
+// tick, the way the daemon's loop runs one: Step, Observe the served
+// matching, Plan; then a cancellation — Remove, Shed the coflow's
+// remaining demand, Plan. Both Plans are shrinks, so both go through
+// Decomposer.Update on a warm term pool (counted below), and the
+// Remove forbids the replay, so every Step is a full scan.
+func TestPlannerTickDoesNotAllocate(t *testing.T) {
+	const m, warm, runs = 20, 60, 100
+	s := benchState(m, 60, 0)
+	// One parked coflow per measured tick: released far in the future,
+	// never served, cancelled at its tick. State.Demand allocates its
+	// copy, so the cancellations' demands are read up front.
+	parked := make([][]matrix.SparseEntry, warm+1+runs)
+	for k := range parked {
+		key := 1000 + k
+		flows := []coflowmodel.Flow{{Src: k % m, Dst: (k * 7) % m, Size: int64(1 + k%5)}}
+		if _, err := s.Add(key, 1, 1<<40, flows); err != nil {
+			t.Fatal(err)
+		}
+		parked[k] = s.Demand(key)
+	}
+	o := bvn.NewObs(obs.NewRegistry())
+	p := NewPlanner(m)
+	p.SetObs(o)
+	for _, key := range s.Keys(nil) {
+		var flows []coflowmodel.Flow
+		for _, e := range s.Demand(key) {
+			flows = append(flows, coflowmodel.Flow{Src: e.Row, Dst: e.Col, Size: e.Val})
+		}
+		if err := p.Add(flows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	slot := 0
+	tick := func() {
+		res := s.Step(int64(slot+1), SEBF)
+		if err := p.Observe(res.Served); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Plan(); err != nil {
+			t.Fatal(err)
+		}
+		if !s.Remove(1000 + slot) {
+			t.Fatalf("parked coflow %d is gone", 1000+slot)
+		}
+		if err := p.Shed(parked[slot]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Plan(); err != nil {
+			t.Fatal(err)
+		}
+		slot++
+	}
+	for slot < warm { // the first Plan is cold; early fallbacks still grow the term pool
+		tick()
+	}
+	updates := o.Updates.Value()
+	if avg := testing.AllocsPerRun(runs, tick); avg != 0 {
+		t.Errorf("a -plan tick allocates %.1f times, want 0", avg)
+	}
+	if got, want := o.Updates.Value()-updates, int64(2*(1+runs)); got != want {
+		t.Errorf("%d of %d measured Plans ran Decomposer.Update", got, want)
+	}
+}

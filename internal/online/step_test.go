@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"coflow/internal/coflowmodel"
+	"coflow/internal/obs"
 )
 
 func TestStateAddValidation(t *testing.T) {
@@ -193,8 +194,11 @@ func TestStepAgreesWithSimulate(t *testing.T) {
 
 // TestStepDoesNotAllocate is the allocation regression gate (the
 // BenchmarkStep* numbers report the same thing, but a benchmark is only
-// read by humans; this fails CI). A no-op tick — nothing released — and
-// a steady-state serving tick must both run with zero heap allocations.
+// read by humans; this fails CI). A no-op tick — nothing released —, a
+// steady-state serving tick (the replay fork: a backlog that never
+// drains re-serves one matching) and a full-scan tick (a completion
+// every slot forbids the replay, and reaches drop) must all run with
+// zero heap allocations.
 func TestStepDoesNotAllocate(t *testing.T) {
 	t.Run("noop", func(t *testing.T) {
 		s := NewState(100)
@@ -211,28 +215,65 @@ func TestStepDoesNotAllocate(t *testing.T) {
 	})
 	for _, p := range []Policy{FIFO, SEBF, WSPT} {
 		t.Run("serving-"+p.String(), func(t *testing.T) {
-			s := benchState(50, 200)
-			// Warm up: the first slots may grow the reusable buffers.
-			slot := int64(0)
-			for ; slot < 3; slot++ {
-				s.Step(slot+1, p)
-			}
-			if avg := testing.AllocsPerRun(200, func() {
-				slot++
-				s.Step(slot, p)
-			}); avg != 0 {
+			if avg := stepAllocs(benchState(50, 200, 0), p, 200); avg != 0 {
 				t.Errorf("steady-state %v tick allocates %.1f times per step, want 0", p, avg)
 			}
+		})
+		t.Run("fullscan-"+p.String(), func(t *testing.T) {
+			s := benchState(50, 200, 256)
+			scans := obs.NewRegistry().Counter("scans", "full scans")
+			s.SetObs(Obs{FullScans: scans}) // every other hook stays off
+			if avg := stepAllocs(s, p, 200); avg != 0 {
+				t.Errorf("full-scan %v tick allocates %.1f times per step, want 0", p, avg)
+			}
+			wantFullScans(t, scans, 200)
 		})
 	}
 }
 
-// benchState builds the issue's tracked baseline: m=100 ports with 500
-// live coflows whose demand is large enough that none completes during
-// the benchmark, so every iteration measures a full scheduling step.
-func benchState(m, n int) *State {
+// warmSlots is stepAllocs' warm-up: the first slots may grow the
+// reusable buffers.
+const warmSlots = 3
+
+// stepAllocs warms s up and returns the allocations per Step over the
+// next runs slots.
+func stepAllocs(s *State, p Policy, runs int) float64 {
+	slot := int64(0)
+	for ; slot < warmSlots; slot++ {
+		s.Step(slot+1, p)
+	}
+	return testing.AllocsPerRun(runs, func() {
+		slot++
+		s.Step(slot, p)
+	})
+}
+
+// wantFullScans fails unless every slot of a stepAllocs(…, runs)
+// measurement took the full scan: the warm-up slots, AllocsPerRun's
+// own warm-up call, then runs measured ones. A gate whose slots replay
+// measures nothing of step().
+func wantFullScans(t *testing.T, scans *obs.Counter, runs int) {
+	t.Helper()
+	if got, want := scans.Value(), int64(warmSlots+1+runs); got != want {
+		t.Fatalf("%d of %d slots ran the full scan; the measured slots must not replay", got, want)
+	}
+}
+
+// benchState builds the tracked shape: n live coflows on m ports whose
+// demand is large enough that none completes, behind tickers one-unit
+// coflows on one port pair that sort first under every policy (lowest
+// keys, smallest load). With tickers == 0 nothing ever changes, so
+// after the first slot every Step replays one matching; with tickers
+// left, each slot completes exactly one of them, which forbids the
+// replay: every slot is a full scan over the backlog plus a drop.
+func benchState(m, n, tickers int) *State {
 	rng := rand.New(rand.NewSource(42))
 	s := NewState(m)
+	for k := 0; k < tickers; k++ {
+		if _, err := s.Add(k, 1, 0, []coflowmodel.Flow{{Src: 0, Dst: 0, Size: 1}}); err != nil {
+			panic(err)
+		}
+	}
 	for k := 0; k < n; k++ {
 		var flows []coflowmodel.Flow
 		for f := 0; f < 1+rng.Intn(8); f++ {
@@ -240,7 +281,7 @@ func benchState(m, n int) *State {
 				Src: rng.Intn(m), Dst: rng.Intn(m), Size: 1 << 40,
 			})
 		}
-		if _, err := s.Add(k, 1+float64(rng.Intn(9)), 0, flows); err != nil {
+		if _, err := s.Add(tickers+k, 1+float64(rng.Intn(9)), 0, flows); err != nil {
 			panic(err)
 		}
 	}
@@ -248,13 +289,23 @@ func benchState(m, n int) *State {
 }
 
 // BenchmarkStepM100C500SEBF is the local profiling entry point for one
-// scheduling tick at datacenter scale: m=100 ports, 500 live coflows.
+// full-scan scheduling tick at datacenter scale: m=100 ports, 500 live
+// coflows. A fail/recover pair between slots invalidates the replay —
+// as any Add, Remove or completion does in production, where over 95 %
+// of slots scan — without allocating or touching the demand.
 // The tracked number is the harness's online.step_us_p50.
 func BenchmarkStepM100C500SEBF(b *testing.B) {
-	s := benchState(100, 500)
+	s := benchState(100, 500, 0)
+	scans := obs.NewRegistry().Counter("scans", "full scans")
+	s.SetObs(Obs{FullScans: scans})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		_ = s.FailPort(0) // in range: cannot fail
+		_ = s.RecoverPort(0)
 		s.Step(int64(i+1), SEBF)
+	}
+	if got := scans.Value(); got != int64(b.N) {
+		b.Fatalf("%d of %d iterations ran the full scan", got, b.N)
 	}
 }

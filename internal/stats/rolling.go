@@ -83,8 +83,6 @@ func (r *Rolling) Observe(v float64) {
 func (r *Rolling) Total() int64 { return r.total }
 
 // Last returns the most recent observation, or 0 before any.
-//
-//coflow:allocfree
 func (r *Rolling) Last() float64 {
 	if r.total == 0 {
 		return 0
