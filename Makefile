@@ -23,10 +23,11 @@ check: lint escapecheck slowcheck scenarios smoke
 	$(MAKE) race
 
 # The race suites: every package that shares state between goroutines
-# or is called from one that does. This is the one copy of the list;
-# the CI race job runs this target.
+# or is called from one that does (lp and lpmodel for the pooled
+# lp.Solver: eight goroutines solve through it). This is the one copy of
+# the list; the CI race job runs this target.
 race:
-	go test -race ./internal/matrix/... ./internal/matching/... ./internal/obs/... ./internal/online/... ./internal/scenario/... ./internal/switchsim/... ./internal/daemon/... ./internal/shard/... ./internal/lp/...
+	go test -race ./internal/matrix/... ./internal/matching/... ./internal/obs/... ./internal/online/... ./internal/scenario/... ./internal/switchsim/... ./internal/daemon/... ./internal/shard/... ./internal/lp/... ./internal/lpmodel/...
 
 # Project-specific static analysis (internal/lint run by
 # cmd/coflowvet): in //coflow:allocfree functions the allocations only

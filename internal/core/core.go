@@ -228,26 +228,8 @@ func arrivalOrder(ins *coflowmodel.Instance) []int {
 
 // LoadWeightOrder is H_ρ: sort by nondecreasing ρ(D(k))/w_k, ties by
 // coflow ID. Exported because the experiment harness reports it as its
-// own algorithm family.
-func LoadWeightOrder(ins *coflowmodel.Instance) []int {
-	m := ins.Ports
-	key := make([]float64, len(ins.Coflows))
-	for k := range ins.Coflows {
-		key[k] = float64(ins.Coflows[k].Load(m)) / ins.Coflows[k].Weight
-	}
-	order := make([]int, len(ins.Coflows))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ka, kb := order[a], order[b]
-		if key[ka] != key[kb] {
-			return key[ka] < key[kb]
-		}
-		return ins.Coflows[ka].ID < ins.Coflows[kb].ID
-	})
-	return order
-}
+// own algorithm family; it lives in lpmodel, which starts the LP from it.
+func LoadWeightOrder(ins *coflowmodel.Instance) []int { return lpmodel.LoadWeightOrder(ins) }
 
 // GeometricStages implements Step 2 of Algorithm 2: positions whose
 // V_k fall in the same interval (τ_{s−1}, τ_s] (τ_l = 2^(l−1)) form

@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -22,16 +23,18 @@ import (
 // two solvers when both report Optimal.
 const diffObjTol = 1e-6
 
-// compareSparseDense runs both solvers on p and returns a description
-// of the first divergence, or "" when they agree. Instances where
-// either solver hits its iteration cap are skipped (no verdict to
-// compare).
-func compareSparseDense(p *Problem) string {
+// compareSparseDense runs both solvers on p, the sparse one from the
+// given start basis (nil: cold), and returns a description of the first
+// divergence, or "" when they agree. Any start is legal on any problem —
+// the solver skips what it cannot seat — so minimization keeps it as it
+// is while rows and columns go. Instances where either solver hits its
+// iteration cap are skipped (no verdict to compare).
+func compareSparseDense(p *Problem, start []int) string {
 	dense, err := Solve(p)
 	if err != nil {
 		return fmt.Sprintf("dense solver error: %v", err)
 	}
-	sparse, err := SolveSparse(p)
+	sparse, err := SolveSparseFrom(p, start)
 	if err != nil {
 		return fmt.Sprintf("sparse solver error: %v", err)
 	}
@@ -100,12 +103,12 @@ func cloneWithoutVar(p *Problem, drop int) *Problem {
 // minimizeDivergence greedily drops rows, then variables, keeping
 // every removal that preserves some divergence. The result is the
 // reproducer that gets dumped.
-func minimizeDivergence(p *Problem) *Problem {
+func minimizeDivergence(p *Problem, start []int) *Problem {
 	for changed := true; changed; {
 		changed = false
 		for i := 0; i < len(p.rows); i++ {
 			np := cloneWithoutRow(p, i)
-			if compareSparseDense(np) != "" {
+			if compareSparseDense(np, start) != "" {
 				p = np
 				changed = true
 				i--
@@ -116,7 +119,7 @@ func minimizeDivergence(p *Problem) *Problem {
 			if np == nil {
 				continue
 			}
-			if compareSparseDense(np) != "" {
+			if compareSparseDense(np, start) != "" {
 				p = np
 				changed = true
 				v--
@@ -139,8 +142,8 @@ func reproducer(p *Problem, div string) ([]byte, error) {
 // testdata/failures, returning its path (best effort: "" on error).
 func dumpDivergence(t *testing.T, p *Problem, div string) string {
 	t.Helper()
-	min := minimizeDivergence(p)
-	minDiv := compareSparseDense(min)
+	min := minimizeDivergence(p, nil)
+	minDiv := compareSparseDense(min, nil)
 	if minDiv == "" { // minimization raced a tolerance edge; keep the original
 		min, minDiv = p, div
 	}
@@ -166,7 +169,7 @@ func dumpDivergence(t *testing.T, p *Problem, div string) string {
 // two solvers diverge on p.
 func requireAgreement(t *testing.T, p *Problem, label string) {
 	t.Helper()
-	div := compareSparseDense(p)
+	div := compareSparseDense(p, nil)
 	if div == "" {
 		return
 	}
@@ -239,13 +242,16 @@ func TestSparseVsDenseRandomSweep(t *testing.T) {
 	}
 }
 
-// decodeFuzzProblem maps arbitrary fuzz bytes onto an LP. The format
-// is positional so the fuzzer can meaningfully mutate it: header
-// (numVars, numRows), then per row sense/rhs/nnz and entry pairs, then
-// objective bytes.
-func decodeFuzzProblem(data []byte) *Problem {
+// decodeFuzzProblem maps arbitrary fuzz bytes onto an LP and a start
+// basis for it. The format is positional so the fuzzer can meaningfully
+// mutate it: header (numVars, numRows), then per row sense/rhs/nnz and
+// entry pairs, then objective bytes, then the start: a count and that
+// many column names in −1..numVars, so out-of-range and duplicate names
+// occur. Input that ends before the start (every seed older than the
+// start seam) solves cold.
+func decodeFuzzProblem(data []byte) (*Problem, []int) {
 	if len(data) < 2 {
-		return nil
+		return nil, nil
 	}
 	pos := 0
 	next := func() byte {
@@ -274,7 +280,11 @@ func decodeFuzzProblem(data []byte) *Problem {
 	for v := 0; v < numVars; v++ {
 		p.SetObjective(v, float64(int(next())-128)/16)
 	}
-	return p
+	var start []int
+	for n := int(next()) % (numVars + 3); n > 0; n-- {
+		start = append(start, int(next())%(numVars+2)-1)
+	}
+	return p, start
 }
 
 // FuzzSparseVsDense fuzzes the differential harness; `make slowcheck`
@@ -284,6 +294,12 @@ func FuzzSparseVsDense(f *testing.F) {
 	f.Add([]byte{1, 1, 2, 128, 1, 0, 112, 100})
 	f.Add([]byte{5, 0, 200, 200, 200, 90, 90})
 	f.Add([]byte{2, 3, 1, 100, 2, 0, 144, 1, 144, 0, 120, 1, 0, 160, 2, 1, 130, 0, 130, 110, 150})
+	// twoJobs of solver_test.go, then the start {x0, x2} its guard rejects
+	// and the start {x1, x2} it keeps.
+	twoJobs := []byte{3, 4, 1, 136, 2, 0, 144, 1, 144, 1, 136, 2, 2, 144, 3, 144, 0, 144, 2, 0, 160, 2, 160,
+		0, 168, 4, 0, 160, 1, 160, 2, 160, 3, 160, 128, 160, 128, 176}
+	f.Add(append(slices.Clone(twoJobs), 2, 1, 3))
+	f.Add(append(slices.Clone(twoJobs), 2, 2, 3))
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 16; i++ {
 		buf := make([]byte, 8+rng.Intn(48))
@@ -291,14 +307,14 @@ func FuzzSparseVsDense(f *testing.F) {
 		f.Add(buf)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p := decodeFuzzProblem(data)
+		p, start := decodeFuzzProblem(data)
 		if p == nil {
 			return
 		}
-		if div := compareSparseDense(p); div != "" {
-			min := minimizeDivergence(p)
+		if div := compareSparseDense(p, start); div != "" {
+			min := minimizeDivergence(p, start)
 			out, _ := reproducer(min, div) // best effort: context for the failure message
-			t.Fatalf("sparse/dense divergence, minimized problem:\n%s", out)
+			t.Fatalf("sparse/dense divergence from start %v, minimized problem:\n%s", start, out)
 		}
 	})
 }

@@ -1,6 +1,8 @@
 // Package lp implements a self-contained linear programming solver.
-// SolveSparse — presolve, a sparse revised simplex, postsolve — is the
-// solver callers get (see method.go). Solve, in this file, is a
+// Solver — presolve, a sparse revised simplex, postsolve, and the memory
+// all three reuse from one solve to the next — is the solver callers
+// get, through SolveSparse / SolveSparseFrom and their pool (see
+// method.go). Solve, in this file, is a
 // two-phase primal simplex on a dense tableau with Devex pricing and a
 // Bland's-rule fallback for anti-cycling: sequential, and kept as the
 // reference the sparse pipeline is tested against and falls back to.

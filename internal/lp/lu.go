@@ -46,65 +46,73 @@ const (
 	refactorEvery = 64
 )
 
-// luFactors is one P·B = L·U factorization.
+// luFactors is one P·B = L·U factorization. Its storage belongs to the
+// Solver that embeds it and is resliced, not reallocated, from one
+// factorization and one solve to the next.
 type luFactors struct {
 	m     int
 	rowOf []int // rowOf[k]: original row pivoted at step k
 	pos   []int // pos[origRow]: step that pivoted it, -1 while free
 
-	// L is unit lower triangular in step coordinates, stored by column:
-	// column k holds multipliers indexed by ORIGINAL row (rows pivoted
-	// at later steps).
-	lRows [][]int
-	lVals [][]float64
+	// L is unit lower triangular in step coordinates, stored by column in
+	// one arena: column k is lRow/lVal[lPtr[k]:lPtr[k+1]], multipliers
+	// indexed by ORIGINAL row (rows pivoted at later steps).
+	lPtr []int
+	lRow []int
+	lVal []float64
 
-	// U is upper triangular in step coordinates, stored by column:
+	// U is upper triangular in step coordinates, stored the same way:
 	// column k holds entries u_ik for steps i < k, plus diag[k] = u_kk.
-	uRows [][]int
-	uVals [][]float64
-	diag  []float64
+	uPtr []int
+	uRow []int
+	uVal []float64
+	diag []float64
 
 	work    []float64 // dense scratch in row coordinates, len m
 	inTouch []bool    // membership marker for the factor scratch list
+	touched []int     // scratch entries to re-zero between columns
 }
 
-// newLU allocates factor storage for an m×m basis.
-func newLU(m int) *luFactors {
-	return &luFactors{
-		m:       m,
-		rowOf:   make([]int, m),
-		pos:     make([]int, m),
-		lRows:   make([][]int, m),
-		lVals:   make([][]float64, m),
-		uRows:   make([][]int, m),
-		uVals:   make([][]float64, m),
-		diag:    make([]float64, m),
-		work:    make([]float64, m),
-		inTouch: make([]bool, m),
+// grow returns s resliced to n zeroed elements, allocating only when
+// its capacity is short.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// reset sizes the factor storage for an m×m basis.
+func (f *luFactors) reset(m int) {
+	f.m = m
+	f.rowOf = grow(f.rowOf, m)
+	f.pos = grow(f.pos, m)
+	f.lPtr = grow(f.lPtr, m+1)
+	f.uPtr = grow(f.uPtr, m+1)
+	f.diag = grow(f.diag, m)
+	f.work = grow(f.work, m)
+	f.inTouch = grow(f.inTouch, m)
 }
 
 // factor computes P·B = L·U for the basis whose k-th column is
-// cols(k). Returns errSingular when no acceptable pivot exists.
-func (f *luFactors) factor(cols func(k int) spCol) error {
+// cols[basis[k]]. Returns errSingular when no acceptable pivot exists.
+func (f *luFactors) factor(cols []spCol, basis []int) error {
 	m := f.m
 	for r := 0; r < m; r++ {
 		f.pos[r] = -1
 		f.work[r] = 0
 		f.inTouch[r] = false
 	}
-	for k := 0; k < m; k++ {
-		f.lRows[k] = f.lRows[k][:0]
-		f.lVals[k] = f.lVals[k][:0]
-		f.uRows[k] = f.uRows[k][:0]
-		f.uVals[k] = f.uVals[k][:0]
-	}
+	f.lRow, f.lVal = f.lRow[:0], f.lVal[:0]
+	f.uRow, f.uVal = f.uRow[:0], f.uVal[:0]
 	// touched tracks scratch entries to re-zero between columns; the
 	// inTouch marker keeps it duplicate-free even when a value cancels
 	// to exactly zero and is touched again.
-	touched := make([]int, 0, 64)
+	touched := f.touched[:0]
 	for k := 0; k < m; k++ {
-		c := cols(k)
+		c := cols[basis[k]]
 		for i, r := range c.ind {
 			if !f.inTouch[r] {
 				f.inTouch[r] = true
@@ -120,9 +128,9 @@ func (f *luFactors) factor(cols func(k int) spCol) error {
 			if t == 0 {
 				continue
 			}
-			f.uRows[k] = append(f.uRows[k], j)
-			f.uVals[k] = append(f.uVals[k], t)
-			rows, vals := f.lRows[j], f.lVals[j]
+			f.uRow = append(f.uRow, j)
+			f.uVal = append(f.uVal, t)
+			rows, vals := f.lRow[f.lPtr[j]:f.lPtr[j+1]], f.lVal[f.lPtr[j]:f.lPtr[j+1]]
 			for i, r := range rows {
 				if !f.inTouch[r] {
 					f.inTouch[r] = true
@@ -131,6 +139,7 @@ func (f *luFactors) factor(cols func(k int) spCol) error {
 				f.work[r] -= vals[i] * t
 			}
 		}
+		f.uPtr[k+1] = len(f.uRow)
 		// Partial pivoting over the still-free rows.
 		pivRow, pivMag := -1, luPivotTol
 		for _, r := range touched {
@@ -146,6 +155,7 @@ func (f *luFactors) factor(cols func(k int) spCol) error {
 				f.work[r] = 0
 				f.inTouch[r] = false
 			}
+			f.touched = touched
 			return errSingular
 		}
 		piv := f.work[pivRow]
@@ -157,15 +167,17 @@ func (f *luFactors) factor(cols func(k int) spCol) error {
 			if f.pos[r] >= 0 || f.work[r] == 0 {
 				continue
 			}
-			f.lRows[k] = append(f.lRows[k], r)
-			f.lVals[k] = append(f.lVals[k], f.work[r]*inv)
+			f.lRow = append(f.lRow, r)
+			f.lVal = append(f.lVal, f.work[r]*inv)
 		}
+		f.lPtr[k+1] = len(f.lRow)
 		for _, r := range touched {
 			f.work[r] = 0
 			f.inTouch[r] = false
 		}
 		touched = touched[:0]
 	}
+	f.touched = touched
 	return nil
 }
 
@@ -178,7 +190,7 @@ func (f *luFactors) ftranLU(b, z []float64) {
 		if t == 0 {
 			continue
 		}
-		rows, vals := f.lRows[k], f.lVals[k]
+		rows, vals := f.lRow[f.lPtr[k]:f.lPtr[k+1]], f.lVal[f.lPtr[k]:f.lPtr[k+1]]
 		for i, r := range rows {
 			b[r] -= vals[i] * t
 		}
@@ -191,7 +203,7 @@ func (f *luFactors) ftranLU(b, z []float64) {
 		if t == 0 {
 			continue
 		}
-		rows, vals := f.uRows[k], f.uVals[k]
+		rows, vals := f.uRow[f.uPtr[k]:f.uPtr[k+1]], f.uVal[f.uPtr[k]:f.uPtr[k+1]]
 		for i, j := range rows {
 			b[f.rowOf[j]] -= vals[i] * t
 		}
@@ -205,7 +217,7 @@ func (f *luFactors) btranLU(c, y []float64) {
 	// w is computed in place in c.
 	for k := 0; k < f.m; k++ {
 		t := c[k]
-		rows, vals := f.uRows[k], f.uVals[k]
+		rows, vals := f.uRow[f.uPtr[k]:f.uPtr[k+1]], f.uVal[f.uPtr[k]:f.uPtr[k+1]]
 		for i, j := range rows {
 			t -= vals[i] * c[j]
 		}
@@ -216,7 +228,7 @@ func (f *luFactors) btranLU(c, y []float64) {
 	// in place in c as well.
 	for k := f.m - 1; k >= 0; k-- {
 		t := c[k]
-		rows, vals := f.lRows[k], f.lVals[k]
+		rows, vals := f.lRow[f.lPtr[k]:f.lPtr[k+1]], f.lVal[f.lPtr[k]:f.lPtr[k+1]]
 		for i, r := range rows {
 			t -= vals[i] * c[f.pos[r]]
 		}
@@ -229,35 +241,30 @@ func (f *luFactors) btranLU(c, y []float64) {
 }
 
 // eta is one product-form update: the basis column at position r was
-// replaced, with w = B_old⁻¹·a_enter. Entries exclude position r
-// (stored as wr).
+// replaced, with w = B_old⁻¹·a_enter. Its entries, which exclude
+// position r (stored as wr), are etaInd/etaVal[lo:hi] of the file.
 type eta struct {
-	r   int
-	wr  float64
-	ind []int
-	val []float64
+	r      int
+	wr     float64
+	lo, hi int
 }
 
 // basisLU maintains B⁻¹ across pivots: an LU factorization plus an
-// eta file, refactored when the file reaches refactorEvery.
+// eta file, refactored when the file reaches refactorEvery. The file's
+// entries sit in two flat arenas that a refactorization truncates and
+// the next pivots refill.
 type basisLU struct {
-	m    int
-	lu   *luFactors
-	etas []eta
-}
-
-func newBasisLU(m int) *basisLU {
-	return &basisLU{m: m, lu: newLU(m)}
+	lu     luFactors
+	etas   []eta
+	etaInd []int
+	etaVal []float64
 }
 
 // refactor rebuilds the LU factors from the current basis columns and
 // clears the eta file.
-func (b *basisLU) refactor(cols func(k int) spCol) error {
-	if err := b.lu.factor(cols); err != nil {
-		return err
-	}
-	b.etas = b.etas[:0]
-	return nil
+func (b *basisLU) refactor(cols []spCol, basis []int) error {
+	b.etas, b.etaInd, b.etaVal = b.etas[:0], b.etaInd[:0], b.etaVal[:0]
+	return b.lu.factor(cols, basis)
 }
 
 // needsRefactor reports whether the eta file is full.
@@ -269,14 +276,14 @@ func (b *basisLU) push(r int, w []float64) error {
 	if math.Abs(w[r]) <= luPivotTol {
 		return errSingular
 	}
-	e := eta{r: r, wr: w[r]}
+	lo := len(b.etaInd)
 	for i, v := range w {
 		if i != r && math.Abs(v) > etaDropTol {
-			e.ind = append(e.ind, i)
-			e.val = append(e.val, v)
+			b.etaInd = append(b.etaInd, i)
+			b.etaVal = append(b.etaVal, v)
 		}
 	}
-	b.etas = append(b.etas, e)
+	b.etas = append(b.etas, eta{r: r, wr: w[r], lo: lo, hi: len(b.etaInd)})
 	return nil
 }
 
@@ -285,12 +292,12 @@ func (b *basisLU) push(r int, w []float64) error {
 // z is dense in position coordinates.
 func (b *basisLU) ftran(rhs, z []float64) {
 	b.lu.ftranLU(rhs, z)
-	for i := range b.etas {
-		e := &b.etas[i]
+	for _, e := range b.etas {
 		t := z[e.r] / e.wr
 		if t != 0 {
-			for j, p := range e.ind {
-				z[p] -= e.val[j] * t
+			val := b.etaVal[e.lo:e.hi]
+			for j, p := range b.etaInd[e.lo:e.hi] {
+				z[p] -= val[j] * t
 			}
 		}
 		z[e.r] = t
@@ -302,10 +309,11 @@ func (b *basisLU) ftran(rhs, z []float64) {
 // consumed; y is dense in row coordinates.
 func (b *basisLU) btran(c, y []float64) {
 	for i := len(b.etas) - 1; i >= 0; i-- {
-		e := &b.etas[i]
+		e := b.etas[i]
 		dot := 0.0
-		for j, p := range e.ind {
-			dot += e.val[j] * c[p]
+		val := b.etaVal[e.lo:e.hi]
+		for j, p := range b.etaInd[e.lo:e.hi] {
+			dot += val[j] * c[p]
 		}
 		c[e.r] = (c[e.r] - dot) / e.wr
 	}

@@ -10,7 +10,10 @@ package lp
 // against, and SolveSparse's fallback on numerical breakdown. Method
 // exists so those tests and the benchmark can name either solver.
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Method selects the simplex implementation used by SolveWith.
 type Method int
@@ -42,20 +45,58 @@ func SolveWith(p *Problem, m Method) (*Solution, error) {
 	return Solve(p)
 }
 
-// SolveSparse solves p by presolve + revised simplex, reconstructing
-// the full primal solution through postsolve. It honors the same
-// status contract as Solve; on numerical breakdown in the sparse
+// Solver is the sparse pipeline with its memory: presolve scratch and
+// the reduced problem, the CSC column file, the LU factors, the eta
+// file and every dense work vector are kept from one Solve to the next
+// and resliced for the new problem, so solving a problem no larger than
+// an earlier one allocates only the returned Solution. The zero value
+// is ready; a Solver serves one solve at a time.
+type Solver struct {
+	pre presolver
+	rev revised
+}
+
+// solvers lends SolveSparse and SolveSparseFrom their Solver; callers
+// solve concurrently, and the pool keeps at most one per P alive.
+var solvers = sync.Pool{New: func() any { return new(Solver) }}
+
+// SolveSparse solves p by presolve + revised simplex on a pooled
+// Solver, from the slack/artificial basis.
+func SolveSparse(p *Problem) (*Solution, error) {
+	return SolveSparseFrom(p, nil)
+}
+
+// SolveSparseFrom is Solver.Solve on a pooled Solver.
+func SolveSparseFrom(p *Problem, start []int) (*Solution, error) {
+	s := solvers.Get().(*Solver)
+	defer solvers.Put(s)
+	return s.Solve(p, start)
+}
+
+// Solve solves p by presolve + revised simplex, reconstructing the
+// full primal solution through postsolve. It honors the same status
+// contract as the dense Solve; on numerical breakdown in the sparse
 // basis handling (rare; counted by the SparseFallbacks metric) it
 // transparently falls back to the dense solver so callers never see
 // the difference. Fallback or not, one call is one Solves increment
 // and one SolveSeconds observation.
-func SolveSparse(p *Problem) (*Solution, error) {
-	return solveSparse(p, solveRevised)
+//
+// start, when not empty, names structural columns of p to make basic
+// before the first pivot — a vertex the caller believes near-optimal.
+// It is a hint and is never trusted: columns that cannot take an
+// artificial's place are skipped, and unless the resulting basis
+// factors and is primal feasible the solver drops all of it and starts
+// cold (StartInstalled counts columns kept, StartDiscarded starts
+// dropped). The status and the optimal value do not depend on start;
+// which optimal vertex is returned may. With no start the arithmetic
+// is that of a fresh Solver, whatever was solved before.
+func (s *Solver) Solve(p *Problem, start []int) (*Solution, error) {
+	return s.solve(p, start, (*revised).solve)
 }
 
-// solveSparse is SolveSparse with the revised-simplex stage passed in,
-// so a test can make it fail and reach the fallback branch.
-func solveSparse(p *Problem, revised func(*Problem) (*Solution, error)) (*Solution, error) {
+// solve is Solve with the revised-simplex stage passed in, so a test
+// can make it fail and reach the fallback branch.
+func (s *Solver) solve(p *Problem, start []int, simplex func(*revised, *Problem, []int) (Status, int, error)) (*Solution, error) {
 	if p == nil || p.numVars == 0 {
 		return nil, ErrBadProblem
 	}
@@ -67,39 +108,27 @@ func solveSparse(p *Problem, revised func(*Problem) (*Solution, error)) (*Soluti
 	}()
 
 	psSpan := pkgObs.PresolveSeconds.Start()
-	ps, err := Presolve(p)
+	ps := s.pre.run(p)
 	psSpan.End()
-	if err != nil {
-		return nil, err
-	}
 	recordPresolveStats(ps.Stats())
 
 	if ps.Decided() {
 		return &Solution{Status: Infeasible, X: make([]float64, p.numVars)}, nil
 	}
 
-	rsol, err := revised(ps.Reduced())
+	status, iters, err := simplex(&s.rev, ps.Reduced(), start)
 	if err != nil {
 		pkgObs.SparseFallbacks.Inc()
 		return solveDense(p), nil
 	}
-	if rsol.Status != Optimal {
-		return &Solution{
-			Status:     rsol.Status,
-			X:          make([]float64, p.numVars),
-			Iterations: rsol.Iterations,
-		}, nil
+	if status != Optimal {
+		return &Solution{Status: status, X: make([]float64, p.numVars), Iterations: iters}, nil
 	}
-	x, err := ps.Postsolve(rsol.X)
+	x, err := ps.Postsolve(s.rev.x)
 	if err != nil {
 		return nil, err
 	}
-	return &Solution{
-		Status:     Optimal,
-		X:          x,
-		Objective:  Objective(p, x),
-		Iterations: rsol.Iterations,
-	}, nil
+	return &Solution{Status: Optimal, X: x, Objective: Objective(p, x), Iterations: iters}, nil
 }
 
 // recordPresolveStats mirrors one presolve's reduction counts into the

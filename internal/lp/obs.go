@@ -4,11 +4,11 @@ import "coflow/internal/obs"
 
 // Obs instruments the simplex solvers. Every field is a nil-safe obs
 // metric; the zero value (the default) disables them at the cost of
-// one nil check per site. Hooks are package-level because Solve is a
-// pure function: its one production call site is lpmodel's shared
-// solve path, which core, openshop and experiments all reach, and the
-// benchmark calls it directly. Install them once at startup with
-// SetObs.
+// one nil check per site. Hooks are package-level because callers reach
+// the solver through package functions (SolveSparseFrom from lpmodel's
+// shared solve path, which core, openshop and experiments all reach;
+// SolveWith from the benchmark) and the pooled Solver behind them is
+// not theirs to configure. Install them once at startup with SetObs.
 //
 // Stage taxonomy:
 //
@@ -41,6 +41,12 @@ type Obs struct {
 	// SparseFallbacks counts sparse solves that hit numerical
 	// breakdown and transparently re-ran on the dense oracle.
 	SparseFallbacks *obs.Counter
+	// StartInstalled counts the columns of caller-supplied start bases
+	// that were seated and kept; StartDiscarded counts the starts that
+	// were dropped whole (singular or not primal feasible) for the cold
+	// basis.
+	StartInstalled *obs.Counter
+	StartDiscarded *obs.Counter
 
 	// Rows removed by each of presolve's three reductions, accumulated
 	// across solves. Presolve removes no column, so there is no column
@@ -76,6 +82,8 @@ func NewObs(r *obs.Registry) Obs {
 		Pivots:          r.Counter("coflow_lp_pivots_total", "simplex pivots across all solves"),
 		SparseSolves:    r.Counter("coflow_lp_sparse_solves_total", "sparse (presolve + revised simplex) solves run"),
 		SparseFallbacks: r.Counter("coflow_lp_sparse_fallbacks_total", "sparse solves that fell back to the dense oracle"),
+		StartInstalled:  r.Counter("coflow_lp_start_installed_total", "start-basis columns seated and kept"),
+		StartDiscarded:  r.Counter("coflow_lp_start_discarded_total", "start bases dropped for the cold basis"),
 
 		PresolveEmptyRows:     r.Counter("coflow_lp_presolve_empty_rows_total", "empty rows dropped by presolve"),
 		PresolveSingletonRows: r.Counter("coflow_lp_presolve_singleton_rows_total", "singleton rows converted to bounds by presolve"),

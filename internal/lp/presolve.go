@@ -91,7 +91,7 @@ func Presolve(p *Problem) (*Presolved, error) {
 	if p == nil || p.numVars == 0 {
 		return nil, ErrBadProblem
 	}
-	return newPresolver(p).run(), nil
+	return new(presolver).run(p), nil
 }
 
 // Postsolve lifts a solution of the reduced problem back to a solution
@@ -108,55 +108,75 @@ func (ps *Presolved) Postsolve(xReduced []float64) ([]float64, error) {
 	return x, nil
 }
 
-// presolver is the mutable working state of one Presolve call.
+// presolver is the working state of Presolve and owns what it hands
+// out: the Presolved, its reduced problem and their rows are resliced
+// for the next run, so a Solver's presolver allocates only while it
+// grows and a result is valid until that Solver's next solve.
 type presolver struct {
-	orig *Problem
 	rows []psRow
+	// arena holds every row's coalesced entries back to back, then the
+	// one-entry bound rows extract re-emits.
+	arena []Entry
+	acc   []float64 // dense accumulator of the row being coalesced
+	seen  []bool
 	// lo and up are the enforced bounds: x ≥ 0 plus singleton rows.
 	lo, up []float64
 	stats  PresolveStats
 
 	infeasible bool
+
+	ps  Presolved
+	red Problem
 }
 
-func newPresolver(p *Problem) *presolver {
-	w := &presolver{
-		orig: p,
-		rows: make([]psRow, len(p.rows)),
-		lo:   make([]float64, p.numVars),
-		up:   make([]float64, p.numVars),
+// load copies p's rows, coalescing duplicate entries (in first-seen
+// order) and dropping zeros so entry counts mean what the reductions
+// think they mean.
+func (w *presolver) load(p *Problem) {
+	nnz := 0
+	for _, r := range p.rows {
+		nnz += len(r.entries)
 	}
+	w.rows = grow(w.rows, len(p.rows))
+	w.arena = grow(w.arena, nnz+p.numVars)[:0]
+	w.acc = grow(w.acc, p.numVars)
+	w.seen = grow(w.seen, p.numVars)
+	w.lo = grow(w.lo, p.numVars)
+	w.up = grow(w.up, p.numVars)
 	for v := range w.up {
 		w.up[v] = psInf
 	}
+	w.stats, w.infeasible = PresolveStats{}, false
 	for i, r := range p.rows {
-		// Coalesce duplicate entries and drop zeros so entry counts mean
-		// what the reductions think they mean.
-		acc := map[int]float64{}
-		order := make([]int, 0, len(r.entries))
+		from := len(w.arena)
 		for _, e := range r.entries {
-			if _, seen := acc[e.Var]; !seen {
-				order = append(order, e.Var)
+			if !w.seen[e.Var] {
+				w.seen[e.Var] = true
+				w.arena = append(w.arena, Entry{Var: e.Var})
 			}
-			acc[e.Var] += e.Coef
+			w.acc[e.Var] += e.Coef
 		}
-		entries := make([]Entry, 0, len(order))
-		for _, v := range order {
-			if c := acc[v]; math.Abs(c) > psTol {
-				entries = append(entries, Entry{Var: v, Coef: c})
+		kept := from
+		for _, e := range w.arena[from:] {
+			c := w.acc[e.Var]
+			w.acc[e.Var], w.seen[e.Var] = 0, false
+			if math.Abs(c) > psTol {
+				w.arena[kept] = Entry{Var: e.Var, Coef: c}
+				kept++
 			}
 		}
-		w.rows[i] = psRow{entries: entries, sense: r.sense, rhs: r.rhs}
+		w.arena = w.arena[:kept]
+		w.rows[i] = psRow{entries: w.arena[from:kept:kept], sense: r.sense, rhs: r.rhs}
 	}
-	return w
 }
 
-// run sweeps the live rows until no bound moves and extracts the
-// result. Whether a row can be dropped depends on the bounds alone and
-// only singleton rows move a bound, so two sweeps are the most it
+// run loads p, sweeps the live rows until no bound moves and extracts
+// the result. Whether a row can be dropped depends on the bounds alone
+// and only singleton rows move a bound, so two sweeps are the most it
 // takes: the second exists for the rows that sit ahead of a singleton
 // row and were checked before its bound was known.
-func (w *presolver) run() *Presolved {
+func (w *presolver) run(p *Problem) *Presolved {
+	w.load(p)
 	for moved := true; moved && !w.infeasible; {
 		w.stats.Passes++
 		moved = false
@@ -169,7 +189,7 @@ func (w *presolver) run() *Presolved {
 			}
 		}
 	}
-	return w.extract()
+	return w.extract(p)
 }
 
 // reduceRow applies the reduction that fits live row i's shape and
@@ -284,13 +304,15 @@ func (w *presolver) activity(r *psRow) (min, max float64) {
 // the reduced problem — every column kept and shifted to a zero lower
 // bound, the live rows restated for the shift, and each enforced upper
 // bound re-emitted as a singleton row.
-func (w *presolver) extract() *Presolved {
-	ps := &Presolved{stats: w.stats, infeasible: w.infeasible, shift: w.lo}
+func (w *presolver) extract(p *Problem) *Presolved {
+	w.ps = Presolved{stats: w.stats, infeasible: w.infeasible, shift: w.lo}
 	if w.infeasible {
-		return ps
+		return &w.ps
 	}
-	red := NewProblem(w.orig.numVars)
-	copy(red.obj, w.orig.obj)
+	red := &w.red
+	red.numVars = p.numVars
+	red.obj = append(red.obj[:0], p.obj...)
+	red.rows = red.rows[:0]
 	for i := range w.rows {
 		r := &w.rows[i]
 		if r.dead {
@@ -300,13 +322,15 @@ func (w *presolver) extract() *Presolved {
 		for _, e := range r.entries {
 			rhs -= e.Coef * w.lo[e.Var]
 		}
-		red.AddConstraint(r.entries, r.sense, rhs)
+		red.rows = append(red.rows, row{entries: r.entries, sense: r.sense, rhs: rhs})
 	}
 	for v, up := range w.up {
 		if up < psInf {
-			red.AddConstraint([]Entry{{Var: v, Coef: 1}}, LE, up-w.lo[v])
+			w.arena = append(w.arena, Entry{Var: v, Coef: 1})
+			n := len(w.arena)
+			red.rows = append(red.rows, row{entries: w.arena[n-1 : n : n], sense: LE, rhs: up - w.lo[v]})
 		}
 	}
-	ps.reduced = red
-	return ps
+	w.ps.reduced = red
+	return &w.ps
 }

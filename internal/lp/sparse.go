@@ -26,44 +26,69 @@ package lp
 
 import "math"
 
-// revised is the working state of one revised-simplex solve.
+// revised is the working state of the revised simplex. It lives inside
+// a Solver: load resizes every slice for the next problem and keeps the
+// memory, so a re-solve of a problem no larger than the last allocates
+// nothing.
 type revised struct {
-	p *Problem
-	m int // constraint rows
+	obj []float64 // the problem's objective (not owned)
+	m   int       // constraint rows
 
 	nVar   int
 	nSlack int
 	nArt   int
 	nTotal int
 
-	cols []spCol   // standard-form columns, CSC; slacks/artificials are unit columns
-	bVec []float64 // normalized (non-negative, equilibrated) rhs
+	// Standard-form columns, CSC. cols[j] is a view into the two arenas;
+	// slacks/artificials are unit columns at their tail.
+	cols   []spCol
+	colInd []int
+	colVal []float64
+	bVec   []float64 // normalized (non-negative, equilibrated) rhs
 
 	basis    []int // basis[i]: variable basic at position i
 	basisPos []int // basisPos[v]: position of v, -1 when nonbasic
+	cold     []int // the slack/artificial basis, kept while a start is seated
 	banned   []bool
 	xB       []float64 // basic variable values, position coordinates
 
-	blu *basisLU
+	blu basisLU
 
-	// Dense scratch vectors, reused across iterations.
+	// Dense scratch vectors, reused across iterations and solves.
 	rowScratch []float64 // row coordinates (FTRAN input, duals output)
 	posScratch []float64 // position coordinates (BTRAN input)
 	y          []float64 // duals of the current basis, row coordinates
 	w          []float64 // FTRAN of the entering column, position coordinates
+	cost       []float64 // the running phase's cost vector
+	x          []float64 // structural values at the optimum
+
+	// Scratch of load and anyEnteringWithLeave.
+	senses  []Sense
+	acc     []float64
+	touched []int
+	colCnt  []int
+	cands   []cand
 
 	worstReduced float64 // most negative reduced cost seen by the last pricing pass
 }
 
-func newRevised(p *Problem) *revised {
+// cand is an improving column and its reduced cost.
+type cand struct {
+	j int
+	d float64
+}
+
+// load builds p's standard form and the slack/artificial basis.
+func (r *revised) load(p *Problem) {
 	m := len(p.rows)
 	// Pass 1: normalized senses, slack/artificial counts (mirrors
-	// newTableau exactly).
-	numSlack, numArt := 0, 0
-	senses := make([]Sense, m)
-	for i, r := range p.rows {
-		s := r.sense
-		if r.rhs < 0 {
+	// newTableau exactly), and an upper bound on each column's length.
+	numSlack, numArt, nnz := 0, 0, 0
+	r.senses = grow(r.senses, m)
+	r.colCnt = grow(r.colCnt, p.numVars)
+	for i, row := range p.rows {
+		s := row.sense
+		if row.rhs < 0 {
 			switch s {
 			case LE:
 				s = GE
@@ -71,7 +96,7 @@ func newRevised(p *Problem) *revised {
 				s = LE
 			}
 		}
-		senses[i] = s
+		r.senses[i] = s
 		switch s {
 		case LE:
 			numSlack++
@@ -81,33 +106,50 @@ func newRevised(p *Problem) *revised {
 		case EQ:
 			numArt++
 		}
+		for _, e := range row.entries {
+			r.colCnt[e.Var]++
+		}
+		nnz += len(row.entries)
 	}
-	r := &revised{
-		p:      p,
-		m:      m,
-		nVar:   p.numVars,
-		nSlack: numSlack,
-		nArt:   numArt,
-		nTotal: p.numVars + numSlack + numArt,
-	}
-	r.cols = make([]spCol, r.nTotal)
-	r.bVec = make([]float64, m)
-	r.basis = make([]int, m)
-	r.basisPos = make([]int, r.nTotal)
+	r.obj, r.m = p.obj, m
+	r.nVar, r.nSlack, r.nArt = p.numVars, numSlack, numArt
+	r.nTotal = p.numVars + numSlack + numArt
+	r.cols = grow(r.cols, r.nTotal)
+	r.colInd = grow(r.colInd, nnz+numSlack+numArt)
+	r.colVal = grow(r.colVal, nnz+numSlack+numArt)
+	r.bVec = grow(r.bVec, m)
+	r.basis = grow(r.basis, m)
+	r.basisPos = grow(r.basisPos, r.nTotal)
 	for v := range r.basisPos {
 		r.basisPos[v] = -1
 	}
-	r.banned = make([]bool, r.nTotal)
-	r.xB = make([]float64, m)
-	r.rowScratch = make([]float64, m)
-	r.posScratch = make([]float64, m)
-	r.y = make([]float64, m)
-	r.w = make([]float64, m)
+	r.banned = grow(r.banned, r.nTotal)
+	r.xB = grow(r.xB, m)
+	r.rowScratch = grow(r.rowScratch, m)
+	r.posScratch = grow(r.posScratch, m)
+	r.y = grow(r.y, m)
+	r.w = grow(r.w, m)
+	r.cost = grow(r.cost, r.nTotal)
+	r.x = grow(r.x, p.numVars)
+	r.blu.lu.reset(m)
+
+	// Each structural column fills its own stretch of the arenas row by
+	// row; unit column u sits at arena index nnz+u−nVar.
+	off := 0
+	for v, n := range r.colCnt {
+		r.cols[v] = spCol{ind: r.colInd[off : off : off+n], val: r.colVal[off : off : off+n]}
+		off += n
+	}
+	unit := func(pos, u int, val float64) {
+		at := nnz + u - r.nVar
+		r.colInd[at], r.colVal[at] = pos, val
+		r.cols[u] = spCol{ind: r.colInd[at : at+1], val: r.colVal[at : at+1]}
+	}
 
 	// Pass 2: accumulate each row densely (duplicate entries add, as
 	// in AddConstraint's contract), equilibrate, and emit CSC columns.
-	acc := make([]float64, p.numVars)
-	var touched []int
+	r.acc = grow(r.acc, p.numVars)
+	acc, touched := r.acc, r.touched
 	slackIdx := p.numVars
 	artIdx := p.numVars + numSlack
 	for i, row := range p.rows {
@@ -143,25 +185,24 @@ func newRevised(p *Problem) *revised {
 			acc[v] = 0
 		}
 		r.bVec[i] = rhs * inv
-		switch senses[i] {
+		switch r.senses[i] {
 		case LE:
-			r.cols[slackIdx] = spCol{ind: []int{i}, val: []float64{1}}
+			unit(i, slackIdx, 1)
 			r.setBasic(i, slackIdx)
 			slackIdx++
 		case GE:
-			r.cols[slackIdx] = spCol{ind: []int{i}, val: []float64{-1}}
+			unit(i, slackIdx, -1)
 			slackIdx++
-			r.cols[artIdx] = spCol{ind: []int{i}, val: []float64{1}}
+			unit(i, artIdx, 1)
 			r.setBasic(i, artIdx)
 			artIdx++
 		case EQ:
-			r.cols[artIdx] = spCol{ind: []int{i}, val: []float64{1}}
+			unit(i, artIdx, 1)
 			r.setBasic(i, artIdx)
 			artIdx++
 		}
 	}
-	r.blu = newBasisLU(m)
-	return r
+	r.touched = touched
 }
 
 func (r *revised) setBasic(pos, v int) {
@@ -169,16 +210,12 @@ func (r *revised) setBasic(pos, v int) {
 	r.basisPos[v] = pos
 }
 
-// basisCol returns the standard-form column of the variable basic at
-// position k, for refactorization.
-func (r *revised) basisCol(k int) spCol { return r.cols[r.basis[k]] }
-
 // refactor rebuilds the basis factorization and recomputes xB from
 // scratch, clearing accumulated eta roundoff.
 func (r *revised) refactor() error {
 	span := pkgObs.FactorizeSeconds.Start()
 	defer span.End()
-	if err := r.blu.refactor(r.basisCol); err != nil {
+	if err := r.blu.refactor(r.cols, r.basis); err != nil {
 		return err
 	}
 	copy(r.rowScratch, r.bVec)
@@ -272,11 +309,7 @@ func (r *revised) ratioTest(w []float64) int {
 // solver's pre-Unbounded fallback). The winning column's FTRAN is left
 // in r.w. Requires r.y to be current (price ran this iteration).
 func (r *revised) anyEnteringWithLeave(cost []float64) (enter, leave int) {
-	type cand struct {
-		j int
-		d float64
-	}
-	var cands []cand
+	cands := r.cands[:0]
 	for j := 0; j < r.nTotal; j++ {
 		if r.banned[j] || r.basisPos[j] >= 0 {
 			continue
@@ -285,6 +318,7 @@ func (r *revised) anyEnteringWithLeave(cost []float64) (enter, leave int) {
 			cands = append(cands, cand{j, d})
 		}
 	}
+	r.cands = cands // keeps what append grew; the loop below only shrinks its view
 	for len(cands) > 0 {
 		best := 0
 		for i := range cands {
@@ -360,18 +394,20 @@ func (r *revised) run(cost []float64, blandAfter int) (Status, int, error) {
 	return IterLimit, iters, nil
 }
 
+// phase1Cost is 1 on every artificial, phase2Cost the objective on the
+// structurals; both fill the one cost vector.
 func (r *revised) phase1Cost() []float64 {
-	c := make([]float64, r.nTotal)
+	clear(r.cost)
 	for v := r.nVar + r.nSlack; v < r.nTotal; v++ {
-		c[v] = 1
+		r.cost[v] = 1
 	}
-	return c
+	return r.cost
 }
 
 func (r *revised) phase2Cost() []float64 {
-	c := make([]float64, r.nTotal)
-	copy(c, r.p.obj)
-	return c
+	clear(r.cost)
+	copy(r.cost, r.obj)
+	return r.cost
 }
 
 // phase1Obj is the artificial-variable sum at the current basis.
@@ -431,54 +467,104 @@ func (r *revised) banArtificials() error {
 	return nil
 }
 
-// solveRevised runs two-phase revised simplex on p. A non-nil error
-// reports numerical breakdown; the caller decides the fallback.
-func solveRevised(p *Problem) (*Solution, error) {
-	r := newRevised(p)
-	if err := r.refactor(); err != nil {
-		return nil, err
+// seat installs a start basis on the slack/artificial one: each named
+// structural column takes the place of a basic artificial in a row
+// where its coefficient passes epsPivot. A name out of range, already
+// basic, or with no such row — presolve fixed the column, or the rows
+// are taken — is skipped. It returns the number seated; the caller
+// refactors and judges the result.
+func (r *revised) seat(start []int) int {
+	r.cold = append(r.cold[:0], r.basis...)
+	seated := 0
+	for _, j := range start {
+		if j < 0 || j >= r.nVar || r.basisPos[j] >= 0 {
+			continue
+		}
+		c := r.cols[j]
+		for t, row := range c.ind {
+			if art := r.basis[row]; art >= r.nVar+r.nSlack && math.Abs(c.val[t]) > epsPivot {
+				r.basisPos[art] = -1
+				r.setBasic(row, j)
+				seated++
+				break
+			}
+		}
 	}
-	sol := &Solution{X: make([]float64, p.numVars)}
+	return seated
+}
 
+// startFailed reports whether the seated basis must go: it would not
+// factor, or its basic solution is not feasible.
+func (r *revised) startFailed(err error) bool {
+	if err != nil {
+		return true
+	}
+	for _, x := range r.xB {
+		if x < -epsFeas {
+			return true
+		}
+	}
+	return false
+}
+
+// solve runs two-phase revised simplex on p, from the start basis when
+// one is given and holds (see seat), else from the slack/artificial
+// basis. At Optimal the structural values are left in r.x. A non-nil
+// error reports numerical breakdown; the caller decides the fallback.
+func (r *revised) solve(p *Problem, start []int) (Status, int, error) {
+	r.load(p)
+	seated := 0
+	if len(start) > 0 {
+		seated = r.seat(start)
+	}
+	err := r.refactor()
+	if seated > 0 && r.startFailed(err) {
+		// A start is a hint, never trusted: back to the cold basis.
+		pkgObs.StartDiscarded.Inc()
+		for i, v := range r.cold {
+			if r.basis[i] != v {
+				r.basisPos[r.basis[i]] = -1
+				r.setBasic(i, v)
+			}
+		}
+		seated = 0
+		err = r.refactor()
+	}
+	if err != nil {
+		return IterLimit, 0, err
+	}
+	pkgObs.StartInstalled.Add(int64(seated))
+
+	total := 0
 	if r.nArt > 0 {
 		p1Span := pkgObs.Phase1Seconds.Start()
 		status, iters, err := r.run(r.phase1Cost(), blandAfter)
 		p1Span.End()
-		sol.Iterations += iters
+		total += iters
 		pkgObs.Pivots.Add(int64(iters))
-		if err != nil {
-			return nil, err
-		}
-		if status == IterLimit {
-			sol.Status = IterLimit
-			return sol, nil
+		if err != nil || status == IterLimit {
+			return IterLimit, total, err
 		}
 		if r.phase1Obj() > epsFeas {
-			sol.Status = Infeasible
-			return sol, nil
+			return Infeasible, total, nil
 		}
 		if err := r.banArtificials(); err != nil {
-			return nil, err
+			return IterLimit, total, err
 		}
 	}
 
 	p2Span := pkgObs.Phase2Seconds.Start()
 	status, iters, err := r.run(r.phase2Cost(), blandAfter)
 	p2Span.End()
-	sol.Iterations += iters
+	total += iters
 	pkgObs.Pivots.Add(int64(iters))
-	if err != nil {
-		return nil, err
-	}
-	sol.Status = status
-	if status != Optimal {
-		return sol, nil
+	if err != nil || status != Optimal {
+		return status, total, err
 	}
 	for i, bv := range r.basis {
-		if bv < p.numVars {
-			sol.X[bv] = r.xB[i]
+		if bv < r.nVar {
+			r.x[bv] = r.xB[i]
 		}
 	}
-	sol.Objective = Objective(p, sol.X)
-	return sol, nil
+	return Optimal, total, nil
 }

@@ -1,7 +1,7 @@
 package lp
 
 // Status-path coverage for the revised simplex, both through the
-// public SolveSparse pipeline and directly on solveRevised (bypassing
+// public SolveSparse pipeline and directly on revised.solve (bypassing
 // presolve, so the simplex itself — not a reduction — produces the
 // verdict), plus the MPS round-trip of presolved problems.
 
@@ -23,6 +23,16 @@ func solveSparseOrFail(t *testing.T, p *Problem) *Solution {
 		t.Fatalf("SolveSparse: %v", err)
 	}
 	return sol
+}
+
+// solveRevised runs the raw revised simplex on p, cold, on fresh state.
+func solveRevised(p *Problem) (*Solution, error) {
+	var r revised
+	status, iters, err := r.solve(p, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &Solution{Status: status, X: r.x, Objective: Objective(p, r.x), Iterations: iters}, nil
 }
 
 func TestSparseSimple(t *testing.T) {
@@ -204,12 +214,12 @@ func TestSparseFallbackCountedOnce(t *testing.T) {
 	SetObs(o)
 	defer SetObs(Obs{})
 	called := false
-	got, err := solveSparse(p, func(*Problem) (*Solution, error) {
+	got, err := new(Solver).solve(p, nil, func(*revised, *Problem, []int) (Status, int, error) {
 		called = true
-		return nil, errors.New("singular basis")
+		return IterLimit, 0, errors.New("singular basis")
 	})
 	if err != nil {
-		t.Fatalf("solveSparse: %v", err)
+		t.Fatalf("solve: %v", err)
 	}
 	if !called {
 		t.Fatal("presolve decided the problem; the fallback branch was not reached")
@@ -297,8 +307,13 @@ func TestSparseLUFactorSolve(t *testing.T) {
 			}
 		}
 	}
-	blu := newBasisLU(m)
-	if err := blu.refactor(func(k int) spCol { return cols[k] }); err != nil {
+	var blu basisLU
+	blu.lu.reset(m)
+	identity := make([]int, m)
+	for k := range identity {
+		identity[k] = k
+	}
+	if err := blu.refactor(cols, identity); err != nil {
 		t.Fatalf("factor: %v", err)
 	}
 	matvec := func(x []float64) []float64 {

@@ -17,8 +17,9 @@
 //
 // SolveIntervalLP and SolveTimeIndexedLP solve with the sparse
 // pipeline (lp.MethodSparse), the one LP solver on the production
-// path. The ...With forms exist so tests and the benchmark can name the
-// dense reference tableau explicitly.
+// path, started from the H_ρ list schedule (greedyStart). The ...With
+// forms exist so tests and the benchmark can name the dense reference
+// tableau explicitly.
 package lpmodel
 
 import (
@@ -106,14 +107,34 @@ func unitPoints(T int64) []int64 {
 }
 
 // intervalModel carries the structural data of one built relaxation.
-// x_l^(k) exists for l = lMin[k]..L and is variable first[k]+l−lMin[k].
+// x_l^(k) exists for l = lMin[k]..L and is variable first[k]+l−lMin[k];
+// its cost is w_k·τ_{l−1+charge}.
 type intervalModel struct {
 	prob        *lp.Problem
 	tau         []int64
 	lMin, first []int
+	charge      int
 }
 
 func (m *intervalModel) x(k, l int) int { return m.first[k] + l - m.lMin[k] }
+
+// greedyStart is the H_ρ list schedule read as a vertex of the
+// relaxation, for the simplex to start from: coflow k of the H_ρ order
+// finishes in the interval that contains its prefix load V_k (Eq. 16),
+// or in its first interval lMin[k] if that is later, and every load row
+// has its slack basic. The point is feasible in closed form: the
+// coflows placed in intervals 1..l are among those with V_k ≤ τ_l, a
+// prefix of the order (V is nondecreasing), so their load on any port
+// is at most the prefix's V ≤ τ_l, which is row (11)/(12) for l.
+func (m *intervalModel) greedyStart(ins *coflowmodel.Instance) []int {
+	order := LoadWeightOrder(ins)
+	start := make([]int, len(order))
+	for pos, v := range MaxTotalLoads(ins, order) {
+		k := order[pos]
+		start[pos] = m.x(k, max(mustIntervalIndex(m.tau, v), m.lMin[k]))
+	}
+	return start
+}
 
 // buildIntervalLP constructs, without solving it, the relaxation of ins
 // on the grid τ_0 = 0 < τ_1 < … < τ_L = points(T). Finishing coflow k
@@ -138,7 +159,7 @@ func buildIntervalLP(ins *coflowmodel.Instance, points func(T int64) []int64, ch
 	// i.e. τ_l ≥ r_k + ρ_k.
 	rowLoad := make([][]int64, n)
 	colLoad := make([][]int64, n)
-	mod := &intervalModel{tau: tau, lMin: make([]int, n), first: make([]int, n)}
+	mod := &intervalModel{tau: tau, lMin: make([]int, n), first: make([]int, n), charge: charge}
 	numVars := 0
 	for k := range ins.Coflows {
 		c := &ins.Coflows[k]
@@ -223,21 +244,31 @@ func SolveIntervalLPWith(ins *coflowmodel.Instance, method lp.Method) (*Interval
 }
 
 // solveGridLP builds the relaxation called name (see buildIntervalLP
-// for points and charge), solves and verifies it, and reads the
-// solution off: X, C̄ at the charged endpoints, the ordering by C̄.
+// for points and charge), solves it — the sparse pipeline starts at the
+// H_ρ vertex — and reads the verified solution off.
 func solveGridLP(ins *coflowmodel.Instance, name string, points func(T int64) []int64, charge int, method lp.Method) (*IntervalSolution, error) {
 	mod, err := buildIntervalLP(ins, points, charge)
 	if err != nil {
 		return nil, err
 	}
-	n := len(ins.Coflows)
-	prob, tau := mod.prob, mod.tau
-	L := len(tau) - 1
-
-	sol, err := lp.SolveWith(prob, method)
+	var sol *lp.Solution
+	if method == lp.MethodSparse {
+		sol, err = lp.SolveSparseFrom(mod.prob, mod.greedyStart(ins))
+	} else {
+		sol, err = lp.SolveWith(mod.prob, method)
+	}
 	if err != nil {
 		return nil, err
 	}
+	return mod.read(ins, name, sol)
+}
+
+// read verifies sol against the relaxation called name and reads it
+// off: X, C̄ at the charged endpoints, the ordering by C̄.
+func (m *intervalModel) read(ins *coflowmodel.Instance, name string, sol *lp.Solution) (*IntervalSolution, error) {
+	n := len(ins.Coflows)
+	prob, tau := m.prob, m.tau
+	L := len(tau) - 1
 	if sol.Status != lp.Optimal {
 		return nil, fmt.Errorf("lpmodel: %s not optimal: %v", name, sol.Status)
 	}
@@ -258,10 +289,10 @@ func solveGridLP(ins *coflowmodel.Instance, name string, points func(T int64) []
 	}
 	for k := 0; k < n; k++ {
 		out.X[k] = make([]float64, L+1)
-		for l := mod.lMin[k]; l <= L; l++ {
-			x := max(sol.X[mod.x(k, l)], 0)
+		for l := m.lMin[k]; l <= L; l++ {
+			x := max(sol.X[m.x(k, l)], 0)
 			out.X[k][l] = x
-			out.CBar[k] += float64(tau[l-1+charge]) * x
+			out.CBar[k] += float64(tau[l-1+m.charge]) * x
 		}
 	}
 	out.Order = OrderByCBar(ins, out.CBar)
@@ -311,12 +342,45 @@ func (s *IntervalSolution) OrderByAlphaPoints(ins *coflowmodel.Instance, alpha f
 		if pts[ka] != pts[kb] {
 			return pts[ka] < pts[kb]
 		}
-		if math.Abs(s.CBar[ka]-s.CBar[kb]) > 1e-12 {
+		if !cbarTied(s.CBar[ka], s.CBar[kb]) {
 			return s.CBar[ka] < s.CBar[kb]
 		}
 		return ins.Coflows[ka].ID < ins.Coflows[kb].ID
 	})
 	return order, nil
+}
+
+// cbarTied reports whether two C̄ values are equal as far as the simplex
+// can tell. C̄ runs to 10³–10⁵ and carries the rounding of the pivot
+// path that produced it, so the tolerance is relative: the ordering is
+// then a function of the optimum and not of the path (an absolute
+// 1e-12 sat below that noise).
+func cbarTied(a, b float64) bool {
+	return math.Abs(a-b) <= 1e-9*max(1, math.Abs(a), math.Abs(b))
+}
+
+// LoadWeightOrder is H_ρ: coflow indices by nondecreasing ρ(D(k))/w_k,
+// ties by coflow ID. It is an ordering in its own right (core.Schedule's
+// OrderLoadWeight) and, being within a few percent of the LP's, the
+// schedule the interval LP is started from (greedyStart).
+func LoadWeightOrder(ins *coflowmodel.Instance) []int {
+	m := ins.Ports
+	key := make([]float64, len(ins.Coflows))
+	for k := range ins.Coflows {
+		key[k] = float64(ins.Coflows[k].Load(m)) / ins.Coflows[k].Weight
+	}
+	order := make([]int, len(ins.Coflows))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		ka, kb := order[a], order[b]
+		if key[ka] != key[kb] {
+			return key[ka] < key[kb]
+		}
+		return ins.Coflows[ka].ID < ins.Coflows[kb].ID
+	})
+	return order
 }
 
 // OrderByCBar returns coflow indices sorted by nondecreasing C̄, ties
@@ -328,7 +392,7 @@ func OrderByCBar(ins *coflowmodel.Instance, cbar []float64) []int {
 	}
 	sort.SliceStable(order, func(a, b int) bool {
 		ka, kb := order[a], order[b]
-		if math.Abs(cbar[ka]-cbar[kb]) > 1e-12 {
+		if !cbarTied(cbar[ka], cbar[kb]) {
 			return cbar[ka] < cbar[kb]
 		}
 		return ins.Coflows[ka].ID < ins.Coflows[kb].ID

@@ -39,7 +39,7 @@ type relaxation struct {
 	unit bool // (LP-EXP) on the unit grid rather than (LP)
 }
 
-func (r relaxation) problem(t *testing.T) *lp.Problem {
+func (r relaxation) model(t testing.TB) *intervalModel {
 	t.Helper()
 	points, charge := Intervals, 0
 	if r.unit {
@@ -49,8 +49,10 @@ func (r relaxation) problem(t *testing.T) *lp.Problem {
 	if err != nil {
 		t.Fatalf("%s: build: %v", r.name, err)
 	}
-	return mod.prob
+	return mod
 }
+
+func (r relaxation) problem(t *testing.T) *lp.Problem { return r.model(t).prob }
 
 // goldenRelaxations are the interval LPs of the two root golden
 // instances (testdata/golden_*.json: the paper's §2 worked example and

@@ -104,7 +104,7 @@ func (e *executor) decomposeStage(d *matrix.Matrix) ([]stageTerm, error) {
 // `slot`, with backfill eligibility evaluated at blockStart (the same
 // rule the block executor uses), and reports which coflow it served.
 func (e *executor) serveOneSlotRecorded(pair int, blockStart, slot int64, stEnd int) (int, bool) {
-	q := e.queues[pair]
+	q := e.queue(pair)
 	for idx := e.head[pair]; idx < len(q); idx++ {
 		it := &q[idx]
 		if it.remaining == 0 {

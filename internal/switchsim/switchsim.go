@@ -78,13 +78,16 @@ type pairItem struct {
 }
 
 type executor struct {
-	plan    *Plan
-	m       int
-	queues  [][]pairItem // per pair i*m+j, in order position
-	head    []int        // first possibly-unfinished queue item per pair
-	lastSrv []int64      // per coflow: last slot any unit was served
-	remain  []int64      // per coflow: total remaining units
-	stageOf []int        // per position: stage index
+	plan *Plan
+	m    int
+	// items holds every pair's queue back to back, each in order
+	// position; pair i*m+j owns items[qStart[pair]:qStart[pair+1]].
+	items   []pairItem
+	qStart  []int
+	head    []int   // first possibly-unfinished queue item per pair
+	lastSrv []int64 // per coflow: last slot any unit was served
+	remain  []int64 // per coflow: total remaining units
+	stageOf []int   // per position: stage index
 	// dec is the executor-owned reusable BvN engine: every stage of
 	// the run shares its scratch and warm matcher, so only the first
 	// stage pays the pool warm-up allocations.
@@ -124,7 +127,7 @@ func newExecutor(plan *Plan) (*executor, error) {
 	e := &executor{
 		plan:    plan,
 		m:       m,
-		queues:  make([][]pairItem, m*m),
+		qStart:  make([]int, m*m+1),
 		head:    make([]int, m*m),
 		lastSrv: make([]int64, n),
 		remain:  make([]int64, n),
@@ -140,29 +143,48 @@ func newExecutor(plan *Plan) (*executor, error) {
 	for k := range e.lastSrv {
 		e.lastSrv[k] = -1
 	}
-	// Build per-pair queues in order position, merging duplicate flows.
+	// Build the per-pair queues by counting sort. Positions are visited
+	// in order, so each queue comes out sorted and a coflow's duplicate
+	// (src,dst) flows meet its own item at the queue's tail and merge
+	// into it. Pass 1 sizes the queues, with head marking the last
+	// position counted per pair; pass 2 fills them, with head counting
+	// the items placed; head is handed over zeroed.
 	for pos, k := range plan.Order {
-		agg := make(map[int]int64)
 		for _, f := range ins.Coflows[k].Flows {
-			if f.Size > 0 {
-				agg[f.Src*m+f.Dst] += f.Size
-			}
-		}
-		for pair, size := range agg {
-			e.queues[pair] = append(e.queues[pair], pairItem{pos: pos, coflow: k, remaining: size})
-			e.remain[k] += size
-		}
-	}
-	// Map iteration order is random; restore order-position sorting.
-	for pair := range e.queues {
-		q := e.queues[pair]
-		for i := 1; i < len(q); i++ {
-			for j := i; j > 0 && q[j].pos < q[j-1].pos; j-- {
-				q[j], q[j-1] = q[j-1], q[j]
+			if pair := f.Src*m + f.Dst; f.Size > 0 && e.head[pair] != pos+1 {
+				e.head[pair] = pos + 1
+				e.qStart[pair+1]++
 			}
 		}
 	}
+	for pair := range e.head {
+		e.qStart[pair+1] += e.qStart[pair]
+	}
+	clear(e.head)
+	e.items = make([]pairItem, e.qStart[m*m])
+	for pos, k := range plan.Order {
+		for _, f := range ins.Coflows[k].Flows {
+			if f.Size <= 0 {
+				continue
+			}
+			pair := f.Src*m + f.Dst
+			q := e.items[e.qStart[pair]:]
+			if n := e.head[pair]; n > 0 && q[n-1].pos == pos {
+				q[n-1].remaining += f.Size
+			} else {
+				q[n] = pairItem{pos: pos, coflow: k, remaining: f.Size}
+				e.head[pair]++
+			}
+			e.remain[k] += f.Size
+		}
+	}
+	clear(e.head)
 	return e, nil
+}
+
+// queue returns pair's items, in order position.
+func (e *executor) queue(pair int) []pairItem {
+	return e.items[e.qStart[pair]:e.qStart[pair+1]]
 }
 
 func checkStages(stages []Stage, n int) error {
@@ -184,9 +206,9 @@ func checkStages(stages []Stage, n int) error {
 func (e *executor) stageMatrix(st Stage) *matrix.Matrix {
 	d := matrix.NewSquare(e.m)
 	if e.plan.Recompute {
-		for pair, q := range e.queues {
+		for pair := range e.m * e.m {
 			i, j := pair/e.m, pair%e.m
-			for _, it := range q {
+			for _, it := range e.queue(pair) {
 				if it.pos >= st.Start && it.pos < st.End && it.remaining > 0 {
 					d.Add(i, j, it.remaining)
 				}
@@ -209,7 +231,7 @@ func (e *executor) stageMatrix(st Stage) *matrix.Matrix {
 // slot start+1, honouring the plan's service discipline for the stage
 // covering positions [stStart, stEnd). Returns the number served.
 func (e *executor) servePair(pair int, cap int64, start int64, stEnd int) int64 {
-	q := e.queues[pair]
+	q := e.queue(pair)
 	served := int64(0)
 	for idx := e.head[pair]; idx < len(q) && served < cap; idx++ {
 		it := &q[idx]
