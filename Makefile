@@ -14,7 +14,7 @@ test:
 # and the escape-analysis gate fail in seconds with file:line
 # diagnostics, so they run before vet, the race suites, the
 # differential-oracle sweep and churn soak (slowcheck), the in-process
-# scenario replay (scenarios) and two short runs of the benchmark
+# scenario replay (scenarios) and three short runs of the benchmark
 # harness (smoke). It writes no tracked file. Performance is judged by
 # the harness alone: `go run ./benchmark -compare a.json b.json`
 # (benchmark/README.md).
@@ -24,8 +24,9 @@ check: lint escapecheck slowcheck scenarios smoke
 
 # The race suites: every package that shares state between goroutines
 # or is called from one that does (lp and lpmodel for the pooled
-# lp.Solver: eight goroutines solve through it). This is the one copy of
-# the list; the CI race job runs this target.
+# lp.Solver, switchsim for its pooled executor: eight goroutines solve
+# and execute through them). This is the one copy of the list; the CI
+# race job runs this target.
 race:
 	go test -race ./internal/matrix/... ./internal/matching/... ./internal/obs/... ./internal/online/... ./internal/scenario/... ./internal/switchsim/... ./internal/daemon/... ./internal/shard/... ./internal/lp/... ./internal/lpmodel/...
 
@@ -92,12 +93,15 @@ scenarios:
 	go test -run='TestBuiltinsReplayClean|TestChurnShadowReplay' -count=1 ./internal/scenario/
 
 # Harness smoke: two seconds of closed-loop HTTP load against a
-# wall-clock 4-fabric cluster, then the churn replay with tracing on
-# (the traced run executes the shadow passes). run.sh exits 1 on any
-# failed operation or output check: a 5xx, a transport error, a refused
-# item, a coflow unresolved at drain, a Σ wC below its lower bound or
-# different from the bare scheduler's. This is the one copy of the two
-# lines; the CI smoke job runs this target.
+# wall-clock 4-fabric cluster, then the churn replay and the H_rho
+# batch pipeline with tracing on (a traced run executes the shadow
+# passes; the batch one also validates a recorded transcript). run.sh
+# exits 1 on any failed operation or output check: a 5xx, a transport
+# error, a refused item, a coflow unresolved at drain, a Σ wC below its
+# lower bound or different from the bare scheduler's, an infeasible
+# transcript. This is the one copy of the three lines; the CI smoke job
+# runs this target.
 smoke:
 	bash benchmark/run.sh --workload serve-http --seconds 2 --trace 0
 	bash benchmark/run.sh --workload replay-churn-plan --seconds 2 --trace 1
+	bash benchmark/run.sh --workload batch-greedy --seconds 2 --trace 1

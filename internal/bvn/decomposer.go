@@ -114,6 +114,16 @@ func (dc *Decomposer) SetObs(o Obs) {
 	dc.matcher.SetObs(o.Matcher)
 }
 
+// Reset forgets the previous result and the matcher's warm matching
+// and keeps all storage: the next Decompose computes what a fresh
+// Decomposer would. A holder that outlives its caller (switchsim's
+// pooled executor) calls it between callers, so that a decomposition
+// never depends on what was decomposed for someone else.
+func (dc *Decomposer) Reset() {
+	dc.matcher.Reset()
+	dc.primed = false
+}
+
 // Decompose runs Algorithm 1 cold on d with StrategyFirst. See the
 // type comment for the aliasing contract of the result.
 //

@@ -73,18 +73,23 @@ func (c *Coflow) ColLoads(m int) []int64 {
 }
 
 // Load returns ρ(D(k)) for an m-port switch: the maximum port load
-// (Eq. 18), the minimum time to clear the coflow in isolation.
+// (Eq. 18), the minimum time to clear the coflow in isolation. Up to
+// 128 ports both sum vectors live on the stack and nothing is
+// allocated.
 func (c *Coflow) Load(m int) int64 {
-	var load int64
-	for _, v := range c.RowLoads(m) {
-		if v > load {
-			load = v
-		}
+	var stack [2 * 128]int64
+	sums := stack[:]
+	if 2*m > len(sums) {
+		sums = make([]int64, 2*m)
 	}
-	for _, v := range c.ColLoads(m) {
-		if v > load {
-			load = v
-		}
+	rows, cols := sums[:m], sums[m:2*m]
+	for _, f := range c.Flows {
+		rows[f.Src] += f.Size
+		cols[f.Dst] += f.Size
+	}
+	var load int64
+	for i := range rows {
+		load = max(load, rows[i], cols[i])
 	}
 	return load
 }

@@ -35,6 +35,29 @@ func TestCoflowMatrixAndLoad(t *testing.T) {
 	}
 }
 
+// Load is called once per coflow by every ordering rule and once per
+// registration by the daemon: up to 128 ports it sums on the stack.
+// Beyond that it allocates, and must still equal the largest of
+// RowLoads and ColLoads.
+func TestLoadDoesNotAllocate(t *testing.T) {
+	for _, m := range []int{1, 100, 128, 129, 300} {
+		c := Coflow{ID: 1, Weight: 1}
+		for i := 0; i < 3*m; i++ {
+			c.Flows = append(c.Flows, Flow{Src: i * 7 % m, Dst: i * i % m, Size: int64(1 + i%5)})
+		}
+		var want int64
+		for _, v := range append(c.RowLoads(m), c.ColLoads(m)...) {
+			want = max(want, v)
+		}
+		if got := c.Load(m); got != want {
+			t.Fatalf("Load(%d) = %d, the largest row or column load is %d", m, got, want)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { c.Load(m) }); m <= 128 && allocs != 0 {
+			t.Fatalf("Load(%d) allocates %v times per call, want 0", m, allocs)
+		}
+	}
+}
+
 func TestCoflowDuplicatePairsAccumulate(t *testing.T) {
 	c := Coflow{ID: 1, Weight: 1, Flows: []Flow{{0, 1, 2}, {0, 1, 3}}}
 	if got := c.Matrix(2).At(0, 1); got != 5 {

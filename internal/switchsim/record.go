@@ -35,6 +35,7 @@ func ExecuteRecorded(plan *Plan) (*Result, *Transcript, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	defer e.release()
 	tr := &Transcript{Ports: plan.Ins.Ports}
 	var t int64
 	matchings := 0
@@ -48,14 +49,14 @@ func ExecuteRecorded(plan *Plan) (*Result, *Transcript, error) {
 		if d.IsZero() {
 			continue
 		}
-		dec, err := e.decomposeStage(d)
+		dec, err := e.decompose(d)
 		if err != nil {
 			return nil, nil, err
 		}
-		for _, term := range dec {
+		for _, term := range dec.Terms {
 			blockStart := t
-			for s := int64(0); s < term.count; s++ {
-				for i, j := range term.perm.To {
+			for s := int64(0); s < term.Count; s++ {
+				for i, j := range term.Perm.To {
 					if j == matrix.Unmatched {
 						continue
 					}
@@ -76,28 +77,6 @@ func ExecuteRecorded(plan *Plan) (*Result, *Transcript, error) {
 		return nil, nil, err
 	}
 	return res, tr, nil
-}
-
-type stageTerm struct {
-	count int64
-	perm  matrix.Permutation
-}
-
-// decomposeStage wraps the shared Decomposer's result into plain
-// terms. The permutations are cloned because the Decomposer recycles
-// its buffers on the next stage, while a transcript consumer may hold
-// the terms longer; this is the slow export path, so the copies are
-// irrelevant next to the unit-level recording.
-func (e *executor) decomposeStage(d *matrix.Matrix) ([]stageTerm, error) {
-	dec, err := e.decompose(d)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]stageTerm, len(dec.Terms))
-	for i, t := range dec.Terms {
-		out[i] = stageTerm{count: t.Count, perm: t.Perm.Clone()}
-	}
-	return out, nil
 }
 
 // serveOneSlotRecorded serves a single unit on pair at absolute slot

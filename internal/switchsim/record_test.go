@@ -137,44 +137,3 @@ func TestRenderGanttEmpty(t *testing.T) {
 		t.Fatalf("empty schedule rendering wrong: %s", out)
 	}
 }
-
-// TestDecomposeStageTermsOwnTheirPerms is the hand-audit regression
-// for the recorded-schedule cloning contract: decomposeStage must
-// deep-copy each term's permutation out of the shared Decomposer,
-// whose buffers are recycled by the next stage's decomposition. If
-// the clone is dropped, the first stage's recorded terms silently
-// mutate into the second stage's matchings.
-func TestDecomposeStageTermsOwnTheirPerms(t *testing.T) {
-	d1 := matrix.MustFromRows([][]int64{{2, 0}, {0, 3}})
-	d2 := matrix.MustFromRows([][]int64{{0, 1}, {4, 0}})
-	plan := &Plan{
-		Ins:    inst(2, cf(0, 1, 0, d1)),
-		Order:  []int{0},
-		Stages: OneStage(1),
-	}
-	e, err := newExecutor(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	terms1, err := e.decomposeStage(d1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := make([]matrix.Permutation, len(terms1))
-	for i := range terms1 {
-		snap[i] = terms1[i].perm.Clone()
-	}
-
-	// A later stage recycles the Decomposer's internal buffers.
-	if _, err := e.decomposeStage(d2); err != nil {
-		t.Fatal(err)
-	}
-	for i := range terms1 {
-		for row, j := range terms1[i].perm.To {
-			if j != snap[i].To[row] {
-				t.Fatalf("stage-1 term %d row %d mutated: got %d, recorded %d (perm aliases the Decomposer)",
-					i, row, j, snap[i].To[row])
-			}
-		}
-	}
-}

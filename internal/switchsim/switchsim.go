@@ -14,10 +14,18 @@
 // (q slots at a time) and is used for experiments; ExecuteRecorded
 // simulates one slot at a time, recording every unit transfer, and
 // doubles as the tests' cross-check of the block arithmetic.
+//
+// Both run on a resident executor lent by a package pool: its queues,
+// stage matrix and bvn.Decomposer are grown, not reallocated, from one
+// plan to the next, and a call allocates only what it returns. A
+// schedule is still a function of the plan alone: loading a plan
+// re-zeroes every array and Resets the Decomposer, whose warm matching
+// would otherwise steer the first stage by what ran before.
 package switchsim
 
 import (
 	"fmt"
+	"sync"
 
 	"coflow/internal/bvn"
 	"coflow/internal/coflowmodel"
@@ -85,61 +93,93 @@ type executor struct {
 	items   []pairItem
 	qStart  []int
 	head    []int   // first possibly-unfinished queue item per pair
+	drained []bool  // per pair: head reached the queue's end, for good: not served again
 	lastSrv []int64 // per coflow: last slot any unit was served
 	remain  []int64 // per coflow: total remaining units
-	stageOf []int   // per position: stage index
-	// dec is the executor-owned reusable BvN engine: every stage of
-	// the run shares its scratch and warm matcher, so only the first
-	// stage pays the pool warm-up allocations.
-	dec *bvn.Decomposer
+	seen    []bool  // per coflow: load's permutation check
+	// stage is the one demand matrix every stage is built in, and dec
+	// the BvN engine that decomposes it; both are replaced only when a
+	// plan with another port count is loaded. dec is Reset at each load:
+	// its warm matching crosses stages of one plan, never two plans.
+	stage *matrix.Matrix
+	dec   *bvn.Decomposer
+}
+
+// executors lends Execute and ExecuteRecorded their executor; callers
+// run concurrently, and the pool keeps at most one per P alive.
+var executors = sync.Pool{New: func() any { return new(executor) }}
+
+// grow returns s resliced to n zeroed elements, allocating only when
+// its capacity is short.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // decompose runs the plan's strategy on d through the shared
 // Decomposer. The returned terms alias the Decomposer's recycled
-// buffers: they are consumed (served or copied) before the next
-// stage's decompose overwrites them.
+// buffers: they are served before the next stage's decompose
+// overwrites them.
 //
 //coflow:pooled
 func (e *executor) decompose(d *matrix.Matrix) (*bvn.Decomposition, error) {
 	return e.dec.DecomposeWith(d, e.plan.Strategy)
 }
 
+// newExecutor takes an executor from the pool and loads plan into it.
+// The caller releases it on every path.
 func newExecutor(plan *Plan) (*executor, error) {
+	e := executors.Get().(*executor)
+	if err := e.load(plan); err != nil {
+		e.release()
+		return nil, err
+	}
+	return e, nil
+}
+
+// release returns e to the pool holding nothing of the caller's.
+func (e *executor) release() {
+	e.plan = nil
+	executors.Put(e)
+}
+
+// load checks plan and rebuilds e's state for it in the storage the
+// previous plan left, of which nothing stays visible.
+func (e *executor) load(plan *Plan) error {
 	ins := plan.Ins
 	if err := ins.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	n := len(ins.Coflows)
 	if len(plan.Order) != n {
-		return nil, fmt.Errorf("switchsim: order has %d entries, instance has %d coflows", len(plan.Order), n)
+		return fmt.Errorf("switchsim: order has %d entries, instance has %d coflows", len(plan.Order), n)
 	}
-	seen := make([]bool, n)
+	e.seen = grow(e.seen, n)
 	for _, k := range plan.Order {
-		if k < 0 || k >= n || seen[k] {
-			return nil, fmt.Errorf("switchsim: order is not a permutation of coflow indices")
+		if k < 0 || k >= n || e.seen[k] {
+			return fmt.Errorf("switchsim: order is not a permutation of coflow indices")
 		}
-		seen[k] = true
+		e.seen[k] = true
 	}
 	if err := checkStages(plan.Stages, n); err != nil {
-		return nil, err
+		return err
 	}
 	m := ins.Ports
-	e := &executor{
-		plan:    plan,
-		m:       m,
-		qStart:  make([]int, m*m+1),
-		head:    make([]int, m*m),
-		lastSrv: make([]int64, n),
-		remain:  make([]int64, n),
-		stageOf: make([]int, n),
-		dec:     bvn.NewDecomposer(m),
+	if e.m != m {
+		e.m, e.stage, e.dec = m, matrix.NewSquare(m), bvn.NewDecomposer(m)
 	}
+	e.dec.Reset()
 	e.dec.SetObs(pkgObs.Decompose)
-	for s, st := range plan.Stages {
-		for pos := st.Start; pos < st.End; pos++ {
-			e.stageOf[pos] = s
-		}
-	}
+	e.plan = plan
+	e.qStart = grow(e.qStart, m*m+1)
+	e.head = grow(e.head, m*m)
+	e.drained = grow(e.drained, m*m)
+	e.lastSrv = grow(e.lastSrv, n)
+	e.remain = grow(e.remain, n)
 	for k := range e.lastSrv {
 		e.lastSrv[k] = -1
 	}
@@ -161,7 +201,7 @@ func newExecutor(plan *Plan) (*executor, error) {
 		e.qStart[pair+1] += e.qStart[pair]
 	}
 	clear(e.head)
-	e.items = make([]pairItem, e.qStart[m*m])
+	e.items = grow(e.items, e.qStart[m*m])
 	for pos, k := range plan.Order {
 		for _, f := range ins.Coflows[k].Flows {
 			if f.Size <= 0 {
@@ -179,7 +219,7 @@ func newExecutor(plan *Plan) (*executor, error) {
 		}
 	}
 	clear(e.head)
-	return e, nil
+	return nil
 }
 
 // queue returns pair's items, in order position.
@@ -204,7 +244,8 @@ func checkStages(stages []Stage, n int) error {
 // stageMatrix builds the demand to decompose for a stage: the original
 // aggregate (paper-literal) or the remaining aggregate (Recompute).
 func (e *executor) stageMatrix(st Stage) *matrix.Matrix {
-	d := matrix.NewSquare(e.m)
+	d := e.stage
+	d.Zero()
 	if e.plan.Recompute {
 		for pair := range e.m * e.m {
 			i, j := pair/e.m, pair%e.m
@@ -266,6 +307,7 @@ func (e *executor) servePair(pair int, cap int64, start int64, stEnd int) int64 
 			e.head[pair]++
 		}
 	}
+	e.drained[pair] = e.head[pair] == len(q)
 	return served
 }
 
@@ -276,6 +318,7 @@ func Execute(plan *Plan) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer e.release()
 	execSpan := pkgObs.ExecuteSeconds.Start()
 	defer execSpan.End()
 	var t int64
@@ -300,7 +343,7 @@ func Execute(plan *Plan) (*Result, error) {
 		}
 		for _, term := range dec.Terms {
 			for i, j := range term.Perm.To {
-				if j != matrix.Unmatched {
+				if j != matrix.Unmatched && !e.drained[i*e.m+j] {
 					e.servePair(i*e.m+j, term.Count, t, st.End)
 				}
 			}
