@@ -31,12 +31,12 @@ race:
 	go test -race ./internal/matrix/... ./internal/matching/... ./internal/obs/... ./internal/online/... ./internal/scenario/... ./internal/switchsim/... ./internal/daemon/... ./internal/shard/... ./internal/lp/... ./internal/lpmodel/...
 
 # Project-specific static analysis (internal/lint run by
-# cmd/coflowvet): in //coflow:allocfree functions the allocations only
-# syntax shows (amortized append and map growth, un-annotated callees —
-# the compiler's escapecheck and the *DoesNotAllocate tests own the
-# rest), nil-receiver guards and span hygiene in the obs layer,
-# "guarded by" lock discipline, silently discarded errors, pooled-loan
-# escapes and staleness, and post-publication mutation; unknown
+# cmd/coflowvet), each rule kept by a planted regression no other gate
+# catches: in //coflow:allocfree functions the allocations only syntax
+# shows (amortized append and map growth, un-annotated callees), "guarded
+# by" lock and event-loop discipline, silently discarded errors, spans
+# that miss End on a return path, pooled loans used after the next
+# pooled call, and writes after atomic.Pointer publication; unknown
 # //coflow: annotations and //lint:ignore directives that silence
 # nothing fail it too. See DESIGN.md "Static analysis".
 lint:
@@ -65,13 +65,14 @@ escapebaseline:
 # Differential oracle at full depth: the slowcheck-tagged sweeps
 # (larger fabrics, every policy, state diffs every slot) plus the
 # bounded fuzz runs. Any failure dumps a minimized reproducer; see
-# DESIGN.md "Invariant checking". The third line re-derives the runtime
-# column of the allocation-gate matrix (DESIGN.md "Static analysis"):
-# one `go test` of the *DoesNotAllocate gates per planted regression.
+# DESIGN.md "Invariant checking". The third line re-derives the dynamic
+# columns of the two planted-regression matrices (DESIGN.md "Static
+# analysis"): per plant, one `go test` of the *DoesNotAllocate gates,
+# or `go vet` plus one -race run of the race target's packages.
 slowcheck:
 	go test -tags=slowcheck ./internal/check/
 	go test -race -tags=slowcheck -run=TestChurnSoak ./internal/shard/
-	go test -tags=slowcheck -run=TestPlantedRuntimeGates ./internal/lint/
+	go test -tags=slowcheck -timeout=30m -run='TestPlantedRuntimeGates|TestPlantedRaceGates' ./internal/lint/
 	$(MAKE) fuzz
 
 # Bounded runs of the fuzz targets that pin a fast path to its

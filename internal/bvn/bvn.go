@@ -233,8 +233,6 @@ func AugmentInto(dst, d *matrix.Matrix) *matrix.Matrix {
 
 // Clone returns a deep copy that owns its storage, for a result that
 // must outlive the next call on the Decomposer that lent it.
-//
-//coflow:clones
 func (d *Decomposition) Clone() *Decomposition {
 	c := &Decomposition{Load: d.Load, Terms: make([]Term, len(d.Terms)), m: d.m}
 	for i, t := range d.Terms {

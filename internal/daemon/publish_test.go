@@ -3,6 +3,7 @@ package daemon
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"coflow/internal/coflowmodel"
@@ -126,6 +127,39 @@ func TestPublishedWindows(t *testing.T) {
 			t.Fatalf("%.0f B/tick at Window 64, %.0f B/tick at Window 4096: differ by more than 5%%", small, large)
 		}
 	})
+}
+
+// TestPublishedScheduleIsImmutable pins the copy the loop makes of a
+// slot's served matching: StepResult.Served aliases the State's
+// scratch, which the next full-scan Step overwrites, so a Schedule that
+// was published as-is would change under its readers. Each tick here
+// completes a one-unit coflow on the same port pair, so consecutive
+// matchings differ in their coflow key and no slot replays.
+func TestPublishedScheduleIsImmutable(t *testing.T) {
+	d := newTestDaemon(t, Config{Ports: 2, Policy: online.FIFO})
+	for i := 0; i < 4; i++ {
+		if _, _, err := register(d, &coflowmodel.Registration{
+			Flows: []coflowmodel.Flow{{Src: 0, Dst: 1, Size: 1}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	snap := d.Snapshot()
+	want := slices.Clone(snap.Schedule)
+	if len(want) == 0 {
+		t.Fatal("empty schedule after a tick over live demand")
+	}
+	for i := 0; i < 3; i++ {
+		if err := d.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !slices.Equal(snap.Schedule, want) {
+		t.Fatalf("slot %d's published schedule changed to %v after later ticks, was %v", snap.Slot, snap.Schedule, want)
+	}
 }
 
 // BenchmarkDaemonTick is one Tick() of a 64-port fabric holding a

@@ -1,66 +1,38 @@
 // Package lint is the project's static-analysis framework: a
 // stdlib-only (go/parser, go/ast, go/types, go/importer — no x/tools)
-// multi-analyzer harness that proves the repo's performance and
-// concurrency invariants at "make check" time, before any benchmark
-// or fuzzer can observe a regression at runtime.
+// multi-analyzer harness that checks, at "make check" time, the
+// contracts of this module that no compiler pass, race run or
+// behaviour test reliably sees.
 //
-// Six project-specific analyzers ship with it (see their files). Each
-// guards a contract real code in this module depends on:
-// TestPlantedViolations plants one violation per analyzer in a copy
-// of a shipped package and demands the diagnostic, so an analyzer
-// whose real sites disappear fails a test instead of lingering. The
-// first four are syntactic; the last two (and the span half of
-// obsguard) are flow-sensitive, built on the intraprocedural CFG +
-// bit-vector dataflow engine in cfg.go / flow.go:
+// Six analyzers ship with it (see their files), and each rule of each
+// is kept by a planted regression only it catches: the allocPlants and
+// concurrencyPlants matrices in lint_test.go write realistic
+// regressions into copies of real packages and run every gate on
+// them, and TestPlantedViolations fails for a rule that another gate
+// duplicates (DESIGN.md "Static analysis" prints the tables). Three
+// analyzers look at one statement at a time, three follow control flow
+// over the CFG + bit-vector dataflow engine in cfg.go / flow.go:
 //
-//	allocfree  functions annotated //coflow:allocfree must not append
-//	           outside caller-owned scratch, write into a map, or call
-//	           an un-annotated module function — the allocations
-//	           neither cmd/escapecheck nor the *DoesNotAllocate tests
-//	           can see
-//	obsguard   exported methods on internal/obs pointer metric types
-//	           must begin with a nil-receiver guard, and every
-//	           Histogram.Start span must reach End on all return paths
-//	guardedby  struct fields annotated "// guarded by <mu>" may only
-//	           be touched under that mutex or from a
-//	           //coflow:singlewriter function
+//	allocfree  in //coflow:allocfree functions: append outside
+//	           caller-owned scratch, map writes, un-annotated module
+//	           callees
+//	guardedby  a field commented "// guarded by <mu>" is touched only
+//	           under <mu>.Lock/RLock, or — when <mu> names no sibling
+//	           mutex but a serialization domain — only in
+//	           //coflow:singlewriter functions
 //	errflow    no silently discarded error returns; "_ =" needs an
 //	           adjacent justification comment
-//	pooled     values returned by //coflow:pooled functions alias
-//	           recycled storage: they may not escape (fields, globals,
-//	           channels, closures, returns from unannotated functions)
-//	           and may not be used past the next invalidating call on
-//	           the same receiver, unless laundered through a
-//	           //coflow:clones function
-//	publish    values reaching atomic.Pointer Store/CompareAndSwap
-//	           must be frozen: no writes through any alias after
-//	           publication on any CFG path
+//	obsguard   every Histogram.Start span reaches End on all return
+//	           paths (flow)
+//	pooled     a //coflow:pooled result is not used after the next
+//	           pooled call on the same receiver (flow)
+//	publish    no writes to a value, or a local alias of it, after it
+//	           was handed to atomic.Pointer.Store (flow)
 //
-// Annotation grammar (all annotations are ordinary comments; any
-// other //coflow:<word> on a function is a diagnostic, so a typo
-// cannot silently leave a function unguarded):
-//
-//	//coflow:allocfree      on a function: it allocates nothing in
-//	                        steady state (three gates: allocfree,
-//	                        cmd/escapecheck on the compiler's escape
-//	                        analysis, the *DoesNotAllocate tests)
-//	//coflow:singlewriter   on a function: it runs on the single
-//	                        goroutine that owns the touched state
-//	//coflow:pooled         on a function: its pointer results alias
-//	                        pool storage owned by the receiver, valid
-//	                        only until the next pooled call on the
-//	                        same receiver (checked by pooled)
-//	//coflow:clones         on a function: it deep-copies its pooled
-//	                        arguments, so the result owns its storage
-//	// guarded by <mu>      on a struct field: accesses require
-//	                        <mu>.Lock()/RLock() in the same function,
-//	                        or a //coflow:singlewriter function; when
-//	                        <mu> is not a sibling sync.Mutex/RWMutex
-//	                        field, it names a serialization domain and
-//	                        only //coflow:singlewriter functions
-//	                        qualify
-//
-// Every diagnostic fails the gate; there is no advisory severity.
+// The //coflow:<word> annotations on a function's doc comment are
+// allocfree, singlewriter and pooled; any other word is a diagnostic,
+// so a typo cannot silently leave a function unguarded. Every
+// diagnostic fails the gate; there is no advisory severity.
 //
 // Suppression: a diagnostic is silenced by
 //
@@ -68,11 +40,9 @@
 //
 // either trailing the offending line or on the line directly above
 // it. The reason is mandatory — a reasonless ignore is itself a
-// diagnostic — so every suppression in the tree documents why the
-// construct is acceptable. A directive that silences nothing (while
-// its analyzer is among those run) is a diagnostic too, so a
-// suppression cannot outlive the finding it was written for and hide
-// the next one on that line.
+// diagnostic — and so is a directive that silences nothing while its
+// analyzer runs, so a suppression cannot outlive the finding it was
+// written for and hide the next one on that line.
 package lint
 
 import (
@@ -177,7 +147,7 @@ func (idx *Index) Annotated(obj types.Object, ann string) bool {
 
 // annotations is the //coflow:<word> vocabulary; Run reports any other
 // word on a function as a diagnostic.
-var annotations = map[string]bool{"allocfree": true, "singlewriter": true, "pooled": true, "clones": true}
+var annotations = map[string]bool{"allocfree": true, "singlewriter": true, "pooled": true}
 
 // annotationWord returns the <word> of a //coflow:<word> comment
 // line (the word ends at whitespace), or "" when c is not one.

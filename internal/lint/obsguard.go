@@ -2,31 +2,18 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
-// ObsGuard proves the observability layer's "free when off" contract
-// shape-wise:
-//
-//  1. In the metrics kernel (any package named "obs"), every exported
-//     method on a pointer receiver must either begin with a
-//     nil-receiver guard (if r == nil { ... return }) or consist of a
-//     single delegation to another method on the same receiver (whose
-//     guard it inherits, e.g. Counter.Inc -> Counter.Add). A metric
-//     method without its guard panics the instrumented hot path the
-//     first time observability is disabled.
-//
-//  2. Everywhere: a span obtained from a Start() call (any method
-//     returning a type named Span) must reach an End call on every
-//     return path of the enclosing function — a span that escapes a
-//     return path silently under-counts its histogram, which no
-//     runtime test notices. A deferred End covers all paths; a span
-//     passed onward (stored, returned, handed to another function) is
-//     assumed managed there.
+// ObsGuard checks span hygiene: a span obtained from a Start() call
+// (any method returning a type named Span) must reach an End call on
+// every return path of the enclosing function — a span that escapes a
+// return path silently under-counts its histogram. A deferred End
+// covers all paths; a span passed onward (stored, returned, handed to
+// another function) is assumed managed there.
 var ObsGuard = &Analyzer{
 	Name: "obsguard",
-	Doc:  "nil-receiver guards on obs metric methods; spans must End on all return paths",
+	Doc:  "spans must End on all return paths",
 	Run:  runObsGuard,
 }
 
@@ -36,9 +23,6 @@ func runObsGuard(pass *Pass) {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
-			}
-			if pass.Pkg.Name == "obs" {
-				checkNilGuard(pass, fd)
 			}
 			// Each function literal is its own control-flow universe:
 			// spans started inside one are checked against its CFG,
@@ -50,95 +34,7 @@ func runObsGuard(pass *Pass) {
 	}
 }
 
-// checkNilGuard enforces rule 1 on one declaration.
-func checkNilGuard(pass *Pass, fd *ast.FuncDecl) {
-	if fd.Recv == nil || len(fd.Recv.List) != 1 || !fd.Name.IsExported() {
-		return
-	}
-	if _, ok := fd.Recv.List[0].Type.(*ast.StarExpr); !ok {
-		return // value receivers carry their own zero-value semantics
-	}
-	recv := receiverName(fd)
-	if recv == "" {
-		pass.Reportf(fd.Name.Pos(), "exported method %s on a pointer metric type has an unnamed receiver and cannot nil-guard it", fd.Name.Name)
-		return
-	}
-	if beginsWithNilGuard(fd, recv) || isTailDelegation(fd, recv) {
-		return
-	}
-	pass.Reportf(fd.Name.Pos(), "exported method %s on a pointer metric type must begin with a nil-receiver guard (if %s == nil { ... })", fd.Name.Name, recv)
-}
-
-func receiverName(fd *ast.FuncDecl) string {
-	names := fd.Recv.List[0].Names
-	if len(names) != 1 || names[0].Name == "_" {
-		return ""
-	}
-	return names[0].Name
-}
-
-// beginsWithNilGuard reports whether the first statement is an if
-// whose condition checks recv == nil (directly or as an operand of a
-// top-level ||) and whose body leaves the function.
-func beginsWithNilGuard(fd *ast.FuncDecl, recv string) bool {
-	if len(fd.Body.List) == 0 {
-		return false
-	}
-	ifStmt, ok := fd.Body.List[0].(*ast.IfStmt)
-	if !ok || !condChecksNil(ifStmt.Cond, recv) {
-		return false
-	}
-	n := len(ifStmt.Body.List)
-	return n > 0 && terminates(ifStmt.Body.List[n-1])
-}
-
-// condChecksNil looks for `recv == nil` among the top-level ||
-// operands of cond.
-func condChecksNil(cond ast.Expr, recv string) bool {
-	switch e := ast.Unparen(cond).(type) {
-	case *ast.BinaryExpr:
-		switch e.Op {
-		case token.LOR:
-			return condChecksNil(e.X, recv) || condChecksNil(e.Y, recv)
-		case token.EQL:
-			return isIdentNamed(e.X, recv) && isNilIdent(e.Y) ||
-				isIdentNamed(e.Y, recv) && isNilIdent(e.X)
-		}
-	}
-	return false
-}
-
-func isIdentNamed(e ast.Expr, name string) bool {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	return ok && id.Name == name
-}
-
-func isNilIdent(e ast.Expr) bool { return isIdentNamed(e, "nil") }
-
-// isTailDelegation reports whether the body is a single call (or
-// return of a call) to another method on the same receiver, which
-// carries the guard on the callee's side.
-func isTailDelegation(fd *ast.FuncDecl, recv string) bool {
-	if len(fd.Body.List) != 1 {
-		return false
-	}
-	var call *ast.CallExpr
-	switch s := fd.Body.List[0].(type) {
-	case *ast.ExprStmt:
-		call, _ = s.X.(*ast.CallExpr)
-	case *ast.ReturnStmt:
-		if len(s.Results) == 1 {
-			call, _ = s.Results[0].(*ast.CallExpr)
-		}
-	}
-	if call == nil {
-		return false
-	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	return ok && isIdentNamed(sel.X, recv)
-}
-
-// checkSpans enforces rule 2 on one function body (declaration or
+// checkSpans checks one function body (declaration or
 // literal; nested literals are skipped — they get their own call).
 func checkSpans(pass *Pass, body *ast.BlockStmt) {
 	var starts []*ast.AssignStmt

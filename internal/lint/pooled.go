@@ -5,44 +5,33 @@ import (
 	"go/types"
 )
 
-// Pooled machine-checks the PR 7 aliasing contract: a function
-// annotated //coflow:pooled returns pointers into recycled storage
-// owned by its receiver (bvn.Decomposer.Decompose/Update,
-// online.Planner.Plan, online.State.Step). Such a value is a loan,
-// not a gift:
+// Pooled checks the aliasing contract of recycled results: a function
+// annotated //coflow:pooled returns pointers into storage owned by its
+// receiver (bvn.Decomposer.Decompose/Update, online.Planner.Plan,
+// online.State.Step), valid only until the next //coflow:pooled call
+// on the same receiver. A use of such a loan after that call reads
+// whatever the pool holds now — for a *bvn.Decomposition, the new
+// plan through the same pointer — so a comparison of "before" against
+// "after" is silently vacuous. The rule is flow-sensitive over the
+// CFG: a reassignment in a loop is fine, a genuine
+// use-after-invalidation on any path is not.
 //
-//   - it may not escape the borrowing function — no stores to
-//     package-level variables, struct fields, or container elements,
-//     no channel sends, no capture by function literals, no handoff
-//     to goroutines, and no returning it from a function that is not
-//     itself //coflow:pooled (the propagation pattern: Planner.Plan
-//     stores the loan in a receiver field and re-lends it);
-//   - it may not be used after the next //coflow:pooled call on the
-//     same receiver, which recycles the storage out from under it
-//     (checked flow-sensitively over the CFG, so a reassignment in a
-//     loop is fine but a genuine use-after-invalidation on any path
-//     is not);
-//   - a value laundered through a //coflow:clones function (a deep
-//     copy) owns its storage and is exempt.
-//
-// The analysis is intraprocedural: passing a loan down as a plain
-// call argument is allowed (the callee borrows it synchronously), and
-// interior aliases extracted through non-reference-shaped reads
-// (ints, floats) are never tracked.
+// The analysis is intraprocedural and tracks locals bound to a pooled
+// result, plus their reference-shaped aliases and interior reads;
+// where a loan is stored or who else reads it is left to the race
+// detector and the behaviour tests (DESIGN.md "Static analysis").
 var Pooled = &Analyzer{
 	Name: "pooled",
-	Doc:  "results of //coflow:pooled functions must not escape or outlive the next invalidating call",
+	Doc:  "results of //coflow:pooled functions must not be used after the next pooled call on the same receiver",
 	Run:  runPooled,
 }
 
 // pooledTrack is one local variable holding a pooled loan.
 type pooledTrack struct {
-	obj types.Object
 	// key identifies the pool owner (the receiver expression text of
 	// the originating call); a second pooled call with the same key
 	// invalidates the loan.
-	key string
-	// name for diagnostics.
+	key  string
 	name string
 }
 
@@ -53,41 +42,15 @@ func runPooled(pass *Pass) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			anns := FuncAnnotations(fd)
-			var recvObj types.Object
-			if fd.Recv != nil && len(fd.Recv.List) == 1 && len(fd.Recv.List[0].Names) == 1 {
-				recvObj = pass.Pkg.Info.Defs[fd.Recv.List[0].Names[0]]
-			}
 			// The declaration's body is one analysis universe; every
-			// nested function literal is another (with no annotation
-			// and no receiver of its own).
-			first := true
+			// nested function literal is another.
 			forEachFuncBody(fd.Body, func(body *ast.BlockStmt) {
-				if first {
-					first = false
-					checkPooledIn(pass, body, anns["pooled"], recvObj)
-					return
+				if tracks := collectPooledTracks(pass, body); len(tracks) > 0 {
+					checkPooledStaleness(pass, body, tracks)
 				}
-				checkPooledIn(pass, body, false, nil)
 			})
 		}
 	}
-}
-
-// checkPooledIn analyzes one function body: isPooled and recvObj
-// describe the enclosing function's own annotation and receiver,
-// which legalize the ownership-propagation pattern (storing the loan
-// into a receiver field, returning it onward).
-func checkPooledIn(pass *Pass, body *ast.BlockStmt, isPooled bool, recvObj types.Object) {
-	tracks := collectPooledTracks(pass, body)
-	if len(tracks) == 0 {
-		// Even with no tracked locals, a pooled call result can be
-		// stored directly (g = p.Decompose()); scan for that.
-		checkPooledEscapes(pass, body, nil, isPooled, recvObj)
-		return
-	}
-	checkPooledEscapes(pass, body, tracks, isPooled, recvObj)
-	checkPooledStaleness(pass, body, tracks)
 }
 
 // pooledCallKey resolves call to a //coflow:pooled callee and returns
@@ -103,13 +66,6 @@ func pooledCallKey(pass *Pass, call *ast.CallExpr) (string, bool) {
 		return exprString(sel.X), true
 	}
 	return "", true
-}
-
-// clonesCall reports whether call launders its arguments through a
-// //coflow:clones deep copy.
-func clonesCall(pass *Pass, call *ast.CallExpr) bool {
-	fn := calleeFunc(pass, call)
-	return fn != nil && pass.Index.Annotated(fn, "clones")
 }
 
 // collectPooledTracks finds the local variables bound to pooled
@@ -133,8 +89,7 @@ func collectPooledTracks(pass *Pass, body *ast.BlockStmt) map[types.Object]*pool
 				}
 				key = k
 			} else if root := rootIdent(as.Rhs[0]); root != nil {
-				src := pass.ObjectOf(root)
-				tr, ok := tracks[src]
+				tr, ok := tracks[pass.ObjectOf(root)]
 				if !ok || !refShaped(pass.TypeOf(as.Rhs[0])) {
 					return
 				}
@@ -154,7 +109,7 @@ func collectPooledTracks(pass *Pass, body *ast.BlockStmt) map[types.Object]*pool
 				if !refShaped(obj.Type()) && !structWithRefs(obj.Type()) {
 					continue
 				}
-				tracks[obj] = &pooledTrack{obj: obj, key: key, name: id.Name}
+				tracks[obj] = &pooledTrack{key: key, name: id.Name}
 				changed = true
 			}
 		})
@@ -196,173 +151,6 @@ func structWithRefs(t types.Type) bool {
 	return false
 }
 
-// pooledValue returns the tracked loan (or direct pooled call)
-// embedded in e when storing e would leak pool storage, else nil.
-// Results of //coflow:clones calls own their storage; results of
-// other calls are assumed fresh unless a pooled argument flows in and
-// the result is reference-shaped.
-func pooledValue(pass *Pass, e ast.Expr, tracks map[types.Object]*pooledTrack) ast.Expr {
-	switch x := e.(type) {
-	case *ast.Ident:
-		if obj := pass.ObjectOf(x); obj != nil && tracks[obj] != nil {
-			return x
-		}
-		return nil
-	case *ast.ParenExpr:
-		return pooledValue(pass, x.X, tracks)
-	case *ast.UnaryExpr:
-		return pooledValue(pass, x.X, tracks)
-	case *ast.StarExpr:
-		return pooledValue(pass, x.X, tracks)
-	case *ast.SelectorExpr, *ast.IndexExpr, *ast.SliceExpr:
-		if !refShaped(pass.TypeOf(e)) {
-			return nil
-		}
-		if root := rootIdent(e.(ast.Expr)); root != nil {
-			if obj := pass.ObjectOf(root); obj != nil && tracks[obj] != nil {
-				return root
-			}
-		}
-		return nil
-	case *ast.CompositeLit:
-		for _, elt := range x.Elts {
-			if kv, ok := elt.(*ast.KeyValueExpr); ok {
-				elt = kv.Value
-			}
-			if v := pooledValue(pass, elt, tracks); v != nil {
-				return v
-			}
-		}
-		return nil
-	case *ast.CallExpr:
-		if clonesCall(pass, x) {
-			return nil
-		}
-		if _, ok := pooledCallKey(pass, x); ok {
-			return x
-		}
-		// A plain call may retain a pooled argument in its
-		// reference-shaped result; append is exempt (the idiomatic
-		// copy is append([]T(nil), loan...)).
-		if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok {
-			if b, ok := pass.ObjectOf(id).(*types.Builtin); ok && b.Name() == "append" {
-				return nil
-			}
-		}
-		if !refShaped(pass.TypeOf(x)) {
-			return nil
-		}
-		for _, arg := range x.Args {
-			if v := pooledValue(pass, arg, tracks); v != nil {
-				return v
-			}
-		}
-		return nil
-	}
-	return nil
-}
-
-func pooledValueName(pass *Pass, e ast.Expr) string {
-	if id, ok := e.(*ast.Ident); ok {
-		return id.Name
-	}
-	return "the pooled result"
-}
-
-// checkPooledEscapes walks the body (shallow) and reports every store,
-// send, return, goroutine handoff, or closure capture that would let
-// a pooled loan outlive its frame.
-func checkPooledEscapes(pass *Pass, body *ast.BlockStmt, tracks map[types.Object]*pooledTrack, isPooled bool, recvObj types.Object) {
-	recvRooted := func(e ast.Expr) bool {
-		root := rootIdent(e)
-		return root != nil && recvObj != nil && pass.ObjectOf(root) == recvObj
-	}
-	inspectShallow(body, func(n ast.Node) {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for i, l := range n.Lhs {
-				var rhs ast.Expr
-				switch {
-				case len(n.Rhs) == len(n.Lhs):
-					rhs = n.Rhs[i]
-				case len(n.Rhs) == 1:
-					rhs = n.Rhs[0]
-				default:
-					continue
-				}
-				v := pooledValue(pass, rhs, tracks)
-				if v == nil {
-					continue
-				}
-				name := pooledValueName(pass, v)
-				switch lhs := l.(type) {
-				case *ast.Ident:
-					if lhs.Name == "_" {
-						continue
-					}
-					if obj := pass.ObjectOf(lhs); obj != nil {
-						if _, isPkgLevel := obj.(*types.Var); isPkgLevel && obj.Parent() == pass.Pkg.Types.Scope() {
-							pass.Reportf(n.Pos(), "pooled value %s stored to package-level variable %s: pooled results alias recycled storage (copy via a //coflow:clones function)", name, lhs.Name)
-						}
-					}
-				default:
-					// Field, element, or through-pointer store. The
-					// ownership-propagation pattern — a //coflow:pooled
-					// function parking the loan in its own receiver —
-					// is the one legal shape.
-					if isPooled && recvRooted(l) {
-						continue
-					}
-					pass.Reportf(n.Pos(), "pooled value %s stored to %s: pooled results alias recycled storage (copy via a //coflow:clones function)", name, describeExpr(l))
-				}
-			}
-		case *ast.SendStmt:
-			if v := pooledValue(pass, n.Value, tracks); v != nil {
-				pass.Reportf(n.Pos(), "pooled value %s sent on a channel: pooled results alias recycled storage (copy via a //coflow:clones function)", pooledValueName(pass, v))
-			}
-		case *ast.ReturnStmt:
-			for _, r := range n.Results {
-				if v := pooledValue(pass, r, tracks); v != nil && !isPooled {
-					pass.Reportf(n.Pos(), "pooled value %s returned from a function not annotated //coflow:pooled: annotate the function or return a //coflow:clones copy", pooledValueName(pass, v))
-				}
-			}
-		case *ast.GoStmt:
-			for _, arg := range n.Call.Args {
-				if v := pooledValue(pass, arg, tracks); v != nil {
-					pass.Reportf(n.Pos(), "pooled value %s passed to a goroutine: the loan is invalidated while the goroutine still holds it", pooledValueName(pass, v))
-				}
-			}
-		}
-	})
-	// Closure captures: a function literal (at any depth, attributed
-	// to this universe only for its direct children) referencing a
-	// tracked loan keeps the alias alive past this frame's control.
-	inspectChildLits(body, func(lit *ast.FuncLit) {
-		ast.Inspect(lit.Body, func(m ast.Node) bool {
-			id, ok := m.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			if obj := pass.ObjectOf(id); obj != nil && tracks[obj] != nil {
-				pass.Reportf(id.Pos(), "pooled value %s captured by a function literal: the closure may outlive the loan (copy via a //coflow:clones function)", id.Name)
-			}
-			return true
-		})
-	})
-}
-
-// inspectChildLits calls fn for each function literal whose nearest
-// enclosing function body is root.
-func inspectChildLits(root *ast.BlockStmt, fn func(*ast.FuncLit)) {
-	ast.Inspect(root, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok {
-			fn(lit)
-			return false
-		}
-		return true
-	})
-}
-
 // checkPooledStaleness runs the CFG dataflow: two bits per track,
 // "active" (holds a live loan) and "stale" (a later pooled call on
 // the same owner recycled the storage). Any use of a stale loan is an
@@ -394,11 +182,7 @@ func checkPooledStaleness(pass *Pass, body *ast.BlockStmt, tracks map[types.Obje
 				if !ok || lhsTargets[id] {
 					return
 				}
-				obj := pass.ObjectOf(id)
-				if obj == nil {
-					return
-				}
-				if i, ok := slot[obj]; ok && state.Has(staleBit(i)) {
+				if i, ok := slot[pass.ObjectOf(id)]; ok && state.Has(staleBit(i)) {
 					tr := list[i]
 					pass.Reportf(id.Pos(), "pooled value %s used after a later call on %q invalidated it: the pool recycled its storage", tr.name, tr.key)
 				}
@@ -430,9 +214,7 @@ func checkPooledStaleness(pass *Pass, body *ast.BlockStmt, tracks map[types.Obje
 					_, fromPooled = pooledCallKey(pass, call)
 				}
 				if root := rootIdent(as.Rhs[0]); !fromPooled && root != nil {
-					if obj := pass.ObjectOf(root); obj != nil {
-						_, fromPooled = slot[obj]
-					}
+					_, fromPooled = slot[pass.ObjectOf(root)]
 				}
 			}
 			for _, l := range as.Lhs {
@@ -440,11 +222,7 @@ func checkPooledStaleness(pass *Pass, body *ast.BlockStmt, tracks map[types.Obje
 				if !ok {
 					continue
 				}
-				obj := pass.ObjectOf(id)
-				if obj == nil {
-					continue
-				}
-				if i, ok := slot[obj]; ok {
+				if i, ok := slot[pass.ObjectOf(id)]; ok {
 					state.Clear(staleBit(i))
 					if fromPooled {
 						state.Set(activeBit(i))

@@ -7,11 +7,12 @@ import (
 )
 
 // Publish enforces the snapshot-publication discipline of the shard
-// and daemon planes: a value handed to atomic.Pointer.Store /
-// CompareAndSwap becomes visible to concurrent readers with no
-// further synchronization, so it must be frozen — no writes through
-// the published variable or any local alias of it, on any CFG path
-// after the publication point.
+// and daemon planes: a value handed to atomic.Pointer.Store becomes
+// visible to concurrent readers with no further synchronization, so
+// it must be frozen — no writes through the published variable or any
+// local alias of it, on any CFG path after the publication point.
+// The race detector sees such a write only where a test reads the
+// written field concurrently; this analyzer sees every field.
 //
 // Aliasing is tracked flow-insensitively (any assignment linking two
 // reference-shaped locals merges them into one class; publication
@@ -21,7 +22,7 @@ import (
 // element stores, IncDec — are errors.
 var Publish = &Analyzer{
 	Name: "publish",
-	Doc:  "values published via atomic.Pointer.Store/CompareAndSwap must be frozen",
+	Doc:  "values published via atomic.Pointer.Store must be frozen",
 	Run:  runPublish,
 }
 
@@ -40,33 +41,17 @@ func runPublish(pass *Pass) {
 }
 
 // atomicPointerSink returns the published value expression when call
-// is atomic.Pointer[T].Store(v) or CompareAndSwap(old, v), else nil.
+// is atomic.Pointer[T].Store(v), else nil.
 func atomicPointerSink(pass *Pass, call *ast.CallExpr) ast.Expr {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	var arg int
-	switch sel.Sel.Name {
-	case "Store":
-		arg = 0
-	case "CompareAndSwap":
-		arg = 1
-	default:
-		return nil
-	}
-	if len(call.Args) <= arg {
+	if !ok || sel.Sel.Name != "Store" || len(call.Args) != 1 {
 		return nil
 	}
 	t := pass.TypeOf(sel.X)
-	if t == nil {
+	if t == nil || !strings.HasPrefix(strings.TrimPrefix(t.String(), "*"), "sync/atomic.Pointer[") {
 		return nil
 	}
-	s := strings.TrimPrefix(t.String(), "*")
-	if !strings.HasPrefix(s, "sync/atomic.Pointer[") {
-		return nil
-	}
-	return call.Args[arg]
+	return call.Args[0]
 }
 
 // localRefVar resolves id to a function-local (or parameter)
@@ -225,7 +210,7 @@ func checkPublishIn(pass *Pass, body *ast.BlockStmt) {
 					return
 				}
 				if bit, ok := vars[obj]; ok && state.Has(bit) {
-					pass.Reportf(at.Pos(), "write to %s after %s was published: values behind atomic.Pointer.Store/CompareAndSwap must be frozen", describeExpr(lhs), root.Name)
+					pass.Reportf(at.Pos(), "write to %s after %s was published: values behind atomic.Pointer.Store must be frozen", describeExpr(lhs), root.Name)
 				}
 			}
 			switch n := n.(type) {

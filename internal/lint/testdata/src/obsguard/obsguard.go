@@ -1,8 +1,7 @@
-// Package obs exercises the obsguard analyzer. The nil-receiver rule
-// only applies in packages named "obs", so the fixture package takes
-// that name; the span rule triggers on any Start method returning a
-// type named Span.
-package obs
+// Package obsguard exercises the obsguard analyzer: a span from any
+// Start method returning a type named Span must reach End on every
+// return path.
+package obsguard
 
 import (
 	"errors"
@@ -11,50 +10,8 @@ import (
 
 var errNope = errors.New("nope")
 
-// Counter mimics a metric type: exported pointer-receiver methods
-// must begin with a nil-receiver guard.
-type Counter struct{ v int64 }
-
-// Good begins with the guard.
-func (c *Counter) Good() {
-	if c == nil {
-		return
-	}
-	c.v++
-}
-
-// Inc is a tail delegation; the callee carries the guard.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Add begins with the guard.
-func (c *Counter) Add(n int64) {
-	if c == nil {
-		return
-	}
-	c.v += n
-}
-
-// Bad touches the receiver with no guard.
-func (c *Counter) Bad() { // want "must begin with a nil-receiver guard"
-	c.v++
-}
-
-// unexported methods are internal plumbing and exempt.
-func (c *Counter) unexported() { c.v++ }
-
-// Value has a value receiver: the zero value is its own guard.
-func (c Counter) Value() int64 { return c.v }
-
 // Histogram provides Start so spans exist in this package.
 type Histogram struct{ sum float64 }
-
-// Observe begins with the guard.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	h.sum += v
-}
 
 // Span is the stage timer; End settles it.
 type Span struct {
@@ -62,20 +19,14 @@ type Span struct {
 	start time.Time
 }
 
-// Start begins with the guard and hands out a span.
-func (h *Histogram) Start() Span {
-	if h == nil {
-		return Span{}
-	}
-	return Span{h: h, start: time.Now()}
-}
+// Start hands out a span.
+func (h *Histogram) Start() Span { return Span{h: h, start: time.Now()} }
 
-// End has a value receiver (pointer-receiver rule does not apply).
+// End observes the elapsed time.
 func (s Span) End() {
-	if s.h == nil {
-		return
+	if s.h != nil {
+		s.h.sum += time.Since(s.start).Seconds()
 	}
-	s.h.Observe(time.Since(s.start).Seconds())
 }
 
 // allEnds settles the span on both return paths: clean.
@@ -99,6 +50,25 @@ func leaks(h *Histogram, fail bool) error {
 	return nil
 }
 
+// fallsOff forgets the span on the implicit return at the closing
+// brace.
+func fallsOff(h *Histogram, fail bool) {
+	sp := h.Start() // want "does not reach"
+	if fail {
+		sp.End()
+	}
+}
+
+// panics leaves by panic on the unsettled path, which is not a return
+// path: clean.
+func panics(h *Histogram, fail bool) {
+	sp := h.Start()
+	if fail {
+		panic(errNope)
+	}
+	sp.End()
+}
+
 // deferred covers every path with one defer: clean.
 func deferred(h *Histogram, fail bool) error {
 	sp := h.Start()
@@ -107,6 +77,18 @@ func deferred(h *Histogram, fail bool) error {
 		return errNope
 	}
 	return nil
+}
+
+// inLiteral checks a function literal against its own CFG.
+func inLiteral(h *Histogram) func(bool) error {
+	return func(fail bool) error {
+		sp := h.Start() // want "does not reach"
+		if fail {
+			return errNope
+		}
+		sp.End()
+		return nil
+	}
 }
 
 // passesOn hands the span to another function, which is assumed to

@@ -1,7 +1,6 @@
 // Package pooled exercises the pooled analyzer: results of
-// //coflow:pooled functions are loans into recycled storage — they
-// may not escape the borrowing frame and may not outlive the next
-// invalidating call on the same owner.
+// //coflow:pooled functions are loans into recycled storage that may
+// not be used after the next pooled call on the same owner.
 package pooled
 
 type Item struct{ vals []int }
@@ -17,76 +16,39 @@ func (p *Pool) Get() *Item {
 	return &p.scratch
 }
 
-// Clone deep-copies an item: the result owns its storage.
-//
-//coflow:clones
-func Clone(it *Item) *Item {
-	cp := Item{vals: append([]int(nil), it.vals...)}
-	return &cp
-}
-
-func consume(it *Item) {}
-func sink(it *Item)    {}
-
-var leaked *Item
-
-// leakGlobal parks the loan in a package-level variable.
-func leakGlobal(p *Pool) {
-	it := p.Get()
-	leaked = it // want "stored to package-level variable leaked"
-}
-
-type Box struct{ it *Item }
-
-// leakField stores the loan into a struct owned by someone else.
-func leakField(p *Pool, b *Box) {
-	b.it = p.Get() // want "stored to b.it"
-}
-
-// leakChan sends the loan to a consumer that may read it after the
-// pool recycles the storage.
-func leakChan(p *Pool, ch chan *Item) {
-	it := p.Get()
-	ch <- it // want "sent on a channel"
-}
-
-// leakReturn re-lends the loan without carrying the annotation.
-func leakReturn(p *Pool) *Item {
-	it := p.Get()
-	return it // want "returned from a function not annotated"
-}
-
-// leakGo hands the loan to a goroutine that outlives the frame.
-func leakGo(p *Pool) {
-	it := p.Get()
-	go consume(it) // want "passed to a goroutine"
-}
-
-// leakCapture closes over the loan.
-func leakCapture(p *Pool) func() int {
-	it := p.Get()
-	return func() int { return len(it.vals) } // want "captured by a function literal"
-}
+func sink(it *Item) {}
 
 // useAfterInvalidate reads the first loan after a second call on the
 // same pool recycled it.
 func useAfterInvalidate(p *Pool) int {
 	a := p.Get()
 	b := p.Get()
-	n := a.vals[:] // want "used after a later call"
+	n := a.vals[:] // want "pooled value a used after a later call"
 	return len(n) + len(b.vals)
 }
 
-// keepClone launders the loan through a deep copy: clean.
-func keepClone(p *Pool) *Item {
-	it := p.Get()
-	return Clone(it)
+// interiorAlias tracks a slice read out of the loan.
+func interiorAlias(p *Pool) int {
+	a := p.Get()
+	vals := a.vals
+	p.Get()
+	return len(vals) // want "pooled value vals used after a later call"
 }
 
-// snapshot copies the interior slice with the append idiom: clean.
-func snapshot(p *Pool) []int {
-	it := p.Get()
-	return append([]int(nil), it.vals...)
+// onOnePath is stale only when the branch recycles the pool.
+func onOnePath(p *Pool, again bool) int {
+	a := p.Get()
+	if again {
+		p.Get()
+	}
+	return len(a.vals) // want "pooled value a used after a later call"
+}
+
+// otherOwners recycle other pools: clean.
+func otherOwners(p, q *Pool) int {
+	a := p.Get()
+	q.Get()
+	return len(a.vals)
 }
 
 // rebind re-arms the loan before each use: clean.
@@ -97,26 +59,12 @@ func rebind(p *Pool) {
 	sink(a)
 }
 
-// borrow passes the loan down a synchronous call: clean.
-func borrow(p *Pool) {
-	it := p.Get()
-	consume(it)
-	sink(it)
-}
-
-// Cache demonstrates the ownership-propagation pattern: a
-// //coflow:pooled method may park the loan in its own receiver and
-// return it onward. Clean.
-type Cache struct {
-	p    *Pool
-	last *Item
-}
-
-// Refresh re-lends the pool's loan under its own annotation.
-//
-//coflow:pooled
-func (c *Cache) Refresh() *Item {
-	it := c.p.Get()
-	c.last = it
-	return it
+// loop re-arms the loan on every iteration: clean.
+func loop(p *Pool, n int) int {
+	total := 0
+	for i := 0; i < n; i++ {
+		a := p.Get()
+		total += len(a.vals)
+	}
+	return total
 }

@@ -108,26 +108,6 @@ func inspectShallow(root ast.Node, fn func(ast.Node)) {
 	})
 }
 
-// terminates reports whether a statement definitely transfers
-// control out (a return, or a panic call) — a cheap approximation of
-// go/types' terminating-statement analysis, used to decide whether a
-// function body can fall off its closing brace.
-func terminates(s ast.Stmt) bool {
-	switch s := s.(type) {
-	case *ast.ReturnStmt:
-		return true
-	case *ast.ExprStmt:
-		return isPanicCall(s.X)
-	case *ast.ForStmt:
-		return s.Cond == nil // for {} without break is endless enough here
-	case *ast.BlockStmt:
-		if n := len(s.List); n > 0 {
-			return terminates(s.List[n-1])
-		}
-	}
-	return false
-}
-
 // describeExpr renders a short name for an expression in a message.
 func describeExpr(e ast.Expr) string {
 	if s := exprString(e); s != "" {

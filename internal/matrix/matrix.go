@@ -104,8 +104,6 @@ func (m *Matrix) Add(i, j int, v int64) {
 }
 
 // Clone returns a deep copy of m.
-//
-//coflow:clones
 func (m *Matrix) Clone() *Matrix {
 	c := &Matrix{rows: m.rows, cols: m.cols, data: make([]int64, len(m.data))}
 	copy(c.data, m.data)
@@ -389,8 +387,6 @@ func (p Permutation) Size() int {
 }
 
 // Clone returns a deep copy of p.
-//
-//coflow:clones
 func (p Permutation) Clone() Permutation {
 	to := make([]int, len(p.To))
 	copy(to, p.To)
