@@ -77,13 +77,15 @@ slowcheck:
 
 # Bounded runs of the fuzz targets that pin a fast path to its
 # reference: Step to check.Reference, the sparse LP pipeline to the
-# dense tableau, the order-statistic rolling window to stats.Summarize.
+# dense tableau, the order-statistic rolling window to stats.Summarize,
+# the matcher's free-column lookahead to the adjacency-scan one.
 # This is the one copy of the list; the CI differential job runs this
 # target.
 fuzz:
 	go test -run='^$$' -fuzz=FuzzStepVsReference -fuzztime=30s ./internal/check/
 	go test -run='^$$' -fuzz=FuzzSparseVsDense -fuzztime=30s ./internal/lp/
 	go test -run='^$$' -fuzz=FuzzRollingVsSummarize -fuzztime=30s ./internal/stats/
+	go test -run='^$$' -fuzz=FuzzAugmentRowVsReference -fuzztime=30s ./internal/matching/
 
 # Scenario smoke: replay every built-in scenario through the
 # in-process driver (monitor validating every slot, planner

@@ -20,7 +20,8 @@ import (
 // Two modes:
 //
 //   - Decompose/DecomposeWith run Algorithm 1 cold on a fresh demand
-//     matrix, warm-starting only the matcher.
+//     matrix. The matcher starts from the matching the previous run
+//     left, which after a StrategyFirst run is none.
 //   - Update(served) repairs the PREVIOUS result after demand shrank
 //     by served (the slot pipeline's only transition): it sheds the
 //     load delta from existing term counts under the coverage
@@ -48,14 +49,21 @@ type Decomposer struct {
 	// incrementally with O(1) swap-deletes: row i's live columns are
 	// adjDat[i*m : i*m+adjLen[i]], and edgePos[i*m+j] is the absolute
 	// adjDat position of edge (i,j), or -1. nnz counts live support
-	// cells, making the extraction loop's termination test O(1)
-	// instead of the former O(m²) IsZero scan.
-	adjOff    []int32
-	adjLen    []int32
-	adjDat    []int32
-	edgePos   []int32
-	freedRows []int32
-	nnz       int
+	// cells, making the extraction loop's termination test O(1).
+	adjOff  []int32
+	adjLen  []int32
+	adjDat  []int32
+	edgePos []int32
+	nnz     int
+
+	// Lazy subtraction state of a StrategyFirst run. With G the Σq
+	// extracted so far, row i's matched cell (i, lvlCol[i]) holds
+	// lvl[i] − G; work itself is stale there until the row drains or
+	// rematches, when the cell is written back. drained lists the rows
+	// whose matched cell the current term empties.
+	lvl     []int64
+	lvlCol  []int32
+	drained []int32
 
 	// Recycled term storage: terms is the reused Terms backing array
 	// and permBufs the pool of m-length permutation buffers, where
@@ -94,7 +102,9 @@ func NewDecomposer(m int) *Decomposer {
 		adjLen:    make([]int32, m),
 		adjDat:    make([]int32, m*m),
 		edgePos:   make([]int32, m*m),
-		freedRows: make([]int32, 0, m),
+		lvl:       make([]int64, m),
+		lvlCol:    make([]int32, m),
+		drained:   make([]int32, 0, m),
 		vals:      make([]int64, 0, m*m),
 		thickCur:  make([]int, m),
 		thickBest: make([]int, m),
@@ -162,11 +172,13 @@ func (dc *Decomposer) cold(strategy Strategy) (*Decomposition, error) {
 	dc.primed = false
 	if rho > 0 {
 		var err error
+		exSpan := dc.obs.ExtractSeconds.Start()
 		if strategy == StrategyFirst {
 			err = dc.extractFirstAll()
 		} else {
 			err = dc.extractThickAll()
 		}
+		exSpan.End()
 		if err != nil {
 			return nil, err
 		}
@@ -234,69 +246,97 @@ func (dc *Decomposer) deleteEdge(i, j int) {
 }
 
 // extractFirstAll is Step 2 with StrategyFirst on the incremental
-// path: one repaired maximum matching up front, then per term an O(m)
-// min-scan/subtract, O(1) support deletes, and single-row Kuhn
-// repairs for the rows whose matched edge drained — instead of the
-// former per-term O(m²) adjacency rebuild + IsZero scan that
-// dominated the dense benchmarks.
+// path: one maximum matching up front, then per term a scan of the
+// drain levels for q and the rows it drains, O(1) support deletes for
+// those rows, and single-row Kuhn repairs that also reload the drain
+// levels of every row they rematch. Subtraction is lazy — a term
+// touches work only at the cells it drains or rematches — so beyond
+// its repair searches a term costs a tight scan of the m levels, the
+// copy of its permutation and O(1) per row it drains or rematches.
 //
 //coflow:allocfree
 func (dc *Decomposer) extractFirstAll() error {
 	m := dc.m
 	dc.buildSupport()
-	dc.matcher.SetAdjacency(dc.adjOff, dc.adjLen, dc.adjDat)
-	// Repair whatever matching the matcher still holds from the
-	// previous decomposition against the fresh support: across daemon
-	// slots the demand barely moves, so this is usually a handful of
-	// augmenting paths, not a cold solve.
+	dc.matcher.SetAdjacency(dc.adjOff, dc.adjLen, dc.adjDat, dc.edgePos)
+	// Whatever matching the matcher still holds is repaired against the
+	// fresh support. After a StrategyFirst run that is none: its last
+	// term drains every cell and unmatches every row, so this is a cold
+	// Hopcroft–Karp solve unless the previous run was StrategyThick.
 	if dc.matcher.RepairRematch() != m {
 		return fmt.Errorf("bvn: support of %d×%d balanced matrix admits no perfect matching", m, m)
+	}
+	var g int64 // Σq extracted so far
+	for i := 0; i < m; i++ {
+		j := dc.matcher.Mate(i)
+		dc.lvlCol[i] = int32(j)
+		dc.lvl[i] = dc.work.At(i, j)
 	}
 	maxTerms := m*m + 1
 	for dc.nnz > 0 {
 		if len(dc.terms) >= maxTerms {
 			return fmt.Errorf("bvn: more than m²=%d terms extracted; invariant violated", m*m)
 		}
-		exSpan := dc.obs.ExtractSeconds.Start()
 		perm := dc.matcher.MatchingInto(dc.permBuf(len(dc.terms)))
 		// q = min entry along the matching: subtracting q·Π zeroes at
 		// least one support entry, bounding the number of terms by m².
-		var q int64 = -1
-		for i, j := range perm.To {
-			if v := dc.work.At(i, j); q < 0 || v < q {
-				q = v
+		// The rows at the minimum level are the ones it drains, found
+		// in ascending order as the repair below requires.
+		low := dc.lvl[0]
+		for _, l := range dc.lvl {
+			low = min(low, l)
+		}
+		dc.drained = dc.drained[:0]
+		for i, l := range dc.lvl {
+			if l == low {
+				dc.drained = append(dc.drained, int32(i))
 			}
 		}
+		q := low - g
 		if q <= 0 {
-			exSpan.End()
 			return fmt.Errorf("bvn: non-positive multiplicity %d; invariant violated", q)
 		}
-		dc.freedRows = dc.freedRows[:0]
-		for i, j := range perm.To {
-			dc.work.Add(i, j, -q)
-			if dc.work.At(i, j) == 0 {
-				dc.deleteEdge(i, j)
-				dc.matcher.Unmatch(i, j)
-				dc.freedRows = append(dc.freedRows, int32(i))
-			}
+		g = low
+		for _, i := range dc.drained {
+			j := int(dc.lvlCol[i])
+			dc.work.Set(int(i), j, 0)
+			dc.lvlCol[i] = -1
+			dc.deleteEdge(int(i), j)
+			dc.matcher.Unmatch(int(i), j)
 		}
 		dc.terms = append(dc.terms, Term{Count: q, Perm: perm})
 		if dc.nnz > 0 {
 			// Every drained cell was its row's matched edge, so repair
-			// is one Kuhn augmentation per freed row. With only the
-			// freed rows and columns unmatched, a failed u-rooted
+			// is one Kuhn augmentation per drained row. With only the
+			// drained rows and columns unmatched, a failed u-rooted
 			// search proves no perfect matching exists — see the
 			// AugmentRow contract.
-			for _, i := range dc.freedRows {
+			for _, i := range dc.drained {
 				if !dc.matcher.AugmentRow(int(i)) {
-					exSpan.End()
 					return fmt.Errorf("bvn: support lost its perfect matching after term %d; invariant violated", len(dc.terms)-1)
 				}
+				dc.reloadMoved(g)
 			}
 		}
-		exSpan.End()
 	}
 	return nil
+}
+
+// reloadMoved moves the drain level of every row the last AugmentRow
+// rematched: the old cell gets its lazily subtracted value written
+// back (a drained row has none left), the level restarts from the new
+// cell. g is the Σq extracted so far.
+//
+//coflow:allocfree
+func (dc *Decomposer) reloadMoved(g int64) {
+	for _, i := range dc.matcher.Moved() {
+		if j := dc.lvlCol[i]; j >= 0 {
+			dc.work.Set(int(i), int(j), dc.lvl[i]-g)
+		}
+		j := dc.matcher.Mate(int(i))
+		dc.lvlCol[i] = int32(j)
+		dc.lvl[i] = dc.work.At(int(i), j) + g
+	}
 }
 
 // extractThickAll is Step 2 with StrategyThick: every term extracts a
@@ -320,10 +360,7 @@ func (dc *Decomposer) extractThickAll() error {
 		if len(dc.terms) >= maxTerms {
 			return fmt.Errorf("bvn: more than m²=%d terms extracted; invariant violated", m*m)
 		}
-		exSpan := dc.obs.ExtractSeconds.Start()
-		ok := dc.bottleneck()
-		if !ok {
-			exSpan.End()
+		if !dc.bottleneck() {
 			return fmt.Errorf("bvn: support of %d×%d balanced matrix admits no perfect matching", m, m)
 		}
 		buf := dc.permBuf(len(dc.terms))
@@ -336,7 +373,6 @@ func (dc *Decomposer) extractThickAll() error {
 			}
 		}
 		if q <= 0 {
-			exSpan.End()
 			return fmt.Errorf("bvn: non-positive multiplicity %d; invariant violated", q)
 		}
 		for i, j := range perm.To {
@@ -346,7 +382,6 @@ func (dc *Decomposer) extractThickAll() error {
 			}
 		}
 		dc.terms = append(dc.terms, Term{Count: q, Perm: perm})
-		exSpan.End()
 	}
 	return nil
 }

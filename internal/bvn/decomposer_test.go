@@ -1,10 +1,14 @@
 package bvn
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math/rand"
 	"testing"
 
 	"coflow/internal/matrix"
+	"coflow/internal/obs"
 )
 
 // randomServe builds one shrink step: a served matrix taking a random
@@ -286,6 +290,126 @@ func BenchmarkDecomposerUpdateM100Dense(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// termDigestWant is the SHA-256 TestTermSequencesPinned computes. A
+// change to it is a change to every schedule built on a decomposition:
+// it must be deliberate and visible, never a side effect of a speed-up.
+const termDigestWant = "87f4b2d75cd8f36d9cc47fe68f5dc71741f26e86ffcee9e6fa04aa79260e0039"
+
+// TestTermSequencesPinned pins the exact term sequences Algorithm 1
+// emits — count, permutation and order — over a seeded pool of 360
+// decompositions. Decomposers are held per size, so warm state carries
+// across calls (a thick run leaves a perfect matching for the next
+// first-fit run to repair), and each decomposition is followed by a few
+// Update steps that serve a greedy slot matching, which makes most of
+// them fall back to a cold run.
+func TestTermSequencesPinned(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	sizes := []int{2, 3, 4, 6, 9, 14, 20, 32, 50, 64, 100}
+	held := map[int]*Decomposer{}
+	o := NewObs(obs.NewRegistry())
+	h := sha256.New()
+	var word [8]byte
+	put := func(v int64) {
+		binary.LittleEndian.PutUint64(word[:], uint64(v))
+		h.Write(word[:])
+	}
+	digest := func(dec *Decomposition) {
+		put(int64(len(dec.Terms)))
+		for _, term := range dec.Terms {
+			put(term.Count)
+			for _, j := range term.Perm.To {
+				put(int64(j))
+			}
+		}
+	}
+	for n := 0; n < 360; n++ {
+		m := sizes[rng.Intn(len(sizes))]
+		dc := held[m]
+		if dc == nil {
+			dc = NewDecomposer(m)
+			dc.SetObs(o)
+			held[m] = dc
+		}
+		strategy := StrategyFirst
+		if rng.Intn(5) == 0 {
+			strategy = StrategyThick
+		}
+		d := benchMatrix(m, 0.05+0.85*rng.Float64(), rng.Int63())
+		dec, err := dc.DecomposeWith(d, strategy)
+		if err != nil {
+			t.Fatalf("decomposition %d (m=%d): %v", n, m, err)
+		}
+		digest(dec)
+		shadow := d.Clone()
+		served := matrix.NewSquare(m)
+		for step := 0; step < 3 && greedyServe(rng, shadow, served); step++ {
+			if dec, err = dc.Update(served); err != nil {
+				t.Fatalf("decomposition %d (m=%d) update %d: %v", n, m, step, err)
+			}
+			digest(dec)
+		}
+	}
+	updates, fallbacks := o.Updates.Value(), o.UpdateFallbacks.Value()
+	if fallbacks == 0 || fallbacks == updates {
+		t.Fatalf("%d of %d updates fell back: the pool must cover both repair outcomes", fallbacks, updates)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != termDigestWant {
+		t.Fatalf("term sequences changed: digest %s, want %s", got, termDigestWant)
+	}
+}
+
+// TestStrategyFirstLeavesNoWarmMatching pins why a StrategyFirst run
+// never warm-starts the next one: its last term drains every remaining
+// cell, so a complete extraction unmatches every row, and the next
+// cold run's RepairRematch starts from an empty matching. Only
+// StrategyThick leaves a matching (its last perfect probe) behind.
+func TestStrategyFirstLeavesNoWarmMatching(t *testing.T) {
+	for _, m := range []int{5, 20, 50} {
+		dc := NewDecomposer(m)
+		for seed := int64(1); seed <= 3; seed++ {
+			if _, err := dc.Decompose(benchMatrix(m, 0.4, seed)); err != nil {
+				t.Fatal(err)
+			}
+			if got := dc.matcher.MatchedCount(); got != 0 {
+				t.Fatalf("m=%d seed %d: %d rows still matched after a first-fit run, want 0", m, seed, got)
+			}
+		}
+		if _, err := dc.DecomposeWith(benchMatrix(m, 0.4, 4), StrategyThick); err != nil {
+			t.Fatal(err)
+		}
+		if got := dc.matcher.MatchedCount(); got != m {
+			t.Fatalf("m=%d: %d rows matched after a thick run, want %d", m, got, m)
+		}
+	}
+}
+
+// greedyServe serves one slot of a greedy maximal matching over
+// shadow's positive cells, scanning rows and columns from random
+// offsets, and takes up to three units from each matched pair (a few
+// slots on a stable matching). It reports false when shadow is zero.
+func greedyServe(rng *rand.Rand, shadow, served *matrix.Matrix) bool {
+	m := shadow.Rows()
+	served.Zero()
+	colBusy := make([]bool, m)
+	any := false
+	r0, c0 := rng.Intn(m), rng.Intn(m)
+	for r := 0; r < m; r++ {
+		i := (r0 + r) % m
+		for c := 0; c < m; c++ {
+			j := (c0 + c) % m
+			if v := shadow.At(i, j); v > 0 && !colBusy[j] {
+				q := 1 + rng.Int63n(min(v, 3))
+				served.Set(i, j, q)
+				shadow.Add(i, j, -q)
+				colBusy[j] = true
+				any = true
+				break
+			}
+		}
+	}
+	return any
 }
 
 // A Clone owns its storage: the lender's next call recycles the loan

@@ -15,7 +15,8 @@ import (
 //
 //	decompose  one whole cold Decompose/DecomposeWith call
 //	augment    Step 1 (balance D to D̃ with all sums = ρ)
-//	extract    Step 2 (one matching extraction + subtraction per term)
+//	extract    Step 2 of one decomposition (every term's matching
+//	           extraction and subtraction)
 type Obs struct {
 	DecomposeSeconds *obs.Histogram
 	AugmentSeconds   *obs.Histogram
@@ -41,7 +42,9 @@ type Obs struct {
 	UpdateFallbacks *obs.Counter
 
 	// Matcher is threaded into every decomposition's warm-started
-	// Hopcroft–Karp engine, exposing its warm-start hit rate.
+	// Hopcroft–Karp engine, exposing its warm-start hit rate. Only a
+	// StrategyThick run leaves a matching to start from, so the rate
+	// reads 0 where every decomposition is StrategyFirst.
 	Matcher matching.Obs
 }
 
@@ -62,7 +65,7 @@ func NewObs(r *obs.Registry) Obs {
 	return Obs{
 		DecomposeSeconds: r.Histogram("coflow_bvn_decompose_seconds", "latency of one Birkhoff-von Neumann decomposition", obs.LatencyBuckets),
 		AugmentSeconds:   r.Histogram("coflow_bvn_augment_seconds", "latency of the augmentation stage (step 1)", obs.LatencyBuckets),
-		ExtractSeconds:   r.Histogram("coflow_bvn_extract_seconds", "latency of one matching extraction (step 2 iteration)", obs.LatencyBuckets),
+		ExtractSeconds:   r.Histogram("coflow_bvn_extract_seconds", "latency of Step 2 of one decomposition (all term extractions)", obs.LatencyBuckets),
 		UpdateSeconds:    r.Histogram("coflow_bvn_update_seconds", "latency of one incremental Decomposer.Update repair", obs.LatencyBuckets),
 		Decomposes:       r.Counter("coflow_bvn_decompositions_total", "decompositions run"),
 		Terms:            r.Counter("coflow_bvn_terms_total", "permutation terms extracted"),

@@ -41,14 +41,25 @@ type Matcher struct {
 	// neighbours are adjDat[adjOff[u] : adjOff[u]+adjLen[u]]. Either
 	// the own* buffers above, or a caller-installed view
 	// (SetAdjacency) that the caller mutates in place between calls.
-	adjOff []int32
-	adjLen []int32
-	adjDat []int32
+	// edgePos indexes the caller view: edgePos[u*n+v] is the adjDat
+	// position of edge (u, v), or -1.
+	adjOff  []int32
+	adjLen  []int32
+	adjDat  []int32
+	edgePos []int32
 
 	// Kuhn scratch for single-row augmentation (AugmentRow): per
 	// right-vertex visit stamps, bumped per call so no O(n) clear runs.
 	mark  []int64
 	stamp int64
+
+	// free holds exactly the unmatched right vertices, in no order, and
+	// freeAt[v] is v's index in it or -1: Unmatch adds, a claim by
+	// AugmentRow removes, and every Hopcroft–Karp solve rebuilds it.
+	// moved lists the rows the last AugmentRow rematched.
+	free   []int32
+	freeAt []int32
+	moved  []int32
 
 	// matched is the live matching cardinality, maintained by every
 	// mutation so perfection checks are O(1).
@@ -108,6 +119,9 @@ func NewMatcher(n int) *Matcher {
 		ownOff: make([]int32, n+1),
 		ownLen: make([]int32, n),
 		mark:   make([]int64, n),
+		free:   make([]int32, 0, n),
+		freeAt: make([]int32, n),
+		moved:  make([]int32, 0, n),
 	}
 	mt.Reset()
 	return mt
@@ -122,6 +136,41 @@ func (mt *Matcher) Reset() {
 		mt.matchR[i] = matrix.Unmatched
 	}
 	mt.matched = 0
+	mt.rebuildFree()
+}
+
+// rebuildFree re-derives the free-column list from matchR.
+//
+//coflow:allocfree
+func (mt *Matcher) rebuildFree() {
+	mt.free = mt.free[:0]
+	for v, u := range mt.matchR {
+		mt.freeAt[v] = -1
+		if u == matrix.Unmatched {
+			mt.freeAt[v] = int32(len(mt.free))
+			mt.free = append(mt.free, int32(v))
+		}
+	}
+}
+
+// freeColumn puts the just-unmatched column v on the free list.
+//
+//coflow:allocfree
+func (mt *Matcher) freeColumn(v int) {
+	mt.freeAt[v] = int32(len(mt.free))
+	mt.free = append(mt.free, int32(v))
+}
+
+// claimColumn takes free column v off the free list by swap-delete.
+//
+//coflow:allocfree
+func (mt *Matcher) claimColumn(v int) {
+	k := mt.freeAt[v]
+	last := mt.free[len(mt.free)-1]
+	mt.free[k] = last
+	mt.freeAt[last] = k
+	mt.free = mt.free[:len(mt.free)-1]
+	mt.freeAt[v] = -1
 }
 
 // MatchSupportAtLeastInto computes a maximum matching on the threshold
@@ -199,6 +248,7 @@ func (mt *Matcher) augmentToMax() {
 			}
 		}
 	}
+	mt.rebuildFree()
 	mt.obs.Calls.Inc()
 	mt.obs.Phases.Add(phases)
 	if phases == 0 {
@@ -257,17 +307,20 @@ func (mt *Matcher) dfs(u int) bool {
 }
 
 // SetAdjacency installs a caller-owned CSR adjacency view: row u's
-// live neighbours are dat[off[u] : off[u]+length[u]]. The caller may
-// mutate the view in place (shrink lengths, swap-delete entries)
-// between calls; the matcher only reads it. off and length must have
-// at least n entries. The view stays active until the next
-// MatchSupportAtLeastInto call rebuilds the matcher-owned adjacency.
+// live neighbours are dat[off[u] : off[u]+length[u]], and pos[u*n+v]
+// is the dat position of edge (u, v), or -1 when the edge is absent.
+// The caller may mutate the view in place (shrink lengths, swap-delete
+// entries, keeping pos in step) between calls; the matcher only reads
+// it. off and length must have at least n entries, pos n². The view
+// stays active until the next MatchSupportAtLeastInto call rebuilds
+// the matcher-owned adjacency.
 //
 //coflow:allocfree
-func (mt *Matcher) SetAdjacency(off, length, dat []int32) {
+func (mt *Matcher) SetAdjacency(off, length, dat, pos []int32) {
 	mt.adjOff = off
 	mt.adjLen = length
 	mt.adjDat = dat
+	mt.edgePos = pos
 }
 
 // Unmatch removes the pair (u, v) from the current matching if
@@ -279,6 +332,7 @@ func (mt *Matcher) Unmatch(u, v int) {
 		mt.matchL[u] = matrix.Unmatched
 		mt.matchR[v] = matrix.Unmatched
 		mt.matched--
+		mt.freeColumn(v)
 	}
 }
 
@@ -288,12 +342,26 @@ func (mt *Matcher) Unmatch(u, v int) {
 //coflow:allocfree
 func (mt *Matcher) MatchedCount() int { return mt.matched }
 
+// Mate returns the right vertex matched to left vertex u, or
+// matrix.Unmatched.
+//
+//coflow:allocfree
+func (mt *Matcher) Mate(u int) int { return mt.matchL[u] }
+
+// Moved returns the left vertices whose mate the last AugmentRow call
+// changed: the augmenting path's rows, u included. The slice is the
+// matcher's scratch, valid until the next AugmentRow.
+//
+//coflow:allocfree
+func (mt *Matcher) Moved() []int32 { return mt.moved }
+
 // AugmentRow tries to rematch the single free left vertex u with one
 // Kuhn augmenting-path DFS over the active adjacency, reporting
 // success. Unlike a full Hopcroft–Karp phase it costs O(reachable
 // edges), which is the right tool when one matched edge just
 // disappeared and the rest of the matching is intact. Calling it on an
-// already-matched row reports true without searching.
+// already-matched row reports true without searching. The active view
+// must be a SetAdjacency one: the search reads its edge positions.
 //
 // Maximality contract: if the matching was PERFECT before deleting
 // matched edge (u, v) — the BvN extraction invariant — then u and v
@@ -305,6 +373,7 @@ func (mt *Matcher) MatchedCount() int { return mt.matched }
 //
 //coflow:allocfree
 func (mt *Matcher) AugmentRow(u int) bool {
+	mt.moved = mt.moved[:0]
 	if mt.matchL[u] != matrix.Unmatched {
 		return true
 	}
@@ -318,22 +387,22 @@ func (mt *Matcher) AugmentRow(u int) bool {
 
 // kuhn is the single-source augmenting DFS behind AugmentRow. The
 // mark/stamp pair gives O(1) per-call visited-set reset. At every
-// depth a lookahead pass claims a free neighbour before any recursion
-// runs, so the common repair (a short path to a just-freed column)
-// never wanders depth-first through the matched bulk of the graph.
+// depth a lookahead claims a free neighbour before any recursion runs,
+// so the common repair (a short path to a just-freed column) never
+// wanders depth-first through the matched bulk of the graph. The
+// lookahead walks the free list, not the row: a free column is never
+// marked (marking one claims it and ends the search), so the free
+// neighbour at the smallest edge position is exactly the one a scan of
+// the row would meet first.
 //
 //coflow:allocfree
 func (mt *Matcher) kuhn(u int) bool {
 	off := mt.adjOff[u]
 	adj := mt.adjDat[off : off+mt.adjLen[u]]
-	for _, v32 := range adj {
-		v := int(v32)
-		if mt.matchR[v] == matrix.Unmatched && mt.mark[v] != mt.stamp {
-			mt.mark[v] = mt.stamp
-			mt.matchL[u] = v
-			mt.matchR[v] = u
-			return true
-		}
+	if v := mt.firstFree(u); v != matrix.Unmatched {
+		mt.claimColumn(v)
+		mt.rematch(u, v)
+		return true
 	}
 	for _, v32 := range adj {
 		v := int(v32)
@@ -342,37 +411,48 @@ func (mt *Matcher) kuhn(u int) bool {
 		}
 		mt.mark[v] = mt.stamp
 		if mt.kuhn(mt.matchR[v]) {
-			mt.matchL[u] = v
-			mt.matchR[v] = u
+			mt.rematch(u, v)
 			return true
 		}
 	}
 	return false
 }
 
-// RepairRematch revalidates the warm matching against the ACTIVE
-// adjacency (dropping matched pairs whose edge is gone), augments to
-// maximum, and reports the resulting cardinality. This is the
-// external-adjacency analogue of the repair step inside
-// MatchSupportAtLeastInto: the caller mutates its SetAdjacency view, then
-// asks for a repaired maximum matching without any CSR rebuild.
+// firstFree returns u's free neighbour at the smallest edge position,
+// or matrix.Unmatched when u has none.
+//
+//coflow:allocfree
+func (mt *Matcher) firstFree(u int) int {
+	row := mt.edgePos[u*mt.n : (u+1)*mt.n]
+	best, bestPos := matrix.Unmatched, int32(-1)
+	for _, v := range mt.free {
+		if p := row[v]; p >= 0 && (bestPos < 0 || p < bestPos) {
+			best, bestPos = int(v), p
+		}
+	}
+	return best
+}
+
+// rematch pairs u with v on an augmenting path and records u as moved.
+//
+//coflow:allocfree
+func (mt *Matcher) rematch(u, v int) {
+	mt.matchL[u] = v
+	mt.matchR[v] = u
+	mt.moved = append(mt.moved, int32(u))
+}
+
+// RepairRematch revalidates the warm matching against the installed
+// SetAdjacency view (dropping matched pairs whose edge position is -1),
+// augments to maximum, and reports the resulting cardinality. This is
+// the external-adjacency analogue of the repair step inside
+// MatchSupportAtLeastInto: the caller mutates its view, then asks for
+// a repaired maximum matching without any CSR rebuild.
 //
 //coflow:allocfree
 func (mt *Matcher) RepairRematch() int {
 	for u := 0; u < mt.n; u++ {
-		v := mt.matchL[u]
-		if v == matrix.Unmatched {
-			continue
-		}
-		present := false
-		off := mt.adjOff[u]
-		for _, w32 := range mt.adjDat[off : off+mt.adjLen[u]] {
-			if int(w32) == v {
-				present = true
-				break
-			}
-		}
-		if !present {
+		if v := mt.matchL[u]; v != matrix.Unmatched && mt.edgePos[u*mt.n+v] < 0 {
 			mt.matchL[u] = matrix.Unmatched
 			mt.matchR[v] = matrix.Unmatched
 			mt.matched--

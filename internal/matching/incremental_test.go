@@ -1,7 +1,9 @@
 package matching
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"coflow/internal/matrix"
@@ -183,49 +185,199 @@ func FuzzMatcherWarmStart(f *testing.F) {
 	})
 }
 
+// view is a caller-owned CSR adjacency with its edge-position index,
+// the shape the incremental BvN decomposer installs via SetAdjacency:
+// row u's live columns are dat[off[u] : off[u]+length[u]] and
+// pos[u*n+v] is the dat position of edge (u, v), or -1.
+type view struct {
+	n                     int
+	off, length, dat, pos []int32
+}
+
+// newView builds the view of d's support.
+func newView(d *matrix.Matrix) *view {
+	n := d.Rows()
+	w := &view{n: n, off: make([]int32, n), length: make([]int32, n),
+		dat: make([]int32, 0, n*n), pos: make([]int32, n*n)}
+	for i := 0; i < n; i++ {
+		w.off[i] = int32(len(w.dat))
+		for j := 0; j < n; j++ {
+			w.pos[i*n+j] = -1
+			if d.At(i, j) > 0 {
+				w.pos[i*n+j] = int32(len(w.dat))
+				w.dat = append(w.dat, int32(j))
+			}
+		}
+		w.length[i] = int32(len(w.dat)) - w.off[i]
+	}
+	return w
+}
+
+// install points mt at the view.
+func (w *view) install(mt *Matcher) { mt.SetAdjacency(w.off, w.length, w.dat, w.pos) }
+
+// deleteAt swap-deletes row u's k-th live edge, keeping pos in step,
+// and returns its column.
+func (w *view) deleteAt(u, k int) int {
+	p := w.off[u] + int32(k)
+	v := int(w.dat[p])
+	last := w.off[u] + w.length[u] - 1
+	moved := w.dat[last]
+	w.dat[p] = moved
+	w.pos[u*w.n+int(moved)] = p
+	w.length[u]--
+	w.pos[u*w.n+v] = -1
+	return v
+}
+
+// augmentRowRef is AugmentRow with the adjacency-scan lookahead: the
+// reference the free-column lookahead is pinned to.
+func (mt *Matcher) augmentRowRef(u int) bool {
+	if mt.matchL[u] != matrix.Unmatched {
+		return true
+	}
+	mt.stamp++
+	if mt.kuhnRef(u) {
+		mt.matched++
+		return true
+	}
+	return false
+}
+
+// kuhnRef is kuhn whose lookahead scans u's whole adjacency row for
+// the first free, unmarked column.
+func (mt *Matcher) kuhnRef(u int) bool {
+	off := mt.adjOff[u]
+	adj := mt.adjDat[off : off+mt.adjLen[u]]
+	for _, v32 := range adj {
+		v := int(v32)
+		if mt.matchR[v] == matrix.Unmatched && mt.mark[v] != mt.stamp {
+			mt.mark[v] = mt.stamp
+			mt.claimColumn(v)
+			mt.matchL[u] = v
+			mt.matchR[v] = u
+			return true
+		}
+	}
+	for _, v32 := range adj {
+		v := int(v32)
+		if mt.mark[v] == mt.stamp {
+			continue
+		}
+		mt.mark[v] = mt.stamp
+		if mt.kuhnRef(mt.matchR[v]) {
+			mt.matchL[u] = v
+			mt.matchR[v] = u
+			return true
+		}
+	}
+	return false
+}
+
+// refPair runs the production Matcher and the reference side by side
+// on one shared view, through the BvN extraction's delete-and-repair
+// sequence.
+type refPair struct {
+	d         *matrix.Matrix // the view's support, as a 0/1 matrix
+	w         *view
+	prod, ref *Matcher
+}
+
+// newRefPair installs d's support into both matchers and solves cold.
+func newRefPair(t testing.TB, d *matrix.Matrix) *refPair {
+	t.Helper()
+	p := &refPair{d: d, w: newView(d), prod: NewMatcher(d.Rows()), ref: NewMatcher(d.Rows())}
+	p.w.install(p.prod)
+	p.w.install(p.ref)
+	got := p.prod.RepairRematch()
+	p.ref.RepairRematch()
+	if got != p.prod.MatchedCount() {
+		t.Fatalf("RepairRematch %d vs MatchedCount %d", got, p.prod.MatchedCount())
+	}
+	p.agree(t, "cold")
+	return p
+}
+
+// deleteAndRepair deletes row u's k-th live edge from the view, unmatches
+// it in both matchers and repairs row u in each, falling back to
+// RepairRematch where the AugmentRow contract requires it. It checks
+// that Moved names exactly the rows whose mate changed.
+func (p *refPair) deleteAndRepair(t testing.TB, u, k int) {
+	t.Helper()
+	v := p.w.deleteAt(u, k)
+	p.d.Set(u, v, 0)
+	p.prod.Unmatch(u, v)
+	p.ref.Unmatch(u, v)
+	before := slices.Clone(p.prod.matchL)
+	ok := p.prod.AugmentRow(u)
+	if okRef := p.ref.augmentRowRef(u); ok != okRef {
+		t.Fatalf("after deleting (%d,%d): AugmentRow %v, reference %v", u, v, ok, okRef)
+	}
+	var changed []int32
+	for i, j := range p.prod.matchL {
+		if j != before[i] {
+			changed = append(changed, int32(i))
+		}
+	}
+	moved := slices.Clone(p.prod.Moved())
+	slices.Sort(moved)
+	if !slices.Equal(moved, changed) {
+		t.Fatalf("after deleting (%d,%d): Moved %v, rows whose mate changed %v", u, v, moved, changed)
+	}
+	if !ok {
+		p.prod.RepairRematch()
+		p.ref.RepairRematch()
+	}
+	p.agree(t, fmt.Sprintf("after deleting (%d,%d)", u, v))
+}
+
+// agree requires identical matchings, a valid one, and a free list
+// holding exactly the production matcher's unmatched columns.
+func (p *refPair) agree(t testing.TB, when string) {
+	t.Helper()
+	if !slices.Equal(p.prod.matchL, p.ref.matchL) {
+		t.Fatalf("%s: matching %v, reference %v", when, p.prod.matchL, p.ref.matchL)
+	}
+	checkMatching(t, p.d, 1, p.prod.MatchingInto(make([]int, p.d.Rows())))
+	mt := p.prod
+	if len(mt.free) != mt.n-mt.matched {
+		t.Fatalf("%s: %d free columns listed, %d unmatched", when, len(mt.free), mt.n-mt.matched)
+	}
+	for v, u := range mt.matchR {
+		k := mt.freeAt[v]
+		if listed := k >= 0 && int(mt.free[k]) == v; listed != (u == matrix.Unmatched) {
+			t.Fatalf("%s: column %d matched to %d but free-listed %v", when, v, u, listed)
+		}
+	}
+}
+
 // TestMatcherExternalAdjacency exercises the caller-owned adjacency
-// path used by the incremental BvN decomposer: install a CSR view via
+// path used by the incremental BvN decomposer: install a view via
 // SetAdjacency, shrink it in place with swap-deletes + Unmatch, and
 // repair one row at a time with AugmentRow. Every intermediate
-// matching must match brute force on the equivalent graph.
+// matching must equal the reference's and match brute force on the
+// equivalent graph.
 func TestMatcherExternalAdjacency(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for seq := 0; seq < 200; seq++ {
 		n := 2 + rng.Intn(5)
-		// Dense-ish random support; keep a parallel dense matrix as
-		// the reference edge set.
 		d := matrix.NewSquare(n)
-		off := make([]int32, n)
-		length := make([]int32, n)
-		dat := make([]int32, 0, n*n)
 		for i := 0; i < n; i++ {
-			off[i] = int32(len(dat))
 			for j := 0; j < n; j++ {
 				if rng.Intn(3) != 0 {
 					d.Set(i, j, 1)
-					dat = append(dat, int32(j))
 				}
 			}
-			length[i] = int32(len(dat)) - off[i]
 		}
-		mt := NewMatcher(n)
-		mt.SetAdjacency(off, length, dat)
-		got := mt.RepairRematch()
-		if want := BruteForceMaxMatching(SupportGraph(d)); got != want {
+		p := newRefPair(t, d)
+		if got, want := p.prod.MatchedCount(), BruteForceMaxMatching(SupportGraph(d)); got != want {
 			t.Fatalf("seq %d cold: got %d want %d", seq, got, want)
 		}
-		if got != mt.MatchedCount() {
-			t.Fatalf("seq %d: RepairRematch %d vs MatchedCount %d", seq, got, mt.MatchedCount())
-		}
-		dst := make([]int, n)
-		checkMatching(t, d, 1, mt.MatchingInto(dst))
-
 		// Now delete random edges one at a time, repairing per row.
 		for step := 0; step < 3*n; step++ {
-			// Pick a random live edge (row with length > 0).
 			rows := make([]int, 0, n)
 			for i := 0; i < n; i++ {
-				if length[i] > 0 {
+				if p.w.length[i] > 0 {
 					rows = append(rows, i)
 				}
 			}
@@ -233,59 +385,69 @@ func TestMatcherExternalAdjacency(t *testing.T) {
 				break
 			}
 			u := rows[rng.Intn(len(rows))]
-			k := off[u] + int32(rng.Intn(int(length[u])))
-			v := int(dat[k])
-			// Swap-delete the edge from the live view.
-			last := off[u] + length[u] - 1
-			dat[k] = dat[last]
-			length[u]--
-			d.Set(u, v, 0)
-			mt.Unmatch(u, v)
-			// Per the AugmentRow contract: on a non-perfect matching a
-			// failed u-rooted search needs the RepairRematch fallback.
-			if !mt.AugmentRow(u) {
-				mt.RepairRematch()
+			p.deleteAndRepair(t, u, rng.Intn(int(p.w.length[u])))
+			if got, want := p.prod.MatchedCount(), BruteForceMaxMatching(SupportGraph(d)); got != want {
+				t.Fatalf("seq %d step %d: got %d want %d", seq, step, got, want)
 			}
-			got := mt.MatchedCount()
-			if want := BruteForceMaxMatching(SupportGraph(d)); got != want {
-				t.Fatalf("seq %d step %d: after deleting (%d,%d) got %d want %d",
-					seq, step, u, v, got, want)
-			}
-			checkMatching(t, d, 1, mt.MatchingInto(dst))
 		}
 	}
 }
 
+// FuzzAugmentRowVsReference drives the production Matcher and the
+// adjacency-scan reference through an arbitrary delete-and-repair
+// script on one shared view and requires identical matchings after
+// every step. The first byte sizes the graph (2–8 vertices a side),
+// the next n² bits are its edges, and each later byte deletes one live
+// edge: row byte%n, position byte/n modulo the row's length.
+func FuzzAugmentRowVsReference(f *testing.F) {
+	f.Add([]byte{1, 0xff, 0x01, 0x05, 0x12})
+	f.Add([]byte{2, 0xff, 0xff, 0xff, 0x00, 0x01, 0x02, 0x03, 0x04, 0x05})
+	f.Add([]byte{6, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x10, 0x21, 0x32, 0x43, 0x54, 0x65, 0x76, 0x87})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := 2 + int(data[0])%7
+		data = data[1:]
+		d := matrix.NewSquare(n)
+		for c := 0; c < n*n && c/8 < len(data); c++ {
+			if data[c/8]>>(c%8)&1 == 1 {
+				d.Set(c/n, c%n, 1)
+			}
+		}
+		p := newRefPair(t, d)
+		for _, b := range data[min(len(data), (n*n+7)/8):] {
+			u := int(b) % n
+			if ln := int(p.w.length[u]); ln > 0 {
+				p.deleteAndRepair(t, u, int(b)/n%ln)
+			}
+		}
+	})
+}
+
 // TestMatcherRepairRematch checks the bulk external-adjacency repair:
-// shrink the view arbitrarily (without telling the matcher which
-// edges died) and let RepairRematch rediscover a maximum matching.
+// shrink the view arbitrarily (without unmatching the edges that died)
+// and let RepairRematch rediscover a maximum matching.
 func TestMatcherRepairRematch(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for seq := 0; seq < 200; seq++ {
 		n := 2 + rng.Intn(5)
 		d := matrix.NewSquare(n)
-		off := make([]int32, n)
-		length := make([]int32, n)
-		dat := make([]int32, 0, n*n)
 		for i := 0; i < n; i++ {
-			off[i] = int32(len(dat))
 			for j := 0; j < n; j++ {
 				if rng.Intn(2) == 0 {
 					d.Set(i, j, 1)
-					dat = append(dat, int32(j))
 				}
 			}
-			length[i] = int32(len(dat)) - off[i]
 		}
+		w := newView(d)
 		mt := NewMatcher(n)
-		mt.SetAdjacency(off, length, dat)
+		w.install(mt)
 		mt.RepairRematch()
 		// Truncate random rows in place, then bulk-repair.
 		for i := 0; i < n; i++ {
-			for length[i] > 0 && rng.Intn(3) == 0 {
-				v := int(dat[off[i]+length[i]-1])
-				length[i]--
-				d.Set(i, v, 0)
+			for w.length[i] > 0 && rng.Intn(3) == 0 {
+				d.Set(i, w.deleteAt(i, int(w.length[i])-1), 0)
 			}
 		}
 		got := mt.RepairRematch()

@@ -20,8 +20,10 @@ import (
 // cancelled) units, so consecutive Plan calls run the Decomposer's
 // incremental Update repair instead of recomputing Algorithm 1 —
 // O(changed terms) instead of O(m·nnz) matchings per slot. A
-// registration grows the demand and forces the next Plan cold (the
-// warm matcher and term pool still carry over).
+// registration grows the demand and forces the next Plan cold. The
+// term pool carries over; no matching does, because a StrategyFirst
+// decomposition ends with every row unmatched, so the cold run solves
+// its first matching from scratch.
 //
 // The returned *bvn.Decomposition aliases the Decomposer's recycled
 // storage and is valid until the next Plan call. A Planner is NOT
