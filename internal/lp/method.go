@@ -46,11 +46,14 @@ func SolveWith(p *Problem, m Method) (*Solution, error) {
 }
 
 // Solver is the sparse pipeline with its memory: presolve scratch and
-// the reduced problem, the CSC column file, the LU factors, the eta
-// file and every dense work vector are kept from one Solve to the next
-// and resliced for the new problem, so solving a problem no larger than
-// an earlier one allocates only the returned Solution. The zero value
-// is ready; a Solver serves one solve at a time.
+// the reduced problem, the standard form by column (CSC) and by row,
+// the LU factors with their row-wise U and L reader index, the
+// factorization's reach bitmap, the eta file and every dense work
+// vector (duals, reduced costs, FTRAN columns) are kept from one Solve
+// to the next and resliced for the new problem, so solving a problem
+// no larger than an earlier one allocates only the returned Solution.
+// No value survives from one solve into the next one's arithmetic. The
+// zero value is ready; a Solver serves one solve at a time.
 type Solver struct {
 	pre presolver
 	rev revised

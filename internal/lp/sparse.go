@@ -1,13 +1,20 @@
 package lp
 
-// Revised simplex on a sparse (CSC) standard form. Where the dense
-// tableau in lp.go updates an m×(n+1) matrix on every pivot, the
-// revised method keeps only the original columns, the current basic
-// solution, and a factored basis (lu.go); each iteration does one
-// BTRAN (duals), one sparse pricing pass over the column file, one
-// FTRAN (entering column), and an O(m) basic-solution update. On the
-// interval-indexed coflow LPs — almost all unit entries — this is the
-// difference between O(m·n) and O(nnz) per iteration.
+// Revised simplex on a sparse standard form. Where the dense tableau
+// in lp.go updates an m×(n+1) matrix on every pivot, the revised method
+// keeps only the original matrix (by column for FTRAN and the ratio
+// test, by row for pricing), the current basic solution, and a factored
+// basis (lu.go); each iteration does one BTRAN (duals), one pricing
+// pass over the rows whose dual is nonzero, one FTRAN (entering
+// column), and an O(m) basic-solution update. On the interval-indexed
+// coflow LPs — almost all unit entries, most duals zero — this is the
+// difference between O(m·n) and well under O(nnz) per iteration.
+//
+// The kernels are hypersparse without changing the arithmetic: every
+// accumulator receives the products a dense-loop kernel would give it,
+// in the same order, less those whose multiplier is exactly zero. The
+// pivot path is that of the column-by-column and full-scan kernels kept
+// as oracles in reference_test.go.
 //
 // The solver mirrors the dense tableau's external contract so the two
 // stay interchangeable under the differential harness:
@@ -27,9 +34,10 @@ package lp
 import "math"
 
 // revised is the working state of the revised simplex. It lives inside
-// a Solver: load resizes every slice for the next problem and keeps the
-// memory, so a re-solve of a problem no larger than the last allocates
-// nothing.
+// a Solver: load resizes every slice — the column and row files, the
+// factors and their transposes, the eta file, the dense vectors — for
+// the next problem and keeps the memory, so a re-solve of a problem no
+// larger than the last allocates nothing.
 type revised struct {
 	obj []float64 // the problem's objective (not owned)
 	m   int       // constraint rows
@@ -44,6 +52,11 @@ type revised struct {
 	cols   []spCol
 	colInd []int
 	colVal []float64
+	// The same matrix by row, for pricing: row i is rowCol/rowVal
+	// [rowPtr[i]:rowPtr[i+1]], slack and artificial entries included.
+	rowPtr []int
+	rowCol []int
+	rowVal []float64
 	bVec   []float64 // normalized (non-negative, equilibrated) rhs
 
 	basis    []int // basis[i]: variable basic at position i
@@ -60,6 +73,7 @@ type revised struct {
 	y          []float64 // duals of the current basis, row coordinates
 	w          []float64 // FTRAN of the entering column, position coordinates
 	cost       []float64 // the running phase's cost vector
+	d          []float64 // reduced costs of the last pricing pass, every column
 	x          []float64 // structural values at the optimum
 
 	// Scratch of load and anyEnteringWithLeave.
@@ -117,6 +131,9 @@ func (r *revised) load(p *Problem) {
 	r.cols = grow(r.cols, r.nTotal)
 	r.colInd = grow(r.colInd, nnz+numSlack+numArt)
 	r.colVal = grow(r.colVal, nnz+numSlack+numArt)
+	r.rowPtr = grow(r.rowPtr, m+1)
+	r.rowCol = grow(r.rowCol, nnz+numSlack+numArt)
+	r.rowVal = grow(r.rowVal, nnz+numSlack+numArt)
 	r.bVec = grow(r.bVec, m)
 	r.basis = grow(r.basis, m)
 	r.basisPos = grow(r.basisPos, r.nTotal)
@@ -130,24 +147,33 @@ func (r *revised) load(p *Problem) {
 	r.y = grow(r.y, m)
 	r.w = grow(r.w, m)
 	r.cost = grow(r.cost, r.nTotal)
+	r.d = grow(r.d, r.nTotal)
 	r.x = grow(r.x, p.numVars)
 	r.blu.lu.reset(m)
 
 	// Each structural column fills its own stretch of the arenas row by
-	// row; unit column u sits at arena index nnz+u−nVar.
+	// row; unit column u sits at arena index nnz+u−nVar. The row file
+	// fills front to back.
 	off := 0
 	for v, n := range r.colCnt {
 		r.cols[v] = spCol{ind: r.colInd[off : off : off+n], val: r.colVal[off : off : off+n]}
 		off += n
 	}
+	nr := 0
+	emit := func(j int, val float64) {
+		r.rowCol[nr], r.rowVal[nr] = j, val
+		nr++
+	}
 	unit := func(pos, u int, val float64) {
 		at := nnz + u - r.nVar
 		r.colInd[at], r.colVal[at] = pos, val
 		r.cols[u] = spCol{ind: r.colInd[at : at+1], val: r.colVal[at : at+1]}
+		emit(u, val)
 	}
 
 	// Pass 2: accumulate each row densely (duplicate entries add, as
-	// in AddConstraint's contract), equilibrate, and emit CSC columns.
+	// in AddConstraint's contract), equilibrate, and emit the row's CSC
+	// entries and its row file.
 	r.acc = grow(r.acc, p.numVars)
 	acc, touched := r.acc, r.touched
 	slackIdx := p.numVars
@@ -181,6 +207,7 @@ func (r *revised) load(p *Problem) {
 			if c := acc[v]; c != 0 {
 				r.cols[v].ind = append(r.cols[v].ind, i)
 				r.cols[v].val = append(r.cols[v].val, c*inv)
+				emit(v, c*inv)
 			}
 			acc[v] = 0
 		}
@@ -201,6 +228,7 @@ func (r *revised) load(p *Problem) {
 			r.setBasic(i, artIdx)
 			artIdx++
 		}
+		r.rowPtr[i+1] = nr
 	}
 	r.touched = touched
 }
@@ -243,41 +271,49 @@ func (r *revised) duals(cost []float64) {
 	r.blu.btran(r.posScratch, r.y)
 }
 
-// reducedCost returns d_j = c_j − y·A_j for the current duals.
-func (r *revised) reducedCost(cost []float64, j int) float64 {
-	d := cost[j]
-	c := r.cols[j]
-	for i, row := range c.ind {
-		d -= c.val[i] * r.y[row]
-	}
-	return d
-}
-
-// price refreshes the duals and returns the entering column: the most
-// negative reduced cost (Dantzig) or the first negative one (Bland),
-// or -1 at optimality. worstReduced is left holding the most negative
-// reduced cost seen, for the unboundedness fallback.
+// price refreshes the duals and the reduced costs d = c − Aᵀy, and
+// returns the entering column: the most negative reduced cost (Dantzig)
+// or the first negative one (Bland), or -1 at optimality. worstReduced
+// is left holding the most negative reduced cost seen, for the
+// unboundedness fallback.
+//
+// The products run over the row file, only for the rows whose dual is
+// nonzero, in ascending row order: each d_j receives the terms of a
+// column-by-column c_j − Σ_i a_ij·y_i in that sum's order, less the
+// ones whose y_i is zero, so d_j is the same number up to the sign of a
+// zero. d is computed for basic and banned columns too; the scan
+// ignores them.
 func (r *revised) price(cost []float64, bland bool) int {
 	span := pkgObs.PriceSeconds.Start()
 	defer span.End()
 	r.duals(cost)
+	d := r.d
+	copy(d, cost)
+	for i, yi := range r.y {
+		if yi == 0 {
+			continue
+		}
+		cols, vals := r.rowCol[r.rowPtr[i]:r.rowPtr[i+1]], r.rowVal[r.rowPtr[i]:r.rowPtr[i+1]]
+		for t, j := range cols {
+			d[j] -= vals[t] * yi
+		}
+	}
 	best := -1
 	bestD := -epsReduced
 	r.worstReduced = 0
-	for j := 0; j < r.nTotal; j++ {
+	for j, dj := range d {
 		if r.banned[j] || r.basisPos[j] >= 0 {
 			continue
 		}
-		d := r.reducedCost(cost, j)
-		if d < r.worstReduced {
-			r.worstReduced = d
+		if dj < r.worstReduced {
+			r.worstReduced = dj
 		}
-		if d < -epsReduced {
+		if dj < -epsReduced {
 			if bland {
 				return j
 			}
-			if d < bestD {
-				best, bestD = j, d
+			if dj < bestD {
+				best, bestD = j, dj
 			}
 		}
 	}
@@ -307,15 +343,15 @@ func (r *revised) ratioTest(w []float64) int {
 // anyEnteringWithLeave scans every improving column, most negative
 // reduced cost first, for one admitting a ratio test (the dense
 // solver's pre-Unbounded fallback). The winning column's FTRAN is left
-// in r.w. Requires r.y to be current (price ran this iteration).
-func (r *revised) anyEnteringWithLeave(cost []float64) (enter, leave int) {
+// in r.w. Requires r.d to be current (price ran this iteration).
+func (r *revised) anyEnteringWithLeave() (enter, leave int) {
 	cands := r.cands[:0]
-	for j := 0; j < r.nTotal; j++ {
+	for j, dj := range r.d {
 		if r.banned[j] || r.basisPos[j] >= 0 {
 			continue
 		}
-		if d := r.reducedCost(cost, j); d < -epsReduced {
-			cands = append(cands, cand{j, d})
+		if dj < -epsReduced {
+			cands = append(cands, cand{j, dj})
 		}
 	}
 	r.cands = cands // keeps what append grew; the loop below only shrinks its view
@@ -379,7 +415,7 @@ func (r *revised) run(cost []float64, blandAfter int) (Status, int, error) {
 		r.ftranCol(enter, r.w)
 		leave := r.ratioTest(r.w)
 		if leave < 0 {
-			enter, leave = r.anyEnteringWithLeave(cost)
+			enter, leave = r.anyEnteringWithLeave()
 			if leave < 0 {
 				if r.worstReduced >= -looseReduced {
 					return Optimal, iters, nil

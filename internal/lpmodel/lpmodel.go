@@ -173,12 +173,15 @@ func buildIntervalLP(ins *coflowmodel.Instance, points func(T int64) []int64, ch
 		numVars += L - mod.lMin[k] + 1
 	}
 
-	// Objective and convexity rows: Σ_l x_l^(k) = 1.
+	// Objective and convexity rows: Σ_l x_l^(k) = 1. AddConstraint
+	// copies its entries, so every row of the LP is assembled in the one
+	// scratch slice.
 	prob := lp.NewProblem(numVars)
 	mod.prob = prob
+	var entries []lp.Entry
 	for k := 0; k < n; k++ {
 		w := ins.Coflows[k].Weight
-		entries := make([]lp.Entry, 0, L-mod.lMin[k]+1)
+		entries = entries[:0]
 		for l := mod.lMin[k]; l <= L; l++ {
 			prob.SetObjective(mod.x(k, l), w*float64(tau[l-1+charge]))
 			entries = append(entries, lp.Entry{Var: mod.x(k, l), Coef: 1})
@@ -199,7 +202,7 @@ func buildIntervalLP(ins *coflowmodel.Instance, points func(T int64) []int64, ch
 				if total <= tau[l] {
 					break // all longer intervals are slack too; an idle port has none
 				}
-				var entries []lp.Entry
+				entries = entries[:0]
 				for k := 0; k < n; k++ {
 					if load[k][port] == 0 {
 						continue

@@ -271,9 +271,12 @@ func TestSolverReuseMatchesFresh(t *testing.T) {
 
 // TestSolverSteadyStateDoesNotAllocate: the second solve of a problem
 // on a warmed Solver allocates its Solution and the X inside it, and
-// nothing else — cold or started, (LP) or (LP-EXP).
+// nothing else — cold or started, (LP) or (LP-EXP), at batch-lp's
+// 50 × 100 shape, and for a small problem on a Solver a large one
+// warmed.
 func TestSolverSteadyStateDoesNotAllocate(t *testing.T) {
-	for _, r := range goldenRelaxations()[1:] {
+	cases := append(goldenRelaxations(), relaxation{name: "batch-lp 50x100", ins: generated(50, 100, 9*1_000_003, 0)})
+	for _, r := range cases {
 		mod := r.model(t)
 		for _, start := range [][]int{nil, mod.greedyStart(r.ins)} {
 			var s lp.Solver
@@ -288,6 +291,22 @@ func TestSolverSteadyStateDoesNotAllocate(t *testing.T) {
 					r.name, len(start), allocs)
 			}
 		}
+	}
+	// Large then small on one Solver: every workspace slice the large
+	// solve grew serves the small one.
+	large, small := cases[len(cases)-1].model(t), cases[1].model(t)
+	var s lp.Solver
+	if _, err := s.Solve(large.prob, nil); err != nil {
+		t.Fatal(err)
+	}
+	solveSmall := func() {
+		if sol, err := s.Solve(small.prob, nil); err != nil || sol.Status != lp.Optimal {
+			t.Fatalf("%s after %s: %v %v", cases[1].name, cases[len(cases)-1].name, sol, err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(3, solveSmall); allocs > 2 {
+		t.Errorf("%s after %s: %v allocations per solve, want ≤ 2 (the Solution and its X)",
+			cases[1].name, cases[len(cases)-1].name, allocs)
 	}
 }
 
