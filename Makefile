@@ -23,10 +23,10 @@ check: lint escapecheck slowcheck scenarios smoke
 	$(MAKE) race
 
 # The race suites: every package that shares state between goroutines
-# or is called from one that does (lp and lpmodel for the pooled
-# lp.Solver, switchsim for its pooled executor: eight goroutines solve
-# and execute through them). This is the one copy of the list; the CI
-# race job runs this target.
+# or is called from one that does (lp and lpmodel for the resident
+# lp.Solver store, switchsim for its executor store: four goroutines
+# per slot solve and execute through them, more than the stores hold).
+# This is the one copy of the list; the CI race job runs this target.
 race:
 	go test -race ./internal/matrix/... ./internal/matching/... ./internal/obs/... ./internal/online/... ./internal/scenario/... ./internal/switchsim/... ./internal/daemon/... ./internal/shard/... ./internal/lp/... ./internal/lpmodel/...
 

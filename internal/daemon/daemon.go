@@ -730,9 +730,13 @@ func (d *Daemon) loop() {
 			lastTick = elapsed
 			latency.Observe(elapsed.Seconds())
 			// Only the coflows this slot served have a new Remaining;
-			// everything else's published status is still exact.
-			for _, a := range res.Served {
-				touched = append(touched, a.Key)
+			// everything else's published status is still exact. Served
+			// lists each coflow's assignments together, so one status per
+			// coflow is published however many pairs served it.
+			for i, a := range res.Served {
+				if i == 0 || a.Key != res.Served[i-1].Key {
+					touched = append(touched, a.Key)
+				}
 			}
 			d.obs.ticks.Inc()
 			d.obs.tickSeconds.Observe(elapsed.Seconds())

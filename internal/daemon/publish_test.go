@@ -162,6 +162,35 @@ func TestPublishedScheduleIsImmutable(t *testing.T) {
 	}
 }
 
+// A tick that serves one coflow on several pairs publishes one status
+// for it: the view's delta grows by one entry, not one per pair, on the
+// full-scan tick and on the replayed one after it.
+func TestTickPublishesOneStatusPerServedCoflow(t *testing.T) {
+	d := newTestDaemon(t, Config{Ports: 3, Policy: online.SEBF})
+	id, _, err := register(d, &coflowmodel.Registration{Flows: []coflowmodel.Flow{
+		{Src: 0, Dst: 1, Size: 3}, {Src: 1, Dst: 2, Size: 3}, {Src: 2, Dst: 0, Size: 3},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for remaining := int64(6); remaining >= 3; remaining -= 3 {
+		before := d.Snapshot().Coflows.n
+		if err := d.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		snap := d.Snapshot()
+		if len(snap.Schedule) != 3 {
+			t.Fatalf("slot %d served %v, want the coflow on its 3 pairs", snap.Slot, snap.Schedule)
+		}
+		if grew := snap.Coflows.n - before; grew != 1 {
+			t.Fatalf("slot %d: the published delta grew by %d entries, want 1", snap.Slot, grew)
+		}
+		if cs := snap.Coflows.Get(id); cs.Remaining != remaining {
+			t.Fatalf("slot %d: published remaining %d, want %d", snap.Slot, cs.Remaining, remaining)
+		}
+	}
+}
+
 // BenchmarkDaemonTick is one Tick() of a 64-port fabric holding a
 // standing backlog of 300–400 coflows, with all four rolling windows
 // full (default Window) and the planner off: Step plus publication.

@@ -1,7 +1,7 @@
 // Package lp implements a self-contained linear programming solver.
 // Solver — presolve, a sparse revised simplex, postsolve, and the memory
 // all three reuse from one solve to the next — is the solver callers
-// get, through SolveSparse / SolveSparseFrom and their pool (see
+// get, through SolveSparse / SolveSparseFrom and their store (see
 // method.go). Solve, in this file, is a
 // two-phase primal simplex on a dense tableau with Devex pricing and a
 // Bland's-rule fallback for anti-cycling: sequential, and kept as the

@@ -12,7 +12,7 @@ package lp
 
 import (
 	"fmt"
-	"sync"
+	"runtime"
 )
 
 // Method selects the simplex implementation used by SolveWith.
@@ -59,21 +59,34 @@ type Solver struct {
 	rev revised
 }
 
-// solvers lends SolveSparse and SolveSparseFrom their Solver; callers
-// solve concurrently, and the pool keeps at most one per P alive.
-var solvers = sync.Pool{New: func() any { return new(Solver) }}
+// solvers holds the idle resident Solvers: SolveSparseFrom takes one,
+// or builds one when none is idle, and keeps it afterwards if a slot is
+// free, else drops it. Unlike a sync.Pool, it is not emptied by garbage
+// collection, so a workspace is not rebuilt after every cycle. The
+// price is retention: at most GOMAXPROCS idle Solvers, each as large as
+// the largest problem it has solved.
+var solvers = make(chan *Solver, runtime.GOMAXPROCS(0))
 
-// SolveSparse solves p by presolve + revised simplex on a pooled
+// SolveSparse solves p by presolve + revised simplex on a resident
 // Solver, from the slack/artificial basis.
 func SolveSparse(p *Problem) (*Solution, error) {
 	return SolveSparseFrom(p, nil)
 }
 
-// SolveSparseFrom is Solver.Solve on a pooled Solver.
+// SolveSparseFrom is Solver.Solve on a resident Solver.
 func SolveSparseFrom(p *Problem, start []int) (*Solution, error) {
-	s := solvers.Get().(*Solver)
-	defer solvers.Put(s)
-	return s.Solve(p, start)
+	var s *Solver
+	select {
+	case s = <-solvers:
+	default:
+		s = new(Solver)
+	}
+	sol, err := s.Solve(p, start)
+	select {
+	case solvers <- s:
+	default:
+	}
+	return sol, err
 }
 
 // Solve solves p by presolve + revised simplex, reconstructing the

@@ -7,7 +7,7 @@ import "coflow/internal/obs"
 // one nil check per site. Hooks are package-level because callers reach
 // the solver through package functions (SolveSparseFrom from lpmodel's
 // shared solve path, which core, openshop and experiments all reach;
-// SolveWith from the benchmark) and the pooled Solver behind them is
+// SolveWith from the benchmark) and the resident Solver behind them is
 // not theirs to configure. Install them once at startup with SetObs.
 //
 // Stage taxonomy:

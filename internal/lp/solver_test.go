@@ -2,12 +2,13 @@ package lp
 
 // The start-basis seam of Solver, on hand-made problems: a start the
 // guard rejects leaves no trace in the answer, a start it accepts only
-// shortens the path, and pooled solvers are never shared. The tests on
+// shortens the path, and resident solvers are never shared. The tests on
 // real coflow LPs (reuse, steady-state allocations, the greedy vertex)
 // live in internal/lpmodel.
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -102,8 +103,10 @@ func TestStartNeverChangesTheVerdict(t *testing.T) {
 	}
 }
 
-// TestPooledSolversAreNotShared solves through the pool from eight
-// goroutines; `make race` runs it under the detector.
+// TestPooledSolversAreNotShared solves through the real store from
+// four goroutines per slot at once, so borrowers outnumber residents
+// and some returns find the store full; afterwards the store keeps no
+// more than its capacity. `make race` runs it under the detector.
 func TestPooledSolversAreNotShared(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	var problems []*Problem
@@ -116,11 +119,13 @@ func TestPooledSolversAreNotShared(t *testing.T) {
 		}
 		problems, want = append(problems, p), append(want, sol)
 	}
+	start := make(chan struct{})
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := 0; g < 4*cap(solvers); g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			<-start
 			for round := 0; round < 200; round++ {
 				i := (g*5 + round) % len(problems)
 				got, err := SolveSparse(problems[i])
@@ -131,5 +136,39 @@ func TestPooledSolversAreNotShared(t *testing.T) {
 			}
 		}(g)
 	}
+	close(start)
 	wg.Wait()
+	if n := len(solvers); n == 0 || n > cap(solvers) {
+		t.Fatalf("store holds %d idle Solvers after the burst, want 1 to %d", n, cap(solvers))
+	}
+}
+
+// TestResidentSolverSurvivesGC: two collections after SolveSparseFrom
+// solved a problem, solving it again allocates the Solution and its X,
+// as on a warmed Solver (TestSolverSteadyStateDoesNotAllocate in
+// lpmodel), not a fresh Solver's workspace, which a sync.Pool emptied by
+// the collections rebuilt.
+func TestResidentSolverSurvivesGC(t *testing.T) {
+	for len(solvers) > 0 { // one resident, so the second solve meets the first one's
+		<-solvers
+	}
+	// As in testing.AllocsPerRun: no other goroutine allocates meanwhile.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	p, start := twoJobs(), []int{1, 2}
+	solve := func() {
+		if sol, err := SolveSparseFrom(p, start); err != nil || sol.Status != Optimal {
+			t.Fatalf("%+v %v", sol, err)
+		}
+	}
+	solve()
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	solve()
+	runtime.ReadMemStats(&after)
+	if mallocs := after.Mallocs - before.Mallocs; mallocs > 2 {
+		t.Fatalf("SolveSparseFrom after two collections: %d allocations (%d B), want ≤ 2 (the Solution and its X)",
+			mallocs, after.TotalAlloc-before.TotalAlloc)
+	}
 }

@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -311,8 +312,10 @@ func TestSolverSteadyStateDoesNotAllocate(t *testing.T) {
 }
 
 // TestConcurrentSolvesShareThePool runs the production entry point from
-// eight goroutines at once (the experiments do); under -race this is
-// the proof that pooled solvers are never shared.
+// four goroutines per P at once (the experiments solve concurrently),
+// more borrowers than lp's store has slots; under -race this is the
+// proof that resident solvers are never shared. lp's
+// TestPooledSolversAreNotShared checks the store's capacity afterwards.
 func TestConcurrentSolvesShareThePool(t *testing.T) {
 	cases := startCases()
 	want := make([]*IntervalSolution, len(cases))
@@ -323,11 +326,13 @@ func TestConcurrentSolvesShareThePool(t *testing.T) {
 		}
 		want[i] = sol
 	}
+	start := make(chan struct{})
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := 0; g < 4*runtime.GOMAXPROCS(0); g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			<-start
 			for round := 0; round < 6; round++ {
 				i := (g + round) % 4
 				got, err := SolveIntervalLP(cases[i].ins)
@@ -342,5 +347,6 @@ func TestConcurrentSolvesShareThePool(t *testing.T) {
 			}
 		}(g)
 	}
+	close(start)
 	wg.Wait()
 }

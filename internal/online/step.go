@@ -93,9 +93,11 @@ type StepResult struct {
 	// Slot is the slot that was just served.
 	Slot int64
 	// Served lists the unit transfers of the slot (a matching: each
-	// ingress and each egress appears at most once). The slice aliases
-	// a State-owned buffer and is only valid until the next Step;
-	// callers that retain it must copy.
+	// ingress and each egress appears at most once), grouped by
+	// coflow: one coflow's assignments are contiguous, since the scan
+	// serves coflow by coflow and a replayed slot repeats that list.
+	// The slice aliases a State-owned buffer and is only valid until
+	// the next Step; callers that retain it must copy.
 	Served []Assignment
 	// Completed lists the keys of coflows whose last unit transferred
 	// in this slot. They are removed from the State. Like Served, the

@@ -309,3 +309,35 @@ func BenchmarkStepM100C500SEBF(b *testing.B) {
 		b.Fatalf("%d of %d iterations ran the full scan", got, b.N)
 	}
 }
+
+// Served lists each coflow's assignments contiguously, on full-scan
+// and replayed slots alike; the daemon publishes one status per run.
+func TestStepServedIsGroupedByCoflow(t *testing.T) {
+	o := NewObs(obs.NewRegistry())
+	ins := randomInstance(rand.New(rand.NewSource(11)), 8, 20, 12, 30)
+	s := NewState(ins.Ports)
+	s.SetObs(o)
+	for k, c := range ins.Coflows {
+		if _, err := s.Add(k, c.Weight, c.Release, c.Flows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	multi := false // some slot serves a coflow on several pairs
+	for slot := int64(1); s.Len() > 0; slot++ {
+		r := s.Step(slot, SEBF)
+		ended := map[int]bool{}
+		for i, a := range r.Served {
+			if i > 0 && a.Key != r.Served[i-1].Key {
+				ended[r.Served[i-1].Key] = true
+			}
+			multi = multi || i > 0 && a.Key == r.Served[i-1].Key
+			if ended[a.Key] {
+				t.Fatalf("slot %d: coflow %d served in two runs: %v", slot, a.Key, r.Served)
+			}
+		}
+	}
+	if o.Replays.Value() == 0 || o.FullScans.Value() == 0 || !multi {
+		t.Fatalf("%d replayed and %d full-scan slots, a coflow on several pairs: %v; all must occur",
+			o.Replays.Value(), o.FullScans.Value(), multi)
+	}
+}

@@ -17,7 +17,7 @@ import (
 //	stage    clearing one plan stage (release wait excluded):
 //	         decompose + serve all its terms
 type Obs struct {
-	// Decompose instruments the pooled executors' Decomposers; each
+	// Decompose instruments the resident executors' Decomposers; each
 	// plan load hands it over again, so SetObs reaches them all.
 	Decompose bvn.Obs
 

@@ -15,17 +15,18 @@
 // simulates one slot at a time, recording every unit transfer, and
 // doubles as the tests' cross-check of the block arithmetic.
 //
-// Both run on a resident executor lent by a package pool: its queues,
-// stage matrix and bvn.Decomposer are grown, not reallocated, from one
-// plan to the next, and a call allocates only what it returns. A
-// schedule is still a function of the plan alone: loading a plan
-// re-zeroes every array and Resets the Decomposer, whose warm matching
-// would otherwise steer the first stage by what ran before.
+// Both run on a resident executor borrowed from a package store that
+// garbage collection does not empty: its queues, stage matrix and
+// bvn.Decomposer are grown, not reallocated, from one plan to the next,
+// and a call allocates only what it returns. A schedule is still a
+// function of the plan alone: loading a plan re-zeroes every array and
+// Resets the Decomposer, whose warm matching would otherwise steer the
+// first stage by what ran before.
 package switchsim
 
 import (
 	"fmt"
-	"sync"
+	"runtime"
 
 	"coflow/internal/bvn"
 	"coflow/internal/coflowmodel"
@@ -105,9 +106,13 @@ type executor struct {
 	dec   *bvn.Decomposer
 }
 
-// executors lends Execute and ExecuteRecorded their executor; callers
-// run concurrently, and the pool keeps at most one per P alive.
-var executors = sync.Pool{New: func() any { return new(executor) }}
+// executors holds the idle resident executors: newExecutor takes one,
+// or builds one when none is idle, and release keeps it if a slot is
+// free, else drops it. Unlike a sync.Pool, it is not emptied by garbage
+// collection, so queues and Decomposer are not rebuilt after every
+// cycle. The price is retention: at most GOMAXPROCS idle executors,
+// each as large as the largest plan it has run.
+var executors = make(chan *executor, runtime.GOMAXPROCS(0))
 
 // grow returns s resliced to n zeroed elements, allocating only when
 // its capacity is short.
@@ -130,10 +135,15 @@ func (e *executor) decompose(d *matrix.Matrix) (*bvn.Decomposition, error) {
 	return e.dec.DecomposeWith(d, e.plan.Strategy)
 }
 
-// newExecutor takes an executor from the pool and loads plan into it.
+// newExecutor takes an executor from the store and loads plan into it.
 // The caller releases it on every path.
 func newExecutor(plan *Plan) (*executor, error) {
-	e := executors.Get().(*executor)
+	var e *executor
+	select {
+	case e = <-executors:
+	default:
+		e = new(executor)
+	}
 	if err := e.load(plan); err != nil {
 		e.release()
 		return nil, err
@@ -141,10 +151,13 @@ func newExecutor(plan *Plan) (*executor, error) {
 	return e, nil
 }
 
-// release returns e to the pool holding nothing of the caller's.
+// release returns e to the store holding nothing of the caller's.
 func (e *executor) release() {
 	e.plan = nil
-	executors.Put(e)
+	select {
+	case executors <- e:
+	default:
+	}
 }
 
 // load checks plan and rebuilds e's state for it in the storage the
