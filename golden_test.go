@@ -11,7 +11,7 @@ import (
 
 	"coflow"
 	"coflow/internal/core"
-	"coflow/internal/lp"
+	"coflow/internal/lp/dense"
 	"coflow/internal/lpmodel"
 )
 
@@ -113,7 +113,7 @@ func goldenSchedule(t *testing.T, ins *coflow.Instance) []goldenRun {
 func TestGoldenSparseLP(t *testing.T) {
 	for name, ins := range goldenInstances(t) {
 		t.Run(name, func(t *testing.T) {
-			ref, err := lpmodel.SolveIntervalLPWith(ins, lp.MethodDense)
+			ref, err := lpmodel.SolveIntervalLPWith(ins, dense.Solve)
 			if err != nil {
 				t.Fatalf("dense reference LP: %v", err)
 			}
@@ -124,7 +124,7 @@ func TestGoldenSparseLP(t *testing.T) {
 				{"HLP+grouping", coflow.Options{Ordering: coflow.OrderLP, Grouping: true}},
 				{"HLP+grouping+backfill", coflow.Options{Ordering: coflow.OrderLP, Grouping: true, Backfill: true}},
 			} {
-				dense, err := core.ExecuteOrdered(ins, ref.Order, b.opts)
+				oracle, err := core.ExecuteOrdered(ins, ref.Order, b.opts)
 				if err != nil {
 					t.Fatalf("%s dense: %v", b.name, err)
 				}
@@ -132,17 +132,17 @@ func TestGoldenSparseLP(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s sparse: %v", b.name, err)
 				}
-				if sparse.TotalWeighted != dense.TotalWeighted || sparse.Makespan != dense.Makespan {
+				if sparse.TotalWeighted != oracle.TotalWeighted || sparse.Makespan != oracle.Makespan {
 					t.Fatalf("%s: sparse LP changed objective/makespan: %.0f/%d vs %.0f/%d",
-						b.name, sparse.TotalWeighted, sparse.Makespan, dense.TotalWeighted, dense.Makespan)
+						b.name, sparse.TotalWeighted, sparse.Makespan, oracle.TotalWeighted, oracle.Makespan)
 				}
-				if !reflect.DeepEqual(sparse.Order, dense.Order) {
+				if !reflect.DeepEqual(sparse.Order, oracle.Order) {
 					t.Fatalf("%s: sparse LP changed the HLP order: %v vs %v",
-						b.name, sparse.Order, dense.Order)
+						b.name, sparse.Order, oracle.Order)
 				}
-				if !reflect.DeepEqual(sparse.Completion, dense.Completion) {
+				if !reflect.DeepEqual(sparse.Completion, oracle.Completion) {
 					t.Fatalf("%s: sparse LP changed per-coflow completions: %v vs %v",
-						b.name, sparse.Completion, dense.Completion)
+						b.name, sparse.Completion, oracle.Completion)
 				}
 			}
 		})

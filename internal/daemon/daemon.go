@@ -657,8 +657,10 @@ func (d *Daemon) loop() {
 		o.publishSeconds.Observe(time.Since(start).Seconds())
 	}
 
+	// complete records ci's completion. Both callers — the tick that
+	// served ci last, a zero-demand registration — have already touched
+	// it, so its status is published once.
 	complete := func(ci *coflowInfo, at int64) {
-		touched = append(touched, ci.id)
 		ci.completed = at
 		completedN++
 		totalWC += ci.weight * float64(at)

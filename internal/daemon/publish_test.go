@@ -164,7 +164,9 @@ func TestPublishedScheduleIsImmutable(t *testing.T) {
 
 // A tick that serves one coflow on several pairs publishes one status
 // for it: the view's delta grows by one entry, not one per pair, on the
-// full-scan tick and on the replayed one after it.
+// full-scan tick, on the replayed one after it and on the tick that
+// completes it. A zero-demand registration, which completes at once,
+// publishes one status too.
 func TestTickPublishesOneStatusPerServedCoflow(t *testing.T) {
 	d := newTestDaemon(t, Config{Ports: 3, Policy: online.SEBF})
 	id, _, err := register(d, &coflowmodel.Registration{Flows: []coflowmodel.Flow{
@@ -173,7 +175,8 @@ func TestTickPublishesOneStatusPerServedCoflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for remaining := int64(6); remaining >= 3; remaining -= 3 {
+	// The last tick completes the coflow it serves: still one status.
+	for remaining := int64(6); remaining >= 0; remaining -= 3 {
 		before := d.Snapshot().Coflows.n
 		if err := d.Tick(); err != nil {
 			t.Fatal(err)
@@ -188,6 +191,22 @@ func TestTickPublishesOneStatusPerServedCoflow(t *testing.T) {
 		if cs := snap.Coflows.Get(id); cs.Remaining != remaining {
 			t.Fatalf("slot %d: published remaining %d, want %d", snap.Slot, cs.Remaining, remaining)
 		}
+	}
+	if cs := d.Snapshot().Coflows.Get(id); cs.State != "completed" {
+		t.Fatalf("after the last tick: %+v, want completed", cs)
+	}
+	// A zero-demand registration completes as it registers: one status.
+	before := d.Snapshot().Coflows.n
+	zero, _, err := register(d, &coflowmodel.Registration{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := d.Snapshot()
+	if grew := snap.Coflows.n - before; grew != 1 {
+		t.Fatalf("zero-demand registration: the published delta grew by %d entries, want 1", grew)
+	}
+	if cs := snap.Coflows.Get(zero); cs.State != "completed" {
+		t.Fatalf("zero-demand registration published %+v, want completed", cs)
 	}
 }
 

@@ -32,6 +32,8 @@ var testOnly = []struct {
 		"the 12 ordering × case combinations of §4 that the validation sweeps range over"},
 	{"internal/exact/exact.go", []string{"Solve", "FeasibleDeadlines"},
 		"exhaustive optimum: the oracle above the LP bounds and the §1.1 permutation-schedule witness"},
+	{"internal/lp/dense/dense.go", []string{"Solve"},
+		"the dense-tableau oracle the revised simplex is checked against (differential sweeps, FuzzSparseVsDense, TestGoldenSparseLP); production has one simplex"},
 	{"internal/lpmodel/lpmodel.go", []string{"TrivialLowerBound"},
 		"Σ w(r+ρ), the floor under the LP bounds; pinned by TestTrivialLowerBound"},
 	{"internal/matching/matching.go", []string{"BruteForceMaxMatching", "HallViolator", "MaxMatchingSize", "PerfectOnSupport"},

@@ -1,4 +1,4 @@
-package lp
+package lp_test
 
 // Differential harness: the sparse pipeline (presolve + revised
 // simplex) is checked against the dense tableau — the same oracle
@@ -17,6 +17,10 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"coflow/internal/lp"
+	"coflow/internal/lp/dense"
+	"coflow/internal/obs"
 )
 
 // diffObjTol is the relative objective agreement required between the
@@ -29,73 +33,75 @@ const diffObjTol = 1e-6
 // the solver skips what it cannot seat — so minimization keeps it as it
 // is while rows and columns go. Instances where either solver hits its
 // iteration cap are skipped (no verdict to compare).
-func compareSparseDense(p *Problem, start []int) string {
-	dense, err := Solve(p)
+func compareSparseDense(p *lp.Problem, start []int) string {
+	oracle, err := dense.Solve(p, nil)
 	if err != nil {
 		return fmt.Sprintf("dense solver error: %v", err)
 	}
-	sparse, err := SolveSparseFrom(p, start)
+	sparse, err := lp.SolveSparseFrom(p, start)
 	if err != nil {
 		return fmt.Sprintf("sparse solver error: %v", err)
 	}
-	if dense.Status == IterLimit || sparse.Status == IterLimit {
+	if oracle.Status == lp.IterLimit || sparse.Status == lp.IterLimit {
 		return ""
 	}
-	if dense.Status != sparse.Status {
-		return fmt.Sprintf("status: dense=%v sparse=%v", dense.Status, sparse.Status)
+	if oracle.Status != sparse.Status {
+		return fmt.Sprintf("status: dense=%v sparse=%v", oracle.Status, sparse.Status)
 	}
-	if dense.Status != Optimal {
+	if oracle.Status != lp.Optimal {
 		return ""
 	}
-	if diff := math.Abs(dense.Objective - sparse.Objective); diff > diffObjTol*(1+math.Abs(dense.Objective)) {
+	if diff := math.Abs(oracle.Objective - sparse.Objective); diff > diffObjTol*(1+math.Abs(oracle.Objective)) {
 		return fmt.Sprintf("objective: dense=%.12g sparse=%.12g (diff %.3g)",
-			dense.Objective, sparse.Objective, diff)
+			oracle.Objective, sparse.Objective, diff)
 	}
-	if err := CheckFeasible(p, sparse.X, 1e-5); err != nil {
+	if err := lp.CheckFeasible(p, sparse.X, 1e-5); err != nil {
 		return fmt.Sprintf("sparse solution infeasible on original problem: %v", err)
 	}
 	return ""
 }
 
 // cloneWithoutRow copies p minus row drop.
-func cloneWithoutRow(p *Problem, drop int) *Problem {
-	np := NewProblem(p.numVars)
-	copy(np.obj, p.obj)
-	for i, r := range p.rows {
-		if i == drop {
-			continue
+func cloneWithoutRow(p *lp.Problem, drop int) *lp.Problem {
+	np := lp.NewProblem(p.NumVars())
+	for v := 0; v < p.NumVars(); v++ {
+		np.SetObjective(v, p.Cost(v))
+	}
+	for i := 0; i < p.NumConstraints(); i++ {
+		if i != drop {
+			np.AddConstraint(p.Row(i))
 		}
-		np.AddConstraint(r.entries, r.sense, r.rhs)
 	}
 	return np
 }
 
 // cloneWithoutVar copies p minus variable drop (entries removed,
 // later variables renumbered). Returns nil when p has one variable.
-func cloneWithoutVar(p *Problem, drop int) *Problem {
-	if p.numVars <= 1 {
+func cloneWithoutVar(p *lp.Problem, drop int) *lp.Problem {
+	if p.NumVars() <= 1 {
 		return nil
 	}
-	np := NewProblem(p.numVars - 1)
-	for v, c := range p.obj {
-		switch {
-		case v < drop:
-			np.obj[v] = c
-		case v > drop:
-			np.obj[v-1] = c
+	renumber := func(v int) int {
+		if v > drop {
+			return v - 1
+		}
+		return v
+	}
+	np := lp.NewProblem(p.NumVars() - 1)
+	for v := 0; v < p.NumVars(); v++ {
+		if v != drop {
+			np.SetObjective(renumber(v), p.Cost(v))
 		}
 	}
-	for _, r := range p.rows {
-		entries := make([]Entry, 0, len(r.entries))
-		for _, e := range r.entries {
-			switch {
-			case e.Var < drop:
-				entries = append(entries, e)
-			case e.Var > drop:
-				entries = append(entries, Entry{Var: e.Var - 1, Coef: e.Coef})
+	for i := 0; i < p.NumConstraints(); i++ {
+		row, sense, rhs := p.Row(i)
+		entries := make([]lp.Entry, 0, len(row))
+		for _, e := range row {
+			if e.Var != drop {
+				entries = append(entries, lp.Entry{Var: renumber(e.Var), Coef: e.Coef})
 			}
 		}
-		np.AddConstraint(entries, r.sense, r.rhs)
+		np.AddConstraint(entries, sense, rhs)
 	}
 	return np
 }
@@ -103,10 +109,10 @@ func cloneWithoutVar(p *Problem, drop int) *Problem {
 // minimizeDivergence greedily drops rows, then variables, keeping
 // every removal that preserves some divergence. The result is the
 // reproducer that gets dumped.
-func minimizeDivergence(p *Problem, start []int) *Problem {
+func minimizeDivergence(p *lp.Problem, start []int) *lp.Problem {
 	for changed := true; changed; {
 		changed = false
-		for i := 0; i < len(p.rows); i++ {
+		for i := 0; i < p.NumConstraints(); i++ {
 			np := cloneWithoutRow(p, i)
 			if compareSparseDense(np, start) != "" {
 				p = np
@@ -114,7 +120,7 @@ func minimizeDivergence(p *Problem, start []int) *Problem {
 				i--
 			}
 		}
-		for v := 0; v < p.numVars; v++ {
+		for v := 0; v < p.NumVars(); v++ {
 			np := cloneWithoutVar(p, v)
 			if np == nil {
 				continue
@@ -131,16 +137,16 @@ func minimizeDivergence(p *Problem, start []int) *Problem {
 
 // reproducer renders p as MPS (%.17g, so ReadMPS gives back the same
 // problem bit for bit) under a comment block that carries div.
-func reproducer(p *Problem, div string) ([]byte, error) {
+func reproducer(p *lp.Problem, div string) ([]byte, error) {
 	var buf bytes.Buffer
 	fmt.Fprintf(&buf, "* %s\n", strings.ReplaceAll(div, "\n", "\n* "))
-	err := WriteMPS(&buf, p, "divergence")
+	err := lp.WriteMPS(&buf, p, "divergence")
 	return buf.Bytes(), err
 }
 
 // dumpDivergence minimizes p and writes an MPS reproducer under
 // testdata/failures, returning its path (best effort: "" on error).
-func dumpDivergence(t *testing.T, p *Problem, div string) string {
+func dumpDivergence(t *testing.T, p *lp.Problem, div string) string {
 	t.Helper()
 	min := minimizeDivergence(p, nil)
 	minDiv := compareSparseDense(min, nil)
@@ -157,7 +163,7 @@ func dumpDivergence(t *testing.T, p *Problem, div string) string {
 		t.Logf("reproducer encode: %v", err)
 		return ""
 	}
-	path := filepath.Join(dir, fmt.Sprintf("divergence_%dv_%dr.mps", min.numVars, len(min.rows)))
+	path := filepath.Join(dir, fmt.Sprintf("divergence_%dv_%dr.mps", min.NumVars(), min.NumConstraints()))
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Logf("reproducer write: %v", err)
 		return ""
@@ -167,7 +173,7 @@ func dumpDivergence(t *testing.T, p *Problem, div string) string {
 
 // requireAgreement fails the test with a minimized reproducer when the
 // two solvers diverge on p.
-func requireAgreement(t *testing.T, p *Problem, label string) {
+func requireAgreement(t *testing.T, p *lp.Problem, label string) {
 	t.Helper()
 	div := compareSparseDense(p, nil)
 	if div == "" {
@@ -175,44 +181,6 @@ func requireAgreement(t *testing.T, p *Problem, label string) {
 	}
 	path := dumpDivergence(t, p, div)
 	t.Fatalf("%s: sparse/dense divergence: %s (reproducer: %s)", label, div, path)
-}
-
-// randomProblem generates a random sparse LP shaped to exercise every
-// row reduction and status path: small integer-ish coefficients (ties and
-// degeneracy), mixed senses, occasional empty/singleton rows,
-// duplicate entries, and negative right-hand sides.
-func randomProblem(rng *rand.Rand) *Problem {
-	numVars := 1 + rng.Intn(10)
-	numRows := rng.Intn(12)
-	p := NewProblem(numVars)
-	for v := 0; v < numVars; v++ {
-		switch rng.Intn(4) {
-		case 0: // zero cost: columns only their rows say anything about
-		default:
-			p.SetObjective(v, float64(rng.Intn(11)-5)/2)
-		}
-	}
-	for i := 0; i < numRows; i++ {
-		sense := Sense(rng.Intn(3))
-		rhs := float64(rng.Intn(21)-8) / 2
-		var entries []Entry
-		switch rng.Intn(10) {
-		case 0: // empty row
-		case 1: // singleton row
-			entries = append(entries, Entry{Var: rng.Intn(numVars), Coef: float64(rng.Intn(9)-4) / 2})
-		default:
-			nnz := 1 + rng.Intn(numVars)
-			for k := 0; k < nnz; k++ {
-				coef := float64(rng.Intn(9)-4) / 2
-				if coef == 0 {
-					coef = 1
-				}
-				entries = append(entries, Entry{Var: rng.Intn(numVars), Coef: coef})
-			}
-		}
-		p.AddConstraint(entries, sense, rhs)
-	}
-	return p
 }
 
 // TestSparseVsDenseRandomSweep is the random-LP half of the seeded
@@ -224,18 +192,18 @@ func TestSparseVsDenseRandomSweep(t *testing.T) {
 		instances = 160
 	}
 	rng := rand.New(rand.NewSource(9))
-	statuses := map[Status]int{}
+	statuses := map[lp.Status]int{}
 	for n := 0; n < instances; n++ {
-		p := randomProblem(rng)
+		p := lp.RandomProblem(rng)
 		requireAgreement(t, p, fmt.Sprintf("instance %d", n))
-		sol, err := Solve(p)
+		sol, err := dense.Solve(p, nil)
 		if err != nil {
 			t.Fatalf("instance %d: %v", n, err)
 		}
 		statuses[sol.Status]++
 	}
 	// The sweep is only meaningful if it exercises every verdict.
-	for _, s := range []Status{Optimal, Infeasible, Unbounded} {
+	for _, s := range []lp.Status{lp.Optimal, lp.Infeasible, lp.Unbounded} {
 		if statuses[s] == 0 {
 			t.Errorf("sweep never produced status %v (got %v)", s, statuses)
 		}
@@ -249,7 +217,7 @@ func TestSparseVsDenseRandomSweep(t *testing.T) {
 // many column names in −1..numVars, so out-of-range and duplicate names
 // occur. Input that ends before the start (every seed older than the
 // start seam) solves cold.
-func decodeFuzzProblem(data []byte) (*Problem, []int) {
+func decodeFuzzProblem(data []byte) (*lp.Problem, []int) {
 	if len(data) < 2 {
 		return nil, nil
 	}
@@ -264,16 +232,16 @@ func decodeFuzzProblem(data []byte) (*Problem, []int) {
 	}
 	numVars := 1 + int(next())%8
 	numRows := int(next()) % 10
-	p := NewProblem(numVars)
+	p := lp.NewProblem(numVars)
 	for i := 0; i < numRows; i++ {
-		sense := Sense(int(next()) % 3)
+		sense := lp.Sense(int(next()) % 3)
 		rhs := float64(int(next())-128) / 8
 		nnz := int(next()) % (numVars + 1)
-		entries := make([]Entry, 0, nnz)
+		entries := make([]lp.Entry, 0, nnz)
 		for k := 0; k < nnz; k++ {
 			v := int(next()) % numVars
 			coef := float64(int(next())-128) / 16
-			entries = append(entries, Entry{Var: v, Coef: coef})
+			entries = append(entries, lp.Entry{Var: v, Coef: coef})
 		}
 		p.AddConstraint(entries, sense, rhs)
 	}
@@ -317,4 +285,27 @@ func FuzzSparseVsDense(f *testing.F) {
 			t.Fatalf("sparse/dense divergence from start %v, minimized problem:\n%s", start, out)
 		}
 	})
+}
+
+// TestStartNeverChangesTheVerdict sweeps random problems with random
+// starts: status and optimum are the cold solve's.
+func TestStartNeverChangesTheVerdict(t *testing.T) {
+	o := lp.NewObs(obs.NewRegistry())
+	lp.SetObs(o)
+	defer lp.SetObs(lp.Obs{})
+	rng := rand.New(rand.NewSource(31))
+	for n := 0; n < 400; n++ {
+		p := lp.RandomProblem(rng)
+		start := make([]int, rng.Intn(p.NumVars()+2))
+		for i := range start {
+			start[i] = rng.Intn(p.NumVars()+2) - 1
+		}
+		if div := compareSparseDense(p, start); div != "" {
+			t.Fatalf("instance %d, start %v: %s", n, start, div)
+		}
+	}
+	if o.StartInstalled.Value() == 0 || o.StartDiscarded.Value() == 0 {
+		t.Errorf("sweep installed %d columns and discarded %d starts; both outcomes must occur",
+			o.StartInstalled.Value(), o.StartDiscarded.Value())
+	}
 }

@@ -42,7 +42,7 @@ type spCol struct {
 }
 
 // errSingular reports a numerically singular basis; the caller
-// refactorizes or falls back to the dense solver.
+// refactorizes, or Solver.solve restarts cold or reports it.
 var errSingular = errors.New("lp: singular basis")
 
 const (

@@ -1,48 +1,30 @@
 package lp
 
 // The presolve + revised-simplex pipeline (presolve.go, sparse.go) is
-// the production solver: lpmodel's SolveIntervalLP/SolveTimeIndexedLP
-// always call it. Presolve drops rows and shifts variables but keeps
-// every column in place, so the simplex's X is the caller's X moved by
-// a constant per variable. The dense tableau (lp.go) solves the same problem
-// class with the same status contract and stays for two jobs only: the
-// sequential reference the differential tests and goldens compare
-// against, and SolveSparse's fallback on numerical breakdown. Method
-// exists so those tests and the benchmark can name either solver.
+// the one solver: lpmodel's SolveIntervalLP/SolveTimeIndexedLP always
+// call it. Presolve drops rows and shifts variables but keeps every
+// column in place, so the simplex's X is the caller's X moved by a
+// constant per variable. A breakdown of the revised simplex on a run
+// from a seated start basis restarts it once from the cold basis; any
+// other breakdown is returned as an error. Method exists so the tests
+// can hand the dense oracle (internal/lp/dense) to the paths that take
+// a solver, and the benchmark can name this one.
 
 import (
 	"fmt"
 	"runtime"
 )
 
-// Method selects the simplex implementation used by SolveWith.
-type Method int
+// Method is a solver: it solves p from the start basis start (nil:
+// cold), which it may ignore.
+type Method func(p *Problem, start []int) (*Solution, error)
 
-const (
-	// MethodDense is the two-phase dense tableau simplex, the
-	// reference and fallback.
-	MethodDense Method = iota
-	// MethodSparse is presolve + sparse revised simplex with LU/eta
-	// basis updates, the production path.
-	MethodSparse
-)
+// MethodSparse is SolveSparseFrom, the production solver.
+var MethodSparse Method = SolveSparseFrom
 
-func (m Method) String() string {
-	switch m {
-	case MethodDense:
-		return "dense"
-	case MethodSparse:
-		return "sparse"
-	}
-	return fmt.Sprintf("Method(%d)", int(m))
-}
-
-// SolveWith dispatches Solve (dense) or SolveSparse by method.
+// SolveWith solves p cold with m.
 func SolveWith(p *Problem, m Method) (*Solution, error) {
-	if m == MethodSparse {
-		return SolveSparse(p)
-	}
-	return Solve(p)
+	return m(p, nil)
 }
 
 // Solver is the sparse pipeline with its memory: presolve scratch and
@@ -67,12 +49,6 @@ type Solver struct {
 // the largest problem it has solved.
 var solvers = make(chan *Solver, runtime.GOMAXPROCS(0))
 
-// SolveSparse solves p by presolve + revised simplex on a resident
-// Solver, from the slack/artificial basis.
-func SolveSparse(p *Problem) (*Solution, error) {
-	return SolveSparseFrom(p, nil)
-}
-
 // SolveSparseFrom is Solver.Solve on a resident Solver.
 func SolveSparseFrom(p *Problem, start []int) (*Solution, error) {
 	var s *Solver
@@ -90,12 +66,14 @@ func SolveSparseFrom(p *Problem, start []int) (*Solution, error) {
 }
 
 // Solve solves p by presolve + revised simplex, reconstructing the
-// full primal solution through postsolve. It honors the same status
-// contract as the dense Solve; on numerical breakdown in the sparse
-// basis handling (rare; counted by the SparseFallbacks metric) it
-// transparently falls back to the dense solver so callers never see
-// the difference. Fallback or not, one call is one Solves increment
-// and one SolveSeconds observation.
+// full primal solution through postsolve. Infeasibility, unboundedness
+// and the iteration cap are reported via Status; the error is non-nil
+// for a structurally invalid problem and for numerical breakdown in the
+// sparse basis handling. A breakdown on a run from a seated start basis
+// is retried once from the cold basis (counted by the SparseFallbacks
+// metric), and the answer is then the cold solve's; a breakdown of a
+// cold run or of that restart is the error. Restart or not, one call is
+// one Solves increment and one SolveSeconds observation.
 //
 // start, when not empty, names structural columns of p to make basic
 // before the first pivot — a vertex the caller believes near-optimal.
@@ -111,7 +89,7 @@ func (s *Solver) Solve(p *Problem, start []int) (*Solution, error) {
 }
 
 // solve is Solve with the revised-simplex stage passed in, so a test
-// can make it fail and reach the fallback branch.
+// can make it break down and reach the restart and the error.
 func (s *Solver) solve(p *Problem, start []int, simplex func(*revised, *Problem, []int) (Status, int, error)) (*Solution, error) {
 	if p == nil || p.numVars == 0 {
 		return nil, ErrBadProblem
@@ -119,7 +97,6 @@ func (s *Solver) solve(p *Problem, start []int, simplex func(*revised, *Problem,
 	solveSpan := pkgObs.SolveSeconds.Start()
 	defer func() {
 		pkgObs.Solves.Inc()
-		pkgObs.SparseSolves.Inc()
 		solveSpan.End()
 	}()
 
@@ -133,9 +110,14 @@ func (s *Solver) solve(p *Problem, start []int, simplex func(*revised, *Problem,
 	}
 
 	status, iters, err := simplex(&s.rev, ps.Reduced(), start)
-	if err != nil {
+	if err != nil && s.rev.warm {
+		// The start led the arithmetic astray; a cold run does not
+		// depend on it.
 		pkgObs.SparseFallbacks.Inc()
-		return solveDense(p), nil
+		status, iters, err = simplex(&s.rev, ps.Reduced(), nil)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("lp: revised simplex broke down: %w", err)
 	}
 	if status != Optimal {
 		return &Solution{Status: status, X: make([]float64, p.numVars), Iterations: iters}, nil

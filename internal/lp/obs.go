@@ -2,7 +2,7 @@ package lp
 
 import "coflow/internal/obs"
 
-// Obs instruments the simplex solvers. Every field is a nil-safe obs
+// Obs instruments the solver. Every field is a nil-safe obs
 // metric; the zero value (the default) disables them at the cost of
 // one nil check per site. Hooks are package-level because callers reach
 // the solver through package functions (SolveSparseFrom from lpmodel's
@@ -12,34 +12,29 @@ import "coflow/internal/obs"
 //
 // Stage taxonomy:
 //
-//	solve          one whole Solve/SolveSparse call
-//	setup          tableau construction, including row equilibration
-//	equilibration  the row-scaling pass alone (subset of setup)
-//	phase1         feasibility phase (minimize artificial sum)
-//	phase2         optimality phase (minimize the real objective)
-//	presolve       the reduction loop ahead of the revised simplex
-//	factorize      one sparse LU (re)factorization of the basis
-//	price          one pricing pass (BTRAN + reduced costs)
-//	update         one basis change (xB update + eta push)
+//	solve      one whole Solver.Solve call, a cold restart included
+//	phase1     feasibility phase (minimize artificial sum)
+//	phase2     optimality phase (minimize the real objective)
+//	presolve   the reduction loop ahead of the revised simplex
+//	factorize  one sparse LU (re)factorization of the basis
+//	price      one pricing pass (BTRAN + reduced costs)
+//	update     one basis change (xB update + eta push)
 type Obs struct {
-	SolveSeconds         *obs.Histogram
-	SetupSeconds         *obs.Histogram
-	EquilibrationSeconds *obs.Histogram
-	Phase1Seconds        *obs.Histogram
-	Phase2Seconds        *obs.Histogram
-	PresolveSeconds      *obs.Histogram
-	FactorizeSeconds     *obs.Histogram
-	PriceSeconds         *obs.Histogram
-	UpdateSeconds        *obs.Histogram
+	SolveSeconds     *obs.Histogram
+	Phase1Seconds    *obs.Histogram
+	Phase2Seconds    *obs.Histogram
+	PresolveSeconds  *obs.Histogram
+	FactorizeSeconds *obs.Histogram
+	PriceSeconds     *obs.Histogram
+	UpdateSeconds    *obs.Histogram
 
 	Solves *obs.Counter
-	// Pivots counts simplex iterations (phase 1 + phase 2, both
-	// solvers).
+	// Pivots counts simplex iterations (phase 1 + phase 2, a broken
+	// run's included).
 	Pivots *obs.Counter
-	// SparseSolves counts SolveSparse calls (a subset of Solves).
-	SparseSolves *obs.Counter
-	// SparseFallbacks counts sparse solves that hit numerical
-	// breakdown and transparently re-ran on the dense oracle.
+	// SparseFallbacks counts cold restarts: solves whose run from a
+	// seated start basis broke down numerically and re-ran from the
+	// cold basis.
 	SparseFallbacks *obs.Counter
 	// StartInstalled counts the columns of caller-supplied start bases
 	// that were seated and kept; StartDiscarded counts the starts that
@@ -68,20 +63,17 @@ func SetObs(o Obs) { pkgObs = o }
 // returns the wired Obs. A nil registry yields the zero Obs.
 func NewObs(r *obs.Registry) Obs {
 	return Obs{
-		SolveSeconds:         r.Histogram("coflow_lp_solve_seconds", "latency of one simplex solve", obs.LatencyBuckets),
-		SetupSeconds:         r.Histogram("coflow_lp_setup_seconds", "latency of tableau construction", obs.LatencyBuckets),
-		EquilibrationSeconds: r.Histogram("coflow_lp_equilibration_seconds", "latency of the row-equilibration pass", obs.LatencyBuckets),
-		Phase1Seconds:        r.Histogram("coflow_lp_phase1_seconds", "latency of the feasibility phase", obs.LatencyBuckets),
-		Phase2Seconds:        r.Histogram("coflow_lp_phase2_seconds", "latency of the optimality phase", obs.LatencyBuckets),
-		PresolveSeconds:      r.Histogram("coflow_lp_presolve_seconds", "latency of the presolve reduction loop", obs.LatencyBuckets),
-		FactorizeSeconds:     r.Histogram("coflow_lp_factorize_seconds", "latency of one sparse basis LU factorization", obs.LatencyBuckets),
-		PriceSeconds:         r.Histogram("coflow_lp_price_seconds", "latency of one revised-simplex pricing pass", obs.LatencyBuckets),
-		UpdateSeconds:        r.Histogram("coflow_lp_update_seconds", "latency of one revised-simplex basis update", obs.LatencyBuckets),
+		SolveSeconds:     r.Histogram("coflow_lp_solve_seconds", "latency of one simplex solve", obs.LatencyBuckets),
+		Phase1Seconds:    r.Histogram("coflow_lp_phase1_seconds", "latency of the feasibility phase", obs.LatencyBuckets),
+		Phase2Seconds:    r.Histogram("coflow_lp_phase2_seconds", "latency of the optimality phase", obs.LatencyBuckets),
+		PresolveSeconds:  r.Histogram("coflow_lp_presolve_seconds", "latency of the presolve reduction loop", obs.LatencyBuckets),
+		FactorizeSeconds: r.Histogram("coflow_lp_factorize_seconds", "latency of one sparse basis LU factorization", obs.LatencyBuckets),
+		PriceSeconds:     r.Histogram("coflow_lp_price_seconds", "latency of one revised-simplex pricing pass", obs.LatencyBuckets),
+		UpdateSeconds:    r.Histogram("coflow_lp_update_seconds", "latency of one revised-simplex basis update", obs.LatencyBuckets),
 
 		Solves:          r.Counter("coflow_lp_solves_total", "simplex solves run"),
 		Pivots:          r.Counter("coflow_lp_pivots_total", "simplex pivots across all solves"),
-		SparseSolves:    r.Counter("coflow_lp_sparse_solves_total", "sparse (presolve + revised simplex) solves run"),
-		SparseFallbacks: r.Counter("coflow_lp_sparse_fallbacks_total", "sparse solves that fell back to the dense oracle"),
+		SparseFallbacks: r.Counter("coflow_lp_sparse_fallbacks_total", "solves restarted cold after a breakdown from a start basis"),
 		StartInstalled:  r.Counter("coflow_lp_start_installed_total", "start-basis columns seated and kept"),
 		StartDiscarded:  r.Counter("coflow_lp_start_discarded_total", "start bases dropped for the cold basis"),
 

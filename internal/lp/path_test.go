@@ -50,3 +50,41 @@ func TestRandomSolvePathPinned(t *testing.T) {
 		t.Fatalf("solve paths changed: digest %s, want %s", got, randomPathDigestWant)
 	}
 }
+
+// randomProblem generates a random sparse LP shaped to exercise every
+// row reduction and status path: small integer-ish coefficients (ties and
+// degeneracy), mixed senses, occasional empty/singleton rows,
+// duplicate entries, and negative right-hand sides.
+func randomProblem(rng *rand.Rand) *Problem {
+	numVars := 1 + rng.Intn(10)
+	numRows := rng.Intn(12)
+	p := NewProblem(numVars)
+	for v := 0; v < numVars; v++ {
+		switch rng.Intn(4) {
+		case 0: // zero cost: columns only their rows say anything about
+		default:
+			p.SetObjective(v, float64(rng.Intn(11)-5)/2)
+		}
+	}
+	for i := 0; i < numRows; i++ {
+		sense := Sense(rng.Intn(3))
+		rhs := float64(rng.Intn(21)-8) / 2
+		var entries []Entry
+		switch rng.Intn(10) {
+		case 0: // empty row
+		case 1: // singleton row
+			entries = append(entries, Entry{Var: rng.Intn(numVars), Coef: float64(rng.Intn(9)-4) / 2})
+		default:
+			nnz := 1 + rng.Intn(numVars)
+			for k := 0; k < nnz; k++ {
+				coef := float64(rng.Intn(9)-4) / 2
+				if coef == 0 {
+					coef = 1
+				}
+				entries = append(entries, Entry{Var: rng.Intn(numVars), Coef: coef})
+			}
+		}
+		p.AddConstraint(entries, sense, rhs)
+	}
+	return p
+}

@@ -1,4 +1,4 @@
-package lp
+package lp_test
 
 // Presolve reduction tests. The load-bearing properties: postsolve
 // lifts a solution of the reduced problem to one that passes
@@ -14,49 +14,52 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+
+	"coflow/internal/lp"
+	"coflow/internal/lp/dense"
 )
 
 // presolveAndSolve runs the full sparse pipeline by hand — presolve,
 // dense-solve the reduced problem, postsolve — so tests can inspect
 // each stage.
-func presolveAndSolve(t *testing.T, p *Problem) (*Presolved, Status, []float64) {
+func presolveAndSolve(t *testing.T, p *lp.Problem) (*lp.Presolved, lp.Status, []float64) {
 	t.Helper()
-	ps, err := Presolve(p)
+	ps, err := lp.Presolve(p)
 	if err != nil {
 		t.Fatalf("presolve: %v", err)
 	}
 	if ps.Decided() {
-		return ps, Infeasible, nil
+		return ps, lp.Infeasible, nil
 	}
-	sol, err := Solve(ps.Reduced())
+	sol, err := dense.Solve(ps.Reduced(), nil)
 	if err != nil {
 		t.Fatalf("solve reduced: %v", err)
 	}
-	if sol.Status != Optimal {
+	if sol.Status != lp.Optimal {
 		return ps, sol.Status, nil
 	}
 	x, err := ps.Postsolve(sol.X)
 	if err != nil {
 		t.Fatalf("postsolve: %v", err)
 	}
-	return ps, Optimal, x
+	return ps, lp.Optimal, x
 }
 
 // checkAgainstOriginal asserts the postsolved x is feasible on the
 // original problem and matches the dense oracle's optimal objective.
-func checkAgainstOriginal(t *testing.T, p *Problem, x []float64) {
+func checkAgainstOriginal(t *testing.T, p *lp.Problem, x []float64) {
 	t.Helper()
-	if err := CheckFeasible(p, x, 1e-6); err != nil {
+	if err := lp.CheckFeasible(p, x, 1e-6); err != nil {
 		t.Fatalf("postsolved solution infeasible on original: %v", err)
 	}
-	oracle, err := Solve(p)
+	oracle, err := dense.Solve(p, nil)
 	if err != nil {
 		t.Fatalf("oracle: %v", err)
 	}
-	if oracle.Status != Optimal {
+	if oracle.Status != lp.Optimal {
 		t.Fatalf("oracle status = %v, want optimal", oracle.Status)
 	}
-	got := Objective(p, x)
+	got := lp.Objective(p, x)
 	if diff := math.Abs(got - oracle.Objective); diff > 1e-6*(1+math.Abs(oracle.Objective)) {
 		t.Fatalf("objective after postsolve = %.12g, oracle = %.12g", got, oracle.Objective)
 	}
@@ -64,7 +67,7 @@ func checkAgainstOriginal(t *testing.T, p *Problem, x []float64) {
 
 // wantReduced asserts the exact shape of the reduced problem: every
 // original column, the given shifts, and exactly the given rows.
-func wantReduced(t *testing.T, ps *Presolved, shift []float64, rows ...row) {
+func wantReduced(t *testing.T, ps *lp.Presolved, shift []float64, rows ...wantRow) {
 	t.Helper()
 	red := ps.Reduced()
 	if red == nil {
@@ -80,32 +83,44 @@ func wantReduced(t *testing.T, ps *Presolved, shift []float64, rows ...row) {
 	if !slices.Equal(got, shift) {
 		t.Errorf("shift = %v, want %v", got, shift)
 	}
-	if !reflect.DeepEqual(red.rows, rows) {
-		t.Errorf("reduced rows = %+v, want %+v", red.rows, rows)
+	var gotRows []wantRow
+	for i := 0; i < red.NumConstraints(); i++ {
+		entries, sense, rhs := red.Row(i)
+		gotRows = append(gotRows, wantRow{entries, sense, rhs})
 	}
+	if !reflect.DeepEqual(gotRows, rows) {
+		t.Errorf("reduced rows = %+v, want %+v", gotRows, rows)
+	}
+}
+
+// wantRow is a row of a reduced problem as Problem.Row returns it.
+type wantRow struct {
+	entries []lp.Entry
+	sense   lp.Sense
+	rhs     float64
 }
 
 func TestPresolveReductions(t *testing.T) {
 	cases := []struct {
 		name  string
-		build func() *Problem
+		build func() *lp.Problem
 		// wantStatus is the expected final verdict of the pipeline.
-		wantStatus Status
+		wantStatus lp.Status
 		// fired asserts on the presolve run: its stats and, where the
 		// case pins it, the shape of the reduced problem.
-		fired func(t *testing.T, ps *Presolved)
+		fired func(t *testing.T, ps *lp.Presolved)
 	}{
 		{
 			name: "empty row redundant",
-			build: func() *Problem {
-				p := NewProblem(1)
+			build: func() *lp.Problem {
+				p := lp.NewProblem(1)
 				p.SetObjective(0, 1)
-				p.AddConstraint(nil, LE, 5)
-				p.AddConstraint([]Entry{{0, 1}}, GE, 2)
+				p.AddConstraint(nil, lp.LE, 5)
+				p.AddConstraint([]lp.Entry{{0, 1}}, lp.GE, 2)
 				return p
 			},
-			wantStatus: Optimal,
-			fired: func(t *testing.T, ps *Presolved) {
+			wantStatus: lp.Optimal,
+			fired: func(t *testing.T, ps *lp.Presolved) {
 				s := ps.Stats()
 				if s.EmptyRows == 0 {
 					t.Errorf("EmptyRows = 0, want > 0 (stats %+v)", s)
@@ -114,35 +129,35 @@ func TestPresolveReductions(t *testing.T) {
 		},
 		{
 			name: "empty row infeasible",
-			build: func() *Problem {
-				p := NewProblem(1)
-				p.AddConstraint(nil, GE, 3)
+			build: func() *lp.Problem {
+				p := lp.NewProblem(1)
+				p.AddConstraint(nil, lp.GE, 3)
 				return p
 			},
-			wantStatus: Infeasible,
+			wantStatus: lp.Infeasible,
 		},
 		{
 			name: "empty row infeasible via negative LE",
-			build: func() *Problem {
-				p := NewProblem(1)
-				p.AddConstraint(nil, LE, -2)
+			build: func() *lp.Problem {
+				p := lp.NewProblem(1)
+				p.AddConstraint(nil, lp.LE, -2)
 				return p
 			},
-			wantStatus: Infeasible,
+			wantStatus: lp.Infeasible,
 		},
 		{
 			name: "singleton row becomes bound",
-			build: func() *Problem {
+			build: func() *lp.Problem {
 				// min -x0 s.t. 2·x0 ≤ 6 → x0 = 3.
-				p := NewProblem(2)
+				p := lp.NewProblem(2)
 				p.SetObjective(0, -1)
 				p.SetObjective(1, 1)
-				p.AddConstraint([]Entry{{0, 2}}, LE, 6)
-				p.AddConstraint([]Entry{{0, 1}, {1, 1}}, GE, 1)
+				p.AddConstraint([]lp.Entry{{0, 2}}, lp.LE, 6)
+				p.AddConstraint([]lp.Entry{{0, 1}, {1, 1}}, lp.GE, 1)
 				return p
 			},
-			wantStatus: Optimal,
-			fired: func(t *testing.T, ps *Presolved) {
+			wantStatus: lp.Optimal,
+			fired: func(t *testing.T, ps *lp.Presolved) {
 				s := ps.Stats()
 				if s.SingletonRows == 0 {
 					t.Errorf("SingletonRows = 0, want > 0 (stats %+v)", s)
@@ -151,63 +166,63 @@ func TestPresolveReductions(t *testing.T) {
 		},
 		{
 			name: "singleton equality fixes variable",
-			build: func() *Problem {
+			build: func() *lp.Problem {
 				// 3·x0 = 6 pins x0 = 2: shifted by 2 and capped by x0′ ≤ 0,
 				// the column stays and the other row is restated.
-				p := NewProblem(2)
+				p := lp.NewProblem(2)
 				p.SetObjective(1, 1)
-				p.AddConstraint([]Entry{{0, 3}}, EQ, 6)
-				p.AddConstraint([]Entry{{0, 1}, {1, 1}}, GE, 5)
+				p.AddConstraint([]lp.Entry{{0, 3}}, lp.EQ, 6)
+				p.AddConstraint([]lp.Entry{{0, 1}, {1, 1}}, lp.GE, 5)
 				return p
 			},
-			wantStatus: Optimal,
-			fired: func(t *testing.T, ps *Presolved) {
+			wantStatus: lp.Optimal,
+			fired: func(t *testing.T, ps *lp.Presolved) {
 				if s := ps.Stats(); s.SingletonRows != 1 {
 					t.Errorf("SingletonRows = %d, want 1 (stats %+v)", s.SingletonRows, s)
 				}
 				wantReduced(t, ps, []float64{2, 0},
-					row{[]Entry{{0, 1}, {1, 1}}, GE, 3},
-					row{[]Entry{{0, 1}}, LE, 0})
+					wantRow{[]lp.Entry{{0, 1}, {1, 1}}, lp.GE, 3},
+					wantRow{[]lp.Entry{{0, 1}}, lp.LE, 0})
 			},
 		},
 		{
 			name: "contradictory singleton bounds infeasible",
-			build: func() *Problem {
-				p := NewProblem(1)
-				p.AddConstraint([]Entry{{0, 1}}, GE, 4)
-				p.AddConstraint([]Entry{{0, 1}}, LE, 1)
+			build: func() *lp.Problem {
+				p := lp.NewProblem(1)
+				p.AddConstraint([]lp.Entry{{0, 1}}, lp.GE, 4)
+				p.AddConstraint([]lp.Entry{{0, 1}}, lp.LE, 1)
 				return p
 			},
-			wantStatus: Infeasible,
+			wantStatus: lp.Infeasible,
 		},
 		{
 			name: "bound tightening detects infeasibility",
-			build: func() *Problem {
+			build: func() *lp.Problem {
 				// x0 + x1 ≤ 1 caps both at 1, so x0 + 2·x1 ≥ 4 cannot be
 				// met. No singleton row says so: presolve passes the rows
 				// on and the simplex delivers the verdict.
-				p := NewProblem(2)
-				p.AddConstraint([]Entry{{0, 1}, {1, 1}}, LE, 1)
-				p.AddConstraint([]Entry{{0, 1}, {1, 2}}, GE, 4)
+				p := lp.NewProblem(2)
+				p.AddConstraint([]lp.Entry{{0, 1}, {1, 1}}, lp.LE, 1)
+				p.AddConstraint([]lp.Entry{{0, 1}, {1, 2}}, lp.GE, 4)
 				return p
 			},
-			wantStatus: Infeasible,
+			wantStatus: lp.Infeasible,
 		},
 		{
 			name: "redundant row dropped under enforced bounds",
-			build: func() *Problem {
+			build: func() *lp.Problem {
 				// x0 ≤ 2 and x1 ≤ 3 are enforced singleton bounds, so
 				// x0 + x1 ≤ 100 can never bind and is dropped.
-				p := NewProblem(2)
+				p := lp.NewProblem(2)
 				p.SetObjective(0, -1)
 				p.SetObjective(1, -1)
-				p.AddConstraint([]Entry{{0, 1}}, LE, 2)
-				p.AddConstraint([]Entry{{1, 1}}, LE, 3)
-				p.AddConstraint([]Entry{{0, 1}, {1, 1}}, LE, 100)
+				p.AddConstraint([]lp.Entry{{0, 1}}, lp.LE, 2)
+				p.AddConstraint([]lp.Entry{{1, 1}}, lp.LE, 3)
+				p.AddConstraint([]lp.Entry{{0, 1}, {1, 1}}, lp.LE, 100)
 				return p
 			},
-			wantStatus: Optimal,
-			fired: func(t *testing.T, ps *Presolved) {
+			wantStatus: lp.Optimal,
+			fired: func(t *testing.T, ps *lp.Presolved) {
 				s := ps.Stats()
 				if s.RedundantRows == 0 {
 					t.Errorf("RedundantRows = 0, want > 0 (stats %+v)", s)
@@ -216,38 +231,38 @@ func TestPresolveReductions(t *testing.T) {
 		},
 		{
 			name: "all presolved away",
-			build: func() *Problem {
+			build: func() *lp.Problem {
 				// Both variables pinned by equalities: no original row is
 				// left, only the two x′ ≤ 0 caps.
-				p := NewProblem(2)
+				p := lp.NewProblem(2)
 				p.SetObjective(0, 3)
 				p.SetObjective(1, -2)
-				p.AddConstraint([]Entry{{0, 1}}, EQ, 4)
-				p.AddConstraint([]Entry{{1, 2}}, EQ, 6)
+				p.AddConstraint([]lp.Entry{{0, 1}}, lp.EQ, 4)
+				p.AddConstraint([]lp.Entry{{1, 2}}, lp.EQ, 6)
 				return p
 			},
-			wantStatus: Optimal,
-			fired: func(t *testing.T, ps *Presolved) {
+			wantStatus: lp.Optimal,
+			fired: func(t *testing.T, ps *lp.Presolved) {
 				if s := ps.Stats(); s.SingletonRows != 2 {
 					t.Errorf("SingletonRows = %d, want 2 (stats %+v)", s.SingletonRows, s)
 				}
 				wantReduced(t, ps, []float64{4, 3},
-					row{[]Entry{{0, 1}}, LE, 0},
-					row{[]Entry{{1, 1}}, LE, 0})
+					wantRow{[]lp.Entry{{0, 1}}, lp.LE, 0},
+					wantRow{[]lp.Entry{{1, 1}}, lp.LE, 0})
 			},
 		},
 		{
 			name: "no rows at all",
-			build: func() *Problem {
+			build: func() *lp.Problem {
 				// Nothing to reduce: the reduced problem is the original,
 				// three columns and zero rows, and the simplex puts x at 0.
-				p := NewProblem(3)
+				p := lp.NewProblem(3)
 				p.SetObjective(0, 1)
 				p.SetObjective(2, 2)
 				return p
 			},
-			wantStatus: Optimal,
-			fired: func(t *testing.T, ps *Presolved) {
+			wantStatus: lp.Optimal,
+			fired: func(t *testing.T, ps *lp.Presolved) {
 				if s := ps.Stats(); s.Total() != 0 {
 					t.Errorf("Total = %d, want 0 (stats %+v)", s.Total(), s)
 				}
@@ -265,11 +280,11 @@ func TestPresolveReductions(t *testing.T) {
 			if tc.fired != nil {
 				tc.fired(t, ps)
 			}
-			if status == Optimal {
+			if status == lp.Optimal {
 				checkAgainstOriginal(t, p, x)
 			} else {
 				// The oracle must agree the problem has no optimum.
-				oracle, err := Solve(p)
+				oracle, err := dense.Solve(p, nil)
 				if err != nil {
 					t.Fatalf("oracle: %v", err)
 				}
@@ -289,62 +304,62 @@ func TestPresolveReductions(t *testing.T) {
 func TestPresolveKeepsColumns(t *testing.T) {
 	type named struct {
 		name string
-		p    *Problem
+		p    *lp.Problem
 	}
 	var problems []named
 
 	// 3·x0 = 6 fixes x0.
-	p := NewProblem(2)
+	p := lp.NewProblem(2)
 	p.SetObjective(1, 1)
-	p.AddConstraint([]Entry{{0, 3}}, EQ, 6)
-	p.AddConstraint([]Entry{{0, 1}, {1, 1}}, GE, 5)
+	p.AddConstraint([]lp.Entry{{0, 3}}, lp.EQ, 6)
+	p.AddConstraint([]lp.Entry{{0, 1}, {1, 1}}, lp.GE, 5)
 	problems = append(problems, named{"singleton equality", p})
 
 	// x0 and x2 appear in no row.
-	p = NewProblem(3)
+	p = lp.NewProblem(3)
 	p.SetObjective(0, 1)
 	p.SetObjective(1, 1)
 	p.SetObjective(2, 2)
-	p.AddConstraint([]Entry{{1, 1}}, GE, 1)
+	p.AddConstraint([]lp.Entry{{1, 1}}, lp.GE, 1)
 	problems = append(problems, named{"empty column", p})
 
 	// x0 has zero cost and appears only in the first GE row with a
 	// positive coefficient, so it could absorb any residual.
-	p = NewProblem(3)
+	p = lp.NewProblem(3)
 	p.SetObjective(1, 2)
 	p.SetObjective(2, 1)
-	p.AddConstraint([]Entry{{0, 1}, {1, 1}}, GE, 2)
-	p.AddConstraint([]Entry{{1, 1}, {2, 1}}, GE, 3)
+	p.AddConstraint([]lp.Entry{{0, 1}, {1, 1}}, lp.GE, 2)
+	p.AddConstraint([]lp.Entry{{1, 1}, {2, 1}}, lp.GE, 3)
 	problems = append(problems, named{"free column singleton", p})
 
 	// x0 appears only in x0 + x1 + x2 = 10, and x1 ≤ 2, x2 ≤ 3 keep the
 	// value the row gives it inside its bounds.
-	p = NewProblem(3)
+	p = lp.NewProblem(3)
 	p.SetObjective(0, 1)
 	p.SetObjective(1, -1)
 	p.SetObjective(2, 2)
-	p.AddConstraint([]Entry{{0, 1}, {1, 1}, {2, 1}}, EQ, 10)
-	p.AddConstraint([]Entry{{1, 1}}, LE, 2)
-	p.AddConstraint([]Entry{{2, 1}}, LE, 3)
+	p.AddConstraint([]lp.Entry{{0, 1}, {1, 1}, {2, 1}}, lp.EQ, 10)
+	p.AddConstraint([]lp.Entry{{1, 1}}, lp.LE, 2)
+	p.AddConstraint([]lp.Entry{{2, 1}}, lp.LE, 3)
 	problems = append(problems, named{"free column singleton in an equality", p})
 
 	// x0 + x1 ≤ 0 with x ≥ 0 forces x0 = x1 = 0.
-	p = NewProblem(3)
+	p = lp.NewProblem(3)
 	p.SetObjective(0, -5)
 	p.SetObjective(1, -5)
 	p.SetObjective(2, 1)
-	p.AddConstraint([]Entry{{0, 1}, {1, 1}}, LE, 0)
-	p.AddConstraint([]Entry{{0, 1}, {2, 1}}, GE, 2)
+	p.AddConstraint([]lp.Entry{{0, 1}, {1, 1}}, lp.LE, 0)
+	p.AddConstraint([]lp.Entry{{0, 1}, {2, 1}}, lp.GE, 2)
 	problems = append(problems, named{"forcing row", p})
 
 	handWritten := len(problems)
 	rng := rand.New(rand.NewSource(11))
 	for n := 0; n < 300; n++ {
-		problems = append(problems, named{fmt.Sprintf("random %d", n), randomProblem(rng)})
+		problems = append(problems, named{fmt.Sprintf("random %d", n), lp.RandomProblem(rng)})
 	}
 
 	for i, tc := range problems {
-		ps, err := Presolve(tc.p)
+		ps, err := lp.Presolve(tc.p)
 		if err != nil {
 			t.Fatalf("%s: presolve: %v", tc.name, err)
 		}
@@ -380,7 +395,7 @@ func TestPresolveKeepsColumns(t *testing.T) {
 		if i < handWritten {
 			// The column stays, and the optimum is still the oracle's.
 			_, status, x := presolveAndSolve(t, tc.p)
-			if status != Optimal {
+			if status != lp.Optimal {
 				t.Fatalf("%s: status = %v, want optimal", tc.name, status)
 			}
 			checkAgainstOriginal(t, tc.p, x)
@@ -395,26 +410,26 @@ func TestPresolveKeepsColumns(t *testing.T) {
 func TestPresolvePostsolveProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for n := 0; n < 300; n++ {
-		p := randomProblem(rng)
-		oracle, err := Solve(p)
+		p := lp.RandomProblem(rng)
+		oracle, err := dense.Solve(p, nil)
 		if err != nil {
 			t.Fatalf("instance %d: oracle: %v", n, err)
 		}
 		ps, status, x := presolveAndSolve(t, p)
-		if oracle.Status == IterLimit || status == IterLimit {
+		if oracle.Status == lp.IterLimit || status == lp.IterLimit {
 			continue
 		}
 		if status != oracle.Status {
 			t.Fatalf("instance %d: pipeline status %v, oracle %v (stats %+v)",
 				n, status, oracle.Status, ps.Stats())
 		}
-		if status != Optimal {
+		if status != lp.Optimal {
 			continue
 		}
-		if err := CheckFeasible(p, x, 1e-5); err != nil {
+		if err := lp.CheckFeasible(p, x, 1e-5); err != nil {
 			t.Fatalf("instance %d: postsolved solution infeasible: %v", n, err)
 		}
-		got := Objective(p, x)
+		got := lp.Objective(p, x)
 		if diff := math.Abs(got - oracle.Objective); diff > 1e-6*(1+math.Abs(oracle.Objective)) {
 			t.Fatalf("instance %d: objective %.12g, oracle %.12g", n, got, oracle.Objective)
 		}
@@ -423,7 +438,7 @@ func TestPresolvePostsolveProperty(t *testing.T) {
 
 // TestPresolveStatsTotal keeps the aggregate helper honest.
 func TestPresolveStatsTotal(t *testing.T) {
-	s := PresolveStats{EmptyRows: 1, SingletonRows: 2, RedundantRows: 3, Passes: 9}
+	s := lp.PresolveStats{EmptyRows: 1, SingletonRows: 2, RedundantRows: 3, Passes: 9}
 	if got := s.Total(); got != 6 {
 		t.Fatalf("Total = %d, want 6 (rows removed; passes excluded)", got)
 	}
@@ -431,7 +446,7 @@ func TestPresolveStatsTotal(t *testing.T) {
 
 // TestPresolveRejectsBadInput mirrors Solve's ErrBadProblem contract.
 func TestPresolveRejectsBadInput(t *testing.T) {
-	if _, err := Presolve(nil); err == nil {
+	if _, err := lp.Presolve(nil); err == nil {
 		t.Fatal("Presolve(nil) succeeded")
 	}
 }

@@ -2,9 +2,10 @@ package lp
 
 // The start-basis seam of Solver, on hand-made problems: a start the
 // guard rejects leaves no trace in the answer, a start it accepts only
-// shortens the path, and resident solvers are never shared. The tests on
-// real coflow LPs (reuse, steady-state allocations, the greedy vertex)
-// live in internal/lpmodel.
+// shortens the path, and resident solvers are never shared. The sweep of
+// random starts against the dense oracle is in differential_test.go; the
+// tests on real coflow LPs (reuse, steady-state allocations, the greedy
+// vertex) live in internal/lpmodel.
 
 import (
 	"math/rand"
@@ -80,29 +81,6 @@ func TestGarbageStartIsDiscarded(t *testing.T) {
 	}
 }
 
-// TestStartNeverChangesTheVerdict sweeps random problems with random
-// starts: status and optimum are the cold solve's.
-func TestStartNeverChangesTheVerdict(t *testing.T) {
-	o := NewObs(obs.NewRegistry())
-	SetObs(o)
-	defer SetObs(Obs{})
-	rng := rand.New(rand.NewSource(31))
-	for n := 0; n < 400; n++ {
-		p := randomProblem(rng)
-		start := make([]int, rng.Intn(p.numVars+2))
-		for i := range start {
-			start[i] = rng.Intn(p.numVars+2) - 1
-		}
-		if div := compareSparseDense(p, start); div != "" {
-			t.Fatalf("instance %d, start %v: %s", n, start, div)
-		}
-	}
-	if o.StartInstalled.Value() == 0 || o.StartDiscarded.Value() == 0 {
-		t.Errorf("sweep installed %d columns and discarded %d starts; both outcomes must occur",
-			o.StartInstalled.Value(), o.StartDiscarded.Value())
-	}
-}
-
 // TestPooledSolversAreNotShared solves through the real store from
 // four goroutines per slot at once, so borrowers outnumber residents
 // and some returns find the store full; afterwards the store keeps no
@@ -128,7 +106,7 @@ func TestPooledSolversAreNotShared(t *testing.T) {
 			<-start
 			for round := 0; round < 200; round++ {
 				i := (g*5 + round) % len(problems)
-				got, err := SolveSparse(problems[i])
+				got, err := SolveSparseFrom(problems[i], nil)
 				if err != nil || !sameSolution(got, want[i]) {
 					t.Errorf("goroutine %d, problem %d: %+v %v, alone %+v", g, i, got, err, want[i])
 					return

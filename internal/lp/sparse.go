@@ -1,12 +1,12 @@
 package lp
 
-// Revised simplex on a sparse standard form. Where the dense tableau
-// in lp.go updates an m×(n+1) matrix on every pivot, the revised method
-// keeps only the original matrix (by column for FTRAN and the ratio
-// test, by row for pricing), the current basic solution, and a factored
-// basis (lu.go); each iteration does one BTRAN (duals), one pricing
-// pass over the rows whose dual is nonzero, one FTRAN (entering
-// column), and an O(m) basic-solution update. On the interval-indexed
+// Revised simplex on a sparse standard form. Where the dense oracle
+// (internal/lp/dense) updates an m×(n+1) tableau on every pivot, the
+// revised method keeps only the original matrix (by column for FTRAN
+// and the ratio test, by row for pricing), the current basic solution,
+// and a factored basis (lu.go); each iteration does one BTRAN (duals),
+// one pricing pass over the rows whose dual is nonzero, one FTRAN
+// (entering column), and an O(m) basic-solution update. On the interval-indexed
 // coflow LPs — almost all unit entries, most duals zero — this is the
 // difference between O(m·n) and well under O(nnz) per iteration.
 //
@@ -16,7 +16,7 @@ package lp
 // pivot path is that of the column-by-column and full-scan kernels kept
 // as oracles in reference_test.go.
 //
-// The solver mirrors the dense tableau's external contract so the two
+// The solver mirrors the dense oracle's external contract so the two
 // stay interchangeable under the differential harness:
 //
 //   - identical standard-form construction (rhs sign normalization,
@@ -62,6 +62,7 @@ type revised struct {
 	basis    []int // basis[i]: variable basic at position i
 	basisPos []int // basisPos[v]: position of v, -1 when nonbasic
 	cold     []int // the slack/artificial basis, kept while a start is seated
+	warm     bool  // the last solve ran from a seated start basis
 	banned   []bool
 	xB       []float64 // basic variable values, position coordinates
 
@@ -399,8 +400,8 @@ func (r *revised) pivot(leave, enter int, w []float64) error {
 
 // run iterates pivots under cost to optimality; the Status follows the
 // dense solver's contract exactly. A non-nil error means numerical
-// breakdown (singular refactorization) and the caller should fall back
-// to the dense solver.
+// breakdown (singular refactorization); Solver.solve decides whether a
+// cold restart is worth a try.
 func (r *revised) run(cost []float64, blandAfter int) (Status, int, error) {
 	maxIter := iterFactor * (r.m + r.nTotal)
 	if maxIter < iterFloor {
@@ -546,7 +547,7 @@ func (r *revised) startFailed(err error) bool {
 // solve runs two-phase revised simplex on p, from the start basis when
 // one is given and holds (see seat), else from the slack/artificial
 // basis. At Optimal the structural values are left in r.x. A non-nil
-// error reports numerical breakdown; the caller decides the fallback.
+// error reports numerical breakdown; the caller decides on a restart.
 func (r *revised) solve(p *Problem, start []int) (Status, int, error) {
 	r.load(p)
 	seated := 0
@@ -566,6 +567,7 @@ func (r *revised) solve(p *Problem, start []int) (Status, int, error) {
 		seated = 0
 		err = r.refactor()
 	}
+	r.warm = seated > 0
 	if err != nil {
 		return IterLimit, 0, err
 	}

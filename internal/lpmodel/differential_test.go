@@ -3,7 +3,7 @@ package lpmodel
 // The real-instance half of the sparse-vs-dense differential sweep
 // (the random-LP half lives in internal/lp): generated coflow
 // instances across fabric sizes, coflow counts, and release-date
-// regimes, solved through both SolveIntervalLPWith methods. The LP
+// regimes, solved with the production solver and the dense oracle. The LP
 // objective (the paper's lower bound) must agree to tolerance; both
 // paths must verify feasible. Orderings may legitimately differ under
 // degenerate alternate optima, so the golden tests — not this sweep —
@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"coflow/internal/lp"
+	"coflow/internal/lp/dense"
 	"coflow/internal/trace"
 )
 
@@ -53,7 +54,7 @@ func TestIntervalLPSparseVsDenseSweep(t *testing.T) {
 	cfgs := sweepConfigs(testing.Short())
 	for _, cfg := range cfgs {
 		ins := trace.MustGenerate(cfg)
-		dense, err := SolveIntervalLPWith(ins, lp.MethodDense)
+		ref, err := SolveIntervalLPWith(ins, dense.Solve)
 		if err != nil {
 			t.Fatalf("m=%d n=%d rel=%g seed=%d: dense: %v",
 				cfg.Ports, cfg.NumCoflows, cfg.MeanInterarrival, cfg.Seed, err)
@@ -63,13 +64,13 @@ func TestIntervalLPSparseVsDenseSweep(t *testing.T) {
 			t.Fatalf("m=%d n=%d rel=%g seed=%d: sparse: %v",
 				cfg.Ports, cfg.NumCoflows, cfg.MeanInterarrival, cfg.Seed, err)
 		}
-		diff := math.Abs(dense.LowerBound - sparse.LowerBound)
-		if diff > 1e-6*(1+math.Abs(dense.LowerBound)) {
+		diff := math.Abs(ref.LowerBound - sparse.LowerBound)
+		if diff > 1e-6*(1+math.Abs(ref.LowerBound)) {
 			t.Fatalf("m=%d n=%d rel=%g seed=%d: lower bound diverged: dense=%.12g sparse=%.12g",
 				cfg.Ports, cfg.NumCoflows, cfg.MeanInterarrival, cfg.Seed,
-				dense.LowerBound, sparse.LowerBound)
+				ref.LowerBound, sparse.LowerBound)
 		}
-		if len(sparse.Order) != len(dense.Order) {
+		if len(sparse.Order) != len(ref.Order) {
 			t.Fatalf("m=%d n=%d: order lengths differ", cfg.Ports, cfg.NumCoflows)
 		}
 	}
@@ -92,18 +93,18 @@ func TestTimeIndexedLPSparseVsDenseSweep(t *testing.T) {
 			cfg.MeanInterarrival = 3
 		}
 		ins := trace.MustGenerate(cfg)
-		dense, err := SolveTimeIndexedLPWith(ins, lp.MethodDense)
+		ref, err := solveTimeIndexedLP(ins, dense.Solve)
 		if err != nil {
 			t.Fatalf("instance %d: dense: %v", i, err)
 		}
-		sparse, err := SolveTimeIndexedLPWith(ins, lp.MethodSparse)
+		sparse, err := solveTimeIndexedLP(ins, lp.MethodSparse)
 		if err != nil {
 			t.Fatalf("instance %d: sparse: %v", i, err)
 		}
-		diff := math.Abs(dense.LowerBound - sparse.LowerBound)
-		if diff > 1e-6*(1+math.Abs(dense.LowerBound)) {
+		diff := math.Abs(ref.LowerBound - sparse.LowerBound)
+		if diff > 1e-6*(1+math.Abs(ref.LowerBound)) {
 			t.Fatalf("instance %d: LP-EXP bound diverged: dense=%.12g sparse=%.12g",
-				i, dense.LowerBound, sparse.LowerBound)
+				i, ref.LowerBound, sparse.LowerBound)
 		}
 	}
 }

@@ -15,11 +15,12 @@
 // with respect to an ordering, the quantity driving the grouping step
 // of Algorithm 2 and the approximation guarantees (Lemmas 2 and 3).
 //
-// SolveIntervalLP and SolveTimeIndexedLP solve with the sparse
-// pipeline (lp.MethodSparse), the one LP solver on the production
-// path, started from the H_ρ list schedule (greedyStart). The ...With
-// forms exist so tests and the benchmark can name the dense reference
-// tableau explicitly.
+// SolveIntervalLP and SolveTimeIndexedLP solve with lp.MethodSparse,
+// the one LP solver in the binary, started from the H_ρ list schedule
+// (greedyStart). The solver is a parameter one level down
+// (SolveIntervalLPWith, solveTimeIndexedLP) so the tests can hand in
+// the dense oracle of internal/lp/dense, and the benchmark can name
+// the production one.
 package lpmodel
 
 import (
@@ -239,29 +240,23 @@ func SolveIntervalLP(ins *coflowmodel.Instance) (*IntervalSolution, error) {
 	return SolveIntervalLPWith(ins, lp.MethodSparse)
 }
 
-// SolveIntervalLPWith is SolveIntervalLP with an explicit solver
-// method; lp.MethodDense is the reference the differential tests
-// compare against.
+// SolveIntervalLPWith is SolveIntervalLP with an explicit solver,
+// started from the H_ρ vertex if it takes a start.
 func SolveIntervalLPWith(ins *coflowmodel.Instance, method lp.Method) (*IntervalSolution, error) {
 	return solveGridLP(ins, "interval LP", Intervals, 0, method)
 }
 
 // solveGridLP builds the relaxation called name (see buildIntervalLP
-// for points and charge), solves it — the sparse pipeline starts at the
-// H_ρ vertex — and reads the verified solution off.
+// for points and charge), solves it with method from the H_ρ vertex,
+// and reads the verified solution off.
 func solveGridLP(ins *coflowmodel.Instance, name string, points func(T int64) []int64, charge int, method lp.Method) (*IntervalSolution, error) {
 	mod, err := buildIntervalLP(ins, points, charge)
 	if err != nil {
 		return nil, err
 	}
-	var sol *lp.Solution
-	if method == lp.MethodSparse {
-		sol, err = lp.SolveSparseFrom(mod.prob, mod.greedyStart(ins))
-	} else {
-		sol, err = lp.SolveWith(mod.prob, method)
-	}
+	sol, err := method(mod.prob, mod.greedyStart(ins))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("lpmodel: %s: %w", name, err)
 	}
 	return mod.read(ins, name, sol)
 }
@@ -457,13 +452,13 @@ const (
 // instance's horizon makes the program larger than MaxTimeIndexedVars
 // variables.
 func SolveTimeIndexedLP(ins *coflowmodel.Instance) (*TimeIndexedSolution, error) {
-	return SolveTimeIndexedLPWith(ins, lp.MethodSparse)
+	return solveTimeIndexedLP(ins, lp.MethodSparse)
 }
 
-// SolveTimeIndexedLPWith is SolveTimeIndexedLP with an explicit
-// solver method. (LP-EXP) is the interval builder's program on the
-// unit grid; only the size guards and the result type are its own.
-func SolveTimeIndexedLPWith(ins *coflowmodel.Instance, method lp.Method) (*TimeIndexedSolution, error) {
+// solveTimeIndexedLP is SolveTimeIndexedLP with an explicit solver.
+// (LP-EXP) is the interval builder's program on the unit grid; only the
+// size guards and the result type are its own.
+func solveTimeIndexedLP(ins *coflowmodel.Instance, method lp.Method) (*TimeIndexedSolution, error) {
 	if err := ins.Validate(); err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package lpmodel
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -398,6 +399,22 @@ func TestOrderByAlphaPointsIsPermutation(t *testing.T) {
 	}
 }
 
+// TestSolverErrorNamesTheLP: when the solver gives up — lp does after
+// a breakdown that no cold restart mended — the error comes back
+// wrapped with the name of the relaxation, and core.Schedule, which
+// returns SolveIntervalLP's error as it is, reports the interval LP.
+func TestSolverErrorNamesTheLP(t *testing.T) {
+	planted := errors.New("lp: revised simplex broke down: singular basis")
+	broken := func(*lp.Problem, []int) (*lp.Solution, error) { return nil, planted }
+	ins := singleCoflowInstance()
+	if sol, err := SolveIntervalLPWith(ins, broken); sol != nil || !errors.Is(err, planted) || !strings.Contains(err.Error(), "interval LP") {
+		t.Errorf("interval LP: %+v, error %v; want no solution and the planted error naming the interval LP", sol, err)
+	}
+	if sol, err := solveTimeIndexedLP(ins, broken); sol != nil || !errors.Is(err, planted) || !strings.Contains(err.Error(), "LP-EXP") {
+		t.Errorf("LP-EXP: %+v, error %v; want no solution and the planted error naming LP-EXP", sol, err)
+	}
+}
+
 func TestWriteIntervalLPMPS(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteIntervalLPMPS(&buf, singleCoflowInstance(), "fig1"); err != nil {
@@ -414,7 +431,7 @@ func TestWriteIntervalLPMPS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := lp.Solve(prob)
+	sol, err := lp.SolveSparseFrom(prob, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,7 +86,7 @@ func TestGreedyStartIsFeasible(t *testing.T) {
 		if len(start) != n {
 			t.Fatalf("%s: start names %d columns for %d coflows", r.name, len(start), n)
 		}
-		cold, err := lp.SolveSparse(mod.prob)
+		cold, err := lp.SolveSparseFrom(mod.prob, nil)
 		if err != nil || cold.Status != lp.Optimal {
 			t.Fatalf("%s: cold solve: %v %v", r.name, cold, err)
 		}
@@ -152,7 +152,7 @@ func TestOrderIsPathIndependent(t *testing.T) {
 			}
 			return out
 		}
-		cold := read(lp.SolveSparse(mod.prob))
+		cold := read(lp.SolveSparseFrom(mod.prob, nil))
 		warm := read(lp.SolveSparseFrom(mod.prob, mod.greedyStart(r.ins)))
 		if cold.Iterations == warm.Iterations {
 			t.Errorf("%s: both solves took %d pivots; the start changed nothing", r.name, cold.Iterations)
