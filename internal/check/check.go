@@ -1,8 +1,8 @@
 // Package check verifies coflow schedules and scheduler state against
 // the paper's formulation (O) and the invariants the rest of the
 // system relies on. The optimizations of the sparse slot pipeline —
-// incremental sums, warm-started matching, the greedy-replay fast
-// path — are exactly the kind of stateful shortcut where silent
+// incremental sums, warm-sorted priority lists, the saturation exit —
+// are exactly the kind of stateful shortcut where silent
 // corruption produces plausible-looking but wrong schedules, so the
 // package provides machinery to *detect* a violated invariant instead
 // of discovering it through a bad completion-time number:
@@ -18,7 +18,7 @@
 //     every broken invariant at once.
 //   - Reference is a deliberately slow, dense re-implementation of the
 //     online scheduler's specification: cold priorities, full rescans,
-//     fresh sorts, no replay fast path. Shadow runs it in lockstep
+//     fresh sorts, no saturation exit. Shadow runs it in lockstep
 //     with the optimized online.State and reports any divergence as a
 //     Divergence with a minimized reproducer — a differential oracle
 //     over the fast path.

@@ -11,9 +11,9 @@ import (
 // interleaved coflow arrivals, cancellations and slot steps on a
 // small switch — and runs it through the differential oracle,
 // failing on the first fast-path/reference divergence. The program is
-// then drained to completion so the replay fast path, the saturation
-// exit and the completion paths all get exercised, not just the slots
-// the program happened to request.
+// then drained to completion so the saturation exit and the
+// completion paths get exercised, not just the slots the program
+// happened to request.
 func FuzzStepVsReference(f *testing.F) {
 	// Seeds cover each policy, arrivals after steps (release
 	// crossings), cancellations, and dense multi-coflow contention.

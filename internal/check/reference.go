@@ -19,7 +19,7 @@ import (
 //   - the priority order is rebuilt from scratch every slot with a
 //     fresh sort (no warm-sorted list, no sorted-check short-circuit);
 //   - the greedy matching always rescans every active coflow's full
-//     matrix (no saturation exit, no replay of the previous slot).
+//     matrix (no saturation exit).
 //
 // Every shortcut the fast path takes must be behaviour-preserving, so
 // Reference.Step and online.State.Step must agree exactly — same

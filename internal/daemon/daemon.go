@@ -156,9 +156,10 @@ type Metrics struct {
 	// StageLatency breaks the tick down by pipeline stage (seconds,
 	// with p50/p99 estimated from the stage histograms).
 	StageLatency StageLatency `json:"stage_latency"`
-	// MatcherWarmStartHitRate is the fraction of serving steps resolved
-	// by replaying the previous slot's matching instead of a full scan.
-	MatcherWarmStartHitRate float64 `json:"matcher_warm_start_hit_rate"`
+	// MatcherWarmStartHitRate is never set and not serialized: Step
+	// has no replay path to count. The benchmark harness still reads
+	// the field as online.warm_hit_rate, which is why it stays.
+	MatcherWarmStartHitRate float64 `json:"-"`
 	// Plan reports whether the BvN planner runs alongside the tick.
 	Plan bool `json:"plan"`
 	// PlanLoad is ρ(D) of the current aggregate backlog — the optimal
@@ -617,10 +618,9 @@ func (d *Daemon) loop() {
 			TickLatency:   latency.Summary(),
 			Slowdown:      slowdown.Summary(),
 
-			Wait:                    waits.Summary(),
-			Service:                 services.Summary(),
-			StageLatency:            d.obs.stageLatency(),
-			MatcherWarmStartHitRate: d.obs.step.WarmStartHitRate(),
+			Wait:         waits.Summary(),
+			Service:      services.Summary(),
+			StageLatency: d.obs.stageLatency(),
 
 			SelfCheck:           d.cfg.SelfCheck,
 			SelfCheckViolations: violations,

@@ -63,7 +63,7 @@ func runSomeTraffic(t *testing.T, d *Daemon) int {
 
 // TestPrometheusScrape: the registry a scrape renders carries
 // HELP/TYPE metadata, stage histograms fed by real ticks, and the
-// warm-start counters the replay fast path maintains. (Status and
+// counters the ticks feed. (Status and
 // content-type of the route itself: shard.TestHTTPPrometheus.)
 func TestPrometheusScrape(t *testing.T) {
 	d := newTestDaemon(t, Config{Ports: 2, Policy: online.SEBF, SelfCheck: true, SelfCheckEvery: 1})
@@ -98,18 +98,6 @@ func TestPrometheusScrape(t *testing.T) {
 	// registrations, then the ticks) plus the initial one at start-up.
 	if got := promValue(t, body, "coflowd_publish_seconds_count"); got != float64(ticks+3) {
 		t.Errorf("coflowd_publish_seconds_count = %v, want %d", got, ticks+3)
-	}
-
-	// The warm-start counters partition serving steps: hits (replays)
-	// plus misses (full scans) is the number of non-idle steps.
-	hits := promValue(t, body, "coflow_step_matcher_warm_start_hits_total")
-	misses := promValue(t, body, "coflow_step_matcher_warm_start_misses_total")
-	idle := promValue(t, body, "coflow_step_idle_total")
-	if hits+misses+idle != float64(ticks) {
-		t.Errorf("hits(%v) + misses(%v) + idle(%v) != ticks(%d)", hits, misses, idle, ticks)
-	}
-	if misses == 0 {
-		t.Error("expected at least one full scan (every first serving slot is one)")
 	}
 
 	// Completions flow through to both counter and wait/service
@@ -191,11 +179,8 @@ func TestEnrichedMetricsJSON(t *testing.T) {
 	if m.StageLatency.Publish.Mean <= 0 {
 		t.Errorf("stage publish mean = %v, want > 0", m.StageLatency.Publish.Mean)
 	}
-	if m.MatcherWarmStartHitRate < 0 || m.MatcherWarmStartHitRate > 1 {
-		t.Errorf("warm-start hit rate %v outside [0,1]", m.MatcherWarmStartHitRate)
-	}
 	// JSON must expose the documented field names.
-	for _, key := range []string{`"wait"`, `"service"`, `"stage_latency"`, `"publish"`, `"matcher_warm_start_hit_rate"`} {
+	for _, key := range []string{`"wait"`, `"service"`, `"stage_latency"`, `"publish"`} {
 		if !strings.Contains(body, key) {
 			t.Errorf("payload missing %s", key)
 		}

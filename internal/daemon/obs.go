@@ -84,10 +84,9 @@ func newDaemonObs() *daemonObs {
 // StageLatency is the per-stage latency summary of the enriched
 // /v1/metrics payload, in seconds.
 type StageLatency struct {
-	Step   obs.HistogramSnapshot `json:"step"`
-	Sort   obs.HistogramSnapshot `json:"sort"`
-	Match  obs.HistogramSnapshot `json:"match"`
-	Replay obs.HistogramSnapshot `json:"replay"`
+	Step  obs.HistogramSnapshot `json:"step"`
+	Sort  obs.HistogramSnapshot `json:"sort"`
+	Match obs.HistogramSnapshot `json:"match"`
 	// Publish is the snapshot publication that follows every command
 	// batch; it is not part of Step.
 	Publish obs.HistogramSnapshot `json:"publish"`
@@ -98,7 +97,6 @@ func (o *daemonObs) stageLatency() StageLatency {
 		Step:    o.step.StepSeconds.Snapshot(),
 		Sort:    o.step.SortSeconds.Snapshot(),
 		Match:   o.step.MatchSeconds.Snapshot(),
-		Replay:  o.step.ReplaySeconds.Snapshot(),
 		Publish: o.publishSeconds.Snapshot(),
 	}
 }

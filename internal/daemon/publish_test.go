@@ -131,10 +131,10 @@ func TestPublishedWindows(t *testing.T) {
 
 // TestPublishedScheduleIsImmutable pins the copy the loop makes of a
 // slot's served matching: StepResult.Served aliases the State's
-// scratch, which the next full-scan Step overwrites, so a Schedule that
-// was published as-is would change under its readers. Each tick here
+// scratch, which the next Step overwrites, so a Schedule that was
+// published as-is would change under its readers. Each tick here
 // completes a one-unit coflow on the same port pair, so consecutive
-// matchings differ in their coflow key and no slot replays.
+// matchings differ in their coflow key.
 func TestPublishedScheduleIsImmutable(t *testing.T) {
 	d := newTestDaemon(t, Config{Ports: 2, Policy: online.FIFO})
 	for i := 0; i < 4; i++ {
@@ -163,9 +163,8 @@ func TestPublishedScheduleIsImmutable(t *testing.T) {
 }
 
 // A tick that serves one coflow on several pairs publishes one status
-// for it: the view's delta grows by one entry, not one per pair, on the
-// full-scan tick, on the replayed one after it and on the tick that
-// completes it. A zero-demand registration, which completes at once,
+// for it: the view's delta grows by one entry, not one per pair, on
+// every tick that serves it, the one that completes it included. A zero-demand registration, which completes at once,
 // publishes one status too.
 func TestTickPublishesOneStatusPerServedCoflow(t *testing.T) {
 	d := newTestDaemon(t, Config{Ports: 3, Policy: online.SEBF})

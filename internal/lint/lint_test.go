@@ -357,7 +357,7 @@ var allocPlants = []struct {
 	runtime           []string
 }{
 	// Seen by allocfree alone: amortized growth and cold callees.
-	{"append-growth", plant{inStep, stepGo, after(`s.obs.FullScans.Inc()`,
+	{"append-growth", plant{inStep, stepGo, after(`s.obs.UnitsServed.Add(int64(len(s.served)))`,
 		`slotLog = append(slotLog, slot)`), `var slotLog []int64`},
 		`appends to slotLog`, "", nil},
 	{"map-growth", plant{"internal/stats", "rolling.go", after(`s := r.sorted`,
@@ -381,22 +381,22 @@ var allocPlants = []struct {
 		"", `\).step\tmoved to heap: res`, stepGates},
 	{"fmt", plant{inStep, stepGo, after(stepEntry,
 		`_ = fmt.Sprintf("slot %d under %v", slot, policy)`), ""},
-		"", `\).Step\tslot escapes to heap`, everyStepGate},
+		"", `\).Step\tslot escapes to heap`, stepGates},
 	{"boxing", plant{inStep, stepGo, after(stepEntry,
 		`s.obs.note("slot", slot)`), "//coflow:allocfree\nfunc (o *Obs) note(kv ...any) { lastNote = kv }\n\nvar lastNote []any"},
-		"", `\).Step\t\.\.\. argument escapes to heap`, everyStepGate},
+		"", `\).Step\t\.\.\. argument escapes to heap`, stepGates},
 	{"closure-escapes", plant{inStep, stepGo, after(`res.Active = len(s.active)`,
 		`stepHook = func() int { return res.Active }`), `var stepHook func() int`},
 		"", `\).step\tfunc literal escapes to heap`, stepGates},
 	{"go-statement", plant{inStep, stepGo, after(stepEntry,
 		`go func() { s.obs.IdleSteps.Add(0) }()`), ""},
-		"", `\).Step\tfunc literal escapes to heap`, everyStepGate},
+		"", `\).Step\tfunc literal escapes to heap`, stepGates},
 	{"string-concat", plant{inStep, stepGo, after(stepEntry,
 		`lastPolicy = "policy " + policyNames[policy]`), "var lastPolicy string\n\nvar policyNames = [...]string{\"FIFO\", \"SEBF\", \"WSPT\"}"},
-		"", `\).Step\t"policy " \+ policyNames\[policy\] escapes to heap`, everyStepGate},
+		"", `\).Step\t"policy " \+ policyNames\[policy\] escapes to heap`, stepGates},
 	{"conversion", plant{inStep, stepGo, after(stepEntry,
 		`lastPolicy = []byte(policyNames[policy])`), "var lastPolicy []byte\n\nvar policyNames = [...]string{\"FIFO\", \"SEBF\", \"WSPT\"}"},
-		"", `\).Step\t\(\[\]byte\)\(policyNames\[policy\]\) escapes to heap`, everyStepGate},
+		"", `\).Step\t\(\[\]byte\)\(policyNames\[policy\]\) escapes to heap`, stepGates},
 	{"slice-literal", plant{inStep, stepGo, after(`s.completed = s.completed[:0]`,
 		`s.completed = []int{}`), ""},
 		"", `\).step\t\[\]int\{\} escapes to heap`, []string{"TestStepDoesNotAllocate", "TestStepObsEnabledDoesNotAllocate", "TestStepWithFailedPortDoesNotAllocate"}},
@@ -585,11 +585,9 @@ const (
 )
 
 var (
-	// stepGates measure the full scan of online.(*State).step: a
-	// completion every slot forbids the replay.
-	stepGates = []string{"TestPlannerTickDoesNotAllocate", "TestStepDoesNotAllocate", "TestStepObsEnabledDoesNotAllocate", "TestStepWithFailedPortDoesNotAllocate"}
-	// everyStepGate adds the gate that only ever replays.
-	everyStepGate = append([]string{"TestPerShardTickDoesNotAllocate"}, stepGates...)
+	// stepGates run online.(*State).Step, and with it step, on a
+	// serving slot.
+	stepGates = []string{"TestPerShardTickDoesNotAllocate", "TestPlannerTickDoesNotAllocate", "TestStepDoesNotAllocate", "TestStepObsEnabledDoesNotAllocate", "TestStepWithFailedPortDoesNotAllocate"}
 	// planGates reach Decomposer.Update and the matcher under it.
 	planGates = []string{"TestDecomposeDoesNotAllocate", "TestPlannerTickDoesNotAllocate"}
 )

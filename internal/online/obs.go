@@ -13,25 +13,19 @@ import "coflow/internal/obs"
 //
 //	step    the whole Step call
 //	sort    prioritizeList: priority recompute + sorted-check (+ sort)
-//	match   the greedy matching scan of a full-scan slot
-//	replay  the warm-start fast path re-serving the previous matching
+//	match   the greedy matching scan of a serving slot
 type Obs struct {
 	// Stage timers.
-	StepSeconds   *obs.Histogram
-	SortSeconds   *obs.Histogram
-	MatchSeconds  *obs.Histogram
-	ReplaySeconds *obs.Histogram
+	StepSeconds  *obs.Histogram
+	SortSeconds  *obs.Histogram
+	MatchSeconds *obs.Histogram
 
-	// Outcome counters. Steps counts every Step call; a serving step
-	// is either a Replay (warm-start hit: the previous slot's matching
-	// was provably still optimal and was re-served in O(served)) or a
-	// FullScan (warm-start miss: the greedy scan ran). IdleSteps had
-	// no eligible coflow. SortSkips counts sorts short-circuited by
-	// the sorted-check; SaturationExits counts full scans that stopped
-	// early because all m ports were matched.
+	// Outcome counters. Steps counts every Step call; IdleSteps the
+	// ones with no eligible coflow (every other step runs the matching
+	// scan once). SortSkips counts sorts short-circuited by the
+	// sorted-check; SaturationExits counts scans that stopped early
+	// because all m ports were matched.
 	Steps           *obs.Counter
-	Replays         *obs.Counter
-	FullScans       *obs.Counter
 	IdleSteps       *obs.Counter
 	SortSkips       *obs.Counter
 	SaturationExits *obs.Counter
@@ -46,14 +40,11 @@ type Obs struct {
 // zero (disabled) Obs.
 func NewObs(r *obs.Registry) Obs {
 	return Obs{
-		StepSeconds:   r.Histogram("coflow_step_seconds", "latency of one scheduling step", obs.LatencyBuckets),
-		SortSeconds:   r.Histogram("coflow_step_sort_seconds", "latency of the priority sort stage (SEBF sort / sorted-check)", obs.LatencyBuckets),
-		MatchSeconds:  r.Histogram("coflow_step_match_seconds", "latency of the greedy matching scan stage", obs.LatencyBuckets),
-		ReplaySeconds: r.Histogram("coflow_step_replay_seconds", "latency of the warm-start replay fast path", obs.LatencyBuckets),
+		StepSeconds:  r.Histogram("coflow_step_seconds", "latency of one scheduling step", obs.LatencyBuckets),
+		SortSeconds:  r.Histogram("coflow_step_sort_seconds", "latency of the priority sort stage (SEBF sort / sorted-check)", obs.LatencyBuckets),
+		MatchSeconds: r.Histogram("coflow_step_match_seconds", "latency of the greedy matching scan stage", obs.LatencyBuckets),
 
 		Steps:           r.Counter("coflow_steps_total", "scheduling steps taken"),
-		Replays:         r.Counter("coflow_step_matcher_warm_start_hits_total", "serving steps satisfied by replaying the previous matching (warm-start hits)"),
-		FullScans:       r.Counter("coflow_step_matcher_warm_start_misses_total", "serving steps that ran the full greedy matching scan (warm-start misses)"),
 		IdleSteps:       r.Counter("coflow_step_idle_total", "steps with no eligible coflow"),
 		SortSkips:       r.Counter("coflow_step_sort_skips_total", "priority sorts skipped by the sorted-check"),
 		SaturationExits: r.Counter("coflow_step_saturation_exits_total", "matching scans stopped early with all ports matched"),
@@ -78,13 +69,7 @@ var pkgObs Obs
 // the zero Obs restores the disabled default.
 func SetDefaultObs(o Obs) { pkgObs = o }
 
-// WarmStartHitRate returns replays / (replays + full scans), the
-// fraction of serving slots satisfied without a matching scan, or 0
-// before any serving slot.
-func (o *Obs) WarmStartHitRate() float64 {
-	hits, misses := o.Replays.Value(), o.FullScans.Value()
-	if hits+misses == 0 {
-		return 0
-	}
-	return float64(hits) / float64(hits+misses)
-}
+// WarmStartHitRate reads 0: Step has no warm-start path, every serving
+// slot runs the matching scan. It stays only because the benchmark
+// harness still reports it as online.warm_hit_rate.
+func (o *Obs) WarmStartHitRate() float64 { return 0 }

@@ -153,30 +153,19 @@ func prioCmp(a, b *cfState) int {
 // coflow — the sparse demand maintains its bottleneck and total
 // incrementally), then an O(n) sorted-check skips the sort entirely on
 // the common steady-state slot where no coflow overtook another. FIFO
-// keys never change, so a sorted list stays sorted until the next Add
-// (or a sort under another policy) and skips even the check.
-//
-// The return reports whether the list was ALREADY in order — i.e. no
-// element moved — which is what the warm-start replay in Step needs to
-// know (an unchanged visit order).
+// keys are static and take the same check under fifoCmp.
 //
 //coflow:allocfree
-func (s *State) prioritizeList(policy Policy) bool {
+func (s *State) prioritizeList(policy Policy) {
 	list := s.list
 	switch policy {
 	case FIFO:
-		if s.fifoSorted {
-			s.obs.SortSkips.Inc()
-			return true
-		}
-		if sorted := slices.IsSortedFunc(list, fifoCmp); !sorted {
+		if !slices.IsSortedFunc(list, fifoCmp) {
 			slices.SortStableFunc(list, fifoCmp)
-			s.fifoSorted = true
-			return false
+			return
 		}
-		s.fifoSorted = true
 		s.obs.SortSkips.Inc()
-		return true
+		return
 	case SEBF:
 		if s.failedCount > 0 {
 			// Under port failures the bottleneck is computed over the
@@ -212,9 +201,7 @@ func (s *State) prioritizeList(policy Policy) bool {
 	}
 	if !slices.IsSortedFunc(list, prioCmp) {
 		slices.SortStableFunc(list, prioCmp)
-		s.fifoSorted = false
-		return false
+		return
 	}
 	s.obs.SortSkips.Inc()
-	return true
 }

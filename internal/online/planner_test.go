@@ -195,8 +195,7 @@ func TestPlanAfterShedRepairsCache(t *testing.T) {
 // tick, the way the daemon's loop runs one: Step, Observe the served
 // matching, Plan; then a cancellation — Remove, Shed the coflow's
 // remaining demand, Plan. Both Plans are shrinks, so both go through
-// Decomposer.Update on a warm term pool (counted below), and the
-// Remove forbids the replay, so every Step is a full scan.
+// Decomposer.Update on a warm term pool (counted below).
 func TestPlannerTickDoesNotAllocate(t *testing.T) {
 	const m, warm, runs = 20, 60, 100
 	s := benchState(m, 60, 0)

@@ -37,11 +37,6 @@ type State struct {
 	active           []*cfState
 	served           []Assignment
 	completed        []int
-	// fifoSorted records that list is in FIFO order and nothing since
-	// has disturbed it (FIFO keys are static, so only an Add or a sort
-	// under another policy can): steady-state FIFO ticks skip even the
-	// O(n) sorted-check.
-	fifoSorted bool
 
 	// failed marks ports taken offline by FailPort. A failed port is
 	// excluded from every matching (its busy flags are pre-set before
@@ -59,25 +54,6 @@ type State struct {
 	// an uninstrumented State keeps the zero-allocation, branch-only
 	// Step contract.
 	obs Obs
-
-	// Warm-start replay state. The greedy matching is a deterministic
-	// function of (coflow visit order, zero/non-zero demand pattern),
-	// so when neither changed since the previous slot the previous
-	// slot's matching IS this slot's matching and Step replays it in
-	// O(served) instead of rescanning every pair. Demand shrinks
-	// monotonically between arrivals, so steady-state slots replay.
-	canReplay    bool
-	servedAt     []servedLoc // entry locations of the last full scan
-	minServedRem int64       // min remaining among last-served pairs
-	nextPending  int64       // earliest not-yet-eligible release, -1 if none
-	lastActive   int         // active count of the last full scan
-}
-
-// servedLoc pinpoints one served unit for replay: entry e of a
-// coflow's sparse demand.
-type servedLoc struct {
-	d *matrix.Sparse
-	e int
 }
 
 // Assignment is one unit of service in a slot: coflow Key sends one
@@ -95,7 +71,7 @@ type StepResult struct {
 	// Served lists the unit transfers of the slot (a matching: each
 	// ingress and each egress appears at most once), grouped by
 	// coflow: one coflow's assignments are contiguous, since the scan
-	// serves coflow by coflow and a replayed slot repeats that list.
+	// serves coflow by coflow.
 	// The slice aliases a State-owned buffer and is only valid until
 	// the next Step; callers that retain it must copy.
 	Served []Assignment
@@ -165,8 +141,6 @@ func (s *State) Add(key int, weight float64, release int64, flows []coflowmodel.
 	st := &cfState{key: key, release: release, weight: weight, demand: demand}
 	s.list = append(s.list, st)
 	s.index[key] = st
-	s.fifoSorted = false
-	s.canReplay = false
 	return demand.Total(), nil
 }
 
@@ -236,9 +210,6 @@ func (s *State) FailPort(p int) error {
 	if !s.failed[p] {
 		s.failed[p] = true
 		s.failedCount++
-		// The previous matching may use p, and priorities change under
-		// the mask: force a full (masked) scan next slot.
-		s.canReplay = false
 	}
 	return nil
 }
@@ -253,7 +224,6 @@ func (s *State) RecoverPort(p int) error {
 	if s.failed[p] {
 		s.failed[p] = false
 		s.failedCount--
-		s.canReplay = false
 	}
 	return nil
 }
@@ -308,71 +278,30 @@ func (s *State) Step(slot int64, policy Policy) StepResult {
 	// short-circuits steady-state slots where no priority moved); the
 	// active set then inherits that order when it is filtered out.
 	sortSpan := s.obs.SortSeconds.Start()
-	alreadySorted := s.prioritizeList(policy)
+	s.prioritizeList(policy)
 	sortSpan.End()
-	// Replay the previous slot's matching when it provably recurs:
-	// same visit order (no re-sort), same zero/non-zero demand pattern
-	// (nothing added, removed, or completed), no release crossed into
-	// eligibility, and every served pair stays positive even AFTER
-	// this serve (>= 2) — at exactly 1 a pair drains this slot, which
-	// can complete a coflow, so the full scan must run to detect it.
-	if alreadySorted && s.canReplay && s.minServedRem >= 2 &&
-		(s.nextPending < 0 || slot <= s.nextPending) {
-		res := s.replay(slot)
-		stepSpan.End()
-		return res
-	}
 	res := s.step(slot)
 	stepSpan.End()
 	return res
 }
 
-// replay re-serves the previous slot's matching: one decrement per
-// served pair, no scan. Preconditions (checked by Step) guarantee the
-// full scan would produce exactly this result.
-//
-//coflow:allocfree
-//coflow:pooled
-func (s *State) replay(slot int64) StepResult {
-	span := s.obs.ReplaySeconds.Start()
-	for _, loc := range s.servedAt {
-		loc.d.Dec(loc.e, 1)
-	}
-	s.minServedRem--
-	s.obs.Replays.Inc()
-	s.obs.UnitsServed.Add(int64(len(s.served)))
-	span.End()
-	return StepResult{
-		Slot:      slot,
-		Served:    s.served,
-		Completed: s.completed[:0],
-		Active:    s.lastActive,
-	}
-}
-
-// step is the full-scan slot core: the active set is filtered out of
-// the sorted live list, then the greedy matching is built in that
-// order. Every append lands in receiver-owned scratch that reaches
-// steady-state capacity after the first few slots.
+// step is the slot core: the active set is filtered out of the sorted
+// live list, then the greedy matching is built in that order. Every
+// append lands in receiver-owned scratch that reaches steady-state
+// capacity after the first few slots.
 //
 //coflow:allocfree
 //coflow:pooled
 func (s *State) step(slot int64) StepResult {
 	res := StepResult{Slot: slot}
 	s.active = s.active[:0]
-	s.nextPending = -1
 	for _, st := range s.list {
-		if st.release < slot {
-			if st.demand.Total() > 0 {
-				s.active = append(s.active, st)
-			}
-		} else if s.nextPending < 0 || st.release < s.nextPending {
-			s.nextPending = st.release
+		if st.release < slot && st.demand.Total() > 0 {
+			s.active = append(s.active, st)
 		}
 	}
 	res.Active = len(s.active)
 	if res.Active == 0 {
-		s.canReplay = false
 		s.obs.IdleSteps.Inc()
 		return res
 	}
@@ -396,9 +325,7 @@ func (s *State) step(slot int64) StepResult {
 		}
 	}
 	s.served = s.served[:0]
-	s.servedAt = s.servedAt[:0]
 	s.completed = s.completed[:0]
-	s.minServedRem = -1
 	// A slot serves at most m units (each unit occupies one ingress
 	// and one egress), so once m are matched the scan over
 	// lower-priority coflows stops: with many more coflows than ports
@@ -414,11 +341,7 @@ func (s *State) step(slot int64) StepResult {
 			s.rowBusy[src] = true
 			s.colBusy[dst] = true
 			d.Dec(e, 1)
-			if rem-1 < s.minServedRem || s.minServedRem < 0 {
-				s.minServedRem = rem - 1
-			}
 			s.served = append(s.served, Assignment{Key: st.key, Src: src, Dst: dst})
-			s.servedAt = append(s.servedAt, servedLoc{d: d, e: e})
 		}
 		if d.Total() == 0 {
 			s.completed = append(s.completed, st.key)
@@ -430,15 +353,10 @@ func (s *State) step(slot int64) StepResult {
 		}
 	}
 	matchSpan.End()
-	s.obs.FullScans.Inc()
 	s.obs.UnitsServed.Add(int64(len(s.served)))
 	s.obs.CoflowsCompleted.Add(int64(len(s.completed)))
 	res.Served = s.served
 	res.Completed = s.completed
-	// A completed coflow changed the active set, which forbids
-	// replaying this matching next slot.
-	s.canReplay = len(s.completed) == 0
-	s.lastActive = res.Active
 	return res
 }
 
@@ -446,7 +364,6 @@ func (s *State) step(slot int64) StepResult {
 //
 //coflow:allocfree
 func (s *State) drop(st *cfState) {
-	s.canReplay = false
 	delete(s.index, st.key)
 	for i, cur := range s.list {
 		if cur == st {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"coflow/internal/coflowmodel"
-	"coflow/internal/obs"
 )
 
 func TestStateAddValidation(t *testing.T) {
@@ -195,10 +194,9 @@ func TestStepAgreesWithSimulate(t *testing.T) {
 // TestStepDoesNotAllocate is the allocation regression gate (the
 // BenchmarkStep* numbers report the same thing, but a benchmark is only
 // read by humans; this fails CI). A no-op tick — nothing released —, a
-// steady-state serving tick (the replay fork: a backlog that never
-// drains re-serves one matching) and a full-scan tick (a completion
-// every slot forbids the replay, and reaches drop) must all run with
-// zero heap allocations.
+// steady-state serving tick (a backlog that never drains) and a tick
+// that completes a coflow every slot (and so reaches drop) must all run
+// with zero heap allocations.
 func TestStepDoesNotAllocate(t *testing.T) {
 	t.Run("noop", func(t *testing.T) {
 		s := NewState(100)
@@ -220,13 +218,9 @@ func TestStepDoesNotAllocate(t *testing.T) {
 			}
 		})
 		t.Run("fullscan-"+p.String(), func(t *testing.T) {
-			s := benchState(50, 200, 256)
-			scans := obs.NewRegistry().Counter("scans", "full scans")
-			s.SetObs(Obs{FullScans: scans}) // every other hook stays off
-			if avg := stepAllocs(s, p, 200); avg != 0 {
-				t.Errorf("full-scan %v tick allocates %.1f times per step, want 0", p, avg)
+			if avg := stepAllocs(benchState(50, 200, 256), p, 200); avg != 0 {
+				t.Errorf("completing %v tick allocates %.1f times per step, want 0", p, avg)
 			}
-			wantFullScans(t, scans, 200)
 		})
 	}
 }
@@ -248,24 +242,12 @@ func stepAllocs(s *State, p Policy, runs int) float64 {
 	})
 }
 
-// wantFullScans fails unless every slot of a stepAllocs(…, runs)
-// measurement took the full scan: the warm-up slots, AllocsPerRun's
-// own warm-up call, then runs measured ones. A gate whose slots replay
-// measures nothing of step().
-func wantFullScans(t *testing.T, scans *obs.Counter, runs int) {
-	t.Helper()
-	if got, want := scans.Value(), int64(warmSlots+1+runs); got != want {
-		t.Fatalf("%d of %d slots ran the full scan; the measured slots must not replay", got, want)
-	}
-}
-
 // benchState builds the tracked shape: n live coflows on m ports whose
 // demand is large enough that none completes, behind tickers one-unit
 // coflows on one port pair that sort first under every policy (lowest
-// keys, smallest load). With tickers == 0 nothing ever changes, so
-// after the first slot every Step replays one matching; with tickers
-// left, each slot completes exactly one of them, which forbids the
-// replay: every slot is a full scan over the backlog plus a drop.
+// keys, smallest load). With tickers == 0 no coflow ever completes;
+// with tickers left, each slot completes exactly one of them: a scan
+// over the backlog plus a drop.
 func benchState(m, n, tickers int) *State {
 	rng := rand.New(rand.NewSource(42))
 	s := NewState(m)
@@ -289,34 +271,22 @@ func benchState(m, n, tickers int) *State {
 }
 
 // BenchmarkStepM100C500SEBF is the local profiling entry point for one
-// full-scan scheduling tick at datacenter scale: m=100 ports, 500 live
-// coflows. A fail/recover pair between slots invalidates the replay —
-// as any Add, Remove or completion does in production, where over 95 %
-// of slots scan — without allocating or touching the demand.
+// scheduling tick at datacenter scale: m=100 ports, 500 live coflows.
 // The tracked number is the harness's online.step_us_p50.
 func BenchmarkStepM100C500SEBF(b *testing.B) {
 	s := benchState(100, 500, 0)
-	scans := obs.NewRegistry().Counter("scans", "full scans")
-	s.SetObs(Obs{FullScans: scans})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = s.FailPort(0) // in range: cannot fail
-		_ = s.RecoverPort(0)
 		s.Step(int64(i+1), SEBF)
-	}
-	if got := scans.Value(); got != int64(b.N) {
-		b.Fatalf("%d of %d iterations ran the full scan", got, b.N)
 	}
 }
 
-// Served lists each coflow's assignments contiguously, on full-scan
-// and replayed slots alike; the daemon publishes one status per run.
+// Served lists each coflow's assignments contiguously; the daemon
+// publishes one status per run.
 func TestStepServedIsGroupedByCoflow(t *testing.T) {
-	o := NewObs(obs.NewRegistry())
 	ins := randomInstance(rand.New(rand.NewSource(11)), 8, 20, 12, 30)
 	s := NewState(ins.Ports)
-	s.SetObs(o)
 	for k, c := range ins.Coflows {
 		if _, err := s.Add(k, c.Weight, c.Release, c.Flows); err != nil {
 			t.Fatal(err)
@@ -336,8 +306,7 @@ func TestStepServedIsGroupedByCoflow(t *testing.T) {
 			}
 		}
 	}
-	if o.Replays.Value() == 0 || o.FullScans.Value() == 0 || !multi {
-		t.Fatalf("%d replayed and %d full-scan slots, a coflow on several pairs: %v; all must occur",
-			o.Replays.Value(), o.FullScans.Value(), multi)
+	if !multi {
+		t.Fatal("no slot served a coflow on several pairs")
 	}
 }
