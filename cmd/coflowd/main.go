@@ -29,7 +29,8 @@
 //
 // -plan maintains a live Birkhoff–von Neumann plan of each fabric's
 // aggregate backlog alongside the greedy tick (an online.Planner over
-// the reusable bvn.Decomposer, repaired incrementally as slots drain).
+// the reusable bvn.Decomposer, which decomposes the backlog again after
+// every tick that served and every cancel).
 // Its ρ — the optimal number of slots to clear the backlog — and term
 // count surface in GET /v1/metrics.
 //

@@ -165,10 +165,8 @@ func Decompose(d *Matrix) (*Decomposition, error) {
 
 // Decomposer is the reusable, zero-allocation engine behind Decompose
 // for a fixed port count: it owns all scratch (working matrix,
-// warm-started matcher, recycled permutation buffers) across calls,
-// and its Update method repairs the previous result incrementally
-// after demand shrinks instead of rerunning Algorithm 1. Results alias
-// its recycled storage; see the type's documentation.
+// warm-started matcher, recycled permutation buffers) across calls.
+// Results alias its recycled storage; see the type's documentation.
 type Decomposer = bvn.Decomposer
 
 // NewDecomposer returns a Decomposer for m×m demand matrices. Callers

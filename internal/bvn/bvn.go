@@ -267,9 +267,8 @@ func (d *Decomposition) Sum(m int) *matrix.Matrix {
 // d: the terms are perfect matchings with positive counts, Σ q_u =
 // ρ(d), and the term sum Σ q_u·Π_u dominates d with all row/column
 // sums equal to ρ(d). Together these certify the terms as a valid
-// ρ(d)-slot schedule for d, independent of how they were produced
-// (cold Algorithm 1 or an incremental Update). It returns the first
-// violation found, or nil.
+// ρ(d)-slot schedule for d, independent of how they were produced. It
+// returns the first violation found, or nil.
 func (dec *Decomposition) Verify(d *matrix.Matrix) error {
 	m := d.Rows()
 	if dec.Load != d.Load() {

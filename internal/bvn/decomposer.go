@@ -13,38 +13,24 @@ import (
 // decomposition needs — the augmentation sum buffers and deficit
 // heaps, the working copy of D̃, a warm-started matching.Matcher, an
 // incrementally maintained support adjacency, and a recycled pool of
-// permutation buffers — so once the pool is warm, Decompose and
-// Update perform no allocations (enforced by TestDecomposeDoesNotAllocate
-// and the allocfree analyzer).
-//
-// Two modes:
-//
-//   - Decompose/DecomposeWith run Algorithm 1 cold on a fresh demand
-//     matrix. The matcher starts from the matching the previous run
-//     left, which after a StrategyFirst run is none.
-//   - Update(served) repairs the PREVIOUS result after demand shrank
-//     by served (the slot pipeline's only transition): it sheds the
-//     load delta from existing term counts under the coverage
-//     invariant instead of re-extracting matchings, falling back to a
-//     cold run when the greedy repair cannot shed the full delta.
+// permutation buffers — so once the pool is warm, Decompose performs
+// no allocations (enforced by TestDecomposeDoesNotAllocate and the
+// allocfree analyzer). The matcher starts from the matching the
+// previous run left, which after a StrategyFirst run is none.
 //
 // The returned *Decomposition aliases the Decomposer's recycled
-// storage: it is valid until the next Decompose/DecomposeWith/Update
-// call on the same Decomposer. Callers that need it afterwards take a
-// Clone first. A Decomposer is NOT safe for concurrent use.
+// storage: it is valid until the next Decompose/DecomposeWith call on
+// the same Decomposer. Callers that need it afterwards take a Clone
+// first. A Decomposer is NOT safe for concurrent use.
 type Decomposer struct {
 	m       int
 	matcher *matching.Matcher
 	augSc   augScratch
 
-	// demand is the current (original, unaugmented) demand matrix the
-	// last result decomposes; cover is the running Σ q_u·Π_u (equal to
-	// D̃ right after a cold run); work is the cold run's draining copy.
-	demand *matrix.Matrix
-	cover  *matrix.Matrix
-	work   *matrix.Matrix
+	// work is the draining copy of D̃ a decomposition extracts from.
+	work *matrix.Matrix
 
-	// Support adjacency over work during a StrategyFirst cold run,
+	// Support adjacency over work during a StrategyFirst run,
 	// installed into the matcher via SetAdjacency and maintained
 	// incrementally with O(1) swap-deletes: row i's live columns are
 	// adjDat[i*m : i*m+adjLen[i]], and edgePos[i*m+j] is the absolute
@@ -67,9 +53,7 @@ type Decomposer struct {
 
 	// Recycled term storage: terms is the reused Terms backing array
 	// and permBufs the pool of m-length permutation buffers, where
-	// term k of a cold run writes into permBufs[k]. Update's
-	// compaction swaps pool entries alongside terms so the pool stays
-	// a permutation of every buffer ever allocated.
+	// term k of a decomposition writes into permBufs[k].
 	terms    []Term
 	permBufs [][]int
 
@@ -79,10 +63,7 @@ type Decomposer struct {
 	thickCur  []int
 	thickBest []int
 
-	dec          Decomposition
-	primed       bool
-	lastStrategy Strategy
-
+	dec Decomposition
 	obs Obs
 }
 
@@ -95,8 +76,6 @@ func NewDecomposer(m int) *Decomposer {
 	dc := &Decomposer{
 		m:         m,
 		matcher:   matching.NewMatcher(m),
-		demand:    matrix.NewSquare(m),
-		cover:     matrix.NewSquare(m),
 		work:      matrix.NewSquare(m),
 		adjOff:    make([]int32, m),
 		adjLen:    make([]int32, m),
@@ -117,59 +96,46 @@ func NewDecomposer(m int) *Decomposer {
 }
 
 // SetObs installs per-instance instrumentation (term-reuse hit rate,
-// update fallbacks, matcher warm-start counters); the zero Obs
-// disables it. Not safe to call concurrently with decompositions.
+// matcher warm-start counters); the zero Obs disables it. Not safe to
+// call concurrently with decompositions.
 func (dc *Decomposer) SetObs(o Obs) {
 	dc.obs = o
 	dc.matcher.SetObs(o.Matcher)
 }
 
-// Reset forgets the previous result and the matcher's warm matching
-// and keeps all storage: the next Decompose computes what a fresh
-// Decomposer would. A holder that outlives its caller (switchsim's
-// pooled executor) calls it between callers, so that a decomposition
-// never depends on what was decomposed for someone else.
-func (dc *Decomposer) Reset() {
-	dc.matcher.Reset()
-	dc.primed = false
-}
+// Reset forgets the matcher's warm matching and keeps all storage: the
+// next Decompose computes what a fresh Decomposer would. A holder that
+// outlives its caller (switchsim's pooled executor) calls it between
+// callers, so that a decomposition never depends on what was
+// decomposed for someone else.
+func (dc *Decomposer) Reset() { dc.matcher.Reset() }
 
-// Decompose runs Algorithm 1 cold on d with StrategyFirst. See the
-// type comment for the aliasing contract of the result.
+// Decompose runs Algorithm 1 on d with StrategyFirst. See the type
+// comment for the aliasing contract of the result.
 //
+//coflow:allocfree
 //coflow:pooled
 func (dc *Decomposer) Decompose(d *matrix.Matrix) (*Decomposition, error) {
 	return dc.DecomposeWith(d, StrategyFirst)
 }
 
-// DecomposeWith runs Algorithm 1 cold on d with the given extraction
+// DecomposeWith runs Algorithm 1 on d with the given extraction
 // strategy, reusing all scratch from previous calls.
 //
+//coflow:allocfree
 //coflow:pooled
 func (dc *Decomposer) DecomposeWith(d *matrix.Matrix, strategy Strategy) (*Decomposition, error) {
 	if d.Rows() != d.Cols() || d.Rows() != dc.m {
 		panic(fmt.Sprintf("bvn: decomposer size %d, matrix %d×%d", dc.m, d.Rows(), d.Cols()))
 	}
-	dc.demand.CopyFrom(d)
-	dc.lastStrategy = strategy
-	return dc.cold(strategy)
-}
-
-// cold runs Algorithm 1 over dc.demand into the recycled result.
-//
-//coflow:allocfree
-//coflow:pooled
-func (dc *Decomposer) cold(strategy Strategy) (*Decomposition, error) {
 	decSpan := dc.obs.DecomposeSeconds.Start()
 	defer decSpan.End()
 	augSpan := dc.obs.AugmentSeconds.Start()
-	dc.work.CopyFrom(dc.demand)
+	dc.work.CopyFrom(d)
 	rho := dc.augSc.augmentInto(dc.work)
 	augSpan.End()
-	dc.cover.CopyFrom(dc.work)
 	dc.terms = dc.terms[:0]
 	dc.dec = Decomposition{Load: rho, m: dc.m}
-	dc.primed = false
 	if rho > 0 {
 		var err error
 		exSpan := dc.obs.ExtractSeconds.Start()
@@ -184,7 +150,6 @@ func (dc *Decomposer) cold(strategy Strategy) (*Decomposition, error) {
 		}
 	}
 	dc.dec.Terms = dc.terms
-	dc.primed = true
 	dc.obs.Decomposes.Inc()
 	dc.obs.Terms.Add(int64(len(dc.terms)))
 	return &dc.dec, nil
@@ -423,112 +388,4 @@ func (dc *Decomposer) bottleneck() bool {
 		}
 	}
 	return true
-}
-
-// Update repairs the previous result after the demand shrank by
-// served: D' = D − served. Because a sum of perfect matchings is
-// automatically balanced, the repair only has to (a) shed the load
-// delta Σq − ρ(D') from existing term counts while (b) keeping the
-// coverage invariant Σ q_u·Π_u ≥ D'. It walks the terms once,
-// reducing each count by the minimum coverage slack along its
-// matching, and stops as soon as the delta is shed — so a typical
-// slot touches a handful of terms and never runs a matching. When the
-// one-pass greedy cannot shed the full delta, it falls back to a cold
-// recomputation (counted by Obs.UpdateFallbacks). served entries must
-// not exceed the current demand.
-//
-//coflow:allocfree
-//coflow:pooled
-func (dc *Decomposer) Update(served *matrix.Matrix) (*Decomposition, error) {
-	if !dc.primed {
-		return nil, fmt.Errorf("bvn: Update before a successful Decompose")
-	}
-	if served.Rows() != served.Cols() || served.Rows() != dc.m {
-		panic(fmt.Sprintf("bvn: decomposer size %d, served matrix %d×%d", dc.m, served.Rows(), served.Cols()))
-	}
-	span := dc.obs.UpdateSeconds.Start()
-	defer span.End()
-	dc.obs.Updates.Inc()
-	m := dc.m
-	for i := 0; i < m; i++ {
-		for j := 0; j < m; j++ {
-			v := served.At(i, j)
-			if v == 0 {
-				continue
-			}
-			nd := dc.demand.At(i, j) - v
-			if nd < 0 {
-				dc.primed = false
-				return nil, fmt.Errorf("bvn: served %d exceeds demand %d at (%d,%d)", v, dc.demand.At(i, j), i, j)
-			}
-			dc.demand.Set(i, j, nd)
-		}
-	}
-	// ρ(D') via the augmentation scratch sum buffers.
-	rows := dc.demand.RowSumsInto(dc.augSc.rows)
-	cols := dc.demand.ColSumsInto(dc.augSc.cols)
-	var rho2 int64
-	for i := range rows {
-		if rows[i] > rho2 {
-			rho2 = rows[i]
-		}
-		if cols[i] > rho2 {
-			rho2 = cols[i]
-		}
-	}
-	delta := dc.dec.Load - rho2
-	if delta < 0 {
-		dc.primed = false
-		return nil, fmt.Errorf("bvn: load rose from %d to %d under Update; demand must only shrink", dc.dec.Load, rho2)
-	}
-	for u := 0; u < len(dc.terms) && delta > 0; u++ {
-		t := &dc.terms[u]
-		// slack = min over the term's cells of (coverage − demand):
-		// reducing the count by more would break coverage there.
-		slack := delta
-		if t.Count < slack {
-			slack = t.Count
-		}
-		for i, j := range t.Perm.To {
-			if s := dc.cover.At(i, j) - dc.demand.At(i, j); s < slack {
-				slack = s
-				if slack == 0 {
-					break
-				}
-			}
-		}
-		if slack <= 0 {
-			continue
-		}
-		t.Count -= slack
-		delta -= slack
-		for i, j := range t.Perm.To {
-			dc.cover.Add(i, j, -slack)
-		}
-	}
-	if delta > 0 {
-		// Greedy repair could not shed the whole delta (the remaining
-		// slack sits on cells shared between terms in a conflicting
-		// order); recompute cold off the already-updated demand.
-		dc.obs.UpdateFallbacks.Inc()
-		return dc.cold(dc.lastStrategy)
-	}
-	// Compact exhausted terms, swapping pool entries alongside so the
-	// permutation-buffer pool keeps owning every allocated buffer.
-	w := 0
-	for u := 0; u < len(dc.terms); u++ {
-		if dc.terms[u].Count == 0 {
-			continue
-		}
-		if w != u {
-			dc.permBufs[w], dc.permBufs[u] = dc.permBufs[u], dc.permBufs[w]
-			dc.terms[w] = dc.terms[u]
-		}
-		w++
-	}
-	dc.terms = dc.terms[:w]
-	dc.dec.Load = rho2
-	dc.dec.Terms = dc.terms
-	dc.dec.augmented = nil
-	return &dc.dec, nil
 }

@@ -13,7 +13,7 @@ import (
 //
 // Stage taxonomy:
 //
-//	decompose  one whole cold Decompose/DecomposeWith call
+//	decompose  one whole Decompose/DecomposeWith call
 //	augment    Step 1 (balance D to D̃ with all sums = ρ)
 //	extract    Step 2 of one decomposition (every term's matching
 //	           extraction and subtraction)
@@ -21,7 +21,6 @@ type Obs struct {
 	DecomposeSeconds *obs.Histogram
 	AugmentSeconds   *obs.Histogram
 	ExtractSeconds   *obs.Histogram
-	UpdateSeconds    *obs.Histogram
 
 	Decomposes *obs.Counter
 	Terms      *obs.Counter
@@ -34,11 +33,10 @@ type Obs struct {
 	TermReuses *obs.Counter
 	TermAllocs *obs.Counter
 
-	// Incremental-mode effectiveness: Updates counts Decomposer.Update
-	// calls, UpdateFallbacks the ones whose greedy term repair could
-	// not shed the full load delta and fell back to a cold
-	// recomputation of Algorithm 1.
-	Updates         *obs.Counter
+	// UpdateFallbacks is never registered and reads 0: a Decomposer
+	// has no repair step to fall back from. Only the benchmark harness
+	// reads it (benchmark/replay.go:505), which is why it stays, as
+	// core.Options.SparseLP does.
 	UpdateFallbacks *obs.Counter
 
 	// Matcher is threaded into every decomposition's warm-started
@@ -66,13 +64,10 @@ func NewObs(r *obs.Registry) Obs {
 		DecomposeSeconds: r.Histogram("coflow_bvn_decompose_seconds", "latency of one Birkhoff-von Neumann decomposition", obs.LatencyBuckets),
 		AugmentSeconds:   r.Histogram("coflow_bvn_augment_seconds", "latency of the augmentation stage (step 1)", obs.LatencyBuckets),
 		ExtractSeconds:   r.Histogram("coflow_bvn_extract_seconds", "latency of Step 2 of one decomposition (all term extractions)", obs.LatencyBuckets),
-		UpdateSeconds:    r.Histogram("coflow_bvn_update_seconds", "latency of one incremental Decomposer.Update repair", obs.LatencyBuckets),
 		Decomposes:       r.Counter("coflow_bvn_decompositions_total", "decompositions run"),
 		Terms:            r.Counter("coflow_bvn_terms_total", "permutation terms extracted"),
 		TermReuses:       r.Counter("coflow_bvn_term_buffer_reuses_total", "extractions served from the recycled permutation-buffer pool"),
 		TermAllocs:       r.Counter("coflow_bvn_term_buffer_allocs_total", "permutation-buffer pool growth allocations"),
-		Updates:          r.Counter("coflow_bvn_updates_total", "incremental Decomposer.Update calls"),
-		UpdateFallbacks:  r.Counter("coflow_bvn_update_fallbacks_total", "Update calls that fell back to a cold decomposition"),
 		Matcher:          matching.NewObs(r),
 	}
 }

@@ -99,8 +99,8 @@ type Config struct {
 	SelfCheckEvery int
 	// Plan maintains a live Birkhoff–von Neumann plan of the aggregate
 	// backlog alongside the greedy tick (online.Planner backed by
-	// bvn.Decomposer): cold decomposition on registration, incremental
-	// Update repair on served slots. Its ρ and term count surface in
+	// bvn.Decomposer): Algorithm 1 on the whole backlog after every
+	// tick that served and every cancel. Its ρ and term count surface in
 	// /v1/metrics as the optimal-clearing-time reference the greedy
 	// schedule is compared against. Off by default.
 	Plan bool
@@ -167,10 +167,6 @@ type Metrics struct {
 	PlanLoad int64 `json:"plan_load,omitempty"`
 	// PlanTerms is the number of permutation terms in the current plan.
 	PlanTerms int `json:"plan_terms,omitempty"`
-	// PlanUpdates counts incremental plan repairs; PlanFallbacks the
-	// ones that had to fall back to a cold decomposition.
-	PlanUpdates   int64 `json:"plan_updates,omitempty"`
-	PlanFallbacks int64 `json:"plan_fallbacks,omitempty"`
 	// PlanTermReuseHitRate is the fraction of term extractions served
 	// from the recycled permutation-buffer pool (1.0 once warm).
 	PlanTermReuseHitRate float64 `json:"plan_term_reuse_hit_rate,omitempty"`
@@ -636,8 +632,6 @@ func (d *Daemon) loop() {
 			if planner != nil {
 				view.Metrics.PlanLoad = planner.Load()
 				view.Metrics.PlanTerms = planner.Terms()
-				view.Metrics.PlanUpdates = d.obs.plan.Updates.Value()
-				view.Metrics.PlanFallbacks = d.obs.plan.UpdateFallbacks.Value()
 				view.Metrics.PlanTermReuseHitRate = d.obs.plan.TermReuseHitRate()
 			}
 		}
@@ -757,9 +751,8 @@ func (d *Daemon) loop() {
 				complete(coflows[id], slot)
 			}
 			if planner != nil {
-				// Feed the served matching into the live plan: demand only
-				// shrank, so this is the Decomposer's incremental Update
-				// (cold only when a registration landed since last tick).
+				// Feed the served matching into the live plan, which
+				// decomposes the backlog again if anything changed.
 				if err := planner.Observe(res.Served); err != nil {
 					planFail(err)
 				} else if _, err := planner.Plan(); err != nil {
@@ -817,9 +810,8 @@ func (d *Daemon) loop() {
 				// publish reads PlanLoad/PlanTerms from the cached plan,
 				// and a plan refreshed only by ticks keeps reporting the
 				// cancelled demand until one arrives (forever, on an
-				// externally clocked daemon). The refresh is the
-				// Decomposer's cheap incremental Update unless a
-				// registration is also pending.
+				// externally clocked daemon). The refresh costs one
+				// decomposition of the backlog.
 				if err := planner.Shed(state.Demand(c.cancel)); err != nil {
 					planFail(err)
 				} else if _, err := planner.Plan(); err != nil {

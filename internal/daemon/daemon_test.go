@@ -391,9 +391,6 @@ func TestPlanTracksBacklog(t *testing.T) {
 	if m.PlanLoad != 0 || m.PlanTerms != 0 {
 		t.Fatalf("drained backlog still planned: load %d, terms %d", m.PlanLoad, m.PlanTerms)
 	}
-	if m.PlanUpdates == 0 {
-		t.Fatal("shrink-only ticks ran no incremental updates")
-	}
 	if m.PlanError != "" {
 		t.Fatalf("planner disabled: %s", m.PlanError)
 	}

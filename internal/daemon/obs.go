@@ -17,9 +17,9 @@ import (
 type daemonObs struct {
 	reg  *obs.Registry
 	step online.Obs
-	// plan instruments the optional BvN planner (coflow_bvn_*): cold
-	// decompositions, incremental updates and their fallbacks, and the
-	// term-buffer pool hit rate. All zeros while Config.Plan is off.
+	// plan instruments the optional BvN planner (coflow_bvn_*):
+	// decompositions and the term-buffer pool hit rate. All zeros while
+	// Config.Plan is off.
 	plan bvn.Obs
 
 	ticks       *obs.Counter

@@ -409,12 +409,12 @@ var allocPlants = []struct {
 	{"callee-hot", plant{inStep, stepGo, after(`matchSpan := s.obs.MatchSeconds.Start()`,
 		`s.rowBusy = freshBusy(s.ports)`), "//go:noinline\nfunc freshBusy(n int) []bool { return make([]bool, n) }"},
 		`calls .*freshBusy which is not annotated`, "", stepGates},
-	{"update-rowsums", plant{"internal/bvn", "decomposer.go", after(`cols := dc.demand.ColSumsInto(dc.augSc.cols)`,
-		`rows = dc.demand.RowSums()`), ""},
-		`calls .*RowSums which is not annotated`, `\).Update\tmake\(\[\]int64, matrix.m.rows\) escapes to heap`, planGates},
-	{"update-composite", plant{"internal/bvn", "decomposer.go", after(`dc.dec.augmented = nil`,
-		`return &Decomposition{Load: rho2, Terms: dc.terms, m: dc.m}, nil`), ""},
-		"", `\).Update\t&Decomposition\{\.\.\.\} escapes to heap`, planGates},
+	{"augment-rowsums", plant{"internal/bvn", "bvn.go", after(`cols := dst.ColSumsInto(a.cols)`,
+		`rows = dst.RowSums()`), ""},
+		`calls .*RowSums which is not annotated`, `\).augmentInto\tmake\(\[\]int64, matrix.m.rows\) escapes to heap`, planGates},
+	{"decompose-composite", plant{"internal/bvn", "decomposer.go", after(`dc.obs.Terms.Add(int64(len(dc.terms)))`,
+		`return &Decomposition{Load: dc.dec.Load, Terms: dc.terms, m: dc.m}, nil`), ""},
+		"", `\).DecomposeWith\t&Decomposition\{\.\.\.\} escapes to heap`, planGates},
 	{"kuhn-visited", plant{"internal/matching", "incremental.go", after(`adj := mt.adjDat[off : off+mt.adjLen[u]]`,
 		`_ = make([]bool, mt.n)`), ""},
 		"", `\).kuhn\tmake\(\[\]bool, mt.n\) escapes to heap`, planGates},
@@ -588,7 +588,7 @@ var (
 	// stepGates run online.(*State).Step, and with it step, on a
 	// serving slot.
 	stepGates = []string{"TestPerShardTickDoesNotAllocate", "TestPlannerTickDoesNotAllocate", "TestStepDoesNotAllocate", "TestStepObsEnabledDoesNotAllocate", "TestStepWithFailedPortDoesNotAllocate"}
-	// planGates reach Decomposer.Update and the matcher under it.
+	// planGates reach Decomposer.DecomposeWith and the matcher under it.
 	planGates = []string{"TestDecomposeDoesNotAllocate", "TestPlannerTickDoesNotAllocate"}
 )
 

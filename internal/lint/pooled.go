@@ -7,7 +7,7 @@ import (
 
 // Pooled checks the aliasing contract of recycled results: a function
 // annotated //coflow:pooled returns pointers into storage owned by its
-// receiver (bvn.Decomposer.Decompose/Update, online.Planner.Plan,
+// receiver (bvn.Decomposer.Decompose, online.Planner.Plan,
 // online.State.Step), valid only until the next //coflow:pooled call
 // on the same receiver. A use of such a loan after that call reads
 // whatever the pool holds now — for a *bvn.Decomposition, the new

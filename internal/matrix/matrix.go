@@ -122,8 +122,6 @@ func (m *Matrix) CopyFrom(other *Matrix) {
 }
 
 // Zero resets every entry of m to 0 in place.
-//
-//coflow:allocfree
 func (m *Matrix) Zero() {
 	clear(m.data)
 }

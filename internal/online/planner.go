@@ -15,15 +15,13 @@ import (
 // of Algorithm 1, whose ρ(D) slots are the optimal clearing time of
 // the current backlog.
 //
-// The Planner exploits the slot pipeline's shrink-only steady state:
-// between registrations the aggregate demand only loses served (or
-// cancelled) units, so consecutive Plan calls run the Decomposer's
-// incremental Update repair instead of recomputing Algorithm 1 —
-// O(changed terms) instead of O(m·nnz) matchings per slot. A
-// registration grows the demand and forces the next Plan cold. The
-// term pool carries over; no matching does, because a StrategyFirst
-// decomposition ends with every row unmatched, so the cold run solves
-// its first matching from scratch.
+// Add, Observe and Shed change the aggregate demand and mark the plan
+// dirty; the next Plan runs Algorithm 1 on the whole backlog, and a
+// Plan with nothing changed returns the cached result. A published
+// plan is therefore always what a fresh Decomposer computes for the
+// current demand. The term pool carries over between Plans; no
+// matching does, because a StrategyFirst decomposition ends with every
+// row unmatched.
 //
 // The returned *bvn.Decomposition aliases the Decomposer's recycled
 // storage and is valid until the next Plan call. A Planner is NOT
@@ -33,10 +31,8 @@ type Planner struct {
 	ports  int
 	dec    *bvn.Decomposer
 	demand *matrix.Matrix // aggregate remaining demand
-	served *matrix.Matrix // shrinkage accumulated since the last Plan
 	plan   *bvn.Decomposition
-	grew   bool // demand grew since the last Plan: next Plan is cold
-	shrunk bool // served has nonzero entries: next Plan is an Update
+	dirty  bool // demand changed since the last Plan, or none ran yet
 }
 
 // NewPlanner creates an empty planner for an m-port switch. It panics
@@ -49,18 +45,17 @@ func NewPlanner(ports int) *Planner {
 		ports:  ports,
 		dec:    bvn.NewDecomposer(ports),
 		demand: matrix.NewSquare(ports),
-		served: matrix.NewSquare(ports),
+		dirty:  true,
 	}
 }
 
 // SetObs installs the decomposition instrumentation (term-reuse hit
-// rate, update fallbacks, matcher warm-start counters) on the owned
-// Decomposer.
+// rate, matcher warm-start counters) on the owned Decomposer.
 func (p *Planner) SetObs(o bvn.Obs) { p.dec.SetObs(o) }
 
 // Add accumulates a registered coflow's flows into the aggregate
 // demand. Flows sharing a port pair accumulate; zero-size flows are
-// ignored. The next Plan after an Add runs cold.
+// ignored.
 func (p *Planner) Add(flows []coflowmodel.Flow) error {
 	for _, f := range flows {
 		if f.Src < 0 || f.Src >= p.ports || f.Dst < 0 || f.Dst >= p.ports {
@@ -73,7 +68,7 @@ func (p *Planner) Add(flows []coflowmodel.Flow) error {
 	for _, f := range flows {
 		if f.Size > 0 {
 			p.demand.Add(f.Src, f.Dst, f.Size)
-			p.grew = true
+			p.dirty = true
 		}
 	}
 	return nil
@@ -90,15 +85,13 @@ func (p *Planner) Observe(served []Assignment) error {
 			return fmt.Errorf("online: served unit on (%d→%d) with no planned demand", a.Src, a.Dst)
 		}
 		p.demand.Add(a.Src, a.Dst, -1)
-		p.served.Add(a.Src, a.Dst, 1)
-		p.shrunk = true
+		p.dirty = true
 	}
 	return nil
 }
 
 // Shed removes a cancelled coflow's remaining demand (as reported by
-// State.Demand). A cancellation is a shrink like service, so the next
-// Plan still runs the incremental Update.
+// State.Demand).
 //
 //coflow:allocfree
 func (p *Planner) Shed(entries []matrix.SparseEntry) error {
@@ -111,41 +104,28 @@ func (p *Planner) Shed(entries []matrix.SparseEntry) error {
 				e.Val, e.Row, e.Col, p.demand.At(e.Row, e.Col))
 		}
 		p.demand.Add(e.Row, e.Col, -e.Val)
-		p.served.Add(e.Row, e.Col, e.Val)
-		p.shrunk = true
+		p.dirty = true
 	}
 	return nil
 }
 
 // Plan returns the BvN decomposition of the current aggregate demand:
-// cached when nothing changed, incrementally repaired via
-// Decomposer.Update when demand only shrank, recomputed cold after a
-// growth. The result aliases the Decomposer's storage and is valid
-// until the next Plan.
+// the cached one when nothing changed since the last Plan, otherwise
+// Algorithm 1 run on the whole backlog. The result aliases the
+// Decomposer's storage and is valid until the next Plan.
 //
 //coflow:allocfree
 //coflow:pooled
 func (p *Planner) Plan() (*bvn.Decomposition, error) {
-	switch {
-	case p.grew || p.plan == nil:
-		//lint:ignore allocfree cold path taken only on growth slots; steady-state shrink slots run the annotated Update
-		dec, err := p.dec.Decompose(p.demand)
-		if err != nil {
-			return nil, err
-		}
-		p.plan = dec
-	case p.shrunk:
-		dec, err := p.dec.Update(p.served)
-		if err != nil {
-			return nil, err
-		}
-		p.plan = dec
-	default:
+	if !p.dirty {
 		return p.plan, nil
 	}
-	p.served.Zero()
-	p.grew, p.shrunk = false, false
-	return p.plan, nil
+	dec, err := p.dec.Decompose(p.demand)
+	if err != nil {
+		return nil, err
+	}
+	p.plan, p.dirty = dec, false
+	return dec, nil
 }
 
 // Load returns ρ of the most recent Plan (the optimal number of slots

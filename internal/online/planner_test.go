@@ -2,6 +2,7 @@ package online
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"coflow/internal/bvn"
@@ -10,18 +11,22 @@ import (
 	"coflow/internal/obs"
 )
 
-// TestPlannerDifferential drives the planner with random interleavings
-// of Add (growth), Observe (service), Shed (cancellation) and Plan,
-// shadowing the aggregate demand independently. Every Plan must be a
-// valid BvN decomposition of the shadow (full Lemma 4 contract),
-// whether it came from the cold path or the incremental Update path.
+// TestPlannerDifferential drives the planner with random sequences of
+// Add (growth), Observe (service), Shed (cancellation) and bare Plan
+// calls, shadowing the aggregate demand independently. After every
+// command the plan must be, term for term, what a fresh Decomposer
+// computes for the shadow; a command that changed nothing must return
+// the cached plan without decomposing again.
 func TestPlannerDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const m = 5
 	for seq := 0; seq < 200; seq++ {
+		o := bvn.NewObs(obs.NewRegistry())
 		p := NewPlanner(m)
+		p.SetObs(o)
 		shadow := matrix.NewSquare(m)
 		for step := 0; step < 20; step++ {
+			changed := step == 0 // the first Plan has no cache to return
 			switch rng.Intn(4) {
 			case 0: // register a coflow
 				flows := make([]coflowmodel.Flow, 1+rng.Intn(4))
@@ -30,6 +35,7 @@ func TestPlannerDifferential(t *testing.T) {
 						Src: rng.Intn(m), Dst: rng.Intn(m), Size: rng.Int63n(6),
 					}
 					shadow.Add(flows[i].Src, flows[i].Dst, flows[i].Size)
+					changed = changed || flows[i].Size > 0
 				}
 				if err := p.Add(flows); err != nil {
 					t.Fatalf("seq %d step %d: Add: %v", seq, step, err)
@@ -47,6 +53,7 @@ func TestPlannerDifferential(t *testing.T) {
 				if err := p.Observe(served); err != nil {
 					t.Fatalf("seq %d step %d: Observe: %v", seq, step, err)
 				}
+				changed = changed || len(served) > 0
 			case 2: // cancel: shed a random chunk of remaining demand
 				var entries []matrix.SparseEntry
 				for i := 0; i < m; i++ {
@@ -61,26 +68,44 @@ func TestPlannerDifferential(t *testing.T) {
 				if err := p.Shed(entries); err != nil {
 					t.Fatalf("seq %d step %d: Shed: %v", seq, step, err)
 				}
-			case 3:
-				dec, err := p.Plan()
-				if err != nil {
-					t.Fatalf("seq %d step %d: Plan: %v", seq, step, err)
-				}
-				if err := dec.Verify(shadow); err != nil {
-					t.Fatalf("seq %d step %d: plan diverged: %v\nshadow:\n%v", seq, step, err, shadow)
-				}
-				if p.Load() != shadow.Load() {
-					t.Fatalf("seq %d step %d: Load %d, want %d", seq, step, p.Load(), shadow.Load())
-				}
+				changed = changed || len(entries) > 0
+			case 3: // plan again with nothing changed
+			}
+			decomposes := o.Decomposes.Value()
+			dec, err := p.Plan()
+			if err != nil {
+				t.Fatalf("seq %d step %d: Plan: %v", seq, step, err)
+			}
+			want := int64(0)
+			if changed {
+				want = 1
+			}
+			if ran := o.Decomposes.Value() - decomposes; ran != want {
+				t.Fatalf("seq %d step %d: Plan ran %d decompositions, want %d", seq, step, ran, want)
+			}
+			fresh, err := bvn.NewDecomposer(m).Decompose(shadow)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.EqualFunc(dec.Terms, fresh.Terms, func(a, b bvn.Term) bool {
+				return a.Count == b.Count && slices.Equal(a.Perm.To, b.Perm.To)
+			}) || dec.Load != fresh.Load {
+				t.Fatalf("seq %d step %d: plan %+v, a fresh Decomposer gives %+v\nshadow:\n%v", seq, step, dec, fresh, shadow)
+			}
+			if err := dec.Verify(shadow); err != nil {
+				t.Fatalf("seq %d step %d: plan diverged: %v\nshadow:\n%v", seq, step, err, shadow)
+			}
+			if p.Load() != shadow.Load() {
+				t.Fatalf("seq %d step %d: Load %d, want %d", seq, step, p.Load(), shadow.Load())
 			}
 		}
 	}
 }
 
-// TestPlannerIncrementalPath asserts the steady-state contract: with
-// no growth between Plans, repairs run through Decomposer.Update (not
-// cold decompositions), and an unchanged backlog returns the cached
-// plan without touching the Decomposer at all.
+// TestPlannerIncrementalPath asserts the steady-state contract: an
+// unchanged backlog returns the cached plan without touching the
+// Decomposer, and every Plan after a change runs exactly one
+// decomposition of the backlog.
 func TestPlannerIncrementalPath(t *testing.T) {
 	reg := obs.NewRegistry()
 	o := bvn.NewObs(reg)
@@ -97,7 +122,6 @@ func TestPlannerIncrementalPath(t *testing.T) {
 	if got := o.Decomposes.Value(); got != 1 {
 		t.Fatalf("first Plan ran %d decompositions, want 1", got)
 	}
-	// Shrink-only transitions must repair incrementally.
 	for i := 0; i < 3; i++ {
 		if err := p.Observe([]Assignment{{Src: 0, Dst: 1}}); err != nil {
 			t.Fatal(err)
@@ -106,21 +130,21 @@ func TestPlannerIncrementalPath(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := o.Updates.Value(); got != 3 {
-		t.Fatalf("3 shrink Plans ran %d Updates, want 3", got)
+	if got := o.Decomposes.Value(); got != 4 {
+		t.Fatalf("3 Plans after service brought the decompositions to %d, want 4", got)
 	}
-	if got := o.Decomposes.Value() - o.UpdateFallbacks.Value(); got != 1 {
-		t.Fatalf("shrink Plans ran %d non-fallback cold decompositions, want 1", got)
+	// An unchanged backlog is served from the cache, also after a slot
+	// that served nothing.
+	if err := p.Observe(nil); err != nil {
+		t.Fatal(err)
 	}
-	// An unchanged backlog is served from the cache.
-	updates, decomposes := o.Updates.Value(), o.Decomposes.Value()
 	for i := 0; i < 5; i++ {
 		if _, err := p.Plan(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if o.Updates.Value() != updates || o.Decomposes.Value() != decomposes {
-		t.Fatal("Plan on an unchanged backlog did not use the cache")
+	if got := o.Decomposes.Value(); got != 4 {
+		t.Fatalf("Plan on an unchanged backlog ran %d decompositions, want the cache", got-4)
 	}
 }
 
@@ -143,8 +167,8 @@ func TestPlannerMisuse(t *testing.T) {
 
 // TestPlanAfterShedRepairsCache is the hand-audit regression for the
 // pooled-plan cache: a Shed between Plans must not serve the stale
-// cached decomposition — the next Plan has to repair (via Update, not
-// a cold recompute) and its result must decompose the reduced demand.
+// cached decomposition — the next Plan has to decompose the reduced
+// demand.
 func TestPlanAfterShedRepairsCache(t *testing.T) {
 	reg := obs.NewRegistry()
 	o := bvn.NewObs(reg)
@@ -183,19 +207,16 @@ func TestPlanAfterShedRepairsCache(t *testing.T) {
 	if got := p.Load(); got != 2 {
 		t.Fatalf("Load after Shed = %d, want 2", got)
 	}
-	if got := o.Updates.Value(); got != 1 {
-		t.Fatalf("Plan after Shed ran %d Updates, want 1 (incremental repair)", got)
-	}
-	if got := o.Decomposes.Value() - o.UpdateFallbacks.Value(); got != decomposes {
-		t.Fatal("Plan after Shed ran a cold decomposition instead of the incremental repair")
+	if got := o.Decomposes.Value() - decomposes; got != 1 {
+		t.Fatalf("Plan after Shed ran %d decompositions, want 1", got)
 	}
 }
 
 // TestPlannerTickDoesNotAllocate is the allocation gate of a `-plan`
 // tick, the way the daemon's loop runs one: Step, Observe the served
 // matching, Plan; then a cancellation — Remove, Shed the coflow's
-// remaining demand, Plan. Both Plans are shrinks, so both go through
-// Decomposer.Update on a warm term pool (counted below).
+// remaining demand, Plan. Both Plans decompose the backlog on a warm
+// term pool (counted below).
 func TestPlannerTickDoesNotAllocate(t *testing.T) {
 	const m, warm, runs = 20, 60, 100
 	s := benchState(m, 60, 0)
@@ -243,14 +264,14 @@ func TestPlannerTickDoesNotAllocate(t *testing.T) {
 		}
 		slot++
 	}
-	for slot < warm { // the first Plan is cold; early fallbacks still grow the term pool
+	for slot < warm { // early decompositions still grow the term pool
 		tick()
 	}
-	updates := o.Updates.Value()
+	decomposes := o.Decomposes.Value()
 	if avg := testing.AllocsPerRun(runs, tick); avg != 0 {
 		t.Errorf("a -plan tick allocates %.1f times, want 0", avg)
 	}
-	if got, want := o.Updates.Value()-updates, int64(2*(1+runs)); got != want {
-		t.Errorf("%d of %d measured Plans ran Decomposer.Update", got, want)
+	if got, want := o.Decomposes.Value()-decomposes, int64(2*(1+runs)); got != want {
+		t.Errorf("%d of %d measured Plans decomposed the backlog", got, want)
 	}
 }

@@ -26,9 +26,8 @@ import (
 //     never unknown — and every successful cancel leaves the coflow
 //     in state "cancelled";
 //   - zero self-check violations across every fabric;
-//   - the planner stays alive (no PlanError), its fallbacks to cold
-//     decomposition stay bounded by its updates, and its load drains
-//     to zero with the fabric;
+//   - the planner stays alive (no PlanError) and its load drains to
+//     zero with the fabric;
 //   - the cluster drains to zero active coflows.
 func TestChurnSoak(t *testing.T) {
 	if testing.Short() {
@@ -180,17 +179,7 @@ func TestChurnSoak(t *testing.T) {
 		if !fm.Plan {
 			t.Fatalf("fabric %d: planner not running", s.Fabric)
 		}
-		// The greedy tick serves matchings unrelated to the plan's
-		// terms, so under churn many updates legitimately recompute
-		// cold — but never more than once per update, and the plan
-		// must still drain with the fabric.
-		if fm.PlanUpdates == 0 {
-			t.Fatalf("fabric %d: planner never updated", s.Fabric)
-		}
-		if fm.PlanFallbacks > fm.PlanUpdates {
-			t.Fatalf("fabric %d: %d fallbacks exceed %d plan updates",
-				s.Fabric, fm.PlanFallbacks, fm.PlanUpdates)
-		}
+		// The plan must drain with the fabric.
 		if fm.PlanLoad != 0 {
 			t.Fatalf("fabric %d: plan load %d after drain, want 0", s.Fabric, fm.PlanLoad)
 		}
