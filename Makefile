@@ -76,15 +76,18 @@ slowcheck:
 	$(MAKE) fuzz
 
 # Bounded runs of the fuzz targets that pin a fast path to its
-# reference: Step to check.Reference, the sparse LP pipeline to the
-# dense tableau, the order-statistic rolling window to stats.Summarize,
-# the matcher's free-column lookahead to the adjacency-scan one, the
-# simplex's reach-set LU factor and zero-skipping BTRAN to the
-# full-scan, every-product ones in internal/lp/reference_test.go.
+# reference: Step to check.Reference, Step's row walk to the per-cell
+# scan it replaced (port failures included), the sparse LP pipeline
+# to the dense tableau, the order-statistic rolling window to
+# stats.Summarize, the matcher's free-column lookahead to the
+# adjacency-scan one, the simplex's reach-set LU factor and
+# zero-skipping BTRAN to the full-scan, every-product ones in
+# internal/lp/reference_test.go.
 # This is the one copy of the list; the CI differential job runs this
 # target.
 fuzz:
 	go test -run='^$$' -fuzz=FuzzStepVsReference -fuzztime=30s ./internal/check/
+	go test -run='^$$' -fuzz=FuzzRowScanVsCellScan -fuzztime=30s ./internal/online/
 	go test -run='^$$' -fuzz=FuzzSparseVsDense -fuzztime=30s ./internal/lp/
 	go test -run='^$$' -fuzz=FuzzLUVsReference -fuzztime=30s ./internal/lp/
 	go test -run='^$$' -fuzz=FuzzRollingVsSummarize -fuzztime=30s ./internal/stats/

@@ -20,6 +20,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strconv"
@@ -37,41 +38,21 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("experiments: ")
 
-	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
-	ports := fs.Int("ports", 50, "switch size m (150 = paper scale; slower LP)")
-	coflows := fs.Int("coflows", 120, "number of generated coflows")
-	seed := fs.Int64("seed", 1, "trace seed")
-	filtersArg := fs.String("filters", "50,40,30", "comma-separated M0 thresholds")
-	recompute := fs.Bool("recompute", false, "work-conserving scheduling extension")
-	weightSeed := fs.Int64("weightseed", 7, "seed for the random-permutation weighting")
-	obsJSON := fs.String("obsjson", "", "instrument the pipeline and write per-stage timings as JSON to this file (- for stdout)")
-
 	if len(os.Args) < 2 {
 		usage()
 	}
 	sub := os.Args[1]
-	if err := fs.Parse(os.Args[2:]); err != nil {
-		log.Fatal(err)
-	}
-
-	filters, err := parseFilters(*filtersArg)
+	cfg, obsJSON, err := parseArgs(os.Args[2:])
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := experiments.DefaultConfig()
-	cfg.Trace.Ports = *ports
-	cfg.Trace.NumCoflows = *coflows
-	cfg.Trace.Seed = *seed
-	cfg.Filters = filters
-	cfg.Recompute = *recompute
-	cfg.WeightSeed = *weightSeed
 
-	if *obsJSON != "" {
+	if obsJSON != "" {
 		reg := obs.NewRegistry()
 		lp.SetObs(lp.NewObs(reg))
 		switchsim.SetObs(switchsim.NewObs(reg))
 		online.SetDefaultObs(online.NewObs(reg))
-		defer writeObsJSON(reg, *obsJSON)
+		defer writeObsJSON(reg, obsJSON)
 	}
 
 	switch sub {
@@ -86,39 +67,82 @@ func main() {
 		fail(err)
 		fmt.Print(out)
 	case "lowerbound":
-		fmt.Print(runLowerBound(*seed, *weightSeed))
+		out, err := lowerBound(cfg)
+		fail(err)
+		fmt.Print(out)
 	case "extensions":
 		rep, err := experiments.RunExtensions(cfg)
 		fail(err)
 		fmt.Print(rep.Format())
 	case "scaling":
-		rep, err := experiments.RunScaling(cfg.Trace, scalingSizes(*coflows), *weightSeed)
+		rep, err := experiments.RunScaling(cfg.Trace, scalingSizes(cfg.Trace.NumCoflows), cfg.WeightSeed)
 		fail(err)
 		fmt.Print(rep.Format())
 	case "arrivals":
-		rep, err := experiments.RunArrivalSweep(cfg.Trace, []float64{0, 2, 8, 32, 128}, *weightSeed)
+		rep, err := experiments.RunArrivalSweep(cfg.Trace, []float64{0, 2, 8, 32, 128}, cfg.WeightSeed)
 		fail(err)
 		fmt.Print(rep.Format())
 	case "all":
-		rep := mustReport(cfg)
-		fmt.Print(rep.FormatTable1())
-		fmt.Println()
-		out, err := rep.FormatFig2a()
-		fail(err)
-		fmt.Print(out)
-		fmt.Println()
-		out, err = rep.FormatFig2b()
-		fail(err)
-		fmt.Print(out)
-		fmt.Println()
-		fmt.Print(runLowerBound(*seed, *weightSeed))
-		fmt.Println()
-		ext, err := experiments.RunExtensions(cfg)
-		fail(err)
-		fmt.Print(ext.Format())
+		fail(writeAll(os.Stdout, cfg))
 	default:
 		usage()
 	}
+}
+
+// parseArgs reads the shared flags into an experiment configuration
+// and the -obsjson destination ("" when off).
+func parseArgs(args []string) (experiments.Config, string, error) {
+	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
+	ports := fs.Int("ports", 50, "switch size m (150 = paper scale; slower LP)")
+	coflows := fs.Int("coflows", 120, "number of generated coflows")
+	seed := fs.Int64("seed", 1, "trace seed")
+	filtersArg := fs.String("filters", "50,40,30", "comma-separated M0 thresholds")
+	recompute := fs.Bool("recompute", false, "work-conserving scheduling extension")
+	weightSeed := fs.Int64("weightseed", 7, "seed for the random-permutation weighting")
+	obsJSON := fs.String("obsjson", "", "instrument the pipeline and write per-stage timings as JSON to this file (- for stdout)")
+	if err := fs.Parse(args); err != nil {
+		return experiments.Config{}, "", err
+	}
+	filters, err := parseFilters(*filtersArg)
+	if err != nil {
+		return experiments.Config{}, "", err
+	}
+	cfg := experiments.DefaultConfig()
+	cfg.Trace.Ports = *ports
+	cfg.Trace.NumCoflows = *coflows
+	cfg.Trace.Seed = *seed
+	cfg.Filters = filters
+	cfg.Recompute = *recompute
+	cfg.WeightSeed = *weightSeed
+	return cfg, *obsJSON, nil
+}
+
+// writeAll prints every artifact of `experiments all` to w: Table 1,
+// Figures 2a and 2b, the §4.2 lower bound and the extensions table,
+// separated by blank lines.
+func writeAll(w io.Writer, cfg experiments.Config) error {
+	rep, err := experiments.Run(cfg)
+	if err != nil {
+		return err
+	}
+	fig2a, err := rep.FormatFig2a()
+	if err != nil {
+		return err
+	}
+	fig2b, err := rep.FormatFig2b()
+	if err != nil {
+		return err
+	}
+	lb, err := lowerBound(cfg)
+	if err != nil {
+		return err
+	}
+	ext, err := experiments.RunExtensions(cfg)
+	if err != nil {
+		return err
+	}
+	_, err = fmt.Fprint(w, rep.FormatTable1(), "\n", fig2a, "\n", fig2b, "\n", lb, "\n", ext.Format())
+	return err
 }
 
 func usage() {
@@ -163,18 +187,20 @@ func mustReport(cfg experiments.Config) *experiments.Report {
 	return rep
 }
 
-// runLowerBound uses a reduced-scale trace so the time-indexed LP-EXP
+// lowerBound uses a reduced-scale trace so the time-indexed LP-EXP
 // stays tractable (the paper itself solved it only once for the same
-// reason).
-func runLowerBound(seed, weightSeed int64) string {
+// reason); only the seeds come from cfg.
+func lowerBound(cfg experiments.Config) (string, error) {
 	tr := trace.DefaultConfig()
 	tr.Ports = 10
 	tr.NumCoflows = 10
 	tr.MaxFlowSize = 10
-	tr.Seed = seed
-	res, err := experiments.RunLowerBound(tr, weightSeed)
-	fail(err)
-	return res.Format()
+	tr.Seed = cfg.Trace.Seed
+	res, err := experiments.RunLowerBound(tr, cfg.WeightSeed)
+	if err != nil {
+		return "", err
+	}
+	return res.Format(), nil
 }
 
 func parseFilters(s string) ([]int, error) {

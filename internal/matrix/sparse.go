@@ -5,6 +5,15 @@ import (
 	"sort"
 )
 
+// sparseRow is one compact row of a Sparse: its ingress port, its live
+// sum and its cells ent[lo:hi]. They share one record so the slot scan
+// reads one record per row, not three arrays.
+type sparseRow struct {
+	port   int
+	sum    int64
+	lo, hi int32
+}
+
 // SparseEntry is one positive demand cell of a sparse matrix: Val data
 // units from ingress Row to egress Col.
 type SparseEntry struct {
@@ -28,18 +37,19 @@ type SparseEntry struct {
 type Sparse struct {
 	// entries, sorted by (Row, Col); the cell set never changes.
 	ent []SparseEntry
-	// CSR row pointers over the compact rows: entries of compact row r
-	// are ent[rowOff[r]:rowOff[r+1]].
-	rowOff []int32
+	// compact rows in ascending port order, each with its live sum and
+	// CSR cell range.
+	rows []sparseRow
 	// compact row/col index of each entry (parallel to ent).
 	rowIdx, colIdx []int32
-	// distinct ports in ascending order (compact index -> port).
-	rowID, colID []int
-	// incrementally maintained sums over compact indices.
-	rowSum, colSum []int64
-	total          int64
-	// load is ρ = max(rowSum, colSum), recomputed lazily: a decrement
-	// that lowers a sum equal to the current load marks it dirty.
+	// distinct column ports in ascending order (compact index -> port).
+	colID []int
+	// incrementally maintained column sums over compact indices.
+	colSum []int64
+	total  int64
+	// load is ρ, the largest row or column sum, recomputed lazily: a
+	// decrement that lowers a sum equal to the current load marks it
+	// dirty.
 	load      int64
 	loadDirty bool
 	// maskCol is per-compact-column scratch for LoadMasked, allocated
@@ -81,47 +91,35 @@ func NewSparse(entries []SparseEntry) (*Sparse, error) {
 	return s, nil
 }
 
-// index builds the compact port maps, CSR offsets and initial sums
-// from the sorted entry list.
+// index builds the compact rows, the compact column map and the
+// initial sums from the sorted entry list.
 func (s *Sparse) index() {
-	rowOf := map[int]int32{}
 	colOf := map[int]int32{}
 	for _, e := range s.ent {
-		if _, ok := rowOf[e.Row]; !ok {
-			rowOf[e.Row] = 0
-			s.rowID = append(s.rowID, e.Row)
-		}
 		if _, ok := colOf[e.Col]; !ok {
 			colOf[e.Col] = 0
 			s.colID = append(s.colID, e.Col)
 		}
 	}
-	sort.Ints(s.rowID)
 	sort.Ints(s.colID)
-	for i, p := range s.rowID {
-		rowOf[p] = int32(i)
-	}
 	for i, p := range s.colID {
 		colOf[p] = int32(i)
 	}
-	s.rowSum = make([]int64, len(s.rowID))
 	s.colSum = make([]int64, len(s.colID))
 	s.rowIdx = make([]int32, len(s.ent))
 	s.colIdx = make([]int32, len(s.ent))
-	s.rowOff = make([]int32, len(s.rowID)+1)
-	prev := int32(-1)
+	// ent is sorted by row, so a row starts wherever the port changes.
 	for i, e := range s.ent {
-		ri, ci := rowOf[e.Row], colOf[e.Col]
+		if i == 0 || e.Row != s.ent[i-1].Row {
+			s.rows = append(s.rows, sparseRow{port: e.Row, lo: int32(i)})
+		}
+		ri, ci := int32(len(s.rows)-1), colOf[e.Col]
 		s.rowIdx[i], s.colIdx[i] = ri, ci
-		s.rowSum[ri] += e.Val
+		s.rows[ri].sum += e.Val
+		s.rows[ri].hi = int32(i + 1)
 		s.colSum[ci] += e.Val
 		s.total += e.Val
-		for prev < ri {
-			prev++
-			s.rowOff[prev] = int32(i)
-		}
 	}
-	s.rowOff[len(s.rowID)] = int32(len(s.ent))
 	s.load = s.maxSum()
 	s.maskCol = make([]int64, len(s.colID))
 }
@@ -129,8 +127,8 @@ func (s *Sparse) index() {
 //coflow:allocfree
 func (s *Sparse) maxSum() int64 {
 	var b int64
-	for _, v := range s.rowSum {
-		if v > b {
+	for i := range s.rows {
+		if v := s.rows[i].sum; v > b {
 			b = v
 		}
 	}
@@ -143,10 +141,27 @@ func (s *Sparse) maxSum() int64 {
 }
 
 // Len returns the number of cells (fixed at construction; cells drained
-// to zero still count).
+// to zero still count). The slot scan does not walk cells by Len: it
+// walks rows (NumRows, Row), so a drained or busy row costs one check.
 //
 //coflow:allocfree
 func (s *Sparse) Len() int { return len(s.ent) }
+
+// NumRows returns the number of compact rows: the distinct ingress
+// ports that held demand at construction.
+//
+//coflow:allocfree
+func (s *Sparse) NumRows() int { return len(s.rows) }
+
+// Row returns compact row r: its ingress port, its live sum (the row's
+// remaining demand, kept by Dec) and its cells as the entry range
+// [lo, hi), in ascending column order.
+//
+//coflow:allocfree
+func (s *Sparse) Row(r int) (port int, sum int64, lo, hi int) {
+	rw := &s.rows[r]
+	return rw.port, rw.sum, int(rw.lo), int(rw.hi)
+}
 
 // Entry returns cell e: its ports and current value.
 //
@@ -172,10 +187,10 @@ func (s *Sparse) Dec(e int, d int64) {
 	}
 	it.Val -= d
 	ri, ci := s.rowIdx[e], s.colIdx[e]
-	if s.rowSum[ri] == s.load || s.colSum[ci] == s.load {
+	if s.rows[ri].sum == s.load || s.colSum[ci] == s.load {
 		s.loadDirty = true
 	}
-	s.rowSum[ri] -= d
+	s.rows[ri].sum -= d
 	s.colSum[ci] -= d
 	s.total -= d
 }
@@ -218,12 +233,13 @@ func (s *Sparse) LoadMasked(down []bool) int64 {
 		s.maskCol[i] = 0
 	}
 	var b int64
-	for r := range s.rowID {
-		if portDown(down, s.rowID[r]) {
+	for r := range s.rows {
+		rw := &s.rows[r]
+		if portDown(down, rw.port) {
 			continue
 		}
 		var rs int64
-		for e, hi := int(s.rowOff[r]), int(s.rowOff[r+1]); e < hi; e++ {
+		for e, hi := int(rw.lo), int(rw.hi); e < hi; e++ {
 			ci := s.colIdx[e]
 			if portDown(down, s.colID[ci]) {
 				continue

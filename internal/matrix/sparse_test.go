@@ -61,21 +61,26 @@ func TestSparseCompactPorts(t *testing.T) {
 	}
 	wantRows := []int{9, 100}
 	wantCols := []int{7, 400}
-	if got := s.rowID; len(got) != 2 || got[0] != wantRows[0] || got[1] != wantRows[1] {
-		t.Errorf("row ports = %v, want %v", got, wantRows)
+	if s.NumRows() != 2 {
+		t.Fatalf("NumRows = %d, want 2", s.NumRows())
+	}
+	for r, want := range wantRows {
+		if got, _, _, _ := s.Row(r); got != want {
+			t.Errorf("row %d port = %d, want %d", r, got, want)
+		}
 	}
 	if got := s.colID; len(got) != 2 || got[0] != wantCols[0] || got[1] != wantCols[1] {
 		t.Errorf("col ports = %v, want %v", got, wantCols)
 	}
 	// CSR layout: entries grouped by row, ascending col within a row.
-	lo, hi := int(s.rowOff[0]), int(s.rowOff[1]) // compact row 0 = port 9
+	_, _, lo, hi := s.Row(0) // compact row 0 = port 9
 	if hi-lo != 1 {
 		t.Fatalf("row 9 has %d entries, want 1", hi-lo)
 	}
 	if r, c, v := s.Entry(lo); r != 9 || c != 400 || v != 3 {
 		t.Errorf("row 9 entry = (%d,%d,%d), want (9,400,3)", r, c, v)
 	}
-	lo, hi = int(s.rowOff[1]), int(s.rowOff[2]) // compact row 1 = port 100
+	_, _, lo, hi = s.Row(1) // compact row 1 = port 100
 	if hi-lo != 2 {
 		t.Fatalf("row 100 has %d entries, want 2", hi-lo)
 	}
@@ -138,17 +143,54 @@ func TestSparseIncrementalAgainstDense(t *testing.T) {
 			if s.Load() != ref.Load() {
 				t.Fatalf("trial %d: incremental load %d, dense %d", trial, s.Load(), ref.Load())
 			}
-			for ri, p := range s.rowID {
-				if s.rowSum[ri] != ref.RowSum(p) {
-					t.Fatalf("trial %d: row %d sum %d, dense %d", trial, p, s.rowSum[ri], ref.RowSum(p))
-				}
-			}
 			for ci, p := range s.colID {
 				if s.colSum[ci] != ref.ColSum(p) {
 					t.Fatalf("trial %d: col %d sum %d, dense %d", trial, p, s.colSum[ci], ref.ColSum(p))
 				}
 			}
+			checkRowsAgainstDense(t, s, ref)
 		}
+	}
+}
+
+// checkRowsAgainstDense checks the compact-row accessor against the
+// dense matrix: rows come in ascending port order and tile the cells
+// [0, Len) in order; each row's live sum is the dense row sum, its
+// cells all lie in that row with ascending columns and add up to it;
+// the rows together hold all the dense demand.
+func checkRowsAgainstDense(t *testing.T, s *Sparse, ref *Matrix) {
+	t.Helper()
+	next, prevPort := 0, -1
+	var total int64
+	for r := 0; r < s.NumRows(); r++ {
+		port, sum, lo, hi := s.Row(r)
+		if port <= prevPort || lo != next || hi <= lo {
+			t.Fatalf("row %d: port %d range [%d,%d) after port %d ending at %d", r, port, lo, hi, prevPort, next)
+		}
+		if sum != ref.RowSum(port) {
+			t.Fatalf("row %d (port %d): live sum %d, dense %d", r, port, sum, ref.RowSum(port))
+		}
+		var cells int64
+		prevCol := -1
+		for e := lo; e < hi; e++ {
+			row, col, val := s.Entry(e)
+			if row != port || col <= prevCol || val != ref.At(row, col) {
+				t.Fatalf("row %d (port %d): cell %d is (%d,%d)=%d after col %d, dense %d",
+					r, port, e, row, col, val, prevCol, ref.At(row, col))
+			}
+			cells += val
+			prevCol = col
+		}
+		if cells != sum {
+			t.Fatalf("row %d (port %d): cells add up to %d, live sum %d", r, port, cells, sum)
+		}
+		next, prevPort, total = hi, port, total+sum
+	}
+	if next != s.Len() {
+		t.Fatalf("rows cover cells [0,%d), Len is %d", next, s.Len())
+	}
+	if total != ref.Total() {
+		t.Fatalf("rows hold %d units, dense %d", total, ref.Total())
 	}
 }
 

@@ -24,7 +24,7 @@ type Obs struct {
 	// ones with no eligible coflow (every other step runs the matching
 	// scan once). SortSkips counts sorts short-circuited by the
 	// sorted-check; SaturationExits counts scans that stopped early
-	// because all m ports were matched.
+	// because every live port was matched: m − failed units served.
 	Steps           *obs.Counter
 	IdleSteps       *obs.Counter
 	SortSkips       *obs.Counter
@@ -47,7 +47,7 @@ func NewObs(r *obs.Registry) Obs {
 		Steps:           r.Counter("coflow_steps_total", "scheduling steps taken"),
 		IdleSteps:       r.Counter("coflow_step_idle_total", "steps with no eligible coflow"),
 		SortSkips:       r.Counter("coflow_step_sort_skips_total", "priority sorts skipped by the sorted-check"),
-		SaturationExits: r.Counter("coflow_step_saturation_exits_total", "matching scans stopped early with all ports matched"),
+		SaturationExits: r.Counter("coflow_step_saturation_exits_total", "matching scans stopped early with every live port matched"),
 
 		UnitsServed:      r.Counter("coflow_units_served_total", "data units transferred"),
 		CoflowsCompleted: r.Counter("coflow_completions_total", "coflows completed by the scheduler"),

@@ -16,11 +16,13 @@ import (
 // the two cannot drift apart.
 //
 // Per-coflow demand lives in a matrix.Sparse, so row/column sums and
-// the SEBF bottleneck are maintained incrementally as units drain
-// (O(changed entries) per slot, never an O(m²) or O(pairs·m) rescan),
-// and every per-slot buffer (busy flags, active list, served and
-// completed lists) is owned by the State and reused, so a steady-state
-// Step performs zero heap allocations.
+// the SEBF bottleneck are maintained incrementally as units drain (one
+// O(1) update per served unit, never an O(m²) or O(pairs·m) rescan).
+// The matching scan of a slot costs O(rows of the visited coflows +
+// cells probed in free rows): a busy or drained row costs one check.
+// Every per-slot buffer (busy flags, active list, served and completed
+// lists) is owned by the State and reused, so a steady-state Step
+// performs zero heap allocations.
 //
 // A State is NOT safe for concurrent use; callers serialize access
 // (coflowd does so with a single-writer event loop).
@@ -326,22 +328,35 @@ func (s *State) step(slot int64) StepResult {
 	}
 	s.served = s.served[:0]
 	s.completed = s.completed[:0]
-	// A slot serves at most m units (each unit occupies one ingress
-	// and one egress), so once m are matched the scan over
-	// lower-priority coflows stops: with many more coflows than ports
-	// this saturation exit, not the active count, bounds the per-slot
-	// work.
+	// A slot serves at most m − failed units (each unit occupies one
+	// ingress and one egress), so once that many are matched the scan
+	// over lower-priority coflows stops: with many more coflows than
+	// ports this saturation exit, not the active count, bounds the
+	// per-slot work.
+	//
+	// Each coflow is walked row by row. An ingress serves one unit per
+	// slot, so a row whose ingress is busy, or whose live sum is 0, is
+	// passed over with one check, and a row is left at its first match.
+	// Cells inside a row are still tried in ascending column order, so
+	// the matching is the one a (row, col) scan over every cell builds.
 	for _, st := range s.active {
 		d := st.demand
-		for e, n := 0, d.Len(); e < n; e++ {
-			src, dst, rem := d.Entry(e)
-			if rem == 0 || s.rowBusy[src] || s.colBusy[dst] {
+		for r, nr := 0, d.NumRows(); r < nr; r++ {
+			src, sum, lo, hi := d.Row(r)
+			if sum == 0 || s.rowBusy[src] {
 				continue
 			}
-			s.rowBusy[src] = true
-			s.colBusy[dst] = true
-			d.Dec(e, 1)
-			s.served = append(s.served, Assignment{Key: st.key, Src: src, Dst: dst})
+			for e := lo; e < hi; e++ {
+				_, dst, rem := d.Entry(e)
+				if rem == 0 || s.colBusy[dst] {
+					continue
+				}
+				s.rowBusy[src] = true
+				s.colBusy[dst] = true
+				d.Dec(e, 1)
+				s.served = append(s.served, Assignment{Key: st.key, Src: src, Dst: dst})
+				break
+			}
 		}
 		if d.Total() == 0 {
 			s.completed = append(s.completed, st.key)
