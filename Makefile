@@ -80,7 +80,8 @@ slowcheck:
 # scan it replaced (port failures included), the sparse LP pipeline
 # to the dense tableau, the order-statistic rolling window to
 # stats.Summarize, the matcher's free-column lookahead to the
-# adjacency-scan one, the simplex's reach-set LU factor and
+# adjacency-scan one, a held bvn.Decomposer to a fresh one (every
+# decomposition starts cold), the simplex's reach-set LU factor and
 # zero-skipping BTRAN to the full-scan, every-product ones in
 # internal/lp/reference_test.go.
 # This is the one copy of the list; the CI differential job runs this
@@ -92,6 +93,7 @@ fuzz:
 	go test -run='^$$' -fuzz=FuzzLUVsReference -fuzztime=30s ./internal/lp/
 	go test -run='^$$' -fuzz=FuzzRollingVsSummarize -fuzztime=30s ./internal/stats/
 	go test -run='^$$' -fuzz=FuzzAugmentRowVsReference -fuzztime=30s ./internal/matching/
+	go test -run='^$$' -fuzz=FuzzDecompose -fuzztime=30s ./internal/bvn/
 
 # Scenario smoke: replay every built-in scenario through the
 # in-process driver (monitor validating every slot, planner

@@ -91,26 +91,3 @@ func BenchmarkAblationSimulatorSlot(b *testing.B) {
 		return res, err
 	})
 }
-
-// Ablation 7: BvN matching extraction — the paper's first-fit rule vs
-// the bottleneck ("thick") rule; "matchings" counts fabric
-// reconfigurations.
-func benchStrategy(b *testing.B, thick bool) {
-	b.Helper()
-	ins := benchInstance()
-	var res *coflow.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = coflow.Schedule(ins, coflow.Options{
-			Ordering: coflow.OrderLoadWeight, Grouping: true, Backfill: true,
-			ThickMatchings: thick,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(res.Matchings), "matchings")
-	b.ReportMetric(res.TotalWeighted/benchBaseline(), "norm_total")
-}
-func BenchmarkAblationMatchingFirst(b *testing.B) { benchStrategy(b, false) }
-func BenchmarkAblationMatchingThick(b *testing.B) { benchStrategy(b, true) }

@@ -65,11 +65,11 @@ func TestAugmentPanicsNonSquare(t *testing.T) {
 
 // decompose runs Algorithm 1 on a Decomposer built for this one call,
 // so nothing can recycle the result under the test.
-func decompose(tb testing.TB, d *matrix.Matrix, strategy Strategy) *Decomposition {
+func decompose(tb testing.TB, d *matrix.Matrix) *Decomposition {
 	tb.Helper()
-	dec, err := NewDecomposer(d.Rows()).DecomposeWith(d, strategy)
+	dec, err := NewDecomposer(d.Rows()).Decompose(d)
 	if err != nil {
-		tb.Fatalf("DecomposeWith(%s) on %v: %v", strategy, d, err)
+		tb.Fatalf("Decompose on %v: %v", d, err)
 	}
 	return dec
 }
@@ -80,7 +80,7 @@ func TestDecomposeFigure1(t *testing.T) {
 		{1, 2},
 		{2, 1},
 	})
-	dec := decompose(t, d, StrategyFirst)
+	dec := decompose(t, d)
 	if dec.Load != 3 {
 		t.Fatalf("Load = %d, want 3", dec.Load)
 	}
@@ -93,7 +93,7 @@ func TestDecomposeFigure1(t *testing.T) {
 }
 
 func TestDecomposeZero(t *testing.T) {
-	dec := decompose(t, matrix.NewSquare(4), StrategyFirst)
+	dec := decompose(t, matrix.NewSquare(4))
 	if dec.Load != 0 || len(dec.Terms) != 0 {
 		t.Fatalf("zero matrix decomposition: load=%d terms=%d", dec.Load, len(dec.Terms))
 	}
@@ -105,7 +105,7 @@ func TestDecomposeZero(t *testing.T) {
 func TestDecomposeSingleEntry(t *testing.T) {
 	d := matrix.NewSquare(1)
 	d.Set(0, 0, 7)
-	dec := decompose(t, d, StrategyFirst)
+	dec := decompose(t, d)
 	if dec.Load != 7 || len(dec.Terms) != 1 || dec.Terms[0].Count != 7 {
 		t.Fatalf("unexpected decomposition: %+v", dec)
 	}
@@ -117,7 +117,7 @@ func TestDecomposeIdentityLike(t *testing.T) {
 		{0, 4, 0},
 		{0, 0, 4},
 	})
-	dec := decompose(t, d, StrategyFirst)
+	dec := decompose(t, d)
 	if dec.Load != 4 {
 		t.Fatalf("Load = %d, want 4", dec.Load)
 	}
@@ -151,7 +151,7 @@ func TestDecomposeAppendixBMatrices(t *testing.T) {
 		t.Fatalf("ρ(D1+D2) = %d, want 30", sum.Load())
 	}
 	for _, d := range []*matrix.Matrix{d1, d2, sum} {
-		dec := decompose(t, d, StrategyFirst)
+		dec := decompose(t, d)
 		if err := dec.Verify(d); err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +176,7 @@ func TestDecomposeRandomVerify(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		m := 1 + rng.Intn(8)
 		d := randomMatrix(rng, m, 20)
-		dec := decompose(t, d, StrategyFirst)
+		dec := decompose(t, d)
 		if err := dec.Verify(d); err != nil {
 			t.Fatalf("trial %d: %v for %v", trial, err, d)
 		}
@@ -191,7 +191,7 @@ func TestDecompositionCoversDemand(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		m := 2 + rng.Intn(5)
 		d := randomMatrix(rng, m, 15)
-		dec := decompose(t, d, StrategyFirst)
+		dec := decompose(t, d)
 		cover := matrix.NewSquare(m)
 		for _, term := range dec.Terms {
 			for i, j := range term.Perm.To {
@@ -230,7 +230,7 @@ func TestAugmentBoundedChanges(t *testing.T) {
 
 func TestVerifyCatchesCorruption(t *testing.T) {
 	d := matrix.MustFromRows([][]int64{{1, 2}, {2, 1}})
-	dec := decompose(t, d, StrategyFirst)
+	dec := decompose(t, d)
 	dec.Terms[0].Count++
 	if err := dec.Verify(d); err == nil {
 		t.Fatal("Verify accepted a corrupted decomposition")

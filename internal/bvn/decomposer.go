@@ -2,7 +2,6 @@ package bvn
 
 import (
 	"fmt"
-	"slices"
 
 	"coflow/internal/matching"
 	"coflow/internal/matrix"
@@ -11,16 +10,16 @@ import (
 // Decomposer is the reusable, zero-allocation engine behind Algorithm
 // 1 for a fixed port count m. It owns every piece of scratch a
 // decomposition needs — the augmentation sum buffers and deficit
-// heaps, the working copy of D̃, a warm-started matching.Matcher, an
-// incrementally maintained support adjacency, and a recycled pool of
-// permutation buffers — so once the pool is warm, Decompose performs
-// no allocations (enforced by TestDecomposeDoesNotAllocate and the
-// allocfree analyzer). The matcher starts from the matching the
-// previous run left, which after a StrategyFirst run is none.
+// heaps, the working copy of D̃, a matching.Matcher, an incrementally
+// maintained support adjacency, and a recycled pool of permutation
+// buffers — so once the pool is warm, Decompose performs no
+// allocations (enforced by TestDecomposeDoesNotAllocate and the
+// allocfree analyzer). Only storage carries over: every decomposition
+// starts from an empty matching, so its terms depend on d alone.
 //
 // The returned *Decomposition aliases the Decomposer's recycled
-// storage: it is valid until the next Decompose/DecomposeWith call on
-// the same Decomposer. Callers that need it afterwards take a Clone
+// storage: it is valid until the next Decompose call on the same
+// Decomposer. Callers that need it afterwards take a Clone
 // first. A Decomposer is NOT safe for concurrent use.
 type Decomposer struct {
 	m       int
@@ -30,23 +29,23 @@ type Decomposer struct {
 	// work is the draining copy of D̃ a decomposition extracts from.
 	work *matrix.Matrix
 
-	// Support adjacency over work during a StrategyFirst run,
-	// installed into the matcher via SetAdjacency and maintained
-	// incrementally with O(1) swap-deletes: row i's live columns are
-	// adjDat[i*m : i*m+adjLen[i]], and edgePos[i*m+j] is the absolute
-	// adjDat position of edge (i,j), or -1. nnz counts live support
-	// cells, making the extraction loop's termination test O(1).
+	// Support adjacency over work, installed into the matcher via
+	// SetAdjacency and maintained incrementally with O(1) swap-deletes:
+	// row i's live columns are adjDat[i*m : i*m+adjLen[i]], and
+	// edgePos[i*m+j] is the absolute adjDat position of edge (i,j), or
+	// -1. nnz counts live support cells, making the extraction loop's
+	// termination test O(1).
 	adjOff  []int32
 	adjLen  []int32
 	adjDat  []int32
 	edgePos []int32
 	nnz     int
 
-	// Lazy subtraction state of a StrategyFirst run. With G the Σq
-	// extracted so far, row i's matched cell (i, lvlCol[i]) holds
-	// lvl[i] − G; work itself is stale there until the row drains or
-	// rematches, when the cell is written back. drained lists the rows
-	// whose matched cell the current term empties.
+	// Lazy subtraction state of Step 2. With G the Σq extracted so
+	// far, row i's matched cell (i, lvlCol[i]) holds lvl[i] − G; work
+	// itself is stale there until the row drains or rematches, when the
+	// cell is written back. drained lists the rows whose matched cell
+	// the current term empties.
 	lvl     []int64
 	lvlCol  []int32
 	drained []int32
@@ -56,12 +55,6 @@ type Decomposer struct {
 	// term k of a decomposition writes into permBufs[k].
 	terms    []Term
 	permBufs [][]int
-
-	// Thick-strategy scratch: distinct entry values and the
-	// current/best probe matchings of the bottleneck binary search.
-	vals      []int64
-	thickCur  []int
-	thickBest []int
 
 	dec Decomposition
 	obs Obs
@@ -74,19 +67,16 @@ func NewDecomposer(m int) *Decomposer {
 		panic(fmt.Sprintf("bvn: non-positive decomposer size %d", m))
 	}
 	dc := &Decomposer{
-		m:         m,
-		matcher:   matching.NewMatcher(m),
-		work:      matrix.NewSquare(m),
-		adjOff:    make([]int32, m),
-		adjLen:    make([]int32, m),
-		adjDat:    make([]int32, m*m),
-		edgePos:   make([]int32, m*m),
-		lvl:       make([]int64, m),
-		lvlCol:    make([]int32, m),
-		drained:   make([]int32, 0, m),
-		vals:      make([]int64, 0, m*m),
-		thickCur:  make([]int, m),
-		thickBest: make([]int, m),
+		m:       m,
+		matcher: matching.NewMatcher(m),
+		work:    matrix.NewSquare(m),
+		adjOff:  make([]int32, m),
+		adjLen:  make([]int32, m),
+		adjDat:  make([]int32, m*m),
+		edgePos: make([]int32, m*m),
+		lvl:     make([]int64, m),
+		lvlCol:  make([]int32, m),
+		drained: make([]int32, 0, m),
 	}
 	for i := 0; i < m; i++ {
 		dc.adjOff[i] = int32(i * m)
@@ -96,35 +86,37 @@ func NewDecomposer(m int) *Decomposer {
 }
 
 // SetObs installs per-instance instrumentation (term-reuse hit rate,
-// matcher warm-start counters); the zero Obs disables it. Not safe to
+// matcher solve counters); the zero Obs disables it. Not safe to
 // call concurrently with decompositions.
 func (dc *Decomposer) SetObs(o Obs) {
 	dc.obs = o
 	dc.matcher.SetObs(o.Matcher)
 }
 
-// Reset forgets the matcher's warm matching and keeps all storage: the
-// next Decompose computes what a fresh Decomposer would. A holder that
-// outlives its caller (switchsim's pooled executor) calls it between
-// callers, so that a decomposition never depends on what was
-// decomposed for someone else.
-func (dc *Decomposer) Reset() { dc.matcher.Reset() }
+// Strategy and StrategyFirst are read by nothing: Step 2 has one
+// extraction rule, any perfect matching on the support, as the paper's
+// Algorithm 1 writes it. They stay declared, with DecomposeWith and
+// switchsim.Plan.Strategy, only because benchmark/batch.go names them
+// and this round may not edit benchmark/, as core.Options.SparseLP
+// does; the next benchmark PR drops them from both places.
+type Strategy int
 
-// Decompose runs Algorithm 1 on d with StrategyFirst. See the type
-// comment for the aliasing contract of the result.
+// StrategyFirst is the one extraction rule Decompose runs.
+const StrategyFirst Strategy = 0
+
+// DecomposeWith is Decompose; the strategy is ignored (see Strategy).
+//
+//coflow:pooled
+func (dc *Decomposer) DecomposeWith(d *matrix.Matrix, _ Strategy) (*Decomposition, error) {
+	return dc.Decompose(d)
+}
+
+// Decompose runs Algorithm 1 on d, reusing all scratch from previous
+// calls. See the type comment for the aliasing contract of the result.
 //
 //coflow:allocfree
 //coflow:pooled
 func (dc *Decomposer) Decompose(d *matrix.Matrix) (*Decomposition, error) {
-	return dc.DecomposeWith(d, StrategyFirst)
-}
-
-// DecomposeWith runs Algorithm 1 on d with the given extraction
-// strategy, reusing all scratch from previous calls.
-//
-//coflow:allocfree
-//coflow:pooled
-func (dc *Decomposer) DecomposeWith(d *matrix.Matrix, strategy Strategy) (*Decomposition, error) {
 	if d.Rows() != d.Cols() || d.Rows() != dc.m {
 		panic(fmt.Sprintf("bvn: decomposer size %d, matrix %d×%d", dc.m, d.Rows(), d.Cols()))
 	}
@@ -139,11 +131,7 @@ func (dc *Decomposer) DecomposeWith(d *matrix.Matrix, strategy Strategy) (*Decom
 	if rho > 0 {
 		var err error
 		exSpan := dc.obs.ExtractSeconds.Start()
-		if strategy == StrategyFirst {
-			err = dc.extractFirstAll()
-		} else {
-			err = dc.extractThickAll()
-		}
+		err = dc.extractFirstAll()
 		exSpan.End()
 		if err != nil {
 			return nil, err
@@ -210,8 +198,8 @@ func (dc *Decomposer) deleteEdge(i, j int) {
 	dc.nnz--
 }
 
-// extractFirstAll is Step 2 with StrategyFirst on the incremental
-// path: one maximum matching up front, then per term a scan of the
+// extractFirstAll is Step 2 on the incremental path: one cold maximum
+// matching up front, then per term a scan of the
 // drain levels for q and the rows it drains, O(1) support deletes for
 // those rows, and single-row Kuhn repairs that also reload the drain
 // levels of every row they rematch. Subtraction is lazy — a term
@@ -224,10 +212,9 @@ func (dc *Decomposer) extractFirstAll() error {
 	m := dc.m
 	dc.buildSupport()
 	dc.matcher.SetAdjacency(dc.adjOff, dc.adjLen, dc.adjDat, dc.edgePos)
-	// Whatever matching the matcher still holds is repaired against the
-	// fresh support. After a StrategyFirst run that is none: its last
-	// term drains every cell and unmatches every row, so this is a cold
-	// Hopcroft–Karp solve unless the previous run was StrategyThick.
+	// Start from the empty matching, so the terms are a function of d
+	// alone, then solve it to maximum with Hopcroft–Karp.
+	dc.matcher.Reset()
 	if dc.matcher.RepairRematch() != m {
 		return fmt.Errorf("bvn: support of %d×%d balanced matrix admits no perfect matching", m, m)
 	}
@@ -302,90 +289,4 @@ func (dc *Decomposer) reloadMoved(g int64) {
 		dc.lvlCol[i] = int32(j)
 		dc.lvl[i] = dc.work.At(int(i), j) + g
 	}
-}
-
-// extractThickAll is Step 2 with StrategyThick: every term extracts a
-// bottleneck (maximin-entry) matching via binary search over the
-// distinct entry values, all probes sharing the warm matcher and the
-// Decomposer's scratch.
-//
-//coflow:allocfree
-func (dc *Decomposer) extractThickAll() error {
-	m := dc.m
-	dc.nnz = 0
-	for i := 0; i < m; i++ {
-		for j := 0; j < m; j++ {
-			if dc.work.At(i, j) > 0 {
-				dc.nnz++
-			}
-		}
-	}
-	maxTerms := m*m + 1
-	for dc.nnz > 0 {
-		if len(dc.terms) >= maxTerms {
-			return fmt.Errorf("bvn: more than m²=%d terms extracted; invariant violated", m*m)
-		}
-		if !dc.bottleneck() {
-			return fmt.Errorf("bvn: support of %d×%d balanced matrix admits no perfect matching", m, m)
-		}
-		buf := dc.permBuf(len(dc.terms))
-		copy(buf, dc.thickBest)
-		perm := matrix.Permutation{To: buf}
-		var q int64 = -1
-		for i, j := range perm.To {
-			if v := dc.work.At(i, j); q < 0 || v < q {
-				q = v
-			}
-		}
-		if q <= 0 {
-			return fmt.Errorf("bvn: non-positive multiplicity %d; invariant violated", q)
-		}
-		for i, j := range perm.To {
-			dc.work.Add(i, j, -q)
-			if dc.work.At(i, j) == 0 {
-				dc.nnz--
-			}
-		}
-		dc.terms = append(dc.terms, Term{Count: q, Perm: perm})
-	}
-	return nil
-}
-
-// bottleneck finds a perfect matching of work maximizing its minimum
-// entry, writing it into thickBest and reporting success. It binary
-// searches the sorted distinct positive entries, probing each
-// threshold graph on the shared warm matcher.
-//
-//coflow:allocfree
-func (dc *Decomposer) bottleneck() bool {
-	m := dc.m
-	dc.vals = dc.vals[:0]
-	for i := 0; i < m; i++ {
-		for j := 0; j < m; j++ {
-			if v := dc.work.At(i, j); v > 0 {
-				dc.vals = append(dc.vals, v)
-			}
-		}
-	}
-	slices.Sort(dc.vals)
-	dc.vals = slices.Compact(dc.vals)
-	// The smallest positive value always works on a balanced matrix
-	// (full support); binary search the largest workable value.
-	dc.matcher.MatchSupportAtLeastInto(dc.thickCur, dc.work, dc.vals[0])
-	if dc.matcher.MatchedCount() != m {
-		return false
-	}
-	copy(dc.thickBest, dc.thickCur)
-	lo, hi := 0, len(dc.vals)-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		dc.matcher.MatchSupportAtLeastInto(dc.thickCur, dc.work, dc.vals[mid])
-		if dc.matcher.MatchedCount() == m {
-			copy(dc.thickBest, dc.thickCur)
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return true
 }

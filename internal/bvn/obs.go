@@ -13,7 +13,7 @@ import (
 //
 // Stage taxonomy:
 //
-//	decompose  one whole Decompose/DecomposeWith call
+//	decompose  one whole Decompose call
 //	augment    Step 1 (balance D to D̃ with all sums = ρ)
 //	extract    Step 2 of one decomposition (every term's matching
 //	           extraction and subtraction)
@@ -39,10 +39,8 @@ type Obs struct {
 	// core.Options.SparseLP does.
 	UpdateFallbacks *obs.Counter
 
-	// Matcher is threaded into every decomposition's warm-started
-	// Hopcroft–Karp engine, exposing its warm-start hit rate. Only a
-	// StrategyThick run leaves a matching to start from, so the rate
-	// reads 0 where every decomposition is StrategyFirst.
+	// Matcher is threaded into every decomposition's Hopcroft–Karp
+	// engine, counting its solves and phases.
 	Matcher matching.Obs
 }
 
@@ -57,7 +55,7 @@ func (o *Obs) TermReuseHitRate() float64 {
 }
 
 // NewObs registers the decomposition metrics on r (prefix coflow_bvn_)
-// and returns the wired Obs, including matcher warm-start counters. A
+// and returns the wired Obs, including the matcher counters. A
 // nil registry yields the zero Obs.
 func NewObs(r *obs.Registry) Obs {
 	return Obs{

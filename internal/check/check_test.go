@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"coflow/internal/bvn"
 	"coflow/internal/coflowmodel"
 	"coflow/internal/online"
 	"coflow/internal/switchsim"
@@ -91,18 +90,14 @@ func TestScheduleAcceptsSwitchsimOptions(t *testing.T) {
 			switchsim.SingleStage(len(order)),
 			switchsim.OneStage(len(order)),
 		} {
-			for _, strategy := range []bvn.Strategy{bvn.StrategyFirst, bvn.StrategyThick} {
-				res, tr, err := switchsim.ExecuteRecorded(&switchsim.Plan{
-					Ins: ins, Order: order, Stages: stages,
-					Backfill: backfill, Strategy: strategy,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if vs := Schedule(ins, FromTranscript(tr, res)); vs != nil {
-					t.Errorf("backfill=%v stages=%d strategy=%v: %s",
-						backfill, len(stages), strategy, kinds(vs))
-				}
+			res, tr, err := switchsim.ExecuteRecorded(&switchsim.Plan{
+				Ins: ins, Order: order, Stages: stages, Backfill: backfill,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if vs := Schedule(ins, FromTranscript(tr, res)); vs != nil {
+				t.Errorf("backfill=%v stages=%d: %s", backfill, len(stages), kinds(vs))
 			}
 		}
 	}

@@ -45,11 +45,13 @@ func FuzzStepVsReference(f *testing.F) {
 
 		var slot int64
 		key := 0
-		step := func() {
+		step := func() online.StepResult {
 			slot++
-			if _, div := sh.Step(slot, policy); div != nil {
+			res, div := sh.Step(slot, policy)
+			if div != nil {
 				t.Fatalf("ports=%d policy=%v: %v", ports, policy, div)
 			}
+			return res
 		}
 		for i := 0; i < len(prog); {
 			switch op := next(&i); op % 8 {
@@ -90,10 +92,14 @@ func FuzzStepVsReference(f *testing.F) {
 		// scheduler finishes within maxSlots. A stall is a bug.
 		maxSlots := slot + int64(4*len(prog)) + 8
 		for sh.State.Len() > 0 && slot < maxSlots {
-			if sh.State.NextRelease(slot) < 0 {
-				// all released: demand must shrink every slot
+			// Once every live coflow is released, demand must shrink
+			// every slot: no port fails here, so a work-conserving
+			// greedy serves at least one unit.
+			allReleased := sh.State.NextRelease(slot) < 0
+			if res := step(); allReleased && len(res.Served) == 0 {
+				t.Fatalf("ports=%d policy=%v: slot %d served nothing with %d live coflows, all released",
+					ports, policy, slot, sh.State.Len())
 			}
-			step()
 		}
 		if sh.State.Len() > 0 {
 			t.Fatalf("ports=%d policy=%v: stalled with %d live coflows after %d slots",

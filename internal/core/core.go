@@ -23,7 +23,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"coflow/internal/bvn"
 	"coflow/internal/coflowmodel"
 	"coflow/internal/lpmodel"
 	"coflow/internal/switchsim"
@@ -61,11 +60,6 @@ type Options struct {
 	Grouping  bool
 	Backfill  bool
 	Recompute bool
-	// ThickMatchings switches Step 2's matching extraction to the
-	// bottleneck rule (bvn.StrategyThick): identical ρ-slot schedules
-	// from roughly an order of magnitude fewer distinct matchings,
-	// which matters when each matching is a fabric reconfiguration.
-	ThickMatchings bool
 	// SparseLP is read by nothing: the H_LP ordering LP is always
 	// solved by the sparse pipeline. The field stays declared only
 	// because benchmark/batch.go sets it and this round may not edit
@@ -133,7 +127,7 @@ func Schedule(ins *coflowmodel.Instance, opts Options) (*Result, error) {
 
 // orderedPlan builds the executable plan for an externally supplied
 // order — stages from the cumulative loads V (geometric groups or one
-// stage per coflow), BvN strategy and backfill rules from opts — and
+// stage per coflow) and backfill rules from opts — and
 // returns V alongside it.
 func orderedPlan(ins *coflowmodel.Instance, order []int, opts Options) (*switchsim.Plan, []int64) {
 	v := lpmodel.MaxTotalLoads(ins, order)
@@ -141,17 +135,12 @@ func orderedPlan(ins *coflowmodel.Instance, order []int, opts Options) (*switchs
 	if opts.Grouping {
 		stages = GeometricStages(v)
 	}
-	strategy := bvn.StrategyFirst
-	if opts.ThickMatchings {
-		strategy = bvn.StrategyThick
-	}
 	return &switchsim.Plan{
 		Ins:       ins,
 		Order:     order,
 		Stages:    stages,
 		Backfill:  opts.Backfill,
 		Recompute: opts.Recompute,
-		Strategy:  strategy,
 	}, v
 }
 

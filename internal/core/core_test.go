@@ -322,35 +322,6 @@ func TestOrderingString(t *testing.T) {
 	}
 }
 
-// ThickMatchings must produce dramatically fewer distinct matchings
-// while every schedule-quality invariant still holds.
-func TestThickMatchingsReducesReconfigurations(t *testing.T) {
-	rng := rand.New(rand.NewSource(313))
-	ins := randomInstance(rng, 8, 12, 20, 0)
-	first, err := Schedule(ins, Options{Ordering: OrderLoadWeight, Grouping: true, Backfill: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	thick, err := Schedule(ins, Options{Ordering: OrderLoadWeight, Grouping: true, Backfill: true, ThickMatchings: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if thick.Matchings >= first.Matchings {
-		t.Fatalf("thick used %d matchings, first-fit %d", thick.Matchings, first.Matchings)
-	}
-	// Same stage structure means identical slot counts per stage; the
-	// makespan therefore cannot grow.
-	if thick.Makespan > first.Makespan {
-		t.Fatalf("thick makespan %d > first %d", thick.Makespan, first.Makespan)
-	}
-	for k := range ins.Coflows {
-		min := ins.Coflows[k].Load(ins.Ports)
-		if thick.Completion[k] < min {
-			t.Fatalf("thick completion %d beats load bound %d", thick.Completion[k], min)
-		}
-	}
-}
-
 func TestExecuteOrderedRecordedMatchesPlain(t *testing.T) {
 	rng := rand.New(rand.NewSource(606))
 	ins := randomInstance(rng, 4, 6, 8, 0)

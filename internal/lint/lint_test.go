@@ -414,7 +414,7 @@ var allocPlants = []struct {
 		`calls .*RowSums which is not annotated`, `\).augmentInto\tmake\(\[\]int64, matrix.m.rows\) escapes to heap`, planGates},
 	{"decompose-composite", plant{"internal/bvn", "decomposer.go", after(`dc.obs.Terms.Add(int64(len(dc.terms)))`,
 		`return &Decomposition{Load: dc.dec.Load, Terms: dc.terms, m: dc.m}, nil`), ""},
-		"", `\).DecomposeWith\t&Decomposition\{\.\.\.\} escapes to heap`, planGates},
+		"", `\).Decompose\t&Decomposition\{\.\.\.\} escapes to heap`, planGates},
 	{"kuhn-visited", plant{"internal/matching", "incremental.go", after(`adj := mt.adjDat[off : off+mt.adjLen[u]]`,
 		`_ = make([]bool, mt.n)`), ""},
 		"", `\).kuhn\tmake\(\[\]bool, mt.n\) escapes to heap`, planGates},
@@ -588,7 +588,7 @@ var (
 	// stepGates run online.(*State).Step, and with it step, on a
 	// serving slot.
 	stepGates = []string{"TestPerShardTickDoesNotAllocate", "TestPlannerTickDoesNotAllocate", "TestStepDoesNotAllocate", "TestStepObsEnabledDoesNotAllocate", "TestStepWithFailedPortDoesNotAllocate"}
-	// planGates reach Decomposer.DecomposeWith and the matcher under it.
+	// planGates reach Decomposer.Decompose and the matcher under it.
 	planGates = []string{"TestDecomposeDoesNotAllocate", "TestPlannerTickDoesNotAllocate"}
 )
 

@@ -7,42 +7,28 @@ import (
 	"coflow/internal/obs"
 )
 
-// Matcher is a reusable, warm-started Hopcroft–Karp engine for the
-// slot pipeline's repeated-matching workloads (the BvN extraction loop
-// and the per-threshold probes of the bottleneck rule).
+// Matcher is the reusable matching engine of the BvN extraction loop.
+// It runs on a caller-owned CSR adjacency view (SetAdjacency) that the
+// caller shrinks in place between calls. RepairRematch solves the view
+// to a maximum matching with Hopcroft–Karp; after that, each deleted
+// matched edge is Unmatched and its row repaired by AugmentRow with one
+// augmenting-path search, which costs O(reachable edges) instead of a
+// full O(E·√V) solve.
 //
-// Between calls it keeps (a) its scratch buffers — BFS levels, queue,
-// CSR adjacency — so steady-state calls allocate only the returned
-// permutation, and (b) the previous matching. Each call first repairs
-// the previous matching against the new edge set (dropping pairs whose
-// edge disappeared) and then augments from there. When the caller's
-// demand shrinks monotonically — a BvN subtraction zeroes only matched
-// entries, a daemon slot only drains served pairs — most repaired
-// matchings are already maximum or one augmenting path away, so the
-// amortized cost per call is O(changed entries) plus the adjacency
-// scan, instead of a full O(E·√V) cold solve.
-//
-// A Matcher is NOT safe for concurrent use. Correctness never depends
-// on the warm state: any valid partial matching extends to a maximum
-// one via augmenting paths, so even an adversarial (grown) edge set
-// yields a true maximum matching.
+// Between calls it keeps its scratch buffers — BFS levels, queue,
+// visit stamps, free-column list — so no call allocates, and the
+// current matching, which Reset empties. A Matcher is NOT safe for
+// concurrent use.
 type Matcher struct {
 	n              int
 	matchL, matchR []int
 	dist           []int
 	queue          []int
-	// Matcher-owned CSR adjacency, rebuilt (not reallocated) by the
-	// matrix entry point (MatchSupportAtLeastInto).
-	ownOff []int32
-	ownDat []int32
-	ownLen []int32
 
-	// Active adjacency view the search routines run on: row u's live
-	// neighbours are adjDat[adjOff[u] : adjOff[u]+adjLen[u]]. Either
-	// the own* buffers above, or a caller-installed view
-	// (SetAdjacency) that the caller mutates in place between calls.
-	// edgePos indexes the caller view: edgePos[u*n+v] is the adjDat
-	// position of edge (u, v), or -1.
+	// Caller-installed adjacency view (SetAdjacency) the search
+	// routines run on: row u's live neighbours are
+	// adjDat[adjOff[u] : adjOff[u]+adjLen[u]], and edgePos[u*n+v] is
+	// the adjDat position of edge (u, v), or -1.
 	adjOff  []int32
 	adjLen  []int32
 	adjDat  []int32
@@ -65,29 +51,25 @@ type Matcher struct {
 	// mutation so perfection checks are O(1).
 	matched int
 
-	// obs counts warm-start effectiveness (see Obs). The zero value
-	// is the disabled mode (nil-safe no-op counters).
+	// obs counts solves and phases (see Obs). The zero value is the
+	// disabled mode (nil-safe no-op counters).
 	obs Obs
 }
 
-// Obs instruments the warm-start machinery: Calls counts matching
-// solves, WarmHits the solves where the repaired previous matching
-// was already maximum (zero Hopcroft–Karp phases ran — the pure
-// warm-start win), Phases the total HK phases across all solves.
-// Every field is a nil-safe obs metric; the zero Obs disables them.
+// Obs instruments the Hopcroft–Karp solves: Calls counts them, Phases
+// the total HK phases across all of them. Every field is a nil-safe obs
+// metric; the zero Obs disables them.
 type Obs struct {
-	Calls    *obs.Counter
-	WarmHits *obs.Counter
-	Phases   *obs.Counter
+	Calls  *obs.Counter
+	Phases *obs.Counter
 }
 
 // NewObs registers the matcher metrics on r (prefix coflow_matcher_)
 // and returns the wired Obs. A nil registry yields the zero Obs.
 func NewObs(r *obs.Registry) Obs {
 	return Obs{
-		Calls:    r.Counter("coflow_matcher_calls_total", "warm-started matching solves"),
-		WarmHits: r.Counter("coflow_matcher_warm_start_hits_total", "solves where the repaired previous matching was already maximum"),
-		Phases:   r.Counter("coflow_matcher_phases_total", "Hopcroft-Karp phases run across all solves"),
+		Calls:  r.Counter("coflow_matcher_calls_total", "Hopcroft-Karp matching solves"),
+		Phases: r.Counter("coflow_matcher_phases_total", "Hopcroft-Karp phases run across all solves"),
 	}
 }
 
@@ -95,17 +77,14 @@ func NewObs(r *obs.Registry) Obs {
 // them. Not safe to call concurrently with matching.
 func (mt *Matcher) SetObs(o Obs) { mt.obs = o }
 
-// WarmStartHitRate returns WarmHits / Calls, or 0 before any call.
-func (o *Obs) WarmStartHitRate() float64 {
-	calls := o.Calls.Value()
-	if calls == 0 {
-		return 0
-	}
-	return float64(o.WarmHits.Value()) / float64(calls)
-}
+// WarmStartHitRate reads 0: every decomposition's solve starts from
+// the empty matching, so no solve is warm. Only the benchmark harness
+// reads it (benchmark/batch.go:386, benchmark/replay.go:507), which is
+// why it stays, as online's Obs.WarmStartHitRate does.
+func (o *Obs) WarmStartHitRate() float64 { return 0 }
 
 // NewMatcher returns a Matcher for bipartite graphs on n+n vertices
-// with an empty warm matching.
+// with an empty matching.
 func NewMatcher(n int) *Matcher {
 	if n <= 0 {
 		panic(fmt.Sprintf("matching: non-positive matcher size %d", n))
@@ -116,8 +95,6 @@ func NewMatcher(n int) *Matcher {
 		matchR: make([]int, n),
 		dist:   make([]int, n),
 		queue:  make([]int, 0, n),
-		ownOff: make([]int32, n+1),
-		ownLen: make([]int32, n),
 		mark:   make([]int64, n),
 		free:   make([]int32, 0, n),
 		freeAt: make([]int32, n),
@@ -127,7 +104,7 @@ func NewMatcher(n int) *Matcher {
 	return mt
 }
 
-// Reset forgets the warm matching; the next call runs cold.
+// Reset empties the matching; the next RepairRematch solves cold.
 //
 //coflow:allocfree
 func (mt *Matcher) Reset() {
@@ -173,67 +150,7 @@ func (mt *Matcher) claimColumn(v int) {
 	mt.freeAt[v] = -1
 }
 
-// MatchSupportAtLeastInto computes a maximum matching on the threshold
-// graph {(i,j) : d.At(i,j) >= theta} of a square matrix d,
-// warm-starting from the previous call, and writes it into
-// caller-owned dst (which must have length n). theta must be positive;
-// theta = 1 is the support graph. Perfection is checked
-// allocation-free via MatchedCount() == n.
-//
-//coflow:allocfree
-func (mt *Matcher) MatchSupportAtLeastInto(dst []int, d *matrix.Matrix, theta int64) matrix.Permutation {
-	mt.matchSupportAtLeast(d, theta)
-	copy(dst, mt.matchL)
-	return matrix.Permutation{To: dst}
-}
-
-// matchSupportAtLeast solves the threshold-graph matching into the
-// matcher's own matchL/matchR state.
-//
-//coflow:allocfree
-func (mt *Matcher) matchSupportAtLeast(d *matrix.Matrix, theta int64) {
-	if d.Rows() != d.Cols() || d.Rows() != mt.n {
-		panic(fmt.Sprintf("matching: matcher size %d, matrix %d×%d", mt.n, d.Rows(), d.Cols()))
-	}
-	if theta <= 0 {
-		panic(fmt.Sprintf("matching: non-positive threshold %d", theta))
-	}
-	n := mt.n
-	// Build CSR adjacency into the reusable buffers.
-	mt.ownDat = mt.ownDat[:0]
-	for i := 0; i < n; i++ {
-		mt.ownOff[i] = int32(len(mt.ownDat))
-		for j := 0; j < n; j++ {
-			if d.At(i, j) >= theta {
-				mt.ownDat = append(mt.ownDat, int32(j))
-			}
-		}
-		mt.ownLen[i] = int32(len(mt.ownDat)) - mt.ownOff[i]
-	}
-	mt.ownOff[n] = int32(len(mt.ownDat))
-	mt.useOwnAdj()
-	// Repair the warm matching: drop pairs whose edge disappeared.
-	for u := 0; u < n; u++ {
-		if v := mt.matchL[u]; v != matrix.Unmatched && d.At(u, v) < theta {
-			mt.matchL[u] = matrix.Unmatched
-			mt.matchR[v] = matrix.Unmatched
-			mt.matched--
-		}
-	}
-	mt.augmentToMax()
-}
-
-// useOwnAdj points the active adjacency view at the matcher-owned CSR
-// buffers built by the matrix entry points.
-//
-//coflow:allocfree
-func (mt *Matcher) useOwnAdj() {
-	mt.adjOff = mt.ownOff
-	mt.adjLen = mt.ownLen
-	mt.adjDat = mt.ownDat
-}
-
-// augmentToMax runs Hopcroft–Karp phases over the active adjacency
+// augmentToMax runs Hopcroft–Karp phases over the adjacency view
 // from the current (partial) matching until no augmenting path
 // remains.
 //
@@ -251,9 +168,6 @@ func (mt *Matcher) augmentToMax() {
 	mt.rebuildFree()
 	mt.obs.Calls.Inc()
 	mt.obs.Phases.Add(phases)
-	if phases == 0 {
-		mt.obs.WarmHits.Inc()
-	}
 }
 
 // bfs builds the layered graph from free left vertices; it reports
@@ -311,9 +225,7 @@ func (mt *Matcher) dfs(u int) bool {
 // is the dat position of edge (u, v), or -1 when the edge is absent.
 // The caller may mutate the view in place (shrink lengths, swap-delete
 // entries, keeping pos in step) between calls; the matcher only reads
-// it. off and length must have at least n entries, pos n². The view
-// stays active until the next MatchSupportAtLeastInto call rebuilds
-// the matcher-owned adjacency.
+// it. off and length must have at least n entries, pos n².
 //
 //coflow:allocfree
 func (mt *Matcher) SetAdjacency(off, length, dat, pos []int32) {
@@ -336,12 +248,6 @@ func (mt *Matcher) Unmatch(u, v int) {
 	}
 }
 
-// MatchedCount returns the cardinality of the current matching in
-// O(1). The matching is perfect iff MatchedCount() == n.
-//
-//coflow:allocfree
-func (mt *Matcher) MatchedCount() int { return mt.matched }
-
 // Mate returns the right vertex matched to left vertex u, or
 // matrix.Unmatched.
 //
@@ -356,12 +262,11 @@ func (mt *Matcher) Mate(u int) int { return mt.matchL[u] }
 func (mt *Matcher) Moved() []int32 { return mt.moved }
 
 // AugmentRow tries to rematch the single free left vertex u with one
-// Kuhn augmenting-path DFS over the active adjacency, reporting
+// Kuhn augmenting-path DFS over the adjacency view, reporting
 // success. Unlike a full Hopcroft–Karp phase it costs O(reachable
 // edges), which is the right tool when one matched edge just
 // disappeared and the rest of the matching is intact. Calling it on an
-// already-matched row reports true without searching. The active view
-// must be a SetAdjacency one: the search reads its edge positions.
+// already-matched row reports true without searching.
 //
 // Maximality contract: if the matching was PERFECT before deleting
 // matched edge (u, v) — the BvN extraction invariant — then u and v
@@ -442,12 +347,12 @@ func (mt *Matcher) rematch(u, v int) {
 	mt.moved = append(mt.moved, int32(u))
 }
 
-// RepairRematch revalidates the warm matching against the installed
-// SetAdjacency view (dropping matched pairs whose edge position is -1),
-// augments to maximum, and reports the resulting cardinality. This is
-// the external-adjacency analogue of the repair step inside
-// MatchSupportAtLeastInto: the caller mutates its view, then asks for
-// a repaired maximum matching without any CSR rebuild.
+// RepairRematch revalidates the current matching against the installed
+// view (dropping matched pairs whose edge position is -1), augments it
+// to maximum with Hopcroft–Karp, and reports the resulting
+// cardinality: the caller mutates its view, then asks for a repaired
+// maximum matching without any CSR rebuild. After Reset it is a cold
+// solve.
 //
 //coflow:allocfree
 func (mt *Matcher) RepairRematch() int {

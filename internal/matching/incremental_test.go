@@ -9,9 +9,9 @@ import (
 	"coflow/internal/matrix"
 )
 
-// checkMatching verifies p is a valid matching on the theta-threshold
-// graph of d and returns its cardinality.
-func checkMatching(t testing.TB, d *matrix.Matrix, theta int64, p matrix.Permutation) int {
+// checkMatching verifies p is a valid matching on the support of d and
+// returns its cardinality.
+func checkMatching(t testing.TB, d *matrix.Matrix, p matrix.Permutation) int {
 	t.Helper()
 	n := d.Rows()
 	usedR := make([]bool, n)
@@ -27,8 +27,8 @@ func checkMatching(t testing.TB, d *matrix.Matrix, theta int64, p matrix.Permuta
 			t.Fatalf("right vertex %d matched twice", v)
 		}
 		usedR[v] = true
-		if d.At(u, v) < theta {
-			t.Fatalf("match %d→%d is not an edge (d=%d < θ=%d)", u, v, d.At(u, v), theta)
+		if d.At(u, v) <= 0 {
+			t.Fatalf("match %d→%d is not an edge (d=%d)", u, v, d.At(u, v))
 		}
 		size++
 	}
@@ -36,9 +36,9 @@ func checkMatching(t testing.TB, d *matrix.Matrix, theta int64, p matrix.Permuta
 }
 
 // mutate applies one random shrink or grow step to d: shrinking zeroes
-// or decrements a positive entry (the BvN/slot-drain direction the warm
-// start is tuned for), growing raises a random entry. Roughly 2/3 of
-// the steps shrink so sequences drift toward sparse supports.
+// or decrements a positive entry (the BvN drain direction), growing
+// raises a random entry. Roughly 2/3 of the steps shrink so sequences
+// drift toward sparse supports.
 func mutate(rng *rand.Rand, d *matrix.Matrix) {
 	n := d.Rows()
 	i, j := rng.Intn(n), rng.Intn(n)
@@ -54,16 +54,27 @@ func mutate(rng *rand.Rand, d *matrix.Matrix) {
 	}
 }
 
-// match runs the matcher's matrix entry point into a fresh buffer.
-func match(mt *Matcher, d *matrix.Matrix, theta int64) matrix.Permutation {
-	return mt.MatchSupportAtLeastInto(make([]int, d.Rows()), d, theta)
+// match installs a fresh view of d's support into mt, repairs the
+// matching mt holds against it with RepairRematch, and returns the
+// result in a fresh buffer after checking the count RepairRematch
+// reports against it.
+func match(t testing.TB, mt *Matcher, d *matrix.Matrix) matrix.Permutation {
+	t.Helper()
+	newView(d).install(mt)
+	got := mt.RepairRematch()
+	p := mt.MatchingInto(make([]int, d.Rows()))
+	if size := p.Size(); got != size || got != mt.matched {
+		t.Fatalf("RepairRematch reports %d, matched %d, permutation size %d", got, mt.matched, size)
+	}
+	return p
 }
 
-// TestMatcherMatchesBruteForce is the satellite property test: across
-// 1000 random shrink/grow demand sequences, a single warm-started
-// Matcher must report the same maximum-matching cardinality as the
-// exponential brute-force reference on every intermediate graph, and
-// every matching it returns must be valid.
+// TestMatcherMatchesBruteForce is the property test of the production
+// entry: across 1000 random shrink/grow demand sequences, one Matcher
+// repairing its matching against each new view must report the same
+// maximum-matching cardinality as the exponential brute-force
+// reference on every intermediate graph, and every matching it returns
+// must be valid.
 func TestMatcherMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	const sequences = 1000
@@ -81,22 +92,21 @@ func TestMatcherMatchesBruteForce(t *testing.T) {
 		steps := 1 + rng.Intn(12)
 		for s := 0; s < steps; s++ {
 			mutate(rng, d)
-			p := match(mt, d, 1)
-			got := checkMatching(t, d, 1, p)
+			got := checkMatching(t, d, match(t, mt, d))
 			want := BruteForceMaxMatching(SupportGraph(d))
 			if got != want {
-				t.Fatalf("seq %d step %d: warm matcher found %d, brute force %d on\n%v",
+				t.Fatalf("seq %d step %d: matcher found %d, brute force %d on\n%v",
 					seq, s, got, want, d)
 			}
 		}
 	}
 }
 
-// TestMatcherThresholdMatchesBruteForce covers a threshold above 1, the
-// entry point the bottleneck-extraction binary search probes with a
-// moving θ on a fixed matrix — the other warm-start pattern in the
-// pipeline (edges only ever disappear as θ rises, then the whole edge
-// set changes for the next term).
+// TestMatcherThresholdMatchesBruteForce raises a threshold θ over a
+// fixed matrix and repairs one Matcher against the view of each
+// threshold graph {(i,j) : d(i,j) ≥ θ}: edges only disappear as θ
+// rises, so every RepairRematch starts from a matching that lost some
+// of its pairs, and must still find a maximum one.
 func TestMatcherThresholdMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for seq := 0; seq < 200; seq++ {
@@ -111,27 +121,27 @@ func TestMatcherThresholdMatchesBruteForce(t *testing.T) {
 		}
 		mt := NewMatcher(n)
 		for theta := int64(1); theta <= 6; theta++ {
-			p := match(mt, d, theta)
-			got := checkMatching(t, d, theta, p)
-			ref := NewGraph(n)
+			g := matrix.NewSquare(n) // the threshold graph as a 0/1 matrix
 			for i := 0; i < n; i++ {
 				for j := 0; j < n; j++ {
 					if d.At(i, j) >= theta {
-						ref.AddEdge(i, j)
+						g.Set(i, j, 1)
 					}
 				}
 			}
-			if want := BruteForceMaxMatching(ref); got != want {
-				t.Fatalf("seq %d θ=%d: warm matcher found %d, brute force %d on\n%v",
+			got := checkMatching(t, g, match(t, mt, g))
+			if want := BruteForceMaxMatching(SupportGraph(g)); got != want {
+				t.Fatalf("seq %d θ=%d: matcher found %d, brute force %d on\n%v",
 					seq, theta, got, want, d)
 			}
 		}
 	}
 }
 
-// TestMatcherAgreesWithColdHopcroftKarp cross-checks the warm engine
-// against the package's cold solver on larger graphs where brute force
-// is out of reach (cardinality only — matchings themselves may differ).
+// TestMatcherAgreesWithColdHopcroftKarp cross-checks the repaired
+// matchings against the package's cold solver on larger graphs where
+// brute force is out of reach (cardinality only — matchings themselves
+// may differ).
 func TestMatcherAgreesWithColdHopcroftKarp(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for seq := 0; seq < 50; seq++ {
@@ -147,21 +157,21 @@ func TestMatcherAgreesWithColdHopcroftKarp(t *testing.T) {
 		mt := NewMatcher(n)
 		for s := 0; s < 20; s++ {
 			mutate(rng, d)
-			got := checkMatching(t, d, 1, match(mt, d, 1))
+			got := checkMatching(t, d, match(t, mt, d))
 			if want := HopcroftKarp(SupportGraph(d)).Size(); got != want {
-				t.Fatalf("seq %d step %d: warm %d, cold %d", seq, s, got, want)
+				t.Fatalf("seq %d step %d: repaired %d, cold %d", seq, s, got, want)
 			}
 		}
 	}
 }
 
-// FuzzMatcherWarmStart drives one warm-started Matcher through an
-// arbitrary byte-encoded mutation sequence and checks every
-// intermediate result against brute force. Each triple of bytes is one
-// step: (row, col, new value mod 4) on a 4×4 matrix — zero values
-// delete edges, so the fuzzer explores adversarial shrink/grow
-// interleavings far from the monotone pattern the warm start is tuned
-// for.
+// FuzzMatcherWarmStart drives one Matcher through an arbitrary
+// byte-encoded mutation sequence, repairing the matching it holds
+// against a fresh view after every step, and checks each result
+// against brute force. Each triple of bytes is one step: (row, col,
+// new value mod 4) on a 4×4 matrix — zero values delete edges, so the
+// fuzzer explores shrink/grow interleavings far from the monotone
+// drain of a decomposition.
 func FuzzMatcherWarmStart(f *testing.F) {
 	f.Add([]byte{0, 0, 1})
 	f.Add([]byte{0, 0, 1, 0, 0, 0})                   // add then delete
@@ -175,10 +185,9 @@ func FuzzMatcherWarmStart(f *testing.F) {
 			i := int(steps[s]) % n
 			j := int(steps[s+1]) % n
 			d.Set(i, j, int64(steps[s+2]%4))
-			p := match(mt, d, 1)
-			got := checkMatching(t, d, 1, p)
+			got := checkMatching(t, d, match(t, mt, d))
 			if want := BruteForceMaxMatching(SupportGraph(d)); got != want {
-				t.Fatalf("step %d: warm matcher found %d, brute force %d on\n%v",
+				t.Fatalf("step %d: matcher found %d, brute force %d on\n%v",
 					s/3, got, want, d)
 			}
 		}
@@ -291,8 +300,8 @@ func newRefPair(t testing.TB, d *matrix.Matrix) *refPair {
 	p.w.install(p.ref)
 	got := p.prod.RepairRematch()
 	p.ref.RepairRematch()
-	if got != p.prod.MatchedCount() {
-		t.Fatalf("RepairRematch %d vs MatchedCount %d", got, p.prod.MatchedCount())
+	if got != p.prod.matched {
+		t.Fatalf("RepairRematch %d vs matched %d", got, p.prod.matched)
 	}
 	p.agree(t, "cold")
 	return p
@@ -338,7 +347,7 @@ func (p *refPair) agree(t testing.TB, when string) {
 	if !slices.Equal(p.prod.matchL, p.ref.matchL) {
 		t.Fatalf("%s: matching %v, reference %v", when, p.prod.matchL, p.ref.matchL)
 	}
-	checkMatching(t, p.d, 1, p.prod.MatchingInto(make([]int, p.d.Rows())))
+	checkMatching(t, p.d, p.prod.MatchingInto(make([]int, p.d.Rows())))
 	mt := p.prod
 	if len(mt.free) != mt.n-mt.matched {
 		t.Fatalf("%s: %d free columns listed, %d unmatched", when, len(mt.free), mt.n-mt.matched)
@@ -370,7 +379,7 @@ func TestMatcherExternalAdjacency(t *testing.T) {
 			}
 		}
 		p := newRefPair(t, d)
-		if got, want := p.prod.MatchedCount(), BruteForceMaxMatching(SupportGraph(d)); got != want {
+		if got, want := p.prod.matched, BruteForceMaxMatching(SupportGraph(d)); got != want {
 			t.Fatalf("seq %d cold: got %d want %d", seq, got, want)
 		}
 		// Now delete random edges one at a time, repairing per row.
@@ -386,7 +395,7 @@ func TestMatcherExternalAdjacency(t *testing.T) {
 			}
 			u := rows[rng.Intn(len(rows))]
 			p.deleteAndRepair(t, u, rng.Intn(int(p.w.length[u])))
-			if got, want := p.prod.MatchedCount(), BruteForceMaxMatching(SupportGraph(d)); got != want {
+			if got, want := p.prod.matched, BruteForceMaxMatching(SupportGraph(d)); got != want {
 				t.Fatalf("seq %d step %d: got %d want %d", seq, step, got, want)
 			}
 		}
@@ -455,13 +464,14 @@ func TestMatcherRepairRematch(t *testing.T) {
 			t.Fatalf("seq %d: repaired %d want %d", seq, got, want)
 		}
 		dst := make([]int, n)
-		checkMatching(t, d, 1, mt.MatchingInto(dst))
+		checkMatching(t, d, mt.MatchingInto(dst))
 	}
 }
 
 // TestMatcherMatchedCountTracksMatchSupport pins the O(1) cardinality
-// counter against the returned permutation across warm-started calls
-// through the matrix entry point.
+// counter RepairRematch reports against the returned permutation (the
+// check inside match) across 300 shrink/grow steps of one matrix, and
+// the counter after each step's Unmatch of one matched pair.
 func TestMatcherMatchedCountTracksMatchSupport(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	n := 6
@@ -469,9 +479,12 @@ func TestMatcherMatchedCountTracksMatchSupport(t *testing.T) {
 	mt := NewMatcher(n)
 	for s := 0; s < 300; s++ {
 		mutate(rng, d)
-		p := match(mt, d, 1)
-		if got, want := mt.MatchedCount(), p.Size(); got != want {
-			t.Fatalf("step %d: MatchedCount %d, permutation size %d", s, got, want)
+		p := match(t, mt, d)
+		if u := rng.Intn(n); p.To[u] != matrix.Unmatched {
+			mt.Unmatch(u, p.To[u])
+			if got, want := mt.matched, p.Size()-1; got != want {
+				t.Fatalf("step %d: %d matched after Unmatch, want %d", s, got, want)
+			}
 		}
 	}
 }

@@ -20,8 +20,7 @@ import (
 // Plan with nothing changed returns the cached result. A published
 // plan is therefore always what a fresh Decomposer computes for the
 // current demand. The term pool carries over between Plans; no
-// matching does, because a StrategyFirst decomposition ends with every
-// row unmatched.
+// matching does, because every decomposition starts from an empty one.
 //
 // The returned *bvn.Decomposition aliases the Decomposer's recycled
 // storage and is valid until the next Plan call. A Planner is NOT
@@ -50,7 +49,7 @@ func NewPlanner(ports int) *Planner {
 }
 
 // SetObs installs the decomposition instrumentation (term-reuse hit
-// rate, matcher warm-start counters) on the owned Decomposer.
+// rate, matcher solve counters) on the owned Decomposer.
 func (p *Planner) SetObs(o bvn.Obs) { p.dec.SetObs(o) }
 
 // Add accumulates a registered coflow's flows into the aggregate

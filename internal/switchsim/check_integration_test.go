@@ -1,6 +1,6 @@
 // Package switchsim_test wires the internal/check validator into the
 // executor's test suite: every recorded schedule the executor emits —
-// any order, any stage partition, any BvN strategy, backfill or not —
+// any order, any stage partition, backfill or not —
 // must certify against the paper's feasibility invariants. The test
 // lives in an external package because check imports switchsim.
 package switchsim_test
@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"coflow/internal/bvn"
 	"coflow/internal/check"
 	"coflow/internal/switchsim"
 	"coflow/internal/trace"
@@ -35,17 +34,12 @@ func TestRecordedSchedulesValidate(t *testing.T) {
 			MaxFlowSize: 5, ParetoAlpha: 1.3, MeanInterarrival: float64(rng.Intn(3)),
 		})
 		n := len(ins.Coflows)
-		strategy := bvn.StrategyFirst
-		if rng.Intn(2) == 0 {
-			strategy = bvn.StrategyThick
-		}
 		plan := &switchsim.Plan{
 			Ins:       ins,
 			Order:     rng.Perm(n),
 			Stages:    randomPlanStages(rng, n),
 			Backfill:  rng.Intn(2) == 0,
 			Recompute: rng.Intn(2) == 0,
-			Strategy:  strategy,
 		}
 		res, tr, err := switchsim.ExecuteRecorded(plan)
 		if err != nil {

@@ -49,7 +49,7 @@ func ExecuteRecorded(plan *Plan) (*Result, *Transcript, error) {
 		if d.IsZero() {
 			continue
 		}
-		dec, err := e.decompose(d)
+		dec, err := e.dec.Decompose(d)
 		if err != nil {
 			return nil, nil, err
 		}

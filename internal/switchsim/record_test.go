@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"coflow/internal/bvn"
 	"coflow/internal/coflowmodel"
 	"coflow/internal/matrix"
 )
@@ -25,7 +24,6 @@ func TestTranscriptFeasibility(t *testing.T) {
 			Stages:    randomStages(rng, n),
 			Backfill:  rng.Intn(2) == 0,
 			Recompute: rng.Intn(2) == 0,
-			Strategy:  bvn.Strategy(rng.Intn(2)),
 		}
 		res, tr, err := ExecuteRecorded(plan)
 		if err != nil {

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"coflow/internal/bvn"
 	"coflow/internal/obs"
 )
 
@@ -25,7 +24,7 @@ func pinExecutor(t *testing.T) {
 // residentPlan is a dense random plan on m ports: grouped stages, so
 // the stage matrices are far from the single-coflow case, and every
 // pair queue several items deep.
-func residentPlan(seed int64, m, n int, strategy bvn.Strategy, backfill, recompute bool) *Plan {
+func residentPlan(seed int64, m, n int, backfill, recompute bool) *Plan {
 	rng := rand.New(rand.NewSource(seed))
 	return &Plan{
 		Ins:       randomInstance(rng, m, n, 9, 12),
@@ -33,7 +32,6 @@ func residentPlan(seed int64, m, n int, strategy bvn.Strategy, backfill, recompu
 		Stages:    randomStages(rng, n),
 		Backfill:  backfill,
 		Recompute: recompute,
-		Strategy:  strategy,
 	}
 }
 
@@ -56,14 +54,13 @@ func executeBoth(t *testing.T, plan *Plan) executed {
 }
 
 // A schedule is a function of the plan alone. The executor and its
-// Decomposer outlive the plan, so whatever ran before — the same port
-// count with another strategy (the Decomposer is kept and must be
-// Reset, or its warm matching steers the first stage), another port
-// count, a plan refused halfway through load — must leave no trace in
-// the Result or in the unit-level transcript.
+// Decomposer outlive the plan, so whatever ran before — another plan
+// of the same port count (the Decomposer is kept), another port count,
+// a plan refused halfway through load — must leave no trace in the
+// Result or in the unit-level transcript.
 func TestExecuteIsHistoryIndependent(t *testing.T) {
 	pinExecutor(t)
-	a := residentPlan(1, 20, 12, bvn.StrategyFirst, true, false)
+	a := residentPlan(1, 20, 12, true, false)
 	want := executeBoth(t, a)
 	again := func(after string) {
 		t.Helper()
@@ -73,10 +70,10 @@ func TestExecuteIsHistoryIndependent(t *testing.T) {
 	}
 	again("itself")
 
-	executeBoth(t, residentPlan(2, 20, 9, bvn.StrategyThick, false, true))
+	executeBoth(t, residentPlan(2, 20, 9, false, true))
 	again("another 20-port plan")
 
-	executeBoth(t, residentPlan(3, 7, 15, bvn.StrategyThick, true, true))
+	executeBoth(t, residentPlan(3, 7, 15, true, true))
 	again("a 7-port plan")
 
 	notPerm := *a
@@ -102,7 +99,7 @@ func TestExecuteIsHistoryIndependent(t *testing.T) {
 // executor's to keep.
 func TestExecuteSteadyStateAllocs(t *testing.T) {
 	pinExecutor(t)
-	plan := residentPlan(4, 30, 40, bvn.StrategyFirst, true, false)
+	plan := residentPlan(4, 30, 40, true, false)
 	if _, err := Execute(plan); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +127,7 @@ func TestPooledExecutorsAreNotShared(t *testing.T) {
 	var plans []*Plan
 	var want []executed
 	for i, m := range []int{3, 20, 7, 12, 20, 3} {
-		p := residentPlan(int64(10+i), m, 6+i, bvn.Strategy(i%2), i%3 != 0, i%2 == 0)
+		p := residentPlan(int64(10+i), m, 6+i, i%3 != 0, i%2 == 0)
 		plans, want = append(plans, p), append(want, executeBoth(t, p))
 	}
 	start := make(chan struct{})
@@ -174,7 +171,7 @@ func TestResidentExecutorSurvivesGC(t *testing.T) {
 	}
 	// As in testing.AllocsPerRun: no other goroutine allocates meanwhile.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	plan := residentPlan(1, 100, 60, bvn.StrategyFirst, true, false)
+	plan := residentPlan(1, 100, 60, true, false)
 	if _, err := Execute(plan); err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +210,7 @@ func TestResidentExecutorSurvivesGC(t *testing.T) {
 // before they were installed.
 func TestTermBuffersOutliveThePlan(t *testing.T) {
 	pinExecutor(t)
-	plan := residentPlan(5, 16, 10, bvn.StrategyFirst, true, false)
+	plan := residentPlan(5, 16, 10, true, false)
 	if _, err := Execute(plan); err != nil { // builds the Decomposer with no hooks
 		t.Fatal(err)
 	}
@@ -233,7 +230,7 @@ func TestTermBuffersOutliveThePlan(t *testing.T) {
 			t.Fatalf("run %d: term-buffer reuses stood still at %d", run, before)
 		}
 	}
-	if _, err := Execute(residentPlan(6, 9, 10, bvn.StrategyFirst, true, false)); err != nil {
+	if _, err := Execute(residentPlan(6, 9, 10, true, false)); err != nil {
 		t.Fatal(err)
 	}
 	if allocs.Value() == 0 {

@@ -19,9 +19,8 @@
 // garbage collection does not empty: its queues, stage matrix and
 // bvn.Decomposer are grown, not reallocated, from one plan to the next,
 // and a call allocates only what it returns. A schedule is still a
-// function of the plan alone: loading a plan re-zeroes every array and
-// Resets the Decomposer, whose warm matching would otherwise steer the
-// first stage by what ran before.
+// function of the plan alone: loading a plan re-zeroes every array, and
+// a Decomposer keeps storage, never a matching, between decompositions.
 package switchsim
 
 import (
@@ -56,9 +55,9 @@ type Plan struct {
 	// paper-literal schedule is used: the stage's original demand is
 	// decomposed even if backfilling already served part of it.
 	Recompute bool
-	// Strategy selects the BvN extraction rule (bvn.StrategyFirst is
-	// the paper's Algorithm 1; bvn.StrategyThick emits far fewer
-	// distinct matchings for the same ρ-slot schedules).
+	// Strategy is read by nothing: a stage is decomposed by the one
+	// extraction rule of Algorithm 1. It stays declared only because
+	// benchmark/batch.go sets it (see bvn.Strategy).
 	Strategy bvn.Strategy
 }
 
@@ -100,8 +99,7 @@ type executor struct {
 	seen    []bool  // per coflow: load's permutation check
 	// stage is the one demand matrix every stage is built in, and dec
 	// the BvN engine that decomposes it; both are replaced only when a
-	// plan with another port count is loaded. dec is Reset at each load:
-	// its warm matching crosses stages of one plan, never two plans.
+	// plan with another port count is loaded.
 	stage *matrix.Matrix
 	dec   *bvn.Decomposer
 }
@@ -123,16 +121,6 @@ func grow[T any](s []T, n int) []T {
 	s = s[:n]
 	clear(s)
 	return s
-}
-
-// decompose runs the plan's strategy on d through the shared
-// Decomposer. The returned terms alias the Decomposer's recycled
-// buffers: they are served before the next stage's decompose
-// overwrites them.
-//
-//coflow:pooled
-func (e *executor) decompose(d *matrix.Matrix) (*bvn.Decomposition, error) {
-	return e.dec.DecomposeWith(d, e.plan.Strategy)
 }
 
 // newExecutor takes an executor from the store and loads plan into it.
@@ -185,7 +173,6 @@ func (e *executor) load(plan *Plan) error {
 	if e.m != m {
 		e.m, e.stage, e.dec = m, matrix.NewSquare(m), bvn.NewDecomposer(m)
 	}
-	e.dec.Reset()
 	e.dec.SetObs(pkgObs.Decompose)
 	e.plan = plan
 	e.qStart = grow(e.qStart, m*m+1)
@@ -349,7 +336,9 @@ func Execute(plan *Plan) (*Result, error) {
 			continue
 		}
 		stageSpan := pkgObs.StageSeconds.Start()
-		dec, err := e.decompose(d)
+		// The terms alias the Decomposer's recycled buffers: they are
+		// served before the next stage's Decompose overwrites them.
+		dec, err := e.dec.Decompose(d)
 		if err != nil {
 			stageSpan.End()
 			return nil, err

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"coflow/internal/bvn"
 	"coflow/internal/coflowmodel"
 	"coflow/internal/lpmodel"
 	"coflow/internal/matrix"
@@ -242,7 +241,6 @@ func TestBlockMatchesSlotAccurate(t *testing.T) {
 			Stages:    randomStages(rng, n),
 			Backfill:  rng.Intn(2) == 0,
 			Recompute: rng.Intn(2) == 0,
-			Strategy:  bvn.Strategy(rng.Intn(2)),
 		}
 		a, err := Execute(plan)
 		if err != nil {
@@ -282,14 +280,13 @@ func TestBlockMatchesSlotAccurateWithReleases(t *testing.T) {
 			// Strictly positive, widely staggered releases.
 			ins.Coflows[k].Release = 1 + rng.Int63n(40)
 		}
-		for _, strategy := range []bvn.Strategy{bvn.StrategyFirst, bvn.StrategyThick} {
+		for p := 0; p < 2; p++ { // two random plans per instance
 			plan := &Plan{
 				Ins:       ins,
 				Order:     rng.Perm(n),
 				Stages:    randomStages(rng, n),
 				Backfill:  rng.Intn(2) == 0,
 				Recompute: rng.Intn(2) == 0,
-				Strategy:  strategy,
 			}
 			block, err := Execute(plan)
 			if err != nil {
@@ -301,13 +298,13 @@ func TestBlockMatchesSlotAccurateWithReleases(t *testing.T) {
 			}
 			for k := range block.Completion {
 				if block.Completion[k] != slot.Completion[k] {
-					t.Fatalf("trial %d %v coflow %d (release %d): block %d, slot-accurate %d",
-						trial, strategy, k, ins.Coflows[k].Release,
+					t.Fatalf("trial %d plan %d coflow %d (release %d): block %d, slot-accurate %d",
+						trial, p, k, ins.Coflows[k].Release,
 						block.Completion[k], slot.Completion[k])
 				}
 			}
 			if block.Slots != slot.Slots {
-				t.Fatalf("trial %d %v: slots differ: %d vs %d", trial, strategy, block.Slots, slot.Slots)
+				t.Fatalf("trial %d plan %d: slots differ: %d vs %d", trial, p, block.Slots, slot.Slots)
 			}
 		}
 	}
