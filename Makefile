@@ -81,9 +81,10 @@ slowcheck:
 # to the dense tableau, the order-statistic rolling window to
 # stats.Summarize, the matcher's free-column lookahead to the
 # adjacency-scan one, a held bvn.Decomposer to a fresh one (every
-# decomposition starts cold), the simplex's reach-set LU factor and
-# zero-skipping BTRAN to the full-scan, every-product ones in
-# internal/lp/reference_test.go.
+# decomposition starts cold), the block executor and its recorded
+# transcript to the slot-by-slot walk it replaced, the simplex's
+# reach-set LU factor and zero-skipping BTRAN to the full-scan,
+# every-product ones in internal/lp/reference_test.go.
 # This is the one copy of the list; the CI differential job runs this
 # target.
 fuzz:
@@ -94,6 +95,7 @@ fuzz:
 	go test -run='^$$' -fuzz=FuzzRollingVsSummarize -fuzztime=30s ./internal/stats/
 	go test -run='^$$' -fuzz=FuzzAugmentRowVsReference -fuzztime=30s ./internal/matching/
 	go test -run='^$$' -fuzz=FuzzDecompose -fuzztime=30s ./internal/bvn/
+	go test -run='^$$' -fuzz=FuzzExecuteVsSlotOracle -fuzztime=30s ./internal/switchsim/
 
 # Scenario smoke: replay every built-in scenario through the
 # in-process driver (monitor validating every slot, planner

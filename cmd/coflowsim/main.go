@@ -26,6 +26,7 @@ import (
 	"strings"
 
 	"coflow"
+	"coflow/internal/check"
 	"coflow/internal/lp"
 	"coflow/internal/obs"
 	"coflow/internal/online"
@@ -210,8 +211,8 @@ func printGantt(ins *coflow.Instance, res *coflow.Result, backfill, recompute bo
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := switchsim.ValidateTranscript(ins, tr, rec.Completion); err != nil {
-		log.Fatalf("transcript failed validation: %v", err)
+	if vs := check.Schedule(ins, check.FromTranscript(tr, rec)); vs != nil {
+		log.Fatalf("transcript failed validation: %d violations, first: %v", len(vs), vs[0])
 	}
 	fmt.Print(switchsim.RenderGantt(ins, tr, 160))
 }

@@ -11,6 +11,7 @@ import (
 	"log"
 
 	"coflow"
+	"coflow/internal/check"
 	"coflow/internal/core"
 	"coflow/internal/switchsim"
 )
@@ -84,8 +85,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := switchsim.ValidateTranscript(ins, tr, rec.Completion); err != nil {
-		log.Fatal(err)
+	if vs := check.Schedule(ins, check.FromTranscript(tr, rec.Result)); vs != nil {
+		log.Fatalf("transcript failed validation: %d violations, first: %v", len(vs), vs[0])
 	}
 	fmt.Println()
 	fmt.Print(switchsim.RenderGantt(ins, tr, 80))

@@ -96,32 +96,37 @@ type Result struct {
 	LP *lpmodel.IntervalSolution
 }
 
-// Schedule runs the selected ordering and scheduling combination on
-// the instance and returns completion times.
-func Schedule(ins *coflowmodel.Instance, opts Options) (*Result, error) {
-	var lpSol *lpmodel.IntervalSolution
-	var order []int
-	switch opts.Ordering {
+// Order runs the ordering stage: it returns coflow indices in service
+// order and, for OrderLP, the interval LP solution the order comes
+// from (nil for the other orderings).
+func Order(ins *coflowmodel.Instance, o Ordering) ([]int, *lpmodel.IntervalSolution, error) {
+	switch o {
 	case OrderArrival:
-		order = arrivalOrder(ins)
+		return arrivalOrder(ins), nil, nil
 	case OrderLoadWeight:
-		order = LoadWeightOrder(ins)
+		return LoadWeightOrder(ins), nil, nil
 	case OrderLP:
 		sol, err := lpmodel.SolveIntervalLP(ins)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		lpSol = sol
-		order = sol.Order
-	default:
-		return nil, fmt.Errorf("core: unknown ordering %v", opts.Ordering)
+		return sol.Order, sol, nil
 	}
+	return nil, nil, fmt.Errorf("core: unknown ordering %v", o)
+}
 
+// Schedule runs the selected ordering and scheduling combination on
+// the instance and returns completion times.
+func Schedule(ins *coflowmodel.Instance, opts Options) (*Result, error) {
+	order, sol, err := Order(ins, opts.Ordering)
+	if err != nil {
+		return nil, err
+	}
 	res, err := ExecuteOrdered(ins, order, opts)
 	if err != nil {
 		return nil, err
 	}
-	res.LP = lpSol
+	res.LP = sol
 	return res, nil
 }
 
@@ -186,11 +191,10 @@ var RandomizedAlpha = 1 + math.Sqrt2
 // T₀ ~ Unif[1, a). Guarantee: E[Σ w_k C_k] ≤ (9 + 16√2/3)·OPT, and
 // (8 + 16√2/3)·OPT with zero release dates (Theorem 2/Corollary 2).
 func Randomized(ins *coflowmodel.Instance, rng *rand.Rand) (*Result, error) {
-	sol, err := lpmodel.SolveIntervalLP(ins)
+	order, sol, err := Order(ins, OrderLP)
 	if err != nil {
 		return nil, err
 	}
-	order := sol.Order
 	v := lpmodel.MaxTotalLoads(ins, order)
 	t0 := 1 + rng.Float64()*(RandomizedAlpha-1)
 	stages := RandomGeometricStages(v, t0)
@@ -225,13 +229,18 @@ func LoadWeightOrder(ins *coflowmodel.Instance) []int { return lpmodel.LoadWeigh
 // one group. V must be nondecreasing (it always is — Eq. 16 takes
 // prefix maxima), which makes the groups consecutive runs.
 func GeometricStages(v []int64) []switchsim.Stage {
-	n := len(v)
+	return runsOf(v, geomIndex)
+}
+
+// runsOf splits positions 0..len(v)-1 into the maximal runs on which
+// index(v[pos]) is constant: the loop both groupings share, which
+// differ only in their interval index.
+func runsOf(v []int64, index func(int64) int) []switchsim.Stage {
 	var stages []switchsim.Stage
-	start := 0
-	for start < n {
-		r := geomIndex(v[start])
+	for start := 0; start < len(v); {
+		r := index(v[start])
 		end := start + 1
-		for end < n && geomIndex(v[end]) == r {
+		for end < len(v) && index(v[end]) == r {
 			end++
 		}
 		stages = append(stages, switchsim.Stage{Start: start, End: end})
@@ -256,19 +265,7 @@ func geomIndex(v int64) int {
 // τ′_l = t0·a^(l−1) (τ′_0 = 0): position k joins group r where
 // τ′_{r−1} < V_k ≤ τ′_r.
 func RandomGeometricStages(v []int64, t0 float64) []switchsim.Stage {
-	n := len(v)
-	var stages []switchsim.Stage
-	start := 0
-	for start < n {
-		r := randIndex(v[start], t0)
-		end := start + 1
-		for end < n && randIndex(v[end], t0) == r {
-			end++
-		}
-		stages = append(stages, switchsim.Stage{Start: start, End: end})
-		start = end
-	}
-	return stages
+	return runsOf(v, func(x int64) int { return randIndex(x, t0) })
 }
 
 // randIndex returns the smallest l ≥ 1 with v ≤ t0·a^(l−1).

@@ -3,12 +3,13 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"coflow/internal/check"
 	"coflow/internal/coflowmodel"
 	"coflow/internal/matrix"
-	"coflow/internal/switchsim"
 )
 
 func randomInstance(rng *rand.Rand, m, n int, maxSize, maxRelease int64) *coflowmodel.Instance {
@@ -322,6 +323,32 @@ func TestOrderingString(t *testing.T) {
 	}
 }
 
+// Order is the one dispatch over Ordering: every ordering yields a
+// permutation, only H_LP comes with its LP solution (whose order it
+// is), and an unknown ordering is an error.
+func TestOrder(t *testing.T) {
+	ins := randomInstance(rand.New(rand.NewSource(707)), 4, 7, 8, 3)
+	for _, o := range []Ordering{OrderArrival, OrderLoadWeight, OrderLP} {
+		order, sol, err := Order(ins, o)
+		if err != nil {
+			t.Fatalf("%v: %v", o, err)
+		}
+		seen := make([]bool, len(ins.Coflows))
+		for _, k := range order {
+			seen[k] = true
+		}
+		if len(order) != len(ins.Coflows) || slices.Contains(seen, false) {
+			t.Fatalf("%v: order %v is not a permutation of %d coflows", o, order, len(ins.Coflows))
+		}
+		if (sol != nil) != (o == OrderLP) || sol != nil && !slices.Equal(sol.Order, order) {
+			t.Fatalf("%v: LP solution %v returned with order %v", o, sol, order)
+		}
+	}
+	if _, _, err := Order(ins, Ordering(9)); err == nil {
+		t.Fatal("unknown ordering accepted")
+	}
+}
+
 func TestExecuteOrderedRecordedMatchesPlain(t *testing.T) {
 	rng := rand.New(rand.NewSource(606))
 	ins := randomInstance(rng, 4, 6, 8, 0)
@@ -341,8 +368,8 @@ func TestExecuteOrderedRecordedMatchesPlain(t *testing.T) {
 				k, rec.Completion[k], plain.Completion[k])
 		}
 	}
-	if err := switchsim.ValidateTranscript(ins, tr, rec.Completion); err != nil {
-		t.Fatal(err)
+	if vs := check.Schedule(ins, check.FromTranscript(tr, rec.Result)); vs != nil {
+		t.Fatalf("%d violations, first: %v", len(vs), vs[0])
 	}
 }
 

@@ -9,7 +9,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"coflow/internal/core"
 	"coflow/internal/online"
@@ -42,31 +41,19 @@ func RunArrivalSweep(tr trace.Config, gaps []float64, weightSeed int64) (*Arriva
 		return nil, fmt.Errorf("experiments: no arrival gaps")
 	}
 	rep := &ArrivalReport{Points: make([]ArrivalPoint, len(gaps))}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for i, gap := range gaps {
-		wg.Add(1)
-		go func(i int, gap float64) {
-			defer wg.Done()
-			pt, n, err := arrivalPoint(tr, gap, weightSeed)
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("experiments: arrival sweep gap=%g: %w", gap, err)
-				}
-				mu.Unlock()
-				return
-			}
-			rep.Points[i] = *pt
-			mu.Lock()
+	err := parallel(len(gaps), func(i int) error {
+		pt, n, err := arrivalPoint(tr, gaps[i], weightSeed)
+		if err != nil {
+			return fmt.Errorf("experiments: arrival sweep gap=%g: %w", gaps[i], err)
+		}
+		rep.Points[i] = *pt
+		if i == 0 { // every point draws the same number of coflows
 			rep.Coflows = n
-			mu.Unlock()
-		}(i, gap)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rep, nil
 }

@@ -16,12 +16,13 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"coflow/internal/coflowmodel"
 	"coflow/internal/core"
@@ -78,17 +79,27 @@ type Config struct {
 	// Recompute enables the work-conserving extension in the
 	// scheduling stage (off = paper-literal).
 	Recompute bool
-	// Parallelism bounds the number of concurrently evaluated grids
-	// and cells; 0 means GOMAXPROCS. Results are deterministic
-	// regardless of the setting — workers fill pre-indexed slots.
-	Parallelism int
 }
 
-func (c Config) workers() int {
-	if c.Parallelism > 0 {
-		return c.Parallelism
+// parallel calls f(0), …, f(n−1) on GOMAXPROCS workers and waits for
+// them all. Each call fills only its own pre-indexed slot, so results
+// do not depend on the worker count; the errors of the calls that
+// failed come back joined in index order.
+func parallel(n int, f func(i int) error) error {
+	errs := make([]error, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(n, runtime.GOMAXPROCS(0)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				errs[i] = f(i)
+			}
+		}()
 	}
-	return runtime.GOMAXPROCS(0)
+	wg.Wait()
+	return errors.Join(errs...)
 }
 
 // DefaultConfig runs at bench scale (50 ports); pass trace.DefaultConfig
@@ -156,50 +167,69 @@ func Run(cfg Config) (*Report, error) {
 		return nil, err
 	}
 	report := &Report{Config: cfg}
-	type gridSpec struct {
-		filter    int
-		weighting Weighting
-	}
-	var specs []gridSpec
+	var insts []*coflowmodel.Instance
 	for _, filter := range cfg.Filters {
-		if len(base.FilterMinFlows(filter).Coflows) == 0 {
-			return nil, fmt.Errorf("experiments: filter M0 >= %d leaves no coflows (trace too small)", filter)
-		}
 		for _, weighting := range []Weighting{EqualWeights, RandomWeights} {
-			specs = append(specs, gridSpec{filter, weighting})
+			ins := base.FilterMinFlows(filter)
+			if len(ins.Coflows) == 0 {
+				return nil, fmt.Errorf("experiments: filter M0 >= %d leaves no coflows (trace too small)", filter)
+			}
+			applyWeighting(ins, weighting, cfg.WeightSeed)
+			insts = append(insts, ins)
+			report.Grids = append(report.Grids, Grid{Filter: filter, Weighting: weighting, Coflows: len(ins.Coflows),
+				Cells: make([]Cell, len(Orderings)*len(Cases))})
 		}
 	}
 
-	// Grids are independent; evaluate them concurrently into
-	// pre-indexed slots so the report order is deterministic. A single
-	// semaphore bounds the heavy per-cell executions across all grids
-	// (the grid goroutines themselves only solve one LP each).
-	report.Grids = make([]Grid, len(specs))
-	sem := make(chan struct{}, cfg.workers())
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for i, spec := range specs {
-		wg.Add(1)
-		go func(i int, spec gridSpec) {
-			defer wg.Done()
-			ins := base.FilterMinFlows(spec.filter)
-			applyWeighting(ins, spec.weighting, cfg.WeightSeed)
-			grid, err := runGrid(ins, spec.filter, spec.weighting, cfg.Recompute, sem)
+	// Each grid computes its orderings once (one LP solve, shared by
+	// the four cases); then every cell of every grid is one
+	// independent execution over its grid's read-only instance.
+	orders := make([][][]int, len(insts))
+	err = parallel(len(insts), func(g int) error {
+		for _, o := range Orderings {
+			order, sol, err := core.Order(insts[g], o)
 			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				return
+				return err
 			}
-			report.Grids[i] = *grid
-		}(i, spec)
+			orders[g] = append(orders[g], order)
+			if sol != nil {
+				report.Grids[g].LPLowerBound = sol.LowerBound
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	cells := len(Orderings) * len(Cases)
+	err = parallel(len(insts)*cells, func(i int) error {
+		g, oi, c := i/cells, i%cells/len(Cases), Cases[i%len(Cases)]
+		grouping, backfill, err := CaseOptions(c)
+		if err != nil {
+			return err
+		}
+		res, err := core.ExecuteOrdered(insts[g], orders[g][oi], core.Options{
+			Grouping: grouping, Backfill: backfill, Recompute: cfg.Recompute,
+		})
+		if err != nil {
+			return err
+		}
+		report.Grids[g].Cells[i%cells] = Cell{Ordering: Orderings[oi], Case: c, Total: res.TotalWeighted}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	for g := range report.Grids {
+		grid := &report.Grids[g]
+		baseline := grid.Cell(core.OrderLP, "d").Total
+		if baseline <= 0 {
+			return nil, fmt.Errorf("experiments: degenerate baseline %g", baseline)
+		}
+		for i := range grid.Cells {
+			grid.Cells[i].Normalized = grid.Cells[i].Total / baseline
+		}
 	}
 	return report, nil
 }
@@ -211,94 +241,6 @@ func applyWeighting(ins *coflowmodel.Instance, w Weighting, seed int64) {
 	case RandomWeights:
 		ins.SetRandomPermutationWeights(rand.New(rand.NewSource(seed)))
 	}
-}
-
-func runGrid(ins *coflowmodel.Instance, filter int, weighting Weighting, recompute bool, sem chan struct{}) (*Grid, error) {
-	grid := &Grid{Filter: filter, Weighting: weighting, Coflows: len(ins.Coflows)}
-
-	// Compute each ordering once; the LP solve is shared across cases.
-	orders := make(map[core.Ordering][]int)
-	for _, o := range Orderings {
-		switch o {
-		case core.OrderArrival, core.OrderLoadWeight:
-			res, err := orderOnly(ins, o)
-			if err != nil {
-				return nil, err
-			}
-			orders[o] = res
-		case core.OrderLP:
-			sol, err := lpmodel.SolveIntervalLP(ins)
-			if err != nil {
-				return nil, err
-			}
-			orders[o] = sol.Order
-			grid.LPLowerBound = sol.LowerBound
-		}
-	}
-
-	// The 12 cells are independent executions over a shared read-only
-	// instance; run them concurrently into pre-indexed slots. The
-	// semaphore is shared with sibling grids.
-	grid.Cells = make([]Cell, len(Orderings)*len(Cases))
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for oi, o := range Orderings {
-		for ci, c := range Cases {
-			wg.Add(1)
-			go func(idx int, o core.Ordering, c string) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				grouping, backfill, err := CaseOptions(c)
-				if err == nil {
-					var res *core.Result
-					res, err = core.ExecuteOrdered(ins, orders[o], core.Options{
-						Grouping: grouping, Backfill: backfill, Recompute: recompute,
-					})
-					if err == nil {
-						grid.Cells[idx] = Cell{Ordering: o, Case: c, Total: res.TotalWeighted}
-						return
-					}
-				}
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-			}(oi*len(Cases)+ci, o, c)
-		}
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
-	baseline := grid.Cell(core.OrderLP, "d").Total
-	if baseline <= 0 {
-		return nil, fmt.Errorf("experiments: degenerate baseline %g", baseline)
-	}
-	for i := range grid.Cells {
-		grid.Cells[i].Normalized = grid.Cells[i].Total / baseline
-	}
-	return grid, nil
-}
-
-func orderOnly(ins *coflowmodel.Instance, o core.Ordering) ([]int, error) {
-	switch o {
-	case core.OrderArrival:
-		order := make([]int, len(ins.Coflows))
-		for i := range order {
-			order[i] = i
-		}
-		sort.SliceStable(order, func(a, b int) bool {
-			return ins.Coflows[order[a]].ID < ins.Coflows[order[b]].ID
-		})
-		return order, nil
-	case core.OrderLoadWeight:
-		return core.LoadWeightOrder(ins), nil
-	}
-	return nil, fmt.Errorf("experiments: ordering %v needs the LP", o)
 }
 
 // PaperTable1 holds the published normalized totals of Table 1,

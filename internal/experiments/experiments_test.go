@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -224,17 +225,16 @@ func TestRunRejectsEmptyFilters(t *testing.T) {
 	}
 }
 
-// Results must be identical regardless of the parallelism setting.
+// Results must be identical whatever the worker count, which is
+// GOMAXPROCS.
 func TestParallelismDeterminism(t *testing.T) {
-	cfg1 := tinyConfig()
-	cfg1.Parallelism = 1
-	cfg8 := tinyConfig()
-	cfg8.Parallelism = 8
-	a, err := Run(cfg1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	a, err := Run(tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg8)
+	runtime.GOMAXPROCS(8)
+	b, err := Run(tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"coflow/internal/core"
 	"coflow/internal/lpmodel"
@@ -45,28 +44,16 @@ func RunScaling(tr trace.Config, sizes []int, weightSeed int64) (*ScalingReport,
 		return nil, fmt.Errorf("experiments: no sweep sizes")
 	}
 	rep := &ScalingReport{Points: make([]ScalingPoint, len(sizes))}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for i, n := range sizes {
-		wg.Add(1)
-		go func(i, n int) {
-			defer wg.Done()
-			pt, err := scalingPoint(tr, n, weightSeed)
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("experiments: sweep point n=%d: %w", n, err)
-				}
-				mu.Unlock()
-				return
-			}
-			rep.Points[i] = *pt
-		}(i, n)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	err := parallel(len(sizes), func(i int) error {
+		pt, err := scalingPoint(tr, sizes[i], weightSeed)
+		if err != nil {
+			return fmt.Errorf("experiments: sweep point n=%d: %w", sizes[i], err)
+		}
+		rep.Points[i] = *pt
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rep, nil
 }

@@ -9,6 +9,7 @@ import (
 
 	"coflow/internal/coflowmodel"
 	"coflow/internal/daemon"
+	"coflow/internal/obs"
 )
 
 // ErrUnknownCoflow is returned for operations addressing an ID no
@@ -109,17 +110,9 @@ type ClusterMetrics struct {
 
 	// IngestLatency summarizes coflow_cluster_ingest_seconds: the
 	// server-side latency of one registration through route + loop.
-	IngestLatency HistogramJSON `json:"ingest_latency"`
+	IngestLatency obs.HistogramSnapshot `json:"ingest_latency"`
 
 	PerShard []ShardMetrics `json:"per_shard"`
-}
-
-// HistogramJSON mirrors obs.HistogramSnapshot for the JSON payload.
-type HistogramJSON struct {
-	Count uint64  `json:"count"`
-	Mean  float64 `json:"mean"`
-	P50   float64 `json:"p50"`
-	P99   float64 `json:"p99"`
 }
 
 // New validates cfg and starts every fabric (each with its own event
@@ -357,7 +350,6 @@ func (c *Cluster) Metrics() *ClusterMetrics {
 // registry. O(shards); called through the amortizing cache.
 func (c *Cluster) computeMetrics() *ClusterMetrics {
 	o := c.obs
-	ing := o.ingestSeconds.Snapshot()
 	m := &ClusterMetrics{
 		Fabrics:       len(c.fabrics),
 		Routed:        o.routed.Value(),
@@ -365,7 +357,7 @@ func (c *Cluster) computeMetrics() *ClusterMetrics {
 		FallbackScans: o.fallbackScans.Value(),
 		BulkRequests:  o.bulkRequests.Value(),
 		BulkItems:     o.bulkItems.Value(),
-		IngestLatency: HistogramJSON{Count: ing.Count, Mean: ing.Mean, P50: ing.P50, P99: ing.P99},
+		IngestLatency: o.ingestSeconds.Snapshot(),
 		PerShard:      make([]ShardMetrics, len(c.fabrics)),
 	}
 	for i, d := range c.fabrics {

@@ -169,8 +169,8 @@ func TestTickCompletesAndAggregates(t *testing.T) {
 	if perShardRegistered != m.Registered {
 		t.Fatalf("per-shard sum %d != rollup %d", perShardRegistered, m.Registered)
 	}
-	if m.IngestLatency.Count != 12 {
-		t.Fatalf("ingest latency count = %d, want 12", m.IngestLatency.Count)
+	if ing := m.IngestLatency; ing.Count != 12 || ing.Sum <= 0 || ing.Mean != ing.Sum/12 {
+		t.Fatalf("ingest latency = %+v, want 12 registrations whose mean is sum/12", ing)
 	}
 }
 

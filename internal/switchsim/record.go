@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"coflow/internal/coflowmodel"
-	"coflow/internal/matrix"
 )
 
 // UnitService records a single data unit's transfer: one unit of
@@ -18,99 +17,26 @@ type UnitService struct {
 
 // Transcript is a complete, unit-level record of an executed schedule.
 // It is the exportable artifact a real fabric controller would
-// install, and the object the feasibility validator checks.
+// install, and the object the feasibility validator checks. Services
+// are grouped by BvN term, in schedule order; within a term they come
+// in any order (pair by pair, each pair's units in slot order), so a
+// reader that needs them by slot sorts them.
 type Transcript struct {
 	Ports    int
 	Services []UnitService
 }
 
-// ExecuteRecorded runs the plan like Execute while recording every
-// unit transfer. It is slot-granular internally — in each slot each
-// matched pair serves at most one unit — so the transcript is exact,
-// and it must produce exactly the completion times Execute does, which
-// makes it the independent cross-check of the block arithmetic. Slower
-// than Execute; use it for export, debugging, and validation.
+// ExecuteRecorded is Execute with a unit-level transcript: the same
+// stage loop and block arithmetic, with every served unit appended to
+// the transcript as it is served. For export, display and validation;
+// the transcript costs one UnitService per unit of demand.
 func ExecuteRecorded(plan *Plan) (*Result, *Transcript, error) {
-	e, err := newExecutor(plan)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer e.release()
 	tr := &Transcript{Ports: plan.Ins.Ports}
-	var t int64
-	matchings := 0
-	for _, st := range plan.Stages {
-		for pos := st.Start; pos < st.End; pos++ {
-			if r := plan.Ins.Coflows[plan.Order[pos]].Release; r > t {
-				t = r
-			}
-		}
-		d := e.stageMatrix(st)
-		if d.IsZero() {
-			continue
-		}
-		dec, err := e.dec.Decompose(d)
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, term := range dec.Terms {
-			blockStart := t
-			for s := int64(0); s < term.Count; s++ {
-				for i, j := range term.Perm.To {
-					if j == matrix.Unmatched {
-						continue
-					}
-					pair := i*e.m + j
-					if k, served := e.serveOneSlotRecorded(pair, blockStart, t+1, st.End); served {
-						tr.Services = append(tr.Services, UnitService{
-							Slot: t + 1, Src: i, Dst: j, Coflow: k,
-						})
-					}
-				}
-				t++
-			}
-			matchings++
-		}
-	}
-	res, err := e.finish(t, matchings)
+	res, err := execute(plan, tr)
 	if err != nil {
 		return nil, nil, err
 	}
 	return res, tr, nil
-}
-
-// serveOneSlotRecorded serves a single unit on pair at absolute slot
-// `slot`, with backfill eligibility evaluated at blockStart (the same
-// rule the block executor uses), and reports which coflow it served.
-func (e *executor) serveOneSlotRecorded(pair int, blockStart, slot int64, stEnd int) (int, bool) {
-	q := e.queue(pair)
-	for idx := e.head[pair]; idx < len(q); idx++ {
-		it := &q[idx]
-		if it.remaining == 0 {
-			if idx == e.head[pair] {
-				e.head[pair]++
-			}
-			continue
-		}
-		if it.pos >= stEnd {
-			if !e.plan.Backfill {
-				return 0, false
-			}
-			if e.plan.Ins.Coflows[it.coflow].Release > blockStart {
-				continue
-			}
-		}
-		it.remaining--
-		e.remain[it.coflow]--
-		if slot > e.lastSrv[it.coflow] {
-			e.lastSrv[it.coflow] = slot
-		}
-		if it.remaining == 0 && idx == e.head[pair] {
-			e.head[pair]++
-		}
-		return it.coflow, true
-	}
-	return 0, false
 }
 
 // ValidateTranscript checks a transcript against the paper's
@@ -119,6 +45,11 @@ func (e *executor) serveOneSlotRecorded(pair int, blockStart, slot int64, stEnd 
 // unit of demand served exactly once, none invented. It also verifies
 // that the claimed completion times equal each coflow's last service
 // slot. A nil return certifies feasibility.
+//
+// Outside tests only benchmark/batch.go reads it: cmd/coflowsim and
+// examples/mapreduce validate with check.Schedule, which reports every
+// violation by kind. It goes with the next benchmark PR, which moves
+// that last caller too (ROADMAP item 6).
 func ValidateTranscript(ins *coflowmodel.Instance, tr *Transcript, completion []int64) error {
 	if tr.Ports != ins.Ports {
 		return fmt.Errorf("switchsim: transcript for %d ports, instance has %d", tr.Ports, ins.Ports)

@@ -10,15 +10,16 @@
 // pulls units from subsequent coflows into slots the decomposition
 // would otherwise leave idle (§4.1 of the paper).
 //
-// Two executors are provided: Execute processes whole BvN terms
-// (q slots at a time) and is used for experiments; ExecuteRecorded
-// simulates one slot at a time, recording every unit transfer, and
-// doubles as the tests' cross-check of the block arithmetic.
+// There is one executor. It processes whole BvN terms, q slots at a
+// time: a matched pair serves up to q units in one step. Execute
+// returns the completion times; ExecuteRecorded runs the same code and
+// also appends every served unit to a transcript. The tests check the
+// block arithmetic against a slot-by-slot walk (slotOracle).
 //
-// Both run on a resident executor borrowed from a package store that
-// garbage collection does not empty: its queues, stage matrix and
-// bvn.Decomposer are grown, not reallocated, from one plan to the next,
-// and a call allocates only what it returns. A schedule is still a
+// Both entry points run on a resident executor borrowed from a package
+// store that garbage collection does not empty: its queues, stage
+// matrix and bvn.Decomposer are grown, not reallocated, from one plan
+// to the next, and a call allocates only what it returns. A schedule is still a
 // function of the plan alone: loading a plan re-zeroes every array, and
 // a Decomposer keeps storage, never a matching, between decompositions.
 package switchsim
@@ -102,6 +103,8 @@ type executor struct {
 	// plan with another port count is loaded.
 	stage *matrix.Matrix
 	dec   *bvn.Decomposer
+	// tr, when not nil, receives every unit servePair serves.
+	tr *Transcript
 }
 
 // executors holds the idle resident executors: newExecutor takes one,
@@ -141,7 +144,7 @@ func newExecutor(plan *Plan) (*executor, error) {
 
 // release returns e to the store holding nothing of the caller's.
 func (e *executor) release() {
-	e.plan = nil
+	e.plan, e.tr = nil, nil
 	select {
 	case executors <- e:
 	default:
@@ -270,7 +273,8 @@ func (e *executor) stageMatrix(st Stage) *matrix.Matrix {
 
 // servePair serves up to cap units on pair (i,j) starting at absolute
 // slot start+1, honouring the plan's service discipline for the stage
-// covering positions [stStart, stEnd). Returns the number served.
+// covering positions [stStart, stEnd), and appends the units it
+// serves to e.tr when that is set. Returns the number served.
 func (e *executor) servePair(pair int, cap int64, start int64, stEnd int) int64 {
 	q := e.queue(pair)
 	served := int64(0)
@@ -303,6 +307,12 @@ func (e *executor) servePair(pair int, cap int64, start int64, stEnd int) int64 
 		if last > e.lastSrv[it.coflow] {
 			e.lastSrv[it.coflow] = last
 		}
+		if e.tr != nil {
+			i, j := pair/e.m, pair%e.m
+			for slot := last - take + 1; slot <= last; slot++ {
+				e.tr.Services = append(e.tr.Services, UnitService{Slot: slot, Src: i, Dst: j, Coflow: it.coflow})
+			}
+		}
 		if it.remaining == 0 && idx == e.head[pair] {
 			e.head[pair]++
 		}
@@ -314,11 +324,18 @@ func (e *executor) servePair(pair int, cap int64, start int64, stEnd int) int64 
 // Execute runs the plan with block-granularity service and returns
 // per-coflow completion times.
 func Execute(plan *Plan) (*Result, error) {
+	return execute(plan, nil)
+}
+
+// execute runs the plan, appending every served unit to tr unless it
+// is nil.
+func execute(plan *Plan, tr *Transcript) (*Result, error) {
 	e, err := newExecutor(plan)
 	if err != nil {
 		return nil, err
 	}
 	defer e.release()
+	e.tr = tr
 	execSpan := pkgObs.ExecuteSeconds.Start()
 	defer execSpan.End()
 	var t int64

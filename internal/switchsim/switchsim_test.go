@@ -220,56 +220,31 @@ func randomStages(rng *rand.Rand, n int) []Stage {
 	return stages
 }
 
-// slotAccurate is the slot-by-slot ground truth: ExecuteRecorded minus
-// its transcript.
-func slotAccurate(plan *Plan) (*Result, error) {
-	res, _, err := ExecuteRecorded(plan)
-	return res, err
-}
-
-// The block executor and the slot-accurate executor must agree exactly
-// on every configuration.
+// The block executor and the slot oracle must agree exactly on every
+// configuration: Result field for field, and the transcript as a
+// multiset of unit services.
 func TestBlockMatchesSlotAccurate(t *testing.T) {
 	rng := rand.New(rand.NewSource(404))
 	for trial := 0; trial < 150; trial++ {
 		m := 1 + rng.Intn(4)
 		n := 1 + rng.Intn(5)
-		ins := randomInstance(rng, m, n, 6, 5)
-		plan := &Plan{
-			Ins:       ins,
+		matchOracle(t, &Plan{
+			Ins:       randomInstance(rng, m, n, 6, 5),
 			Order:     rng.Perm(n),
 			Stages:    randomStages(rng, n),
 			Backfill:  rng.Intn(2) == 0,
 			Recompute: rng.Intn(2) == 0,
-		}
-		a, err := Execute(plan)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		b, err := slotAccurate(plan)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		for k := range a.Completion {
-			if a.Completion[k] != b.Completion[k] {
-				t.Fatalf("trial %d coflow %d: block %d, slot %d (plan %+v)",
-					trial, k, a.Completion[k], b.Completion[k], plan)
-			}
-		}
-		if a.Slots != b.Slots || a.Matchings != b.Matchings {
-			t.Fatalf("trial %d: slots/matchings differ: %+v vs %+v", trial, a, b)
-		}
+		})
 	}
 }
 
 // TestBlockMatchesSlotAccurateWithReleases pins the executors'
-// completion-time equivalence on release-date instances specifically:
-// every coflow has a strictly positive release and the staggering is
-// wide relative to the demand, so stages routinely start idle, wait
-// mid-plan for a member's release, or straddle a release boundary —
-// exactly the block-arithmetic corners (wait-then-serve, partial
-// blocks) where a per-term executor could drift from the slot-by-slot
-// ground truth.
+// equivalence on release-date instances specifically: every coflow has
+// a strictly positive release and the staggering is wide relative to
+// the demand, so stages routinely start idle, wait mid-plan for a
+// member's release, or straddle a release boundary — exactly the
+// block-arithmetic corners (wait-then-serve, partial blocks) where a
+// per-term executor could drift from the slot-by-slot oracle.
 func TestBlockMatchesSlotAccurateWithReleases(t *testing.T) {
 	rng := rand.New(rand.NewSource(808))
 	for trial := 0; trial < 100; trial++ {
@@ -281,31 +256,13 @@ func TestBlockMatchesSlotAccurateWithReleases(t *testing.T) {
 			ins.Coflows[k].Release = 1 + rng.Int63n(40)
 		}
 		for p := 0; p < 2; p++ { // two random plans per instance
-			plan := &Plan{
+			matchOracle(t, &Plan{
 				Ins:       ins,
 				Order:     rng.Perm(n),
 				Stages:    randomStages(rng, n),
 				Backfill:  rng.Intn(2) == 0,
 				Recompute: rng.Intn(2) == 0,
-			}
-			block, err := Execute(plan)
-			if err != nil {
-				t.Fatalf("trial %d: %v", trial, err)
-			}
-			slot, err := slotAccurate(plan)
-			if err != nil {
-				t.Fatalf("trial %d: %v", trial, err)
-			}
-			for k := range block.Completion {
-				if block.Completion[k] != slot.Completion[k] {
-					t.Fatalf("trial %d plan %d coflow %d (release %d): block %d, slot-accurate %d",
-						trial, p, k, ins.Coflows[k].Release,
-						block.Completion[k], slot.Completion[k])
-				}
-			}
-			if block.Slots != slot.Slots {
-				t.Fatalf("trial %d plan %d: slots differ: %d vs %d", trial, p, block.Slots, slot.Slots)
-			}
+			})
 		}
 	}
 }
