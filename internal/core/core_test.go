@@ -10,6 +10,7 @@ import (
 	"coflow/internal/check"
 	"coflow/internal/coflowmodel"
 	"coflow/internal/matrix"
+	"coflow/internal/trace"
 )
 
 func randomInstance(rng *rand.Rand, m, n int, maxSize, maxRelease int64) *coflowmodel.Instance {
@@ -437,5 +438,29 @@ func TestRandomGeometricStagesPartitionQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkScheduleBatchGreedyShape times Schedule at the shape of the
+// benchmark harness's batch-greedy workload: 100 ports, 200 coflows,
+// Poisson releases of mean interarrival 50 and random-permutation
+// weights, in H_ρ order with grouping and backfill (case (d)). Each op
+// schedules the next of four seeded instances, so no LP is timed and
+// switchsim, bvn and matching do the work.
+func BenchmarkScheduleBatchGreedyShape(b *testing.B) {
+	opts := Options{Ordering: OrderLoadWeight, Grouping: true, Backfill: true}
+	var pool []*coflowmodel.Instance
+	for seed := int64(1); seed <= 4; seed++ {
+		cfg := trace.DefaultConfig()
+		cfg.Ports, cfg.NumCoflows, cfg.MeanInterarrival, cfg.Seed = 100, 200, 50, seed
+		ins := trace.MustGenerate(cfg)
+		ins.SetRandomPermutationWeights(rand.New(rand.NewSource(seed)))
+		pool = append(pool, ins)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Schedule(pool[i%len(pool)], opts); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

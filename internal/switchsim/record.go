@@ -18,9 +18,9 @@ type UnitService struct {
 // Transcript is a complete, unit-level record of an executed schedule.
 // It is the exportable artifact a real fabric controller would
 // install, and the object the feasibility validator checks. Services
-// are grouped by BvN term, in schedule order; within a term they come
-// in any order (pair by pair, each pair's units in slot order), so a
-// reader that needs them by slot sorts them.
+// are grouped by stage, then by ingress port; each pair's units in slot
+// order. Slots interleave across ports, so a reader that needs the
+// services by slot sorts them.
 type Transcript struct {
 	Ports    int
 	Services []UnitService

@@ -11,10 +11,13 @@
 // would otherwise leave idle (§4.1 of the paper).
 //
 // There is one executor. It processes whole BvN terms, q slots at a
-// time: a matched pair serves up to q units in one step. Execute
-// returns the completion times; ExecuteRecorded runs the same code and
-// also appends every served unit to a transcript. The tests check the
-// block arithmetic against a slot-by-slot walk (slotOracle).
+// time: a matched pair serves up to q units in one step. A stage is
+// served one ingress port at a time, that port's pairs through every
+// term in order. Execute returns the completion times; ExecuteRecorded
+// runs the same code and also appends every served unit to a
+// transcript, grouped by stage, then by ingress port; each pair's units
+// in slot order. The tests check the block arithmetic against a
+// slot-by-slot walk (slotOracle).
 //
 // Both entry points run on a resident executor borrowed from a package
 // store that garbage collection does not empty: its queues, stage
@@ -27,6 +30,7 @@ package switchsim
 import (
 	"fmt"
 	"runtime"
+	"slices"
 
 	"coflow/internal/bvn"
 	"coflow/internal/coflowmodel"
@@ -336,6 +340,14 @@ func execute(plan *Plan, tr *Transcript) (*Result, error) {
 	}
 	defer e.release()
 	e.tr = tr
+	if tr != nil {
+		// Every unit of demand is served once: size the transcript now.
+		var units int64
+		for _, r := range e.remain {
+			units += r
+		}
+		tr.Services = slices.Grow(tr.Services, int(units))
+	}
 	execSpan := pkgObs.ExecuteSeconds.Start()
 	defer execSpan.End()
 	var t int64
@@ -360,12 +372,21 @@ func execute(plan *Plan, tr *Transcript) (*Result, error) {
 			stageSpan.End()
 			return nil, err
 		}
-		for _, term := range dec.Terms {
-			for i, j := range term.Perm.To {
-				if j != matrix.Unmatched && !e.drained[i*e.m+j] {
-					e.servePair(i*e.m+j, term.Count, t, st.End)
+		// A pair's service depends only on its own queue and on the
+		// blocks it is matched in, and the per-coflow effects commute,
+		// so the stage is served one ingress row at a time: the row's
+		// queues stay in cache across the terms. tu is the start of
+		// term's block and advances on every term, matched or not.
+		for i := range e.m {
+			tu := t
+			for _, term := range dec.Terms {
+				if j := term.Perm.To[i]; j != matrix.Unmatched && !e.drained[i*e.m+j] {
+					e.servePair(i*e.m+j, term.Count, tu, st.End)
 				}
+				tu += term.Count
 			}
+		}
+		for _, term := range dec.Terms {
 			t += term.Count
 			matchings++
 		}

@@ -2,6 +2,7 @@ package switchsim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"coflow/internal/coflowmodel"
@@ -130,6 +131,28 @@ func TestBackfillRespectsRelease(t *testing.T) {
 	}
 	if res.Completion[1] <= 100 {
 		t.Fatalf("coflow 2 served before release: completion %d", res.Completion[1])
+	}
+}
+
+// A backfilled coflow released inside a stage's span is eligible in
+// the blocks that start at or after its release: the release test
+// reads the block's start slot, not the stage's. Coflow 1's stage has
+// two terms (the identity twice, the swap once, in either order) and
+// coflow 2, released at 1, fits one unit into whichever of them starts
+// after slot 1; judged at the stage start it would wait, and finish at
+// 5, not 4.
+func TestBackfillReleasedInsideStage(t *testing.T) {
+	d1 := matrix.MustFromRows([][]int64{{2, 1}, {0, 0}})
+	d2 := matrix.MustFromRows([][]int64{{0, 0}, {1, 1}})
+	ins := inst(2, cf(1, 1, 0, d1), cf(2, 1, 1, d2))
+	plan := &Plan{Ins: ins, Order: []int{0, 1}, Stages: SingleStage(2), Backfill: true}
+	matchOracle(t, plan)
+	res, err := Execute(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int64{3, 4}; !slices.Equal(res.Completion, want) {
+		t.Fatalf("completions %v, want %v", res.Completion, want)
 	}
 }
 
