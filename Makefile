@@ -76,8 +76,8 @@ slowcheck:
 	$(MAKE) fuzz
 
 # Bounded runs of the fuzz targets that pin a fast path to its
-# reference: Step to check.Reference, Step's row walk to the per-cell
-# scan it replaced (port failures included), the sparse LP pipeline
+# reference: Step to check.Reference (port failures included), the
+# sparse LP pipeline
 # to the dense tableau, the order-statistic rolling window to
 # stats.Summarize, the matcher's free-column lookahead to the
 # adjacency-scan one, a held bvn.Decomposer to a fresh one (every
@@ -89,7 +89,6 @@ slowcheck:
 # target.
 fuzz:
 	go test -run='^$$' -fuzz=FuzzStepVsReference -fuzztime=30s ./internal/check/
-	go test -run='^$$' -fuzz=FuzzRowScanVsCellScan -fuzztime=30s ./internal/online/
 	go test -run='^$$' -fuzz=FuzzSparseVsDense -fuzztime=30s ./internal/lp/
 	go test -run='^$$' -fuzz=FuzzLUVsReference -fuzztime=30s ./internal/lp/
 	go test -run='^$$' -fuzz=FuzzRollingVsSummarize -fuzztime=30s ./internal/stats/
@@ -99,11 +98,13 @@ fuzz:
 
 # Scenario smoke: replay every built-in scenario through the
 # in-process driver (monitor validating every slot, planner
-# cross-checked). Fails on any monitor violation or lost demand. The
+# cross-checked), then again through the check.Shadow differential
+# oracle, port failures included. Fails on any monitor violation,
+# divergence or lost demand. The
 # same scripts over loopback HTTP are a tier-1 test
 # (internal/shard TestScenariosOverHTTP).
 scenarios:
-	go test -run='TestBuiltinsReplayClean|TestChurnShadowReplay' -count=1 ./internal/scenario/
+	go test -run='TestBuiltinsReplayClean|TestBuiltinsReplayShadowed' -count=1 ./internal/scenario/
 
 # Harness smoke: two seconds of closed-loop HTTP load against a
 # wall-clock 4-fabric cluster, then the churn replay and the two batch

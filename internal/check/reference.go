@@ -2,6 +2,8 @@ package check
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"coflow/internal/coflowmodel"
@@ -21,6 +23,14 @@ import (
 //   - the greedy matching always rescans every active coflow's full
 //     matrix (no saturation exit).
 //
+// Port failures follow the written rules, not the fast path's code: a
+// failed port starts every slot busy on both sides, so demand touching
+// it is parked; a coflow whose demand is all parked still counts as
+// active; FIFO ignores failures; the SEBF and WSPT keys are ρ and the
+// total over the cells whose two ports are both up, and a key of 0
+// (nothing serviceable) sorts last. With no port down the masked key
+// is the plain one.
+//
 // Every shortcut the fast path takes must be behaviour-preserving, so
 // Reference.Step and online.State.Step must agree exactly — same
 // served sequence, same completions, same remaining demand. Reference
@@ -29,6 +39,7 @@ import (
 type Reference struct {
 	ports   int
 	coflows []*refCoflow
+	failed  []bool
 }
 
 // refCoflow is one live coflow in the reference scheduler.
@@ -49,28 +60,28 @@ func (c *refCoflow) total() int64 {
 	return t
 }
 
-// load rescans all row and column sums.
-func (c *refCoflow) load(m int) int64 {
-	var best int64
+// upLoadTotal rescans the cells whose ingress and egress are both up
+// and returns their bottleneck ρ (largest row or column sum) and their
+// total.
+func (r *Reference) upLoadTotal(c *refCoflow) (load, total int64) {
+	m := r.ports
+	rows := make([]int64, m)
+	cols := make([]int64, m)
 	for i := 0; i < m; i++ {
-		var row int64
 		for j := 0; j < m; j++ {
-			row += c.demand[i*m+j]
-		}
-		if row > best {
-			best = row
-		}
-	}
-	for j := 0; j < m; j++ {
-		var col int64
-		for i := 0; i < m; i++ {
-			col += c.demand[i*m+j]
-		}
-		if col > best {
-			best = col
+			if r.failed[i] || r.failed[j] {
+				continue
+			}
+			v := c.demand[i*m+j]
+			rows[i] += v
+			cols[j] += v
+			total += v
 		}
 	}
-	return best
+	for p := 0; p < m; p++ {
+		load = max(load, rows[p], cols[p])
+	}
+	return load, total
 }
 
 // NewReference creates an empty reference scheduler for an m-port
@@ -79,7 +90,7 @@ func NewReference(ports int) *Reference {
 	if ports <= 0 {
 		panic(fmt.Sprintf("check: non-positive port count %d", ports))
 	}
-	return &Reference{ports: ports}
+	return &Reference{ports: ports, failed: make([]bool, ports)}
 }
 
 // Add mirrors online.State.Add: it registers a coflow, accumulating
@@ -169,13 +180,34 @@ func (r *Reference) Demand(key int) []matrix.SparseEntry {
 	return nil
 }
 
+// FailPort mirrors online.State.FailPort: port p leaves the matching
+// on both sides until RecoverPort. Idempotent; fails only on an
+// out-of-range port.
+func (r *Reference) FailPort(p int) error {
+	if p < 0 || p >= r.ports {
+		return fmt.Errorf("check: port %d outside %d ports", p, r.ports)
+	}
+	r.failed[p] = true
+	return nil
+}
+
+// RecoverPort mirrors online.State.RecoverPort.
+func (r *Reference) RecoverPort(p int) error {
+	if p < 0 || p >= r.ports {
+		return fmt.Errorf("check: port %d outside %d ports", p, r.ports)
+	}
+	r.failed[p] = false
+	return nil
+}
+
 // Step serves one slot exactly as the specification of
 // online.State.Step demands: the coflows released before slot and
 // still holding demand are visited in the policy's priority order
-// (ties on the unique key), and a greedy maximal matching transfers
-// one unit on every matched (src, dst) pair, scanning each coflow's
-// demand in (row, col) order. Coflows that drain complete and are
-// removed. The returned slices are freshly allocated.
+// (ties on the unique key), and a greedy maximal matching over the
+// ports that are up transfers one unit on every matched (src, dst)
+// pair, scanning each coflow's demand in (row, col) order. Coflows
+// that drain complete and are removed. The returned slices are
+// freshly allocated.
 func (r *Reference) Step(slot int64, policy online.Policy) online.StepResult {
 	res := online.StepResult{Slot: slot}
 
@@ -200,23 +232,26 @@ func (r *Reference) Step(slot int64, policy online.Policy) online.StepResult {
 			}
 			return active[a].key < active[b].key
 		})
-	case online.SEBF:
+	case online.SEBF, online.WSPT:
 		for _, c := range active {
-			c.prio = float64(c.load(r.ports)) / c.weight
-		}
-		sortByPrio(active)
-	case online.WSPT:
-		for _, c := range active {
-			c.prio = float64(c.total()) / c.weight
+			load, total := r.upLoadTotal(c)
+			key := total
+			if policy == online.SEBF {
+				key = load
+			}
+			c.prio = math.Inf(1) // all demand parked on failed ports
+			if key > 0 {
+				c.prio = float64(key) / c.weight
+			}
 		}
 		sortByPrio(active)
 	}
 
-	// Greedy matching: full scan of every active coflow's dense
-	// matrix, no early exit.
+	// Greedy matching: failed ports start the slot busy, then a full
+	// scan of every active coflow's dense matrix, no early exit.
 	m := r.ports
-	rowBusy := make([]bool, m)
-	colBusy := make([]bool, m)
+	rowBusy := slices.Clone(r.failed)
+	colBusy := slices.Clone(r.failed)
 	var served []online.Assignment
 	var completed []int
 	for _, c := range active {

@@ -16,7 +16,7 @@ import (
 // through a fresh fast/reference pair deterministically reproduces a
 // divergence.
 type Op struct {
-	// Kind is "add", "remove" or "step".
+	// Kind is "add", "remove", "step", "fail" or "recover".
 	Kind string `json:"kind"`
 	// Key identifies the coflow for add/remove.
 	Key int `json:"key,omitempty"`
@@ -27,6 +27,8 @@ type Op struct {
 	// Slot and Policy parameterize a step.
 	Slot   int64 `json:"slot,omitempty"`
 	Policy int   `json:"policy,omitempty"`
+	// Port names the port of a fail or recover.
+	Port int `json:"port,omitempty"`
 }
 
 // Divergence reports the fast path and the reference disagreeing on
@@ -39,7 +41,8 @@ type Divergence struct {
 	// Ops is the minimized input history reproducing the divergence.
 	Ops []Op `json:"ops"`
 	// Instance is the op history rendered as an instance, when the
-	// history is instance-shaped (every add uses a distinct key).
+	// history is instance-shaped (every add uses a distinct key and no
+	// port fails).
 	Instance *coflowmodel.Instance `json:"instance,omitempty"`
 	// ReproPath is the reproducer file written to disk ("" when no
 	// dump directory was configured or the write failed).
@@ -127,6 +130,31 @@ func (sh *Shadow) Remove(key int) bool {
 	}
 	sh.ops = append(sh.ops, Op{Kind: "remove", Key: key})
 	return ok
+}
+
+// FailPort takes port p offline in both implementations. The two must
+// agree on acceptance; disagreement is itself a divergence.
+func (sh *Shadow) FailPort(p int) error {
+	return sh.portOp("fail", p, sh.State.FailPort, sh.ref.FailPort)
+}
+
+// RecoverPort brings port p back online in both implementations.
+func (sh *Shadow) RecoverPort(p int) error {
+	return sh.portOp("recover", p, sh.State.RecoverPort, sh.ref.RecoverPort)
+}
+
+// portOp applies a fail or recover to both sides and records it.
+func (sh *Shadow) portOp(kind string, p int, fast, ref func(int) error) error {
+	if err := fast(p); err != nil {
+		return err
+	}
+	if sh.div == nil {
+		if refErr := ref(p); refErr != nil {
+			sh.fail(-1, fmt.Sprintf("%s(%d): fast accepted, reference said %v", kind, p, refErr))
+		}
+	}
+	sh.ops = append(sh.ops, Op{Kind: kind, Port: p})
+	return nil
 }
 
 // Step advances both implementations one slot and diffs the results.
@@ -269,6 +297,16 @@ func Replay(ports int, ops []Op) *Divergence {
 				return &Divergence{Slot: -1, Ops: ops,
 					Reason: fmt.Sprintf("Remove(%d): fast %v, reference %v", op.Key, fastOK, refOK)}
 			}
+		case "fail", "recover":
+			fastOp, refOp := fast.FailPort, ref.FailPort
+			if op.Kind == "recover" {
+				fastOp, refOp = fast.RecoverPort, ref.RecoverPort
+			}
+			fastErr, refErr := fastOp(op.Port), refOp(op.Port)
+			if (fastErr == nil) != (refErr == nil) {
+				return &Divergence{Slot: -1, Ops: ops,
+					Reason: fmt.Sprintf("%s(%d): fast %v, reference %v", op.Kind, op.Port, fastErr, refErr)}
+			}
 		case "step":
 			res := fast.Step(op.Slot, online.Policy(op.Policy))
 			refRes := ref.Step(op.Slot, online.Policy(op.Policy))
@@ -285,7 +323,8 @@ func Replay(ports int, ops []Op) *Divergence {
 
 // Minimize shrinks an op log while preserving some divergence under
 // Replay: whole coflows are dropped greedily, then individual flows,
-// then the tail after the first divergent step. It returns the
+// then the tail after the first divergent step. Port failures and
+// recoveries name no coflow and are kept. It returns the
 // minimized log and its divergence, or (ops, nil) if the log does not
 // reproduce any divergence (a non-deterministic or external bug).
 func Minimize(ports int, ops []Op) ([]Op, *Divergence) {
@@ -361,11 +400,15 @@ func cloneOps(ops []Op) []Op {
 }
 
 // opsInstance renders an op log as an Instance when it is
-// instance-shaped: all adds use distinct keys. Returns nil otherwise.
+// instance-shaped: all adds use distinct keys and no port fails (an
+// Instance has no port failures). Returns nil otherwise.
 func opsInstance(ports int, ops []Op) *coflowmodel.Instance {
 	ins := &coflowmodel.Instance{Ports: ports}
 	seen := map[int]bool{}
 	for _, op := range ops {
+		if op.Kind == "fail" || op.Kind == "recover" {
+			return nil
+		}
 		if op.Kind != "add" {
 			continue
 		}

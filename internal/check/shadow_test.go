@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"coflow/internal/coflowmodel"
@@ -118,6 +119,73 @@ func TestShadowDetectsDesyncState(t *testing.T) {
 	}
 	if len(sh.ref.coflows) != refLen {
 		t.Fatal("reference advanced after divergence latch")
+	}
+}
+
+// TestReproducerKeepsPortOps: port failures and recoveries (port 0,
+// the JSON zero value, included) survive the reproducer's round trip,
+// and the decoded log replays exactly as the recorded one does. The
+// history renders no Instance, and dropping coflow 0 while minimizing
+// keeps the port ops even though their Key reads 0.
+func TestReproducerKeepsPortOps(t *testing.T) {
+	sh := NewShadow(2, ShadowConfig{Dir: t.TempDir()})
+	// Coflows 0 and 1 contend for port 1 while port 0 is down; the
+	// masked SEBF key puts coflow 1 first.
+	if _, err := sh.Add(0, 1, 0, []coflowmodel.Flow{{Src: 1, Dst: 1, Size: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sh.Add(1, 4, 0, []coflowmodel.Flow{{Src: 1, Dst: 1, Size: 2}, {Src: 0, Dst: 1, Size: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sh.FailPort(0); err != nil {
+		t.Fatal(err)
+	}
+	// Where the masked key is right, slot 1 agrees and a rogue step
+	// forces the divergence; where it is wrong, slot 1 diverges and the
+	// replays below must both reproduce it.
+	if _, div := sh.Step(1, online.SEBF); div == nil {
+		if err := sh.RecoverPort(0); err != nil {
+			t.Fatal(err)
+		}
+		sh.State.Step(2, online.SEBF) // rogue: the reference misses this slot
+		sh.Step(3, online.SEBF)
+	}
+	div := sh.div
+	if div == nil || div.ReproPath == "" {
+		t.Fatalf("no reproducer dumped: %+v", div)
+	}
+	raw, err := os.ReadFile(div.ReproPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep reproducer
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep.Divergence.Ops, div.Ops) {
+		t.Fatalf("ops decode as %+v, want %+v", rep.Divergence.Ops, div.Ops)
+	}
+	ports := 0
+	for _, op := range rep.Divergence.Ops {
+		if (op.Kind == "fail" || op.Kind == "recover") && op.Port == 0 {
+			ports++
+		}
+	}
+	if ports == 0 || rep.Divergence.Instance != nil {
+		t.Fatalf("reproducer has %d port-0 ops and instance %+v", ports, rep.Divergence.Instance)
+	}
+	got, want := Replay(rep.Ports, rep.Divergence.Ops), Replay(2, div.Ops)
+	if (got == nil) != (want == nil) || got != nil && (got.Slot != want.Slot || got.Reason != want.Reason) {
+		t.Fatalf("decoded log replays as %v, recorded log as %v", got, want)
+	}
+	kept := 0
+	for _, op := range opsWithoutKey(rep.Divergence.Ops, 0) {
+		if op.Kind == "fail" || op.Kind == "recover" {
+			kept++
+		}
+	}
+	if kept != ports {
+		t.Fatalf("dropping coflow 0 left %d of %d port ops", kept, ports)
 	}
 }
 

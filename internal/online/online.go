@@ -68,7 +68,7 @@ type cfState struct {
 	release int64
 	weight  float64
 	demand  *matrix.Sparse
-	prio    float64 // per-slot sort key (SEBF/WSPT), set by prioritizeList
+	prio    float64 // per-slot sort key, set by prioritizeList
 }
 
 // Simulate runs the online greedy scheduler under the given policy.
@@ -120,20 +120,6 @@ func Simulate(ins *coflowmodel.Instance, policy Policy) (*Result, error) {
 	return res, nil
 }
 
-// fifoCmp orders by (release, key): arrival order with a deterministic
-// tie-break.
-//
-//coflow:allocfree
-func fifoCmp(a, b *cfState) int {
-	if a.release != b.release {
-		if a.release < b.release {
-			return -1
-		}
-		return 1
-	}
-	return a.key - b.key
-}
-
 // prioCmp orders by the precomputed priority key, breaking ties on the
 // unique coflow key so every policy order is a strict total order.
 //
@@ -152,20 +138,18 @@ func prioCmp(a, b *cfState) int {
 // Priorities are precomputed into cfState.prio (one O(1) read per
 // coflow — the sparse demand maintains its bottleneck and total
 // incrementally), then an O(n) sorted-check skips the sort entirely on
-// the common steady-state slot where no coflow overtook another. FIFO
-// keys are static and take the same check under fifoCmp.
+// the common steady-state slot where no coflow overtook another. The
+// FIFO key is the release, exact in a float64 for any release below
+// 2⁵³, so (release, key) arrival order is the same (prio, key) order.
 //
 //coflow:allocfree
 func (s *State) prioritizeList(policy Policy) {
 	list := s.list
 	switch policy {
 	case FIFO:
-		if !slices.IsSortedFunc(list, fifoCmp) {
-			slices.SortStableFunc(list, fifoCmp)
-			return
+		for _, st := range list {
+			st.prio = float64(st.release)
 		}
-		s.obs.SortSkips.Inc()
-		return
 	case SEBF:
 		if s.failedCount > 0 {
 			// Under port failures the bottleneck is computed over the

@@ -2,7 +2,6 @@ package online
 
 import (
 	"math/rand"
-	"slices"
 	"testing"
 
 	"coflow/internal/coflowmodel"
@@ -310,217 +309,4 @@ func TestStepServedIsGroupedByCoflow(t *testing.T) {
 	if !multi {
 		t.Fatal("no slot served a coflow on several pairs")
 	}
-}
-
-// cellScanStep is Step with the slot core as it stood before the row
-// walk: the matching loop checks every cell of every active coflow,
-// drained cells and cells of already matched ingresses included. It is
-// the reference the row walk is pinned to (TestRowScanMatchesCellScan,
-// FuzzRowScanVsCellScan); its loop is kept unchanged.
-func cellScanStep(s *State, slot int64, policy Policy) StepResult {
-	s.prioritizeList(policy)
-	res := StepResult{Slot: slot}
-	s.active = s.active[:0]
-	for _, st := range s.list {
-		if st.release < slot && st.demand.Total() > 0 {
-			s.active = append(s.active, st)
-		}
-	}
-	res.Active = len(s.active)
-	if res.Active == 0 {
-		return res
-	}
-	for i := range s.rowBusy {
-		s.rowBusy[i] = false
-	}
-	for i := range s.colBusy {
-		s.colBusy[i] = false
-	}
-	if s.failedCount > 0 {
-		for p, down := range s.failed {
-			if down {
-				s.rowBusy[p] = true
-				s.colBusy[p] = true
-			}
-		}
-	}
-	s.served = s.served[:0]
-	s.completed = s.completed[:0]
-	for _, st := range s.active {
-		d := st.demand
-		for e, n := 0, d.Len(); e < n; e++ {
-			src, dst, rem := d.Entry(e)
-			if rem == 0 || s.rowBusy[src] || s.colBusy[dst] {
-				continue
-			}
-			s.rowBusy[src] = true
-			s.colBusy[dst] = true
-			d.Dec(e, 1)
-			s.served = append(s.served, Assignment{Key: st.key, Src: src, Dst: dst})
-		}
-		if d.Total() == 0 {
-			s.completed = append(s.completed, st.key)
-			s.drop(st)
-		}
-		if len(s.served) == s.ports-s.failedCount {
-			break
-		}
-	}
-	res.Served = s.served
-	res.Completed = s.completed
-	return res
-}
-
-// scanRun counts what a scan program exercised.
-type scanRun struct {
-	slots        int // slots stepped
-	failedServes int // slots that served units while a port was down
-}
-
-// runScanProgram interprets prog as an op program — coflow arrivals,
-// cancels, port failures and recoveries, and slot steps — on two
-// States of the given size, one stepped by Step and one by
-// cellScanStep, and fails on the first slot whose Served (in order),
-// Completed, Active, live keys or per-coflow Remaining differ. It then
-// recovers every port and drains both to completion.
-func runScanProgram(t *testing.T, ports int, policy Policy, prog []byte) scanRun {
-	t.Helper()
-	got, want := NewState(ports), NewState(ports)
-	var (
-		run   scanRun
-		slot  int64
-		keys  int
-		i     int
-		kbufG []int
-		kbufW []int
-	)
-	next := func() int {
-		if i >= len(prog) {
-			return 0
-		}
-		b := int(prog[i])
-		i++
-		return b
-	}
-	step := func() {
-		t.Helper()
-		slot++
-		run.slots++
-		g := got.Step(slot, policy)
-		w := cellScanStep(want, slot, policy)
-		if !slices.Equal(g.Served, w.Served) || !slices.Equal(g.Completed, w.Completed) || g.Active != w.Active {
-			t.Fatalf("ports=%d %v slot %d: row scan served %v completed %v active %d, cell scan %v %v %d",
-				ports, policy, slot, g.Served, g.Completed, g.Active, w.Served, w.Completed, w.Active)
-		}
-		if len(g.Served) > 0 && got.FailedPortCount() > 0 {
-			run.failedServes++
-		}
-		kbufG, kbufW = got.Keys(kbufG[:0]), want.Keys(kbufW[:0])
-		if !slices.Equal(kbufG, kbufW) {
-			t.Fatalf("ports=%d %v slot %d: live keys %v, cell scan %v", ports, policy, slot, kbufG, kbufW)
-		}
-		for _, k := range kbufG {
-			rg, _ := got.Remaining(k)
-			rw, _ := want.Remaining(k)
-			if rg != rw {
-				t.Fatalf("ports=%d %v slot %d: coflow %d remaining %d, cell scan %d", ports, policy, slot, k, rg, rw)
-			}
-		}
-	}
-	for i < len(prog) {
-		switch op := next(); op % 9 {
-		case 0, 1, 2:
-			nf := 1 + next()%4
-			flows := make([]coflowmodel.Flow, 0, nf)
-			for f := 0; f < nf; f++ {
-				flows = append(flows, coflowmodel.Flow{
-					Src: next() % ports, Dst: next() % ports, Size: int64(next()%5 + 1),
-				})
-			}
-			weight, release := float64(1+next()%4), slot+int64(next()%3)
-			for _, s := range []*State{got, want} {
-				if _, err := s.Add(keys, weight, release, flows); err != nil {
-					t.Fatalf("add %d: %v", keys, err)
-				}
-			}
-			keys++
-		case 3, 4:
-			step()
-		case 5:
-			for n := next()%6 + 1; n > 0; n-- {
-				step()
-			}
-		case 6:
-			if keys > 0 {
-				k := next() % keys
-				if got.Remove(k) != want.Remove(k) {
-					t.Fatalf("Remove(%d) disagrees", k)
-				}
-			}
-		case 7, 8:
-			p := next() % ports
-			for _, s := range []*State{got, want} {
-				var err error
-				if op%9 == 7 {
-					err = s.FailPort(p)
-				} else {
-					err = s.RecoverPort(p)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
-	for p := 0; p < ports; p++ {
-		for _, s := range []*State{got, want} {
-			if err := s.RecoverPort(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	// Releases lie at most 2 slots ahead and every unit drains in its
-	// own slot at worst, so the backlog clears within this bound.
-	for limit := slot + int64(5*len(prog)) + 4; got.Len() > 0; {
-		if slot > limit {
-			t.Fatalf("ports=%d %v: %d coflows live after slot %d", ports, policy, got.Len(), slot)
-		}
-		step()
-	}
-	return run
-}
-
-// TestRowScanMatchesCellScan pins step's row walk to the per-cell scan
-// it replaced, slot by slot, on seeded op programs with cancels and
-// port failure windows, under every policy. FuzzStepVsReference cannot
-// do this: check.Reference has no port failures.
-func TestRowScanMatchesCellScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	for _, policy := range []Policy{FIFO, SEBF, WSPT} {
-		var total scanRun
-		for trial := 0; trial < 200; trial++ {
-			prog := make([]byte, 16+rng.Intn(240))
-			rng.Read(prog)
-			run := runScanProgram(t, 1+rng.Intn(8), policy, prog)
-			total.slots += run.slots
-			total.failedServes += run.failedServes
-		}
-		if total.failedServes == 0 {
-			t.Fatalf("%v: no slot served with a port down over %d slots", policy, total.slots)
-		}
-	}
-}
-
-// FuzzRowScanVsCellScan is TestRowScanMatchesCellScan's op program
-// under the fuzzer: cfg picks the switch size and the policy.
-func FuzzRowScanVsCellScan(f *testing.F) {
-	f.Add(uint8(0x31), []byte{0, 1, 2, 3, 1, 4, 3, 3, 7, 1, 3, 3, 8, 1, 5, 4})
-	f.Add(uint8(0x72), []byte{1, 2, 0, 1, 4, 1, 0, 0, 2, 3, 3, 7, 0, 5, 5, 6, 0, 3})
-	f.Add(uint8(0x50), []byte{2, 3, 1, 2, 3, 9, 2, 2, 3, 2, 1, 4, 6, 1, 5, 3})
-	f.Fuzz(func(t *testing.T, cfg uint8, prog []byte) {
-		if len(prog) > 512 {
-			prog = prog[:512]
-		}
-		runScanProgram(t, 1+int(cfg>>4)%8, Policy(int(cfg)%3), prog)
-	})
 }

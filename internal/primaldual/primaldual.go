@@ -15,9 +15,11 @@
 //     unit of bottleneck work it removes);
 //  3. remove k and repeat.
 //
-// On diagonal instances (concurrent open shop) this is exactly the
-// known 2-approximation for zero release dates; on general coflows it
-// is a heuristic ordering that needs no LP solve, making it a natural
+// The published algorithm also lowers each remaining weight after every
+// pick (w_j ← w_j − θ·p_{i*j}, θ the picked coflow's ratio); this rule
+// omits that update, so its 2-approximation guarantee on concurrent
+// open shop with zero release dates does not carry over. It is a
+// heuristic ordering that needs no LP solve, making it a natural
 // ablation partner for H_LP.
 package primaldual
 

@@ -67,8 +67,10 @@ func wsptTotal(sizes []int64, weights []float64, order []int) float64 {
 	return total
 }
 
-// On diagonal instances (concurrent open shop, zero releases) the rule
-// is a 2-approximation; verify against the exact best permutation.
+// On diagonal instances (concurrent open shop, zero releases) the
+// published rule is a 2-approximation. This rule omits its weight
+// update, so the factor 2 is checked here against the exact best
+// permutation, not proven.
 func TestTwoApproxOnOpenShop(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 60; trial++ {

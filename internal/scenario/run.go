@@ -24,8 +24,7 @@ type Options struct {
 	// Shadow replays through the check.Shadow differential oracle
 	// (fast State vs dense Reference) instead of the bare State. Any
 	// divergence minimizes to a JSON reproducer via the Shadow's own
-	// machinery. Scripts with port-failure events cannot run shadowed
-	// (the dense reference does not model failures) and are rejected.
+	// machinery. Port failures and recoveries reach both sides.
 	Shadow bool
 	// ReproDir, when non-empty, receives a JSON reproducer (script +
 	// violations) if the replay surfaces any violation. Shadow
@@ -93,11 +92,6 @@ func Run(script *Script, opts Options) (*Report, error) {
 	var shadow *check.Shadow
 	state := online.NewState(script.Ports)
 	if opts.Shadow {
-		for _, ev := range script.Events {
-			if ev.Op == OpFail || ev.Op == OpRecover {
-				return nil, fmt.Errorf("scenario: script %q has port failures; the shadow reference does not model them", script.Name)
-			}
-		}
 		shadow = check.NewShadow(script.Ports, check.ShadowConfig{Dir: opts.ReproDir})
 		state = shadow.State
 	}
@@ -214,12 +208,24 @@ func Run(script *Script, opts Options) (*Report, error) {
 			rep.DemandShed += shedAmt
 			rep.DemandLive -= shedAmt
 		case OpFail:
-			if err := state.FailPort(ev.Port); err != nil {
+			var err error
+			if shadow != nil {
+				err = shadow.FailPort(ev.Port)
+			} else {
+				err = state.FailPort(ev.Port)
+			}
+			if err != nil {
 				return fmt.Errorf("scenario: fail port %d: %w", ev.Port, err)
 			}
 			mon.FailPort(ev.Port)
 		case OpRecover:
-			if err := state.RecoverPort(ev.Port); err != nil {
+			var err error
+			if shadow != nil {
+				err = shadow.RecoverPort(ev.Port)
+			} else {
+				err = state.RecoverPort(ev.Port)
+			}
+			if err != nil {
 				return fmt.Errorf("scenario: recover port %d: %w", ev.Port, err)
 			}
 			mon.RecoverPort(ev.Port)

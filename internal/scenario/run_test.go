@@ -49,34 +49,25 @@ func TestBuiltinsReplayClean(t *testing.T) {
 	}
 }
 
-// TestChurnShadowReplay runs the churn scenario through the
-// check.Shadow differential oracle: the fast sparse path and the
-// dense reference must agree on every slot under cancellation churn.
-func TestChurnShadowReplay(t *testing.T) {
-	script, err := Builtin("churn-cancel")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := Run(script, Options{Policy: online.SEBF, Shadow: true, ReproDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Violations) != 0 {
-		t.Fatalf("shadow replay violated: %v", rep.Violations)
-	}
-}
-
-// TestShadowRejectsFailureScripts: the dense reference does not model
-// port failures, so shadow mode must refuse rather than report false
-// divergences.
-func TestShadowRejectsFailureScripts(t *testing.T) {
-	script, err := Builtin("port-failure")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(script, Options{Policy: online.SEBF, Shadow: true}); err == nil ||
-		!strings.Contains(err.Error(), "port failures") {
-		t.Fatalf("shadow accepted a failure script: %v", err)
+// TestBuiltinsReplayShadowed runs every built-in scenario, port
+// failures included, through the check.Shadow differential oracle
+// under every policy: the fast sparse path and the dense reference
+// must agree on every slot under churn and failure windows.
+func TestBuiltinsReplayShadowed(t *testing.T) {
+	for _, name := range Builtins() {
+		script, err := Builtin(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, policy := range []online.Policy{online.FIFO, online.SEBF, online.WSPT} {
+			rep, err := Run(script, Options{Policy: policy, Shadow: true, ReproDir: t.TempDir()})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, policy, err)
+			}
+			if len(rep.Violations) != 0 || rep.DemandLive != 0 {
+				t.Fatalf("%s/%s: %d units live, violations %v", name, policy, rep.DemandLive, rep.Violations)
+			}
+		}
 	}
 }
 
