@@ -26,6 +26,8 @@ var testOnly = []struct {
 		"Lemma 2 certificate (coflow.Decomposition.Verify in the façade's example) and the Step 1 matrix it is checked against"},
 	{"internal/check/check.go", []string{"NewRecorder", "(*Recorder).Observe", "(*Recorder).Finish"},
 		"turns a sequence of StepResults into a Recorded, so check.Schedule validates online runs like switchsim transcripts"},
+	{"internal/check/program.go", []string{"RunProgram"},
+		"the one op-program interpreter that drives Step against the Reference: the check sweep and the fuzz targets in check and online"},
 	{"internal/coflowmodel/coflowmodel.go", []string{"(*Instance).WriteFile", "(*Instance).ZeroReleases", "(*Instance).SortByID"},
 		"public API of coflow.Instance (WriteFile is the counterpart of coflow.ReadInstance); each pinned by its own test"},
 	{"internal/core/core.go", []string{"AllOptions"},
